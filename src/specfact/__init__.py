@@ -23,7 +23,6 @@ from .circle_fn import (
     FourierSeries,
     GridFunction,
     SpectralFactor,
-    analytic_half_projection,
     fourier_analyze,
     fourier_synthesize,
     grid_theta,

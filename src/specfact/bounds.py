@@ -22,7 +22,7 @@ import numpy as np
 
 from .circle_fn import (
     GridFunction,
-    grid_theta,
+    _check_grid_size,
     h2_distance,
     harmonic_conjugate,
     lp_norm,
@@ -269,14 +269,23 @@ def random_phase(rng: np.random.Generator, n: int = 4096,
     by `scale`.  This is the documented sweep distribution for conjugate
     phases; its exponential is the density distribution.
     """
+    n = _check_grid_size(n)
     d = int(rng.integers(1, degree + 1))
     a = rng.uniform(-1.0, 1.0, d + 1)
     b = rng.uniform(-1.0, 1.0, d)
-    theta = grid_theta(n)
-    w = np.full(n, a[0])
-    for k in range(1, d + 1):
-        w += a[k] * np.cos(k * theta) + b[k - 1] * np.sin(k * theta)
-    return GridFunction(n, scale * w)
+    # a_k cos(k theta_j) + b_k sin(k theta_j) = Re[z_k e^{2 pi i m j / n}]
+    # with z_k = (-1)^k (a_k - i b_k) and m = k mod n (theta_0 = -pi), so
+    # one inverse real FFT sums the series; a term with m > n/2 enters bin
+    # n - m conjugated, and bins 0 and n/2 carry only the real part
+    k = np.arange(d + 1)
+    z = np.where(k % 2 == 0, 1.0, -1.0) * (a - 1j * np.concatenate(([0.0], b)))
+    m = k % n
+    z = np.where(m > n // 2, np.conj(z), z)
+    m = np.minimum(m, n - m)
+    edge = (m == 0) | (2 * m == n)
+    spec = np.zeros(n // 2 + 1, dtype=np.complex128)
+    np.add.at(spec, m, np.where(edge, n * z.real, 0.5 * n * z))
+    return GridFunction(n, scale * np.fft.irfft(spec, n))
 
 
 def random_density(rng: np.random.Generator, n: int = 4096,

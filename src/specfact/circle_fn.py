@@ -39,7 +39,6 @@ __all__ = [
     "fourier_analyze",
     "fourier_synthesize",
     "harmonic_conjugate",
-    "analytic_half_projection",
     "h2_distance",
 ]
 
@@ -253,9 +252,6 @@ class SpectralFactor:
     def h2_norm(self) -> float:
         return float(np.sqrt(2.0 * np.pi * np.sum(np.abs(self.coeffs) ** 2)))
 
-    def to_series(self) -> FourierSeries:
-        return FourierSeries({k: c for k, c in enumerate(self.coeffs)})
-
     def to_json_dict(self) -> dict:
         out = {"coeffs": {str(k): [c.real, c.imag]
                           for k, c in enumerate(self.coeffs)}}
@@ -341,24 +337,6 @@ def harmonic_conjugate(f: GridFunction) -> GridFunction:
     R[0] = 0.0
     R[-1] = 0.0
     return GridFunction(f.n, np.fft.irfft(R, f.n))
-
-
-def analytic_half_projection(series: FourierSeries,
-                             tol: float = 1e-9) -> FourierSeries:
-    """One-sided projection c_0/2 + sum_{k>=1} c_k e^{i k theta}.
-
-    Defined for real-valued input series only.  On the grid the projection
-    P satisfies 2*Re(P f) = f + c_0 ... more usefully: |exp(P log f)|^2 = f,
-    which is how the factorization module consumes it.
-    """
-    if not series.is_real_valued(tol):
-        raise ParameterError(
-            "analytic_half_projection expects a real-valued series")
-    out: dict[int, complex] = {0: complex(series.coefficient(0).real / 2.0)}
-    for k, c in series.coeffs.items():
-        if k >= 1:
-            out[k] = c
-    return FourierSeries(out)
 
 
 def h2_distance(a: SpectralFactor, b: SpectralFactor) -> float:

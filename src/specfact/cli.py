@@ -65,6 +65,7 @@ EXIT_BUDGET = 4
 
 _PAIR_CHECKS = ("thm2", "cor-p", "main", "identity")
 _PSI_CHECKS = ("lemma-orl", "lemma-l1")
+_PHI_CHECKS = ("main", "lemma-orl")
 
 
 def _read_text(path: str) -> str:
@@ -127,6 +128,8 @@ def _herglotz_factor(f: GridFunction, floor: float | None,
 
 
 def cmd_factorize(args) -> int:
+    if args.degree < 0:
+        raise ParameterError(f"--degree must be >= 0, got {args.degree}")
     data = _load_any(args.input)
     if args.method == "fejer-riesz":
         if not isinstance(data, FourierSeries):
@@ -154,33 +157,36 @@ def cmd_factorize(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _run_check(check: str, args, f: GridFunction | None,
-               g: GridFunction | None, psi: GridFunction | None):
+def _run_check(check: str, args, phi: NFunction | None,
+               f: GridFunction | None, g: GridFunction | None,
+               psi: GridFunction | None):
     if check == "thm2":
         return check_theorem_2(f, g)
     if check == "cor-p":
         return check_corollary_p(f, g, args.p)
     if check == "main":
-        return check_theorem_main(f, g, _parse_phi(args.phi))
+        return check_theorem_main(f, g, phi)
     if check == "identity":
         return check_identity(f, g)
     if check == "lemma-orl":
-        return check_lemma_orl(psi, _parse_phi(args.phi))
+        return check_lemma_orl(psi, phi)
     return check_lemma_l1(psi)
 
 
-def _sweep_trial(check: str, args, index: int):
+def _sweep_trial(check: str, args, phi: NFunction | None, index: int):
     rng = np.random.default_rng([args.seed, index])
     if check in _PSI_CHECKS:
         psi = random_phase(rng, n=args.n, degree=args.degree)
-        return _run_check(check, args, None, None, psi)
+        return _run_check(check, args, phi, None, None, psi)
     f = random_density(rng, n=args.n, degree=args.degree)
     g = random_density(rng, n=args.n, degree=args.degree)
-    return _run_check(check, args, f, g, None)
+    return _run_check(check, args, phi, f, g, None)
 
 
 def cmd_bounds(args) -> int:
     check = args.check
+    # parsed once per command; trials share it and its cached complement
+    phi = _parse_phi(args.phi) if check in _PHI_CHECKS else None
     if args.sweep is not None:
         if args.f is not None or args.g is not None:
             raise ParameterError("--sweep and explicit inputs are exclusive")
@@ -190,9 +196,9 @@ def cmd_bounds(args) -> int:
         if args.jobs > 1:
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 reports = list(pool.map(
-                    lambda i: _sweep_trial(check, args, i), indices))
+                    lambda i: _sweep_trial(check, args, phi, i), indices))
         else:
-            reports = [_sweep_trial(check, args, i) for i in indices]
+            reports = [_sweep_trial(check, args, phi, i) for i in indices]
         for i, rep in enumerate(reports):
             _emit({"trial": i, **rep.to_json_dict()})
         n_pass = sum(r.passed for r in reports)
@@ -203,13 +209,13 @@ def cmd_bounds(args) -> int:
         if args.f is None:
             raise ParameterError(f"--check {check} needs one input (psi)")
         psi = _as_grid(_load_any(args.f), args.n, "psi")
-        rep = _run_check(check, args, None, None, psi)
+        rep = _run_check(check, args, phi, None, None, psi)
     else:
         if args.f is None or args.g is None:
             raise ParameterError(f"--check {check} needs two inputs (f, g)")
         f = _as_grid(_load_any(args.f), args.n, "f")
         g = _as_grid(_load_any(args.g), args.n, "g")
-        rep = _run_check(check, args, f, g, None)
+        rep = _run_check(check, args, phi, f, g, None)
     _emit(rep.to_json_dict())
     return EXIT_PASS if rep.passed else EXIT_FAIL
 

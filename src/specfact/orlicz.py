@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .circle_fn import GridFunction, harmonic_conjugate, lp_norm
 from .errors import DomainError, NumericalConditioningError, ParameterError
@@ -62,6 +63,7 @@ class NFunction:
                  u_nodes: np.ndarray | None = None,
                  json_grid: list | None = None):
         self.kind = kind
+        self._complement: NFunction | None = None
         if kind == "power":
             q = float(q)
             if not q > 1.0:
@@ -236,7 +238,15 @@ class NFunction:
     # -- structure -------------------------------------------------------
 
     def complement(self) -> "NFunction":
-        """The complementary N-function via v(y) = sup{t : u(t) <= y}."""
+        """The complementary N-function via v(y) = sup{t : u(t) <= y}.
+
+        Built on first use and kept on the instance.
+        """
+        if self._complement is None:
+            self._complement = self._build_complement()
+        return self._complement
+
+    def _build_complement(self) -> "NFunction":
         if self.kind == "power":
             return NFunction.power(self.q / (self.q - 1.0))
         ys = self.u_nodes.copy()
@@ -258,11 +268,18 @@ class NFunction:
 
     @classmethod
     def from_json_dict(cls, obj) -> "NFunction":
+        """Parse {"kind": "power", "q": q} or {"kind": "density", "u_grid": [[t, u], ...]}.
+
+        A missing or ill-typed key raises ParameterError.
+        """
+        if not isinstance(obj, dict):
+            raise ParameterError("N-function must be a JSON object with a 'kind' key")
         kind = obj.get("kind")
         if kind == "power":
-            return cls.power(float(obj["q"]))
+            return cls.power(_json_field(obj, "q", "a number", float))
         if kind == "density":
-            grid = np.asarray(obj["u_grid"], dtype=float)
+            grid = _json_field(obj, "u_grid", "[[t, u], ...]",
+                               lambda x: np.asarray(x, dtype=float))
             if grid.ndim != 2 or grid.shape[1] != 2:
                 raise ParameterError("u_grid must be [[t, u], ...]")
             return cls.from_density(grid[:, 0], grid[:, 1])
@@ -272,6 +289,16 @@ class NFunction:
         if self.kind == "power":
             return f"NFunction.power({self.q})"
         return f"NFunction.density(<{len(self.t_nodes)} nodes>)"
+
+
+def _json_field(obj: dict, key: str, expected: str, convert):
+    if key not in obj:
+        raise ParameterError(
+            f"{obj['kind']} N-function needs the key {key!r} ({expected})")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError):
+        raise ParameterError(f"N-function key {key!r} must be {expected}") from None
 
 
 # -- norms ---------------------------------------------------------------
@@ -286,18 +313,28 @@ def _modal_integral(values: np.ndarray, phi: NFunction, h: float) -> float:
     return float(np.sum(vals) * h)
 
 
+def _lq_norm(v: np.ndarray, peak: float, q: float, h: float) -> float:
+    """(int v^q dtheta)^(1/q) for v >= 0 with max v = peak > 0, scaled by
+    the peak so v^q neither overflows nor underflows."""
+    return peak * (float(np.sum((v / peak) ** q)) * h) ** (1.0 / q)
+
+
 def luxemburg_norm(f: GridFunction, phi: NFunction,
                    rel_tol: float = 1e-10) -> float:
     """Luxemburg norm inf{kappa > 0 : int Phi(|f|/kappa) dtheta <= 1}.
 
-    Monotone bisection with geometric bracket expansion; the returned value
-    is the upper end of the final bracket, so its modal integral is <= 1.
+    For Phi = tau^q/q this is (int |f|^q / q dtheta)^(1/q) in closed form.
+    For the density kind: monotone bisection on kappa with geometric
+    bracket expansion; the returned value is the upper end of the final
+    bracket, so its modal integral is <= 1.
     """
     v = np.abs(f.values)
     peak = float(v.max())
     if peak == 0.0:
         return 0.0
     h = 2.0 * np.pi / f.n
+    if phi.kind == "power":
+        return _lq_norm(v, peak, phi.q, h) * phi.q ** (-1.0 / phi.q)
     modal = lambda kappa: _modal_integral(v / kappa, phi, h)
     hi = peak
     for _ in range(4100):
@@ -321,50 +358,78 @@ def luxemburg_norm(f: GridFunction, phi: NFunction,
     return hi
 
 
+#: the Amemiya minimizer is searched for at k * max|f| = e^z, |z| <= Z_MAX;
+#: beyond that Phi(k|f|) leaves the double range
+_Z_MAX = 700.0
+
+
 def orlicz_norm(f: GridFunction, phi: NFunction,
                 rel_tol: float = 1e-8) -> float:
     """Orlicz norm by Amemiya's formula inf_{k>0} (1 + int Phi(k|f|))/k.
 
-    The objective is unimodal in log k; golden-section search on log k to
-    the requested relative tolerance.
+    For Phi = tau^q/q the infimum is (q/(q-1))^((q-1)/q) ||f||_q in closed
+    form.  For the density kind, the objective's derivative in k has the
+    sign of the Young integral
+
+        Y(k) = int [k|f| Phi'(k|f|) - Phi(k|f|)] dtheta - 1,
+
+    whose integrand Phi*(Phi'(k|f|)) is nondecreasing in k.  One bracketed
+    Brent root-find on log k, to rel_tol, locates the minimizer; the
+    objective there is returned, an upper bound on the infimum.  Raises
+    NumericalConditioningError when no root lies in the searched range
+    (the infimum is then approached only as k -> 0 or k -> inf).
     """
     v = np.abs(f.values)
-    if float(v.max()) == 0.0:
+    peak = float(v.max())
+    if peak == 0.0:
         return 0.0
     h = 2.0 * np.pi / f.n
-    lux = luxemburg_norm(f, phi)
+    if phi.kind == "power":
+        q = phi.q
+        return (q / (q - 1.0)) ** ((q - 1.0) / q) * _lq_norm(v, peak, q, h)
+    # sorted once: the node lookups inside phi then see monotone queries
+    w = np.sort(v) / peak
 
-    def objective(x: float) -> float:
-        k = math.exp(x)
-        return (1.0 + _modal_integral(k * v, phi, h)) / k
+    def young(z: float) -> float:
+        x = math.exp(z) * w
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = phi.phi(x)
+            terms = x * phi.density(x) - p
+        # past the double range both products are inf; the integrand is
+        # unbounded there, not undefined
+        terms[np.isinf(p)] = np.inf
+        # capped so Brent's interpolation steps stay finite
+        return min(float(np.sum(terms)) * h - 1.0, np.finfo(float).max)
 
-    gold = (math.sqrt(5.0) - 1.0) / 2.0
-    a = -math.log(lux) - 40.0
-    b = -math.log(lux) + 40.0
-    c = b - gold * (b - a)
-    d = a + gold * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > rel_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gold * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gold * (b - a)
-            fd = objective(d)
-    return min(fc, fd)
+    # start where k * mean|f| = 1 and widen with doubling steps until Y
+    # changes sign between the last two points
+    z = -math.log(float(np.mean(w)))
+    y = young(z)
+    step = 1.0 if y < 0.0 else -1.0
+    while (y < 0.0) == (step > 0.0):
+        if abs(z) >= _Z_MAX:
+            raise NumericalConditioningError(
+                "no finite bracket for the Amemiya minimizer")
+        z_prev = z
+        z = min(max(z + step, -_Z_MAX), _Z_MAX)
+        y = young(z)
+        step *= 2.0
+    z = brentq(young, min(z_prev, z), max(z_prev, z), xtol=rel_tol)
+    k = math.exp(z) / peak
+    return (1.0 + _modal_integral(k * v, phi, h)) / k
 
 
 def lambda_phi(phi: NFunction, s: float, rel_tol: float = 1e-10) -> float:
     """Lambda_Phi(s) = inf{t > 0 : (1/t) Phi'(1/t) <= 1/s} for s > 0.
 
-    Bisection on t against the nondecreasing map tau -> tau * Phi'(tau);
-    for Phi = tau^q/q this is s^(1/q) exactly.
+    For Phi = tau^q/q this is s^(1/q) in closed form.  For the density kind:
+    bisection on t against the nondecreasing map tau -> tau * Phi'(tau).
     """
     s = float(s)
     if not s > 0.0:
         raise ParameterError(f"lambda_phi needs s > 0, got {s}")
+    if phi.kind == "power":
+        return s ** (1.0 / phi.q)
     target = 1.0 / s
 
     def ok(t: float) -> bool:

@@ -19,6 +19,7 @@ from specfact import (
     constant_c_p,
     convergence_demo,
     dip_schedule,
+    grid_theta,
     h2_identity_terms,
     h2_squared_direct,
     k0_constant,
@@ -202,6 +203,30 @@ def test_convergence_demo_dip_schedule(rng):
         dip_schedule(f, [1], depth=1.5)
     with pytest.raises(ParameterError):
         dip_schedule(f, [0])
+
+
+def _loop_phase(rng, n, degree):
+    """random_phase as a per-k trig loop: the reference for the FFT sum."""
+    d = int(rng.integers(1, degree + 1))
+    a = rng.uniform(-1.0, 1.0, d + 1)
+    b = rng.uniform(-1.0, 1.0, d)
+    theta = grid_theta(n)
+    w = np.full(n, a[0])
+    for k in range(1, d + 1):
+        w += a[k] * np.cos(k * theta) + b[k - 1] * np.sin(k * theta)
+    return w
+
+
+@pytest.mark.parametrize("n, degree", [(4096, 16), (64, 31), (8, 20), (16, 40)])
+def test_random_phase_matches_trig_loop(n, degree):
+    """Same draws, same order; the FFT changes only the summation order.
+    Degrees at or past n/2 alias onto the grid exactly as the loop does."""
+    for seed in range(10):
+        fft = random_phase(np.random.default_rng([seed, 1]), n=n, degree=degree)
+        loop = _loop_phase(np.random.default_rng([seed, 1]), n, degree)
+        assert np.max(np.abs(fft.values - loop)) < 1e-12
+    with pytest.raises(ParameterError):
+        random_phase(np.random.default_rng(0), n=0)
 
 
 def test_sweep_generators_deterministic():

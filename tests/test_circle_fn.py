@@ -13,7 +13,6 @@ from specfact import (
     GridFunction,
     ParameterError,
     SpectralFactor,
-    analytic_half_projection,
     fourier_analyze,
     fourier_synthesize,
     grid_theta,
@@ -208,17 +207,6 @@ def test_conjugate_indicator_pv_values():
         assert pv == pytest.approx(
             (1.0 / np.pi) * np.log(abs(np.tan(tau_j / 2))), abs=1e-13)
         assert conj[j] == pytest.approx(pv, abs=5e-3)
-
-
-def test_analytic_half_projection():
-    series = fourier_analyze(GridFunction.from_callable(
-        lambda t: 2.0 * np.cos(t) + 1.0, 64), bandwidth=2)
-    half = analytic_half_projection(series)
-    assert half.coefficient(0) == pytest.approx(0.5, abs=1e-14)
-    assert half.coefficient(1) == pytest.approx(1.0, abs=1e-14)
-    assert half.coefficient(-1) == 0.0
-    with pytest.raises(ParameterError):
-        analytic_half_projection(FourierSeries({1: 1.0}))  # not real-valued
 
 
 def test_spectral_factor_boundary_and_h2():

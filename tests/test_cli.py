@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from specfact.cli import main
@@ -146,6 +147,56 @@ def test_bounds_sweep_deterministic(capsys):
     # sweep and explicit inputs are mutually exclusive
     assert run(capsys, "bounds", "f.json", "--check", "identity",
                "--sweep", "2")[0] == 2
+
+
+def test_factorize_rejects_negative_degree(tmp_path, capsys):
+    path = tmp_path / "flat.txt"
+    path.write_text("4 4 4 4 4 4 4 4\n")
+    code, out, err = run(capsys, "factorize", str(path),
+                         "--method", "herglotz", "--degree", "-3")
+    assert code == 2 and not out
+    assert "--degree" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("phi", [
+    {"kind": "density", "t": [1.0, 2.0, 3.0], "u": [1.0, 2.0, 3.0]},
+    {"kind": "power"},
+    {"kind": "power", "q": None},
+    {"kind": "density", "u_grid": [[1.0, 2.0], [3.0]]},
+    [2.0],
+])
+def test_bounds_phi_errors_exit_2(capsys, phi):
+    code, out, err = run(capsys, "bounds", "--check", "main", "--sweep", "1",
+                         "--n", "256", "--phi", json.dumps(phi))
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("specfact: cannot parse")
+
+
+LLOGL_PHI = {"kind": "density",
+             "u_grid": [[float(t), math.log1p(t)]
+                        for t in np.geomspace(1e-6, 1e6, 49)]}
+
+
+@pytest.mark.parametrize("argv, trials, rhs_first, rhs_last", [
+    (("--check", "main", "--sweep", "25",
+      "--phi", json.dumps({"kind": "power", "q": 3})),
+     25, 332.01715320143137, 904.4042347096005),
+    (("--check", "main", "--sweep", "25", "--phi", json.dumps(LLOGL_PHI)),
+     25, 479.5910196728497, 1985.683212896077),
+    (("--check", "thm2", "--sweep", "100"),
+     100, 1295.8100474722412, 71.26253692438279),
+])
+def test_sweep_verdicts_pinned(capsys, argv, trials, rhs_first, rhs_last):
+    """Seed 0 of the benchmark's bound sweeps: every trial passes, the exit
+    code is 0, and the right sides match the values recorded before the
+    Orlicz closed forms, Young-equation root-find and FFT draws landed."""
+    code, out, _ = run(capsys, "bounds", *argv, "--seed", "0")
+    rows = out_lines(out)
+    assert code == 0
+    assert [r["pass"] for r in rows] == [True] * trials
+    assert rows[0]["rhs"] == pytest.approx(rhs_first, rel=1e-9)
+    assert rows[-1]["rhs"] == pytest.approx(rhs_last, rel=1e-9)
 
 
 def test_counterexample_single(capsys):

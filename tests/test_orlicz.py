@@ -9,6 +9,7 @@ from specfact import (
     GridFunction,
     GSpec,
     NFunction,
+    NumericalConditioningError,
     ParameterError,
     davis_constant,
     g_clipped_square,
@@ -22,6 +23,7 @@ from specfact import (
     lp_norm,
     luxemburg_norm,
     orlicz_norm,
+    random_density,
     weak11_ratio,
 )
 
@@ -115,6 +117,102 @@ def test_orlicz_power_closed_form():
         phi = NFunction.power(p)
         expect = (p / (p - 1.0)) ** ((p - 1.0) / p) * lp_norm(f, p)
         assert orlicz_norm(f, phi) == pytest.approx(expect, rel=1e-7)
+
+
+def _power_density_copy(q):
+    """Density-kind copy of tau^q/q, built as _sample_density_functions does.
+
+    u(t) = t^(q-1) is linear for q = 2, so the 241-node copy is exact; for
+    q = 3 the nodes are dense enough (ratio 1 + 5.8e-4) that the linear
+    interpolation error of u stays below 1e-7 relative.
+    """
+    if q == 2.0:
+        t = np.geomspace(1e-6, 1e6, 241)
+    else:
+        t = np.geomspace(1e-3, 1e3, 24001)
+    return NFunction.from_density(t, t ** (q - 1.0))
+
+
+def test_generic_solvers_match_power_closed_forms(rng):
+    """The density-kind solvers, run on copies of power(2) and power(3),
+    reproduce the closed forms the power kind returns."""
+    n = 512
+    th = grid_theta(n)
+    fs = [GridFunction(n, np.exp(0.5 * np.cos(th))),
+          GridFunction(n, np.exp(rng.uniform(-1, 1) * np.cos(3 * th)
+                                 + rng.uniform(-1, 1) * np.sin(th)))]
+    for q in (2.0, 3.0):
+        dens = _power_density_copy(q)
+        for f in fs:
+            norm_q = lp_norm(f, q)
+            assert luxemburg_norm(f, dens) == pytest.approx(
+                norm_q * q ** (-1.0 / q), rel=1e-7)
+            assert orlicz_norm(f, dens) == pytest.approx(
+                (q / (q - 1.0)) ** ((q - 1.0) / q) * norm_q, rel=1e-7)
+        for s in (1e-3, 0.1, 1.0, 50.0):
+            assert lambda_phi(dens, s) == pytest.approx(s ** (1.0 / q), rel=1e-7)
+
+
+def _amemiya_grid_min(f, phi, lo=-20.0, hi=20.0, points=401, levels=4):
+    """min over log k of (1 + int Phi(k|f|))/k on nested uniform grids,
+    each spanning two cells of the previous one around its minimum."""
+    v = np.abs(f.values)
+    h = 2.0 * np.pi / f.n
+    for _ in range(levels):
+        xs = np.linspace(lo, hi, points)
+        vals = [(1.0 + np.sum(phi.phi(np.exp(x) * v)) * h) / np.exp(x)
+                for x in xs]
+        i = int(np.argmin(vals))
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, points - 1)]
+    return float(vals[i])
+
+
+def test_amemiya_root_find_is_the_minimum():
+    """For the L log L Phi the benchmark sweeps (u(t) = log(1 + t)), the
+    Young-equation root gives the minimum of the Amemiya objective: no
+    point of a dense log k grid lies more than 1e-12 relative below it,
+    and it lies no more than 1e-12 relative below the grid minimum."""
+    t = np.geomspace(1e-6, 1e6, 49)
+    phi = NFunction.from_json_dict(
+        {"kind": "density", "u_grid": [[a, math.log1p(a)] for a in t]})
+    for fn in (phi.complement(), phi):
+        for seed in range(3):
+            f = random_density(np.random.default_rng([seed, 0]), n=512)
+            root = orlicz_norm(f, fn)
+            grid = _amemiya_grid_min(f, fn)
+            assert abs(root - grid) <= 1e-12 * grid, (seed, root, grid)
+
+
+class _LinearPhi(NFunction):
+    """Phi(x) = |x|, which is not an N-function: x Phi'(x) - Phi(x) = 0, so
+    the Young integral Y(k) = -1 for every k and the Amemiya objective
+    (1 + k ||f||_1)/k has no minimizer."""
+
+    def __init__(self):
+        self.kind = "density"
+        self.evaluations = 0
+
+    def phi(self, x):
+        self.evaluations += 1
+        return np.abs(np.asarray(x, dtype=float))
+
+    def density(self, x):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+
+def test_amemiya_bracket_search_is_bounded():
+    n = 64
+    f = GridFunction(n, np.exp(np.cos(grid_theta(n))))
+    phi = _LinearPhi()
+    with pytest.raises(NumericalConditioningError):
+        orlicz_norm(f, phi)
+    assert phi.evaluations <= 20
+
+
+def test_complement_is_cached():
+    _, dens = _sample_density_functions()
+    for phi in (NFunction.power(3.0), dens):
+        assert phi.complement() is phi.complement()
 
 
 def test_norm_sandwich(rng):

@@ -2,6 +2,7 @@
 
 from .bounds import (
     IdentityTerms,
+    PairMetrics,
     check_corollary_p,
     check_identity,
     check_lemma_l1,
@@ -14,7 +15,7 @@ from .bounds import (
     dip_schedule,
     h2_identity_terms,
     h2_squared_direct,
-    lower_bound_terms,
+    pair_metrics,
     random_density,
     random_phase,
 )

@@ -10,13 +10,14 @@ returns a BoundReport.  The expansion behind all of them is the identity
     T2 = 2 int sqrt(f) (sqrt(g) - sqrt(f)) (1 - cos psi_hat) dtheta,
     T3 = 2 int f (1 - cos psi_hat) dtheta,
 
-with psi_hat = (1/2) * (log f - log g)~, which h2_identity_terms evaluates
+with psi_hat = (1/2) * (log f - log g)~, which PairMetrics.terms evaluates
 term by term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +41,10 @@ from .report import BoundReport, bound_report
 
 __all__ = [
     "IdentityTerms",
+    "PairMetrics",
+    "pair_metrics",
     "h2_identity_terms",
     "h2_squared_direct",
-    "lower_bound_terms",
     "check_identity",
     "check_theorem_2",
     "check_corollary_p",
@@ -69,50 +71,94 @@ class IdentityTerms:
         return self.t1 + self.t2 + self.t3
 
 
-def _pair_logs(f: GridFunction, g: GridFunction):
+@dataclass(frozen=True, eq=False)
+class PairMetrics:
+    """What the pair checks read, each computed on first access and kept.
+
+    A check pays only for what its formula reads: the identity terms cost a
+    conjugate FFT that Theorem 2, Corollary p and the master bound skip.
+    The logs are lazy too; kept alive across the two boundary factorizations
+    they made cross_validate_pipeline page-fault measurably more.
+    """
+
+    f: GridFunction
+    g: GridFunction
+
+    @cached_property
+    def log_ratio(self) -> np.ndarray:
+        """log f - log g; raises DomainError where f or g is not positive."""
+        return _positive_log(self.f, None) - _positive_log(self.g, None)
+
+    @cached_property
+    def l1_diff(self) -> float:
+        """||f - g||_1."""
+        return lp_norm(GridFunction(self.f.n, self.f.values - self.g.values), 1)
+
+    @cached_property
+    def log_l1_diff(self) -> float:
+        """||log f - log g||_1."""
+        return lp_norm(GridFunction(self.f.n, self.log_ratio), 1)
+
+    @cached_property
+    def h2_squared(self) -> float:
+        """||f+ - g+||^2 from the two boundary factorizations."""
+        return h2_distance(factorize_boundary(self.f),
+                           factorize_boundary(self.g)) ** 2
+
+    @cached_property
+    def terms(self) -> IdentityTerms:
+        """T1, T2, T3 of the expansion; their sum is h2_squared."""
+        n = self.f.n
+        psi_hat = 0.5 * harmonic_conjugate(
+            GridFunction(n, self.log_ratio)).values
+        defect = 1.0 - np.cos(psi_hat)
+        rf = np.sqrt(self.f.values)
+        rg = np.sqrt(self.g.values)
+        h = 2.0 * np.pi / n
+        t1 = float(np.sum((rf - rg) ** 2) * h)
+        t2 = float(np.sum(2.0 * rf * (rg - rf) * defect) * h)
+        t3 = float(np.sum(2.0 * self.f.values * defect) * h)
+        return IdentityTerms(t1, t2, t3)
+
+    @cached_property
+    def lower_bound(self) -> float:
+        """Certified lower bound T3 - 4 ||f - g||_1 for h2_squared."""
+        terms = self.terms
+        bound = terms.t3 - 4.0 * self.l1_diff
+        if bound > terms.total + 1e-9:
+            # T1 >= 0 and T2 >= -4 ||f - g||_1 make this impossible
+            raise ParameterError(
+                f"lower bound {bound} exceeds the identity sum {terms.total}; "
+                f"inputs are inconsistent")
+        return bound
+
+    def f_norm(self, p) -> float:
+        """||f||_p, p = inf for the sup norm."""
+        return lp_norm(self.f, p)
+
+
+def pair_metrics(f: GridFunction, g: GridFunction) -> PairMetrics:
+    """Record for a pair of positive densities on one grid."""
     if f.n != g.n:
         raise ParameterError("f and g must share a grid")
-    return _positive_log(f, None), _positive_log(g, None)
+    return PairMetrics(f, g)
 
 
 def h2_identity_terms(f: GridFunction, g: GridFunction) -> IdentityTerms:
     """The three expansion terms; their sum is the squared H2 distance."""
-    logf, logg = _pair_logs(f, g)
-    n = f.n
-    psi_hat = 0.5 * harmonic_conjugate(GridFunction(n, logf - logg)).values
-    defect = 1.0 - np.cos(psi_hat)
-    rf = np.sqrt(f.values)
-    rg = np.sqrt(g.values)
-    h = 2.0 * np.pi / n
-    t1 = float(np.sum((rf - rg) ** 2) * h)
-    t2 = float(np.sum(2.0 * rf * (rg - rf) * defect) * h)
-    t3 = float(np.sum(2.0 * f.values * defect) * h)
-    return IdentityTerms(t1, t2, t3)
+    return pair_metrics(f, g).terms
 
 
 def h2_squared_direct(f: GridFunction, g: GridFunction) -> float:
     """Squared H2 distance of the boundary factors, no expansion involved."""
-    return h2_distance(factorize_boundary(f), factorize_boundary(g)) ** 2
-
-
-def lower_bound_terms(f: GridFunction, g: GridFunction) -> float:
-    """Certified lower bound T3 - 4 ||f - g||_1 for the squared H2 distance."""
-    terms = h2_identity_terms(f, g)
-    diff = GridFunction(f.n, f.values - g.values)
-    bound = terms.t3 - 4.0 * lp_norm(diff, 1)
-    if bound > terms.total + 1e-9:
-        # T1 >= 0 and T2 >= -4 ||f - g||_1 make this impossible
-        raise ParameterError(
-            f"lower bound {bound} exceeds the identity sum {terms.total}; "
-            f"inputs are inconsistent")
-    return bound
+    return pair_metrics(f, g).h2_squared
 
 
 def check_identity(f: GridFunction, g: GridFunction,
                    tol: float = 1e-6) -> BoundReport:
     """Expansion sum against the directly computed squared H2 distance."""
-    terms = h2_identity_terms(f, g)
-    direct = h2_squared_direct(f, g)
+    pm = pair_metrics(f, g)
+    terms, direct = pm.terms, pm.h2_squared
     gap = abs(terms.total - direct)
     allow = tol * (1.0 + abs(direct))
     return bound_report("identity", gap, 0.0, tol=0.0, atol=allow,
@@ -128,11 +174,9 @@ def check_theorem_2(f: GridFunction, g: GridFunction,
     The headline right side uses the round constant 2.5; the sharper value
     2*K0 is reported alongside and both must hold for the check to pass.
     """
-    logf, logg = _pair_logs(f, g)
-    lhs = h2_squared_direct(f, g)
-    l1diff = lp_norm(GridFunction(f.n, f.values - g.values), 1)
-    logdiff = lp_norm(GridFunction(f.n, logf - logg), 1)
-    peak = lp_norm(f, np.inf)
+    pm = pair_metrics(f, g)
+    lhs, l1diff, logdiff = pm.h2_squared, pm.l1_diff, pm.log_l1_diff
+    peak = pm.f_norm(np.inf)
     rhs = 2.0 * l1diff + 2.5 * peak * logdiff
     rhs_sharp = 2.0 * l1diff + 2.0 * k0_constant() * peak * logdiff
     pass_sharp = lhs <= rhs_sharp * (1.0 + tol) + 1e-12
@@ -141,10 +185,7 @@ def check_theorem_2(f: GridFunction, g: GridFunction,
                                 "sup_f": peak, "rhs_sharp": rhs_sharp,
                                 "pass_sharp": pass_sharp,
                                 "two_k0": 2.0 * k0_constant()})
-    if rep.passed and not pass_sharp:
-        rep = BoundReport(rep.name, rep.lhs, rep.rhs, rep.slack, False,
-                          rep.details)
-    return rep
+    return replace(rep, passed=rep.passed and pass_sharp)
 
 
 def constant_c_p(p: float) -> float:
@@ -165,12 +206,11 @@ def constant_c_inf() -> float:
 def check_corollary_p(f: GridFunction, g: GridFunction, p: float,
                       tol: float = 1e-9) -> BoundReport:
     """||f+ - g+||^2 <= 2 ||f-g||_1 + C(p) ||f||_p ||log f - log g||_1^(1-1/p)."""
-    logf, logg = _pair_logs(f, g)
+    pm = pair_metrics(f, g)
+    lhs = pm.h2_squared
     cp = constant_c_p(p)
-    lhs = h2_squared_direct(f, g)
-    l1diff = lp_norm(GridFunction(f.n, f.values - g.values), 1)
-    logdiff = lp_norm(GridFunction(f.n, logf - logg), 1)
-    rhs = 2.0 * l1diff + cp * lp_norm(f, p) * logdiff ** ((p - 1.0) / p)
+    l1diff, logdiff = pm.l1_diff, pm.log_l1_diff
+    rhs = 2.0 * l1diff + cp * pm.f_norm(p) * logdiff ** ((p - 1.0) / p)
     return bound_report("cor-p", lhs, rhs, tol=tol, atol=1e-12,
                         details={"p": p, "C_p": cp, "l1_diff": l1diff,
                                  "log_l1_diff": logdiff})
@@ -183,12 +223,9 @@ def check_theorem_main(f: GridFunction, g: GridFunction, phi: NFunction,
     ||f+ - g+||^2 <= 2 ||f-g||_1 + 4 ||f||_Psi Lambda_Phi((K0/2) ||log f - log g||_1)
     with Psi the complement of Phi and ||.||_Psi the Orlicz (Amemiya) norm.
     """
-    logf, logg = _pair_logs(f, g)
-    lhs = h2_squared_direct(f, g)
-    l1diff = lp_norm(GridFunction(f.n, f.values - g.values), 1)
-    logdiff = lp_norm(GridFunction(f.n, logf - logg), 1)
-    psi = phi.complement()
-    norm_f = orlicz_norm(f, psi)
+    pm = pair_metrics(f, g)
+    lhs, l1diff, logdiff = pm.h2_squared, pm.l1_diff, pm.log_l1_diff
+    norm_f = orlicz_norm(f, phi.complement())
     s = 0.5 * k0_constant() * logdiff
     lam = lambda_phi(phi, s) if s > 0.0 else 0.0
     rhs = 2.0 * l1diff + 4.0 * norm_f * lam
@@ -229,16 +266,9 @@ def convergence_demo(f: GridFunction, perturbations) -> list[tuple[float, float,
     metrics; the third column then tends to zero as well, which is the
     positive counterpart of the divergence family.
     """
-    logf = _positive_log(f, None)
-    base = factorize_boundary(f)
-    rows = []
-    for fk in perturbations:
-        logk = _positive_log(fk, None)
-        l1 = lp_norm(GridFunction(f.n, f.values - fk.values), 1)
-        log_l1 = lp_norm(GridFunction(f.n, logf - logk), 1)
-        h2 = h2_distance(base, factorize_boundary(fk))
-        rows.append((l1, log_l1, h2))
-    return rows
+    pairs = [pair_metrics(f, fk) for fk in perturbations]
+    return [(pm.l1_diff, pm.log_l1_diff, float(np.sqrt(pm.h2_squared)))
+            for pm in pairs]
 
 
 def dip_schedule(f: GridFunction, ks, depth: float = 0.999,

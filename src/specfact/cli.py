@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,8 +49,8 @@ from .errors import (
     SpecfactError,
 )
 from .factorization import (
+    _herglotz_factor,
     factorize_boundary,
-    factorize_herglotz,
     fejer_riesz,
     outer_check,
 )
@@ -99,32 +98,8 @@ def _as_grid(obj, n: int, label: str) -> GridFunction:
     return fourier_synthesize(obj, n)
 
 
-def _parse_phi(text: str) -> NFunction:
-    return NFunction.from_json_dict(json.loads(text))
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj))
-
-
-def _herglotz_factor(f: GridFunction, floor: float | None,
-                     degree: int) -> SpectralFactor:
-    """Taylor coefficients of the Herglotz-route factor.
-
-    Samples the factor on the circle |z| = 0.9 and divides the FFT
-    coefficients by 0.9^k; the geometric decay of the sampling radius
-    suppresses coefficients beyond `degree`.
-    """
-    r = 0.9
-    m = 512
-    while m < 4 * (degree + 1):
-        m *= 2
-    phi = 2.0 * np.pi * np.arange(m) / m
-    vals = factorize_herglotz(f, r * np.exp(1j * phi), floor=floor)
-    c = np.fft.fft(vals) / m
-    a = c[: degree + 1] / r ** np.arange(degree + 1)
-    a = a * np.exp(-1j * np.angle(a[0]))
-    return SpectralFactor(a, floor_applied=floor)
 
 
 def cmd_factorize(args) -> int:
@@ -157,48 +132,45 @@ def cmd_factorize(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _run_check(check: str, args, phi: NFunction | None,
-               f: GridFunction | None, g: GridFunction | None,
-               psi: GridFunction | None):
+def _run_check(check: str, args, phi: NFunction | None, *grids: GridFunction):
+    """Run one check on its inputs: (psi,) for the lemmas, (f, g) otherwise."""
     if check == "thm2":
-        return check_theorem_2(f, g)
+        return check_theorem_2(*grids)
     if check == "cor-p":
-        return check_corollary_p(f, g, args.p)
+        return check_corollary_p(*grids, args.p)
     if check == "main":
-        return check_theorem_main(f, g, phi)
+        return check_theorem_main(*grids, phi)
     if check == "identity":
-        return check_identity(f, g)
+        return check_identity(*grids)
     if check == "lemma-orl":
-        return check_lemma_orl(psi, phi)
-    return check_lemma_l1(psi)
+        return check_lemma_orl(*grids, phi)
+    return check_lemma_l1(*grids)
 
 
 def _sweep_trial(check: str, args, phi: NFunction | None, index: int):
     rng = np.random.default_rng([args.seed, index])
     if check in _PSI_CHECKS:
-        psi = random_phase(rng, n=args.n, degree=args.degree)
-        return _run_check(check, args, phi, None, None, psi)
+        return _run_check(check, args, phi,
+                          random_phase(rng, n=args.n, degree=args.degree))
     f = random_density(rng, n=args.n, degree=args.degree)
     g = random_density(rng, n=args.n, degree=args.degree)
-    return _run_check(check, args, phi, f, g, None)
+    return _run_check(check, args, phi, f, g)
 
 
 def cmd_bounds(args) -> int:
+    if args.degree < 1:
+        raise ParameterError(f"--degree must be >= 1, got {args.degree}")
     check = args.check
     # parsed once per command; trials share it and its cached complement
-    phi = _parse_phi(args.phi) if check in _PHI_CHECKS else None
+    phi = (NFunction.from_json_dict(json.loads(args.phi))
+           if check in _PHI_CHECKS else None)
     if args.sweep is not None:
         if args.f is not None or args.g is not None:
             raise ParameterError("--sweep and explicit inputs are exclusive")
         if args.sweep < 1:
             raise ParameterError("--sweep needs a positive trial count")
-        indices = range(args.sweep)
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(
-                    lambda i: _sweep_trial(check, args, phi, i), indices))
-        else:
-            reports = [_sweep_trial(check, args, phi, i) for i in indices]
+        reports = [_sweep_trial(check, args, phi, i)
+                   for i in range(args.sweep)]
         for i, rep in enumerate(reports):
             _emit({"trial": i, **rep.to_json_dict()})
         n_pass = sum(r.passed for r in reports)
@@ -208,14 +180,13 @@ def cmd_bounds(args) -> int:
     if check in _PSI_CHECKS:
         if args.f is None:
             raise ParameterError(f"--check {check} needs one input (psi)")
-        psi = _as_grid(_load_any(args.f), args.n, "psi")
-        rep = _run_check(check, args, phi, None, None, psi)
+        grids = [_as_grid(_load_any(args.f), args.n, "psi")]
     else:
         if args.f is None or args.g is None:
             raise ParameterError(f"--check {check} needs two inputs (f, g)")
-        f = _as_grid(_load_any(args.f), args.n, "f")
-        g = _as_grid(_load_any(args.g), args.n, "g")
-        rep = _run_check(check, args, phi, f, g, None)
+        grids = [_as_grid(_load_any(args.f), args.n, "f"),
+                 _as_grid(_load_any(args.g), args.n, "g")]
+    rep = _run_check(check, args, phi, *grids)
     _emit(rep.to_json_dict())
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
@@ -284,8 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run N random trials instead of reading inputs")
     p_bnd.add_argument("--seed", type=int, default=0,
                        help="seed for --sweep trials")
-    p_bnd.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for --sweep")
     p_bnd.add_argument("--n", type=int, default=4096,
                        help="grid size for sweeps and series input")
     p_bnd.add_argument("--degree", type=int, default=16,

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .bounds import h2_identity_terms, h2_squared_direct
-from .circle_fn import CONJUGATE_ARC_SIGN, GridFunction, grid_theta, lp_norm
+from .bounds import pair_metrics
+from .circle_fn import CONJUGATE_ARC_SIGN, GridFunction, grid_theta
 from .errors import (
     NumericalConditioningError,
     ParameterError,
@@ -104,13 +104,6 @@ class CounterexampleFamily:
         with np.errstate(divide="ignore"):
             u = np.log(np.abs(np.tan(th / 2.0)))
         return beta * u
-
-    def h_values(self, theta, step_eps: float | None = None) -> np.ndarray:
-        """Two-valued step h: e^{-eps} on the arc (0, pi), 1 elsewhere."""
-        eps = self.eps if step_eps is None else float(step_eps)
-        th = np.asarray(theta, dtype=float)
-        arc = (th > 0.0) & (th < math.pi)
-        return np.where(arc, math.exp(-eps), 1.0)
 
 
 def build_family(n: int | None = None, du: float = 0.1,
@@ -412,23 +405,21 @@ def cross_validate_pipeline(eps: float, du: float = 0.5,
     fam = build_family(eps=eps, du=du, variant="plus-one",
                        enforce_bump_phase=False)
     met = family_metrics(fam)
-    f, g = grid_realization(fam, n_pts)
-    terms = h2_identity_terms(f, g)
-    m1_grid = lp_norm(GridFunction(n_pts, f.values - g.values), 1)
-    h2_grid = h2_squared_direct(f, g)
-    m3_grid = terms.t3 - 4.0 * m1_grid
+    grid = pair_metrics(*grid_realization(fam, n_pts))
+    h2_grid = grid.h2_squared
+    terms = grid.terms
 
     scale = max(abs(met.m4), 1e-300)
     pairs = {
         "t1": (met.t1, terms.t1, max(abs(met.t1), 0.05 * scale)),
         "t2": (met.t2, terms.t2, max(abs(met.t2), 0.05 * scale)),
         "t3": (met.t3, terms.t3, max(abs(met.t3), 0.05 * scale)),
-        "m1": (met.m1, m1_grid, max(abs(met.m1), 0.05 * scale)),
+        "m1": (met.m1, grid.l1_diff, max(abs(met.m1), 0.05 * scale)),
         "m4": (met.m4, terms.total, abs(met.m4)),
         "h2_direct": (met.m4, h2_grid, abs(met.m4)),
         # m3 is a difference of same-size terms; measure it against the
         # identity sum to keep the comparison meaningful near cancellation
-        "m3": (met.m3, m3_grid, max(abs(met.m3), scale)),
+        "m3": (met.m3, grid.lower_bound, max(abs(met.m3), scale)),
     }
     details: dict = {"eps": eps, "du": du, "n_pts": n_pts, "tol": tol,
                      "u_star": u_star}

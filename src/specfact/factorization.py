@@ -109,6 +109,26 @@ def factorize_herglotz(f: GridFunction, points, r_max: float = 0.95,
     return complex(vals[0]) if scalar else vals
 
 
+def _herglotz_factor(f: GridFunction, floor: float | None,
+                     degree: int) -> SpectralFactor:
+    """Taylor coefficients of the Herglotz-route factor.
+
+    Samples the factor on the circle |z| = 0.9 and divides the FFT
+    coefficients by 0.9^k; the geometric decay of the sampling radius
+    suppresses coefficients beyond `degree`.
+    """
+    r = 0.9
+    m = 512
+    while m < 4 * (degree + 1):
+        m *= 2
+    phi = 2.0 * np.pi * np.arange(m) / m
+    vals = factorize_herglotz(f, r * np.exp(1j * phi), floor=floor)
+    c = np.fft.fft(vals) / m
+    a = c[: degree + 1] / r ** np.arange(degree + 1)
+    a = a * np.exp(-1j * np.angle(a[0]))
+    return SpectralFactor(a, floor_applied=floor)
+
+
 def _hermitian_coeffs(series) -> dict[int, complex]:
     if isinstance(series, FourierSeries):
         coeffs = dict(series.coeffs)

@@ -319,6 +319,35 @@ def _lq_norm(v: np.ndarray, peak: float, q: float, h: float) -> float:
     return peak * (float(np.sum((v / peak) ** q)) * h) ** (1.0 / q)
 
 
+def _bisect_threshold(ok: Callable[[float], bool], hi: float,
+                      rel_tol: float, failure: str) -> float:
+    """Threshold of a predicate ok, false below it and true above, to rel_tol.
+
+    Doubles hi until ok(hi) (NumericalConditioningError(failure) after 4100
+    tries), halves down to a failing lo (0.0 below 1e-300), then bisects;
+    returns the upper end, where ok holds.
+    """
+    for _ in range(4100):
+        if ok(hi):
+            break
+        hi *= 2.0
+    else:
+        raise NumericalConditioningError(failure)
+    lo = hi / 2.0
+    while ok(lo):
+        hi = lo
+        lo /= 2.0
+        if lo < 1e-300:
+            return 0.0
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def luxemburg_norm(f: GridFunction, phi: NFunction,
                    rel_tol: float = 1e-10) -> float:
     """Luxemburg norm inf{kappa > 0 : int Phi(|f|/kappa) dtheta <= 1}.
@@ -335,27 +364,9 @@ def luxemburg_norm(f: GridFunction, phi: NFunction,
     h = 2.0 * np.pi / f.n
     if phi.kind == "power":
         return _lq_norm(v, peak, phi.q, h) * phi.q ** (-1.0 / phi.q)
-    modal = lambda kappa: _modal_integral(v / kappa, phi, h)
-    hi = peak
-    for _ in range(4100):
-        if modal(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalConditioningError("no finite bracket for the Luxemburg norm")
-    lo = hi / 2.0
-    while modal(lo) <= 1.0:
-        hi = lo
-        lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if modal(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect_threshold(
+        lambda kappa: _modal_integral(v / kappa, phi, h) <= 1.0, peak,
+        rel_tol, "no finite bracket for the Luxemburg norm")
 
 
 #: the Amemiya minimizer is searched for at k * max|f| = e^z, |z| <= Z_MAX;
@@ -430,32 +441,8 @@ def lambda_phi(phi: NFunction, s: float, rel_tol: float = 1e-10) -> float:
         raise ParameterError(f"lambda_phi needs s > 0, got {s}")
     if phi.kind == "power":
         return s ** (1.0 / phi.q)
-    target = 1.0 / s
-
-    def ok(t: float) -> bool:
-        r = phi.rho(1.0 / t)
-        return bool(r <= target)
-
-    hi = 1.0
-    for _ in range(4100):
-        if ok(hi):
-            break
-        hi *= 2.0
-    else:
-        raise NumericalConditioningError("lambda_phi bracket expansion failed")
-    lo = hi / 2.0
-    while ok(lo):
-        hi = lo
-        lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect_threshold(lambda t: phi.rho(1.0 / t) <= 1.0 / s, 1.0,
+                             rel_tol, "lambda_phi bracket expansion failed")
 
 
 def holder_check(f: GridFunction, g: GridFunction, phi: NFunction,

@@ -23,8 +23,8 @@ from specfact import (
     h2_identity_terms,
     h2_squared_direct,
     k0_constant,
-    lower_bound_terms,
     lp_norm,
+    pair_metrics,
     random_density,
     random_phase,
 )
@@ -68,13 +68,13 @@ def test_lower_bound_scaling_and_dominance(rng):
     f = random_density(rng, n=1024, degree=8)
     for c in (0.5, 2.0):
         g = GridFunction(f.n, c * f.values)
-        bound = lower_bound_terms(f, g)
-        assert bound == pytest.approx(-4.0 * abs(1.0 - c) * lp_norm(f, 1),
-                                      rel=1e-12)
-        assert bound <= h2_identity_terms(f, g).total + 1e-9
+        pm = pair_metrics(f, g)
+        assert pm.lower_bound == pytest.approx(
+            -4.0 * abs(1.0 - c) * lp_norm(f, 1), rel=1e-12)
+        assert pm.lower_bound <= pm.terms.total + 1e-9
     for _ in range(5):
-        g = random_density(rng, n=1024, degree=8)
-        assert lower_bound_terms(f, g) <= h2_identity_terms(f, g).total + 1e-9
+        pm = pair_metrics(f, random_density(rng, n=1024, degree=8))
+        assert pm.lower_bound <= pm.terms.total + 1e-9
 
 
 def test_theorem_2_scaling_closed_form(rng):

@@ -1,11 +1,14 @@
 """End-to-end exercises of the command-line interface, in process."""
 
+import contextlib
 import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specfact.cli import main
 
@@ -135,7 +138,7 @@ def test_bounds_lemma_single_input(tmp_path, capsys):
 
 def test_bounds_sweep_deterministic(capsys):
     argv = ("bounds", "--check", "identity", "--sweep", "4",
-            "--seed", "3", "--n", "512", "--jobs", "2")
+            "--seed", "3", "--n", "512")
     code, out1, err = run(capsys, *argv)
     assert code == 0
     rows = out_lines(out1)
@@ -147,6 +150,20 @@ def test_bounds_sweep_deterministic(capsys):
     # sweep and explicit inputs are mutually exclusive
     assert run(capsys, "bounds", "f.json", "--check", "identity",
                "--sweep", "2")[0] == 2
+
+
+def test_bounds_rejects_removed_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--sweep", "2", "--check", "thm2", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_bounds_rejects_degree_below_one(capsys):
+    code, out, err = run(capsys, "bounds", "--check", "thm2", "--sweep", "2",
+                         "--degree", "0")
+    assert code == 2 and not out
+    assert "--degree" in err and len(err.strip().splitlines()) == 1
 
 
 def test_factorize_rejects_negative_degree(tmp_path, capsys):
@@ -224,3 +241,67 @@ def test_counterexample_budget_and_usage(capsys):
     assert "budget" in err
     assert run(capsys, "counterexample")[0] == 2
     assert run(capsys, "counterexample", "--n", "1", "--sweep", "2")[0] == 2
+
+
+# -- exit-code contract under fuzzed arguments ------------------------------
+
+
+def _exit_code(argv):
+    """Exit code and stderr of one in-process run; argparse usage errors
+    exit 2 by SystemExit.  Any other escaping exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+_GRID_SIZES = st.one_of(st.sampled_from([8, 16, 64, 256]),
+                        st.integers(-16, 300))
+_EXPONENTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.floats(1.0, 8.0))
+
+_BOUNDS_ARGV = st.tuples(
+    st.sampled_from(["thm2", "cor-p", "main", "identity",
+                     "lemma-orl", "lemma-l1"]),
+    _flag("--n", _GRID_SIZES),
+    _flag("--degree", st.integers(-3, 40)),
+    _flag("--sweep", st.integers(-1, 3)),
+    _flag("--p", _EXPONENTS),
+    _flag("--seed", st.integers(-2, 2 ** 40)),
+).map(lambda t: ["bounds", "--check", t[0], *sum(t[1:], [])])
+
+
+@pytest.fixture(scope="module")
+def small_density(tmp_path_factory):
+    n = 64
+    path = tmp_path_factory.mktemp("fuzz") / "density.txt"
+    path.write_text("\n".join(
+        f"{math.exp(0.5 * math.cos(-math.pi + 2 * math.pi * j / n)):.17g}"
+        for j in range(n)))
+    return str(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_BOUNDS_ARGV)
+def test_bounds_exit_codes_fuzzed(argv):
+    code, err = _exit_code(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(["boundary", "herglotz"]),
+       degree=st.integers(-5, 300))
+def test_factorize_exit_codes_fuzzed(small_density, method, degree):
+    code, err = _exit_code(["factorize", small_density, "--method", method,
+                            "--degree", str(degree)])
+    assert code in (0, 1, 2, 3), (method, degree, code, err)
+    assert "Traceback" not in err, (method, degree, err)

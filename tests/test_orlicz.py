@@ -167,20 +167,43 @@ def _amemiya_grid_min(f, phi, lo=-20.0, hi=20.0, points=401, levels=4):
     return float(vals[i])
 
 
-def test_amemiya_root_find_is_the_minimum():
-    """For the L log L Phi the benchmark sweeps (u(t) = log(1 + t)), the
-    Young-equation root gives the minimum of the Amemiya objective: no
-    point of a dense log k grid lies more than 1e-12 relative below it,
-    and it lies no more than 1e-12 relative below the grid minimum."""
+def _llogl_phi():
+    """The L log L Phi the benchmark sweeps: u(t) = log(1 + t)."""
     t = np.geomspace(1e-6, 1e6, 49)
-    phi = NFunction.from_json_dict(
+    return NFunction.from_json_dict(
         {"kind": "density", "u_grid": [[a, math.log1p(a)] for a in t]})
+
+
+def test_amemiya_root_find_is_the_minimum():
+    """For the L log L Phi the Young-equation root gives the minimum of the
+    Amemiya objective: no point of a dense log k grid lies more than 1e-12
+    relative below it, and it lies no more than 1e-12 relative below the
+    grid minimum."""
+    phi = _llogl_phi()
     for fn in (phi.complement(), phi):
         for seed in range(3):
             f = random_density(np.random.default_rng([seed, 0]), n=512)
             root = orlicz_norm(f, fn)
             grid = _amemiya_grid_min(f, fn)
             assert abs(root - grid) <= 1e-12 * grid, (seed, root, grid)
+
+
+def test_density_bisections_pinned():
+    """luxemburg_norm and lambda_phi on the L log L Phi and its complement
+    return the values recorded before they shared one bisection.  They
+    were bit-identical where recorded; 1e-14 leaves room for last-digit
+    differences in exp and log between platforms, while one bisection step
+    more or less would move a result by about rel_tol = 1e-10."""
+    phi = _llogl_phi()
+    psi = phi.complement()
+    f = random_density(np.random.default_rng([0, 0]), n=512)
+    for fn, lux in ((phi, 11.887230584681088), (psi, 19.026569159149645)):
+        assert luxemburg_norm(f, fn) == pytest.approx(lux, rel=1e-14)
+    for s, lam, lam_psi in ((1e-3, 0.005240272432274651, 0.1908297732588835),
+                            (1.0, 0.7992338018375449, 1.2511983324075118),
+                            (1e3, 31.373636407777667, 31.873895237222314)):
+        assert lambda_phi(phi, s) == pytest.approx(lam, rel=1e-14)
+        assert lambda_phi(psi, s) == pytest.approx(lam_psi, rel=1e-14)
 
 
 class _LinearPhi(NFunction):

@@ -253,8 +253,8 @@ class SpectralFactor:
         return float(np.sqrt(2.0 * np.pi * np.sum(np.abs(self.coeffs) ** 2)))
 
     def to_json_dict(self) -> dict:
-        out = {"coeffs": {str(k): [c.real, c.imag]
-                          for k, c in enumerate(self.coeffs)}}
+        pairs = self.coeffs.view(np.float64).reshape(-1, 2).tolist()
+        out = {"coeffs": dict(zip(map(str, range(len(pairs))), pairs))}
         if self.floor_applied is not None:
             out["floor"] = self.floor_applied
         if self.neg_energy is not None:
@@ -281,7 +281,15 @@ def lp_norm(f: GridFunction, p) -> float:
     if np.isinf(p):
         return float(a.max())
     h = 2.0 * np.pi / f.n
-    return float((a ** p).sum() * h) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        total = float((a ** p).sum() * h)
+    if 0.0 < total < math.inf:
+        return total ** (1.0 / p)
+    # a^p over- or underflowed: factor out the peak
+    peak = float(a.max())
+    if peak == 0.0:
+        return 0.0
+    return peak * float(((a / peak) ** p).sum() * h) ** (1.0 / p)
 
 
 def fourier_analyze(f: GridFunction, bandwidth: int | None = None) -> FourierSeries:

@@ -125,7 +125,7 @@ def cmd_factorize(args) -> int:
         f = GridFunction(f.n, np.maximum(f.values, args.floor))
     report = outer_check(factor, f)
     out = factor.to_json_dict()
-    out["a"] = [[z.real, z.imag] for z in factor.coeffs]
+    out["a"] = list(out["coeffs"].values())  # the same [re, im] lists
     out["method"] = args.method
     out["outer"] = report.to_json_dict()
     _emit(out)
@@ -169,6 +169,10 @@ def cmd_bounds(args) -> int:
             raise ParameterError("--sweep and explicit inputs are exclusive")
         if args.sweep < 1:
             raise ParameterError("--sweep needs a positive trial count")
+        if 2 * args.degree >= args.n:
+            raise ParameterError(
+                f"--degree {args.degree} is not resolved on --n {args.n} "
+                f"samples: sweeps need --degree < --n / 2")
         reports = [_sweep_trial(check, args, phi, i)
                    for i in range(args.sweep)]
         for i, rep in enumerate(reports):

@@ -6,9 +6,10 @@ f_plus(0) > 0, with f = |f_plus|^2 on the boundary:
 * factorize_boundary: the boundary formula
   f_plus = sqrt(f) * exp((i/2) * (log f)~), coefficients read off by FFT;
 * factorize_herglotz: exp of the Herglotz integral of log f, evaluated at
-  interior points of the disk;
+  interior points of the disk by a blocked direct rectangle-rule sum in
+  bounded memory (no FFT of log f);
 * fejer_riesz: root factorization of a nonnegative trigonometric
-  polynomial.
+  polynomial, of degree at most FR_MAX_DEGREE, checked on an FFT grid.
 
 The routes share no code beyond the grid conventions, which is what makes
 their agreement a meaningful check.
@@ -22,6 +23,7 @@ from .circle_fn import (
     FourierSeries,
     GridFunction,
     SpectralFactor,
+    fourier_synthesize,
     grid_theta,
     harmonic_conjugate,
 )
@@ -40,6 +42,20 @@ TOL_CIRCLE = 1e-7
 
 #: Angular separation below which boundary roots are fused into one cluster.
 CLUSTER_ANGLE = 1e-3
+
+#: Largest polynomial degree fejer_riesz accepts.  np.roots solves a complex
+#: 2N x 2N eigenproblem: 1.2 s at N = 256, 4.2 s at N = 512 and 15.5 s at
+#: N = 1024 on a 2-core VM.
+FR_MAX_DEGREE = 512
+
+#: The Herglotz route sums over blocks of (points x samples) weights,
+#: _HERGLOTZ_COLS samples wide and _HERGLOTZ_BLOCK_BYTES in size.  Short
+#: partial sums stay accurate: one BLAS product over all 2^16 samples left
+#: the Taylor coefficients 20x less accurate.  512 KB blocks measured
+#: fastest on a 2-core VM with 2 MB of L2 per core (256 KB and 1 MB blocks
+#: ran 3-28% slower at n = 4096 .. 2^16).
+_HERGLOTZ_COLS = 4096
+_HERGLOTZ_BLOCK_BYTES = 1 << 19
 
 
 def _positive_log(f: GridFunction, floor: float | None) -> np.ndarray:
@@ -94,19 +110,55 @@ def factorize_herglotz(f: GridFunction, points, r_max: float = 0.95,
     Evaluates at the given interior points; |z| <= r_max is enforced because
     the rectangle-rule kernel loses accuracy near the boundary.  Returns a
     complex array shaped like `points` (a scalar input gives a scalar).
+
+    The rectangle rule is summed directly, in real arithmetic: with
+    z = x + iy and D = (cos t - x)^2 + (sin t - y)^2 = |e^{i t} - z|^2,
+
+        Re K = (1 - |z|^2) / D,    Im K = 2 (y cos t - x sin t) / D,
+
+    so a product of 1/D with [l, l cos t, l sin t] sums a block of points.
+    Here l = log f - c with c the mean of log f; its share c sum_j K_j =
+    c n (1 + z^n) / (1 - z^n) is exact on this grid, whose nodes are the
+    n-th roots of unity, and centring stops a large mean from cancelling
+    between the cos and sin sums.  D comes from the differences, which do
+    not cancel as |z| nears the circle.  Blocks of bounded size keep memory
+    flat in n; no FFT of log f is taken.
     """
     logf = _positive_log(f, floor)
     z = np.asarray(points, dtype=np.complex128)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if np.any(np.abs(z) > r_max + 1e-15):
-        j = int(np.argmax(np.abs(z)))
+    radius = np.abs(z)
+    if np.any(radius > r_max + 1e-15):
+        j = int(np.argmax(radius))
         raise ParameterError(
-            f"evaluation point {z[j]} has |z| = {abs(z[j]):.6f} > r_max = {r_max}")
-    e = np.exp(1j * grid_theta(f.n))
-    kernel = (e[None, :] + z[:, None]) / (e[None, :] - z[:, None])
-    vals = np.exp(kernel @ logf / (2.0 * f.n))
-    return complex(vals[0]) if scalar else vals
+            f"evaluation point {z.flat[j]} has |z| = {radius.flat[j]:.6f} "
+            f"> r_max = {r_max}")
+    n = f.n
+    theta = grid_theta(n)
+    cos, sin = np.cos(theta), np.sin(theta)
+    c = float(np.mean(logf))
+    dev = logf - c
+    weights = np.stack([dev, cos * dev, sin * dev], axis=1)
+    x, y = z.real.ravel(), z.imag.ravel()
+    sums = np.zeros((x.size, 3))
+    cols = min(n, _HERGLOTZ_COLS)
+    rows = max(1, _HERGLOTZ_BLOCK_BYTES // (8 * cols))
+    buf = np.empty((2, min(rows, x.size), cols))
+    for i in range(0, x.size, rows):
+        xb, yb = x[i:i + rows, None], y[i:i + rows, None]
+        d, e = buf[:, : len(xb)]
+        for j in range(0, n, cols):
+            np.subtract(cos[j:j + cols], xb, out=d)
+            np.subtract(sin[j:j + cols], yb, out=e)
+            d *= d
+            e *= e
+            d += e
+            np.reciprocal(d, out=d)
+            sums[i:i + rows] += d @ weights[j:j + cols]
+    re = (1.0 - (x * x + y * y)) * sums[:, 0]
+    im = 2.0 * (y * sums[:, 1] - x * sums[:, 2])
+    zn = z.ravel() ** n
+    vals = np.exp((re + 1j * im) / (2.0 * n) + 0.5 * c * (1.0 + zn) / (1.0 - zn))
+    return complex(vals[0]) if z.ndim == 0 else vals.reshape(z.shape)
 
 
 def _herglotz_factor(f: GridFunction, floor: float | None,
@@ -163,18 +215,23 @@ def fejer_riesz(series, tol_circle: float = TOL_CIRCLE) -> np.ndarray:
     An odd cluster, or an off-circle root with no inverse partner, means the
     input was not a nonnegative polynomial to working precision and raises
     NumericalConditioningError.
+
+    Degrees above FR_MAX_DEGREE raise ParameterError before any work on the
+    polynomial.  Nonnegativity and the final reproduction check are read on
+    a grid of at least 16 N samples, synthesized by one inverse FFT.
     """
     coeffs = _hermitian_coeffs(series)
     coeffs = {k: c for k, c in coeffs.items() if c != 0}
     if not coeffs:
         raise DomainError("cannot factor the zero polynomial")
     N = max(abs(k) for k in coeffs)
+    if N > FR_MAX_DEGREE:
+        raise ParameterError(
+            f"fejer-riesz degree {N} exceeds the cap {FR_MAX_DEGREE}: the "
+            f"root step is an O(N^3) eigenproblem of size 2N")
 
     m = _validation_grid(N)
-    ks = np.array(sorted(coeffs))
-    cs = np.array([coeffs[int(k)] for k in ks])
-    theta = grid_theta(m)
-    fvals = np.real(np.exp(1j * np.outer(theta, ks)) @ cs)
+    fvals = fourier_synthesize(FourierSeries(coeffs), m).values.real
     peak = float(fvals.max())
     if peak <= 0.0 or float(fvals.min()) < -1e-10 * peak:
         raise DomainError(

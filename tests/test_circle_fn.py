@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,38 @@ def test_lp_norm_validation():
         lp_norm(f, 0.5)
     with pytest.raises(ParameterError):
         lp_norm(f, "sup")
+
+
+def test_lp_norm_large_exponent_factors_out_the_peak(rng):
+    n = 512
+    f = GridFunction(n, np.exp(rng.normal(size=n)))
+    sup = float(f.values.max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1e6, 1e300):
+            norm = lp_norm(f, p)
+            # sum_j (f_j / sup)^p h lies in [h, 2 pi]
+            assert sup * (2 * np.pi / n) ** (1 / p) <= norm
+            assert norm <= sup * (2 * np.pi) ** (1 / p)
+            assert norm == pytest.approx(sup * (2 * np.pi) ** (1 / p),
+                                         rel=1e-5)
+        tiny = GridFunction(n, 1e-200 * f.values)
+        assert lp_norm(tiny, 4) == pytest.approx(1e-200 * lp_norm(f, 4),
+                                                 rel=1e-12)
+    assert lp_norm(GridFunction(8, np.zeros(8)), 3) == 0.0
+    # in range, the plain sum is kept bit for bit
+    for p in (1, 2, 3.5):
+        plain = float((f.values ** p).sum() * (2 * np.pi / n)) ** (1 / p)
+        assert lp_norm(f, p) == plain
+
+
+def test_factor_json_pairs_are_the_coefficients(rng):
+    a = rng.normal(size=4097) + 1j * rng.normal(size=4097)
+    a[3] = complex(-0.0, 0.0)
+    fac = SpectralFactor(a, floor_applied=0.5, neg_energy=1e-20)
+    want = {"coeffs": {str(k): [c.real, c.imag] for k, c in enumerate(fac.coeffs)},
+            "floor": 0.5, "neg_energy": 1e-20}
+    assert json.dumps(fac.to_json_dict()) == json.dumps(want)
 
 
 def test_analyze_synthesize_roundtrip(rng):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specfact.cli import main
+from specfact.factorization import FR_MAX_DEGREE
 
 
 def run(capsys, *argv):
@@ -166,6 +168,40 @@ def test_bounds_rejects_degree_below_one(capsys):
     assert "--degree" in err and len(err.strip().splitlines()) == 1
 
 
+def test_bounds_sweep_refuses_unresolved_grid(capsys):
+    code, out, err = run(capsys, "bounds", "--check", "thm2", "--n", "8",
+                         "--sweep", "3")
+    assert code == 2 and not out
+    assert "--degree" in err and "--n" in err
+    assert run(capsys, "bounds", "--check", "thm2", "--n", "64",
+               "--degree", "32", "--sweep", "1")[0] == 2
+    assert run(capsys, "bounds", "--check", "thm2", "--n", "64",
+               "--degree", "31", "--sweep", "1")[0] == 0
+
+
+def test_bounds_cor_p_huge_exponent_is_finite(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "bounds", "--check", "cor-p",
+                           "--p", "1e6", "--sweep", "1")
+    rep = json.loads(out)
+    assert code == 0 and rep["pass"] is True
+    assert isinstance(rep["rhs"], float) and math.isfinite(rep["rhs"])
+
+
+def test_factorize_fejer_riesz_degree_cap(tmp_path, capsys, monkeypatch):
+    def roots(_):
+        pytest.fail("np.roots ran on a degree above the cap")
+
+    monkeypatch.setattr(np, "roots", roots)
+    path = tmp_path / "tiny.json"
+    path.write_text('{"coeffs":{"0":[1,0],"5000":[0.1,0],"-5000":[0.1,0]}}')
+    code, out, err = run(capsys, "factorize", str(path),
+                         "--method", "fejer-riesz")
+    assert code == 2 and not out
+    assert "5000" in err and str(FR_MAX_DEGREE) in err
+
+
 def test_factorize_rejects_negative_degree(tmp_path, capsys):
     path = tmp_path / "flat.txt"
     path.write_text("4 4 4 4 4 4 4 4\n")
@@ -305,3 +341,39 @@ def test_factorize_exit_codes_fuzzed(small_density, method, degree):
                             "--degree", str(degree)])
     assert code in (0, 1, 2, 3), (method, degree, code, err)
     assert "Traceback" not in err, (method, degree, err)
+
+
+def _series_json(degree, c0, extra, hermitian):
+    """A series of the given degree: c_0, c_degree and a few lower terms."""
+    coeffs = {0: complex(c0, 0.0 if hermitian else extra[0][1])}
+    for j, (re, im) in enumerate(extra):
+        k = max(1, degree // (j + 1))
+        coeffs[k] = complex(re, im)
+        coeffs[-k] = (complex(re, -im) if hermitian
+                      else complex(im, re))
+    return json.dumps({"coeffs": {str(k): [c.real, c.imag]
+                                  for k, c in coeffs.items()}})
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(["fejer-riesz", "boundary", "herglotz"]),
+       # np.roots costs seconds from degree ~200 up, so the band between
+       # 64 and the cap is covered by the cap tests, not drawn here
+       degree=st.one_of(st.integers(0, 64),
+                        st.integers(FR_MAX_DEGREE + 1, 10 ** 6)),
+       c0=st.one_of(st.floats(-2.0, 8.0), st.just(0.0)),
+       extra=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=4),
+       hermitian=st.booleans())
+def test_factorize_series_exit_codes_fuzzed(tmp_path_factory, method, degree,
+                                            c0, extra, hermitian):
+    path = tmp_path_factory.getbasetemp() / "fuzz-series.json"
+    path.write_text(_series_json(degree, c0, extra, hermitian))
+    code, err = _exit_code(["factorize", str(path), "--method", method])
+    assert code in (0, 1, 2, 3), (method, degree, code, err)
+    assert "Traceback" not in err, (method, degree, err)
+    if (method == "fejer-riesz" and degree > FR_MAX_DEGREE and hermitian
+            and any(extra[0])):
+        assert code == 2 and "cap" in err, err

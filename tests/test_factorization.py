@@ -1,6 +1,7 @@
 """Outer factor computation: boundary route, Herglotz route, root route."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from specfact import (
     grid_theta,
     outer_check,
 )
-from specfact.factorization import _angle_clusters
+from specfact.factorization import FR_MAX_DEGREE, _angle_clusters
 
 
 def _series_from_factor(a):
@@ -103,6 +104,61 @@ def test_herglotz_radius_guard():
     assert factorize_herglotz(f, 0.99, r_max=0.995) == pytest.approx(1.0)
 
 
+def _dense_herglotz(f, z):
+    """The dense complex-kernel form of the Herglotz sum, kept as an oracle."""
+    e = np.exp(1j * grid_theta(f.n))
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    kernel = (e[None, :] + z[:, None]) / (e[None, :] - z[:, None])
+    return np.exp(kernel @ np.log(f.values) / (2.0 * f.n))
+
+
+def test_herglotz_matches_dense_oracle(rng):
+    n = 4096
+    th = grid_theta(n)
+    f = GridFunction(n, np.exp(np.cos(th) - 0.4 * np.sin(3 * th)
+                               + 0.2 * np.cos(7 * th)))
+    r = 0.995 * np.sqrt(rng.uniform(0.0, 1.0, 300))
+    r[:20] = 0.995  # the rim, where a 1 + |z|^2 - 2 Re(z e^{-it}) form cancels
+    z = r * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
+    got = factorize_herglotz(f, z, r_max=0.995)
+    want = _dense_herglotz(f, z)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+def test_herglotz_keeps_the_shape_of_points():
+    f = GridFunction.from_callable(lambda t: 1.25 - np.cos(t), 64)
+    pts = np.full((2, 3), 0.1 + 0.1j)
+    pts[1, 2] = -0.4
+    vals = factorize_herglotz(f, pts)
+    assert vals.shape == (2, 3)
+    assert np.allclose(vals.ravel(), _dense_herglotz(f, pts.ravel()),
+                       rtol=1e-13, atol=0)
+    assert vals[1, 2] == pytest.approx(1.2, abs=1e-10)  # 1 - z/2 at z = -0.4
+    one = factorize_herglotz(f, np.array([0.1 + 0.1j]))
+    assert one.shape == (1,)
+    scalar = factorize_herglotz(f, np.complex128(0.1 + 0.1j))
+    assert isinstance(scalar, complex)
+    assert scalar == pytest.approx(vals[0, 0], rel=1e-15)
+    with pytest.raises(ParameterError, match="0.990000"):
+        factorize_herglotz(f, np.array([[0.0, 0.99j]]))
+
+
+def test_herglotz_memory_is_bounded():
+    """512 points on 2^16 samples: the dense kernel needed about 1.6 GB."""
+    n = 2 ** 16
+    f = GridFunction.from_callable(lambda t: np.exp(np.cos(t)), n)
+    pts = 0.9 * np.exp(2j * np.pi * np.arange(512) / 512)
+    tracemalloc.start()
+    try:
+        vals = factorize_herglotz(f, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
+    # exp(cos) has the outer factor exp(z / 2)
+    assert np.allclose(vals, np.exp(pts / 2.0), rtol=1e-12, atol=0)
+
+
 def test_route_agreement(rng):
     """Boundary and Herglotz factors agree at interior points."""
     n = 2048
@@ -162,6 +218,23 @@ def test_fejer_riesz_validation():
         fejer_riesz(FourierSeries({-1: 0.5, 0: 0.25, 1: 0.5}))  # dips negative
     with pytest.raises(DomainError):
         fejer_riesz(FourierSeries({0: 0.0}))
+
+
+def test_fejer_riesz_degree_cap(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def roots(_):
+        raise Reached
+
+    monkeypatch.setattr(np, "roots", roots)
+    tiny = FourierSeries({-5000: 0.1, 0: 1.0, 5000: 0.1})
+    with pytest.raises(ParameterError, match=r"degree 5000 .*cap 512"):
+        fejer_riesz(tiny)
+    for d, outcome in ((FR_MAX_DEGREE + 1, ParameterError),
+                       (FR_MAX_DEGREE, Reached)):
+        with pytest.raises(outcome):
+            fejer_riesz(FourierSeries({-d: 0.1, 0: 1.0, d: 0.1}))
 
 
 def test_angle_clusters_grouping():

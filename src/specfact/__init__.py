@@ -24,7 +24,6 @@ from .circle_fn import (
     FourierSeries,
     GridFunction,
     SpectralFactor,
-    fourier_analyze,
     fourier_synthesize,
     grid_theta,
     h2_distance,

@@ -36,7 +36,6 @@ __all__ = [
     "grid_theta",
     "integrate",
     "lp_norm",
-    "fourier_analyze",
     "fourier_synthesize",
     "harmonic_conjugate",
     "h2_distance",
@@ -290,26 +289,6 @@ def lp_norm(f: GridFunction, p) -> float:
     if peak == 0.0:
         return 0.0
     return peak * float(((a / peak) ** p).sum() * h) ** (1.0 / p)
-
-
-def fourier_analyze(f: GridFunction, bandwidth: int | None = None) -> FourierSeries:
-    """Coefficients c_k = (1/n) sum_j f_j e^{-i k theta_j} for |k| <= bandwidth.
-
-    The default bandwidth n//2 - 1 is the largest alias-free choice; asking
-    for 2*bandwidth >= n raises AliasingError.
-    """
-    n = f.n
-    K = n // 2 - 1 if bandwidth is None else int(bandwidth)
-    if K < 0:
-        raise ParameterError("bandwidth must be nonnegative")
-    if 2 * K >= n:
-        raise AliasingError(
-            f"bandwidth {K} is not alias-free on {n} samples (need 2K < n)")
-    F = np.fft.fft(f.values) / n
-    ks = np.arange(-K, K + 1)
-    sign = np.where(ks % 2 == 0, 1.0, -1.0)
-    c = sign * F[ks % n]
-    return FourierSeries({int(k): complex(v) for k, v in zip(ks, c)})
 
 
 def fourier_synthesize(series: FourierSeries, n: int) -> GridFunction:

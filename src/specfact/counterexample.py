@@ -79,11 +79,6 @@ class CounterexampleFamily:
     n: int | None = None
 
     @property
-    def beta(self) -> float:
-        """Slope of psi in the u coordinate: psi(u) = beta * u."""
-        return self.eps / (2.0 * math.pi)
-
-    @property
     def bump_theta_support(self) -> tuple[float, float]:
         """Angular support [theta_lo, theta_hi] of the bump, inside (0, pi)."""
         u0 = self.bump_center_u

@@ -319,33 +319,46 @@ def _lq_norm(v: np.ndarray, peak: float, q: float, h: float) -> float:
     return peak * (float(np.sum((v / peak) ** q)) * h) ** (1.0 / q)
 
 
-def _bisect_threshold(ok: Callable[[float], bool], hi: float,
-                      rel_tol: float, failure: str) -> float:
-    """Threshold of a predicate ok, false below it and true above, to rel_tol.
+#: solves run in a log variable z restricted to |z| <= _Z_MAX; beyond that
+#: the quantities they compare leave the double range
+_Z_MAX = 700.0
+_BIG = np.finfo(float).max
 
-    Doubles hi until ok(hi) (NumericalConditioningError(failure) after 4100
-    tries), halves down to a failing lo (0.0 below 1e-300), then bisects;
-    returns the upper end, where ok holds.
+
+def _log_root(g: Callable[[float], float], z0: float, xtol: float,
+              failure: str) -> float:
+    """Root of a nondecreasing g of a log variable, on the side where g >= 0.
+
+    Widens from z0 by doubling steps within |z| <= _Z_MAX until g changes
+    sign between the last two points (NumericalConditioningError(failure)
+    when the range runs out), then solves once with Brent's method to xtol,
+    which must be finite and positive (ParameterError).  Returns the
+    smallest evaluated z with g(z) >= 0: Brent's final bracket puts it
+    within xtol (plus 4 ulps of z) of the crossing.  g is clipped to the
+    finite range so the interpolation steps stay finite.
     """
-    for _ in range(4100):
-        if ok(hi):
-            break
-        hi *= 2.0
-    else:
-        raise NumericalConditioningError(failure)
-    lo = hi / 2.0
-    while ok(lo):
-        hi = lo
-        lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if not (math.isfinite(xtol) and xtol > 0.0):
+        raise ParameterError(
+            f"solver tolerance must be finite and positive, got {xtol}")
+    values: dict[float, float] = {}
+
+    def g_at(z: float) -> float:
+        if z not in values:
+            values[z] = min(max(g(z), -_BIG), _BIG)
+        return values[z]
+
+    z = z0
+    y = g_at(z)
+    step = 1.0 if y < 0.0 else -1.0
+    while (y < 0.0) == (step > 0.0):
+        if abs(z) >= _Z_MAX:
+            raise NumericalConditioningError(failure)
+        z_prev = z
+        z = min(max(z + step, -_Z_MAX), _Z_MAX)
+        y = g_at(z)
+        step *= 2.0
+    brentq(g_at, min(z_prev, z), max(z_prev, z), xtol=xtol)
+    return min(x for x, gx in values.items() if gx >= 0.0)
 
 
 def luxemburg_norm(f: GridFunction, phi: NFunction,
@@ -353,9 +366,9 @@ def luxemburg_norm(f: GridFunction, phi: NFunction,
     """Luxemburg norm inf{kappa > 0 : int Phi(|f|/kappa) dtheta <= 1}.
 
     For Phi = tau^q/q this is (int |f|^q / q dtheta)^(1/q) in closed form.
-    For the density kind: monotone bisection on kappa with geometric
-    bracket expansion; the returned value is the upper end of the final
-    bracket, so its modal integral is <= 1.
+    For the density kind, one Brent root-find in log kappa solves
+    int Phi(|f|/kappa) dtheta = 1 to rel_tol (finite and positive); the
+    returned kappa is on the feasible side, where the integral is <= 1.
     """
     v = np.abs(f.values)
     peak = float(v.max())
@@ -364,14 +377,10 @@ def luxemburg_norm(f: GridFunction, phi: NFunction,
     h = 2.0 * np.pi / f.n
     if phi.kind == "power":
         return _lq_norm(v, peak, phi.q, h) * phi.q ** (-1.0 / phi.q)
-    return _bisect_threshold(
-        lambda kappa: _modal_integral(v / kappa, phi, h) <= 1.0, peak,
-        rel_tol, "no finite bracket for the Luxemburg norm")
-
-
-#: the Amemiya minimizer is searched for at k * max|f| = e^z, |z| <= Z_MAX;
-#: beyond that Phi(k|f|) leaves the double range
-_Z_MAX = 700.0
+    z = _log_root(
+        lambda z: 1.0 - _modal_integral(v / (peak * math.exp(z)), phi, h),
+        0.0, rel_tol, "no finite bracket for the Luxemburg norm")
+    return peak * math.exp(z)
 
 
 def orlicz_norm(f: GridFunction, phi: NFunction,
@@ -386,8 +395,8 @@ def orlicz_norm(f: GridFunction, phi: NFunction,
 
     whose integrand Phi*(Phi'(k|f|)) is nondecreasing in k.  One bracketed
     Brent root-find on log k, to rel_tol, locates the minimizer; the
-    objective there is returned, an upper bound on the infimum.  Raises
-    NumericalConditioningError when no root lies in the searched range
+    objective there is returned, an upper bound on the infimum.  rel_tol
+    must be finite and positive.  Raises NumericalConditioningError when no root lies in the searched range
     (the infimum is then approached only as k -> 0 or k -> inf).
     """
     v = np.abs(f.values)
@@ -409,23 +418,11 @@ def orlicz_norm(f: GridFunction, phi: NFunction,
         # past the double range both products are inf; the integrand is
         # unbounded there, not undefined
         terms[np.isinf(p)] = np.inf
-        # capped so Brent's interpolation steps stay finite
-        return min(float(np.sum(terms)) * h - 1.0, np.finfo(float).max)
+        return float(np.sum(terms)) * h - 1.0
 
-    # start where k * mean|f| = 1 and widen with doubling steps until Y
-    # changes sign between the last two points
-    z = -math.log(float(np.mean(w)))
-    y = young(z)
-    step = 1.0 if y < 0.0 else -1.0
-    while (y < 0.0) == (step > 0.0):
-        if abs(z) >= _Z_MAX:
-            raise NumericalConditioningError(
-                "no finite bracket for the Amemiya minimizer")
-        z_prev = z
-        z = min(max(z + step, -_Z_MAX), _Z_MAX)
-        y = young(z)
-        step *= 2.0
-    z = brentq(young, min(z_prev, z), max(z_prev, z), xtol=rel_tol)
+    # start where k * mean|f| = 1
+    z = _log_root(young, -math.log(float(np.mean(w))), rel_tol,
+                  "no finite bracket for the Amemiya minimizer")
     k = math.exp(z) / peak
     return (1.0 + _modal_integral(k * v, phi, h)) / k
 
@@ -433,16 +430,19 @@ def orlicz_norm(f: GridFunction, phi: NFunction,
 def lambda_phi(phi: NFunction, s: float, rel_tol: float = 1e-10) -> float:
     """Lambda_Phi(s) = inf{t > 0 : (1/t) Phi'(1/t) <= 1/s} for s > 0.
 
-    For Phi = tau^q/q this is s^(1/q) in closed form.  For the density kind:
-    bisection on t against the nondecreasing map tau -> tau * Phi'(tau).
+    For Phi = tau^q/q this is s^(1/q) in closed form.  For the density kind,
+    one Brent root-find in log t solves rho(1/t) = 1/s, with
+    rho(tau) = tau Phi'(tau), to rel_tol (finite and positive); the returned
+    t is on the feasible side, where rho(1/t) <= 1/s.
     """
     s = float(s)
     if not s > 0.0:
         raise ParameterError(f"lambda_phi needs s > 0, got {s}")
     if phi.kind == "power":
         return s ** (1.0 / phi.q)
-    return _bisect_threshold(lambda t: phi.rho(1.0 / t) <= 1.0 / s, 1.0,
-                             rel_tol, "lambda_phi bracket expansion failed")
+    z = _log_root(lambda z: 1.0 / s - phi.rho(1.0 / math.exp(z)), 0.0,
+                  rel_tol, "lambda_phi bracket expansion failed")
+    return math.exp(z)
 
 
 def holder_check(f: GridFunction, g: GridFunction, phi: NFunction,

@@ -14,7 +14,6 @@ from specfact import (
     GridFunction,
     ParameterError,
     SpectralFactor,
-    fourier_analyze,
     fourier_synthesize,
     grid_theta,
     h2_distance,
@@ -115,37 +114,36 @@ def test_factor_json_pairs_are_the_coefficients(rng):
     assert json.dumps(fac.to_json_dict()) == json.dumps(want)
 
 
-def test_analyze_synthesize_roundtrip(rng):
+def test_synthesize_matches_direct_sum(rng):
+    """fourier_synthesize agrees with sum_k c_k e^{i k theta_j} on the grid,
+    for a real-valued series (returned real) and a complex one."""
     n = 256
-    coeffs = {0: complex(rng.normal(), 0)}
+    th = grid_theta(n)
+    real = {0: complex(rng.normal(), 0)}
+    cplx = {}
     for k in range(1, 20):
         c = complex(rng.normal(), rng.normal())
-        coeffs[k] = c
-        coeffs[-k] = c.conjugate()
-    series = FourierSeries(coeffs)
-    f = fourier_synthesize(series, n)
+        real[k] = c
+        real[-k] = c.conjugate()
+        cplx[k] = c
+        cplx[-k] = complex(rng.normal(), rng.normal())
+    for coeffs in (real, cplx):
+        f = fourier_synthesize(FourierSeries(coeffs), n)
+        direct = sum(c * np.exp(1j * k * th) for k, c in coeffs.items())
+        assert f.is_real == (coeffs is real)
+        assert np.max(np.abs(f.values - direct)) < 1e-12
+
+
+def test_synthesize_known_coefficients():
+    f = fourier_synthesize(FourierSeries({0: 1.25, 1: -0.5, -1: -0.5}), 128)
     assert f.is_real
-    back = fourier_analyze(f, bandwidth=19)
-    for k, c in coeffs.items():
-        assert abs(back.coefficient(k) - c) < 1e-12
+    assert np.max(np.abs(f.values - (1.25 - np.cos(grid_theta(128))))) < 1e-14
 
 
-def test_analyze_default_bandwidth_and_aliasing():
-    f = GridFunction.from_callable(np.cos, 64)
-    assert fourier_analyze(f).bandwidth <= 31
-    with pytest.raises(AliasingError):
-        fourier_analyze(f, bandwidth=32)
+def test_synthesize_refuses_aliasing():
     with pytest.raises(AliasingError):
         fourier_synthesize(FourierSeries({32: 1.0, -32: 1.0}), 64)
-
-
-def test_analyze_known_coefficients():
-    f = GridFunction.from_callable(lambda t: 1.25 - np.cos(t), 128)
-    s = fourier_analyze(f, bandwidth=4)
-    assert s.coefficient(0) == pytest.approx(1.25, abs=1e-14)
-    assert s.coefficient(1) == pytest.approx(-0.5, abs=1e-14)
-    assert s.coefficient(-1) == pytest.approx(-0.5, abs=1e-14)
-    assert abs(s.coefficient(2)) < 1e-14
+    assert fourier_synthesize(FourierSeries({31: 1.0, -31: 1.0}), 64).n == 64
 
 
 def test_conjugate_multiplier_law(rng):

@@ -188,48 +188,98 @@ def test_amemiya_root_find_is_the_minimum():
             assert abs(root - grid) <= 1e-12 * grid, (seed, root, grid)
 
 
-def test_density_bisections_pinned():
-    """luxemburg_norm and lambda_phi on the L log L Phi and its complement
-    return the values recorded before they shared one bisection.  They
-    were bit-identical where recorded; 1e-14 leaves room for last-digit
-    differences in exp and log between platforms, while one bisection step
-    more or less would move a result by about rel_tol = 1e-10."""
+#: one Brent tolerance below a solver's result, in the log variable z the
+#: solvers work in: rel_tol plus brentq's 4 ulps of |z|, with |z| <= 700
+_OTHER_SIDE = math.exp(-(1e-10 + 4.0 * np.finfo(float).eps * 700.0))
+
+
+def test_density_solvers_are_feasible_and_tight():
+    """On the L log L Phi and its complement, each density-kind Luxemburg
+    norm kappa satisfies int Phi(|f|/kappa) <= 1 and each lambda_phi value t
+    satisfies rho(1/t) <= 1/s (the feasible side), while one tolerance
+    below the result the inequality fails, so the threshold lies within
+    rel_tol = 1e-10 of it.  f is scaled by 1e-200 and 1e200 and s spans
+    1e-300 to 1e300, to reach both ends of the searched range."""
     phi = _llogl_phi()
-    psi = phi.complement()
-    f = random_density(np.random.default_rng([0, 0]), n=512)
-    for fn, lux in ((phi, 11.887230584681088), (psi, 19.026569159149645)):
-        assert luxemburg_norm(f, fn) == pytest.approx(lux, rel=1e-14)
-    for s, lam, lam_psi in ((1e-3, 0.005240272432274651, 0.1908297732588835),
-                            (1.0, 0.7992338018375449, 1.2511983324075118),
-                            (1e3, 31.373636407777667, 31.873895237222314)):
-        assert lambda_phi(phi, s) == pytest.approx(lam, rel=1e-14)
-        assert lambda_phi(psi, s) == pytest.approx(lam_psi, rel=1e-14)
+    base = random_density(np.random.default_rng([0, 0]), n=512)
+    h = 2.0 * np.pi / base.n
+
+    def modal(fn, v, kappa):
+        return float(np.sum(fn.phi(v / kappa)) * h)
+
+    for fn in (phi, phi.complement()):
+        for scale in (1e-200, 1.0, 1e200):
+            f = GridFunction(base.n, base.values * scale)
+            v = np.abs(f.values)
+            kappa = luxemburg_norm(f, fn)
+            assert modal(fn, v, kappa) <= 1.0, (scale, kappa)
+            assert modal(fn, v, kappa * _OTHER_SIDE) > 1.0, (scale, kappa)
+        for s in (1e-300, 1e-12, 1.0, 1e12, 1e300):
+            t = lambda_phi(fn, s)
+            assert fn.rho(1.0 / t) <= 1.0 / s, (s, t)
+            assert fn.rho(1.0 / (t * _OTHER_SIDE)) > 1.0 / s, (s, t)
 
 
-class _LinearPhi(NFunction):
-    """Phi(x) = |x|, which is not an N-function: x Phi'(x) - Phi(x) = 0, so
-    the Young integral Y(k) = -1 for every k and the Amemiya objective
-    (1 + k ||f||_1)/k has no minimizer."""
+class _StubPhi(NFunction):
+    """A density-kind stand-in that is not an N-function; it counts the
+    evaluations of phi and rho, one per solver step.
 
-    def __init__(self):
+    linear, Phi(x) = |x|: x Phi'(x) - Phi(x) = 0, so the Young integral
+    Y(k) = -1 for every k and the Amemiya objective (1 + k ||f||_1)/k has no
+    minimizer.  constant, Phi(x) = 1: int Phi(|f|/kappa) = 2 pi for every
+    kappa and rho(tau) = tau Phi'(tau) = 0 for every tau, so neither the
+    Luxemburg equation nor the Lambda equation has a root.
+    """
+
+    def __init__(self, linear: bool):
         self.kind = "density"
+        self.linear = linear
         self.evaluations = 0
 
     def phi(self, x):
         self.evaluations += 1
-        return np.abs(np.asarray(x, dtype=float))
+        ax = np.abs(np.asarray(x, dtype=float))
+        return ax if self.linear else np.ones_like(ax)
 
     def density(self, x):
-        return np.ones_like(np.asarray(x, dtype=float))
+        return np.full_like(np.asarray(x, dtype=float), float(self.linear))
+
+    def rho(self, tau):
+        self.evaluations += 1
+        return super().rho(tau)
+
+    def __repr__(self):
+        return f"_StubPhi(linear={self.linear})"
 
 
 def test_amemiya_bracket_search_is_bounded():
+    """Without a root, the Amemiya, Luxemburg and Lambda solvers refuse
+    after widening to the end of the searched range, about a dozen
+    evaluations each."""
     n = 64
     f = GridFunction(n, np.exp(np.cos(grid_theta(n))))
-    phi = _LinearPhi()
-    with pytest.raises(NumericalConditioningError):
-        orlicz_norm(f, phi)
-    assert phi.evaluations <= 20
+    for linear, solve in ((True, lambda phi: orlicz_norm(f, phi)),
+                          (False, lambda phi: luxemburg_norm(f, phi)),
+                          (False, lambda phi: lambda_phi(phi, 1.0))):
+        phi = _StubPhi(linear)
+        with pytest.raises(NumericalConditioningError):
+            solve(phi)
+        assert phi.evaluations <= 20, (phi, phi.evaluations)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
+def test_density_solvers_refuse_bad_tolerance(rel_tol):
+    """A tolerance that is not finite and positive is refused before the
+    first evaluation: a solve to a zero or negative tolerance cannot end."""
+    n = 64
+    f = GridFunction(n, np.exp(np.cos(grid_theta(n))))
+    phi = _StubPhi(linear=True)
+    for solve in (lambda: luxemburg_norm(f, phi, rel_tol=rel_tol),
+                  lambda: orlicz_norm(f, phi, rel_tol=rel_tol),
+                  lambda: lambda_phi(phi, 1.0, rel_tol=rel_tol)):
+        with pytest.raises(ParameterError, match="tolerance"):
+            solve()
+    assert phi.evaluations == 0
 
 
 def test_complement_is_cached():

@@ -24,12 +24,11 @@ import numpy as np
 from .circle_fn import (
     GridFunction,
     _check_grid_size,
-    h2_distance,
-    harmonic_conjugate,
-    lp_norm,
+    _conjugate,
+    _lp_norms,
 )
 from .errors import ParameterError
-from .factorization import _positive_log, factorize_boundary
+from .factorization import _boundary_factor, _positive_log
 from .orlicz import (
     NFunction,
     k0_constant,
@@ -60,8 +59,18 @@ __all__ = [
 ]
 
 
+#: Sweeps run their trials in blocks whose complex (trials x n) boundary
+#: values take at most this many bytes (at least one trial per block).
+#: 512 KB, 8 trials at n = 4096, measured fastest there on a 2-core VM with
+#: 2 MB of L2 per core: 4 trials ran 10% slower, and 16 ran level but took
+#: 2 MB more memory.  README has the table for n = 256 .. 65536.
+_SWEEP_BLOCK_BYTES = 1 << 19
+
+
 @dataclass(frozen=True)
 class IdentityTerms:
+    """T1, T2, T3 of one pair (floats) or of a block (length-B arrays)."""
+
     t1: float
     t2: float
     t3: float
@@ -73,7 +82,13 @@ class IdentityTerms:
 
 @dataclass(frozen=True, eq=False)
 class PairMetrics:
-    """What the pair checks read, each computed on first access and kept.
+    """What the pair checks read, for a block of B pairs of densities.
+
+    f and g are (B, n) arrays whose row j is pair j; every field holds one
+    value per row, so a field is a length-B array (IdentityTerms of such
+    arrays for terms) and a single pair is the B = 1 case.  Each field is
+    computed on first access and kept, over the whole block at once: the
+    last-axis kernels give row j the same floats for any B.
 
     A check pays only for what its formula reads: the identity terms cost a
     conjugate FFT that Theorem 2, Corollary p and the master bound skip.
@@ -81,8 +96,8 @@ class PairMetrics:
     they made cross_validate_pipeline page-fault measurably more.
     """
 
-    f: GridFunction
-    g: GridFunction
+    f: np.ndarray
+    g: np.ndarray
 
     @cached_property
     def log_ratio(self) -> np.ndarray:
@@ -90,81 +105,184 @@ class PairMetrics:
         return _positive_log(self.f, None) - _positive_log(self.g, None)
 
     @cached_property
-    def l1_diff(self) -> float:
+    def l1_diff(self) -> np.ndarray:
         """||f - g||_1."""
-        return lp_norm(GridFunction(self.f.n, self.f.values - self.g.values), 1)
+        return _lp_norms(self.f - self.g, 1)
 
     @cached_property
-    def log_l1_diff(self) -> float:
+    def log_l1_diff(self) -> np.ndarray:
         """||log f - log g||_1."""
-        return lp_norm(GridFunction(self.f.n, self.log_ratio), 1)
+        return _lp_norms(self.log_ratio, 1)
 
     @cached_property
-    def h2_squared(self) -> float:
+    def h2_squared(self) -> np.ndarray:
         """||f+ - g+||^2 from the two boundary factorizations."""
-        return h2_distance(factorize_boundary(self.f),
-                           factorize_boundary(self.g)) ** 2
+        a = _boundary_factor(self.f)[0]
+        b = _boundary_factor(self.g)[0]
+        dist = np.sqrt(2.0 * np.pi * np.sum(np.abs(a - b) ** 2, axis=-1))
+        # Python's float ** 2, the rounding of h2_distance(a, b) ** 2
+        return np.array([d ** 2 for d in dist.tolist()])
 
     @cached_property
     def terms(self) -> IdentityTerms:
         """T1, T2, T3 of the expansion; their sum is h2_squared."""
-        n = self.f.n
-        psi_hat = 0.5 * harmonic_conjugate(
-            GridFunction(n, self.log_ratio)).values
+        psi_hat = 0.5 * _conjugate(self.log_ratio)
         defect = 1.0 - np.cos(psi_hat)
-        rf = np.sqrt(self.f.values)
-        rg = np.sqrt(self.g.values)
-        h = 2.0 * np.pi / n
-        t1 = float(np.sum((rf - rg) ** 2) * h)
-        t2 = float(np.sum(2.0 * rf * (rg - rf) * defect) * h)
-        t3 = float(np.sum(2.0 * self.f.values * defect) * h)
+        rf = np.sqrt(self.f)
+        rg = np.sqrt(self.g)
+        h = 2.0 * np.pi / self.f.shape[-1]
+        t1 = np.sum((rf - rg) ** 2, axis=-1) * h
+        t2 = np.sum(2.0 * rf * (rg - rf) * defect, axis=-1) * h
+        t3 = np.sum(2.0 * self.f * defect, axis=-1) * h
         return IdentityTerms(t1, t2, t3)
 
     @cached_property
-    def lower_bound(self) -> float:
+    def lower_bound(self) -> np.ndarray:
         """Certified lower bound T3 - 4 ||f - g||_1 for h2_squared."""
         terms = self.terms
         bound = terms.t3 - 4.0 * self.l1_diff
-        if bound > terms.total + 1e-9:
+        bad = bound > terms.total + 1e-9
+        if np.any(bad):
             # T1 >= 0 and T2 >= -4 ||f - g||_1 make this impossible
+            j = int(np.argmax(bad))
             raise ParameterError(
-                f"lower bound {bound} exceeds the identity sum {terms.total}; "
-                f"inputs are inconsistent")
+                f"lower bound {bound[j]} exceeds the identity sum "
+                f"{terms.total[j]}; inputs are inconsistent")
         return bound
 
-    def f_norm(self, p) -> float:
+    def f_norm(self, p) -> np.ndarray:
         """||f||_p, p = inf for the sup norm."""
-        return lp_norm(self.f, p)
+        return _lp_norms(self.f, p)
 
 
 def pair_metrics(f: GridFunction, g: GridFunction) -> PairMetrics:
-    """Record for a pair of positive densities on one grid."""
+    """Record (B = 1) for a pair of positive densities on one grid."""
     if f.n != g.n:
         raise ParameterError("f and g must share a grid")
-    return PairMetrics(f, g)
+    return PairMetrics(f.values[None], g.values[None])
 
 
 def h2_identity_terms(f: GridFunction, g: GridFunction) -> IdentityTerms:
     """The three expansion terms; their sum is the squared H2 distance."""
-    return pair_metrics(f, g).terms
+    terms = pair_metrics(f, g).terms
+    return IdentityTerms(float(terms.t1[0]), float(terms.t2[0]),
+                         float(terms.t3[0]))
 
 
 def h2_squared_direct(f: GridFunction, g: GridFunction) -> float:
     """Squared H2 distance of the boundary factors, no expansion involved."""
-    return pair_metrics(f, g).h2_squared
+    return float(pair_metrics(f, g).h2_squared[0])
+
+
+def _rows(*fields):
+    """Rows of Python floats from length-B field arrays."""
+    return zip(*(x.tolist() for x in fields))
+
+
+def _identity(pm: PairMetrics, tol: float = 1e-6) -> list[BoundReport]:
+    """Expansion sum against the directly computed squared H2 distance."""
+    terms = pm.terms
+    out = []
+    for t1, t2, t3, direct in _rows(terms.t1, terms.t2, terms.t3,
+                                    pm.h2_squared):
+        total = t1 + t2 + t3
+        gap = abs(total - direct)
+        allow = tol * (1.0 + abs(direct))
+        out.append(bound_report("identity", gap, 0.0, tol=0.0, atol=allow,
+                                details={"t1": t1, "t2": t2, "t3": t3,
+                                         "sum": total, "h2_squared": direct,
+                                         "rel_tol": tol}))
+    return out
+
+
+def _theorem_2(pm: PairMetrics, tol: float = 1e-9) -> list[BoundReport]:
+    """||f+ - g+||^2 <= 2 ||f - g||_1 + 2.5 ||f||_inf ||log f - log g||_1."""
+    two_k0 = 2.0 * k0_constant()
+    out = []
+    for lhs, l1diff, logdiff, peak in _rows(pm.h2_squared, pm.l1_diff,
+                                            pm.log_l1_diff,
+                                            pm.f_norm(np.inf)):
+        rhs = 2.0 * l1diff + 2.5 * peak * logdiff
+        rhs_sharp = 2.0 * l1diff + two_k0 * peak * logdiff
+        pass_sharp = lhs <= rhs_sharp * (1.0 + tol) + 1e-12
+        rep = bound_report("thm2", lhs, rhs, tol=tol, atol=1e-12,
+                           details={"l1_diff": l1diff, "log_l1_diff": logdiff,
+                                    "sup_f": peak, "rhs_sharp": rhs_sharp,
+                                    "pass_sharp": pass_sharp,
+                                    "two_k0": two_k0})
+        out.append(replace(rep, passed=rep.passed and pass_sharp))
+    return out
+
+
+def _corollary_p(pm: PairMetrics, p: float,
+                 tol: float = 1e-9) -> list[BoundReport]:
+    """||f+ - g+||^2 <= 2 ||f-g||_1 + C(p) ||f||_p ||log f - log g||_1^(1-1/p)."""
+    lhs = pm.h2_squared  # first: a nonpositive density outranks a bad p
+    cp = constant_c_p(p)
+    out = []
+    for lhs, l1diff, logdiff, norm_p in _rows(lhs, pm.l1_diff,
+                                              pm.log_l1_diff, pm.f_norm(p)):
+        rhs = 2.0 * l1diff + cp * norm_p * logdiff ** ((p - 1.0) / p)
+        out.append(bound_report("cor-p", lhs, rhs, tol=tol, atol=1e-12,
+                                details={"p": p, "C_p": cp, "l1_diff": l1diff,
+                                         "log_l1_diff": logdiff}))
+    return out
+
+
+def _theorem_main(pm: PairMetrics, phi: NFunction,
+                  tol: float = 1e-9) -> list[BoundReport]:
+    """The Orlicz-space master bound, finished row by row."""
+    out = []
+    for f, (lhs, l1diff, logdiff) in zip(pm.f, _rows(
+            pm.h2_squared, pm.l1_diff, pm.log_l1_diff)):
+        norm_f = orlicz_norm(GridFunction(len(f), f), phi.complement())
+        s = 0.5 * k0_constant() * logdiff
+        lam = lambda_phi(phi, s) if s > 0.0 else 0.0
+        rhs = 2.0 * l1diff + 4.0 * norm_f * lam
+        out.append(bound_report("main", lhs, rhs, tol=tol, atol=1e-12,
+                                details={"l1_diff": l1diff,
+                                         "log_l1_diff": logdiff,
+                                         "orlicz_norm_f": norm_f,
+                                         "lambda": lam, "s": s}))
+    return out
+
+
+def _lemma_orl(psi: np.ndarray, phi: NFunction,
+               tol: float = 1e-9) -> list[BoundReport]:
+    """||1 - cos(psi~)||_(Phi) <= 2 Lambda_Phi(K0 ||psi||_1) per row of psi."""
+    defect = 1.0 - np.cos(_conjugate(psi))
+    out = []
+    for d, psi_l1 in zip(defect, _lp_norms(psi, 1).tolist()):
+        lhs = luxemburg_norm(GridFunction(len(d), d), phi)
+        s = k0_constant() * psi_l1
+        rhs = 2.0 * lambda_phi(phi, s) if s > 0.0 else 0.0
+        out.append(bound_report("lemma-orl", lhs, rhs, tol=tol, atol=1e-12,
+                                details={"s": s}))
+    return out
+
+
+def _lemma_l1(psi: np.ndarray, tol: float = 1e-9) -> list[BoundReport]:
+    """||1 - cos(psi~)||_1 <= 2 K0 ||psi||_1 per row of psi."""
+    defect = 1.0 - np.cos(_conjugate(psi))
+    out = []
+    for lhs, psi_l1 in _rows(_lp_norms(defect, 1), _lp_norms(psi, 1)):
+        rhs = 2.0 * k0_constant() * psi_l1
+        out.append(bound_report("lemma-l1", lhs, rhs, tol=tol, atol=1e-12,
+                                details={"psi_l1": psi_l1}))
+    return out
+
+
+def _psi_rows(psi: GridFunction) -> np.ndarray:
+    """A real phase as a one-row psi block."""
+    if not psi.is_real:
+        raise ParameterError("psi must be real")
+    return psi.values[None]
 
 
 def check_identity(f: GridFunction, g: GridFunction,
                    tol: float = 1e-6) -> BoundReport:
     """Expansion sum against the directly computed squared H2 distance."""
-    pm = pair_metrics(f, g)
-    terms, direct = pm.terms, pm.h2_squared
-    gap = abs(terms.total - direct)
-    allow = tol * (1.0 + abs(direct))
-    return bound_report("identity", gap, 0.0, tol=0.0, atol=allow,
-                        details={"t1": terms.t1, "t2": terms.t2,
-                                 "t3": terms.t3, "sum": terms.total,
-                                 "h2_squared": direct, "rel_tol": tol})
+    return _identity(pair_metrics(f, g), tol)[0]
 
 
 def check_theorem_2(f: GridFunction, g: GridFunction,
@@ -174,18 +292,7 @@ def check_theorem_2(f: GridFunction, g: GridFunction,
     The headline right side uses the round constant 2.5; the sharper value
     2*K0 is reported alongside and both must hold for the check to pass.
     """
-    pm = pair_metrics(f, g)
-    lhs, l1diff, logdiff = pm.h2_squared, pm.l1_diff, pm.log_l1_diff
-    peak = pm.f_norm(np.inf)
-    rhs = 2.0 * l1diff + 2.5 * peak * logdiff
-    rhs_sharp = 2.0 * l1diff + 2.0 * k0_constant() * peak * logdiff
-    pass_sharp = lhs <= rhs_sharp * (1.0 + tol) + 1e-12
-    rep = bound_report("thm2", lhs, rhs, tol=tol, atol=1e-12,
-                       details={"l1_diff": l1diff, "log_l1_diff": logdiff,
-                                "sup_f": peak, "rhs_sharp": rhs_sharp,
-                                "pass_sharp": pass_sharp,
-                                "two_k0": 2.0 * k0_constant()})
-    return replace(rep, passed=rep.passed and pass_sharp)
+    return _theorem_2(pair_metrics(f, g), tol)[0]
 
 
 def constant_c_p(p: float) -> float:
@@ -206,14 +313,7 @@ def constant_c_inf() -> float:
 def check_corollary_p(f: GridFunction, g: GridFunction, p: float,
                       tol: float = 1e-9) -> BoundReport:
     """||f+ - g+||^2 <= 2 ||f-g||_1 + C(p) ||f||_p ||log f - log g||_1^(1-1/p)."""
-    pm = pair_metrics(f, g)
-    lhs = pm.h2_squared
-    cp = constant_c_p(p)
-    l1diff, logdiff = pm.l1_diff, pm.log_l1_diff
-    rhs = 2.0 * l1diff + cp * pm.f_norm(p) * logdiff ** ((p - 1.0) / p)
-    return bound_report("cor-p", lhs, rhs, tol=tol, atol=1e-12,
-                        details={"p": p, "C_p": cp, "l1_diff": l1diff,
-                                 "log_l1_diff": logdiff})
+    return _corollary_p(pair_metrics(f, g), p, tol)[0]
 
 
 def check_theorem_main(f: GridFunction, g: GridFunction, phi: NFunction,
@@ -223,40 +323,18 @@ def check_theorem_main(f: GridFunction, g: GridFunction, phi: NFunction,
     ||f+ - g+||^2 <= 2 ||f-g||_1 + 4 ||f||_Psi Lambda_Phi((K0/2) ||log f - log g||_1)
     with Psi the complement of Phi and ||.||_Psi the Orlicz (Amemiya) norm.
     """
-    pm = pair_metrics(f, g)
-    lhs, l1diff, logdiff = pm.h2_squared, pm.l1_diff, pm.log_l1_diff
-    norm_f = orlicz_norm(f, phi.complement())
-    s = 0.5 * k0_constant() * logdiff
-    lam = lambda_phi(phi, s) if s > 0.0 else 0.0
-    rhs = 2.0 * l1diff + 4.0 * norm_f * lam
-    return bound_report("main", lhs, rhs, tol=tol, atol=1e-12,
-                        details={"l1_diff": l1diff, "log_l1_diff": logdiff,
-                                 "orlicz_norm_f": norm_f, "lambda": lam,
-                                 "s": s})
+    return _theorem_main(pair_metrics(f, g), phi, tol)[0]
 
 
 def check_lemma_orl(psi: GridFunction, phi: NFunction,
                     tol: float = 1e-9) -> BoundReport:
     """||1 - cos(psi~)||_(Phi) <= 2 Lambda_Phi(K0 ||psi||_1)."""
-    if not psi.is_real:
-        raise ParameterError("psi must be real")
-    defect = 1.0 - np.cos(harmonic_conjugate(psi).values)
-    lhs = luxemburg_norm(GridFunction(psi.n, defect), phi)
-    s = k0_constant() * lp_norm(psi, 1)
-    rhs = 2.0 * lambda_phi(phi, s) if s > 0.0 else 0.0
-    return bound_report("lemma-orl", lhs, rhs, tol=tol, atol=1e-12,
-                        details={"s": s})
+    return _lemma_orl(_psi_rows(psi), phi, tol)[0]
 
 
 def check_lemma_l1(psi: GridFunction, tol: float = 1e-9) -> BoundReport:
     """||1 - cos(psi~)||_1 <= 2 K0 ||psi||_1."""
-    if not psi.is_real:
-        raise ParameterError("psi must be real")
-    defect = 1.0 - np.cos(harmonic_conjugate(psi).values)
-    lhs = lp_norm(GridFunction(psi.n, defect), 1)
-    rhs = 2.0 * k0_constant() * lp_norm(psi, 1)
-    return bound_report("lemma-l1", lhs, rhs, tol=tol, atol=1e-12,
-                        details={"psi_l1": lp_norm(psi, 1)})
+    return _lemma_l1(_psi_rows(psi), tol)[0]
 
 
 def convergence_demo(f: GridFunction, perturbations) -> list[tuple[float, float, float]]:
@@ -267,8 +345,8 @@ def convergence_demo(f: GridFunction, perturbations) -> list[tuple[float, float,
     positive counterpart of the divergence family.
     """
     pairs = [pair_metrics(f, fk) for fk in perturbations]
-    return [(pm.l1_diff, pm.log_l1_diff, float(np.sqrt(pm.h2_squared)))
-            for pm in pairs]
+    return [(float(pm.l1_diff[0]), float(pm.log_l1_diff[0]),
+             float(np.sqrt(pm.h2_squared[0]))) for pm in pairs]
 
 
 def dip_schedule(f: GridFunction, ks, depth: float = 0.999,
@@ -291,6 +369,35 @@ def dip_schedule(f: GridFunction, ks, depth: float = 0.999,
     return out
 
 
+def _phase_draw(rng: np.random.Generator, degree: int):
+    """One random_phase draw: the cosine and sine coefficients."""
+    d = int(rng.integers(1, degree + 1))
+    return rng.uniform(-1.0, 1.0, d + 1), rng.uniform(-1.0, 1.0, d)
+
+
+def _phase_spectra(draws, n: int) -> np.ndarray:
+    """rfft bins of the phases, one row per (a, b) draw.
+
+    a_k cos(k theta_j) + b_k sin(k theta_j) = Re[z_k e^{2 pi i m j / n}]
+    with z_k = (-1)^k (a_k - i b_k) and m = k mod n (theta_0 = -pi), so
+    one inverse real FFT sums the series; a term with m > n/2 enters bin
+    n - m conjugated, and bins 0 and n/2 carry only the real part.  All
+    draws are assembled by the same elementwise operations at once.
+    """
+    a = np.concatenate([a for a, _ in draws])
+    b = np.concatenate([x for _, b in draws for x in ((0.0,), b)])
+    k = np.concatenate([np.arange(len(a)) for a, _ in draws])
+    row = np.repeat(np.arange(len(draws)), [len(a) for a, _ in draws])
+    z = np.where(k % 2 == 0, 1.0, -1.0) * (a - 1j * b)
+    m = k % n
+    z = np.where(m > n // 2, np.conj(z), z)
+    m = np.minimum(m, n - m)
+    edge = (m == 0) | (2 * m == n)
+    spec = np.zeros((len(draws), n // 2 + 1), dtype=np.complex128)
+    np.add.at(spec, (row, m), np.where(edge, n * z.real, 0.5 * n * z))
+    return spec
+
+
 def random_phase(rng: np.random.Generator, n: int = 4096,
                  degree: int = 16, scale: float = 1.0) -> GridFunction:
     """Random real trig polynomial, coefficients uniform in [-1, 1].
@@ -300,21 +407,7 @@ def random_phase(rng: np.random.Generator, n: int = 4096,
     phases; its exponential is the density distribution.
     """
     n = _check_grid_size(n)
-    d = int(rng.integers(1, degree + 1))
-    a = rng.uniform(-1.0, 1.0, d + 1)
-    b = rng.uniform(-1.0, 1.0, d)
-    # a_k cos(k theta_j) + b_k sin(k theta_j) = Re[z_k e^{2 pi i m j / n}]
-    # with z_k = (-1)^k (a_k - i b_k) and m = k mod n (theta_0 = -pi), so
-    # one inverse real FFT sums the series; a term with m > n/2 enters bin
-    # n - m conjugated, and bins 0 and n/2 carry only the real part
-    k = np.arange(d + 1)
-    z = np.where(k % 2 == 0, 1.0, -1.0) * (a - 1j * np.concatenate(([0.0], b)))
-    m = k % n
-    z = np.where(m > n // 2, np.conj(z), z)
-    m = np.minimum(m, n - m)
-    edge = (m == 0) | (2 * m == n)
-    spec = np.zeros(n // 2 + 1, dtype=np.complex128)
-    np.add.at(spec, m, np.where(edge, n * z.real, 0.5 * n * z))
+    spec = _phase_spectra([_phase_draw(rng, degree)], n)[0]
     return GridFunction(n, scale * np.fft.irfft(spec, n))
 
 
@@ -323,3 +416,30 @@ def random_density(rng: np.random.Generator, n: int = 4096,
     """exp of a random_phase draw: positive, smooth, with integrable log."""
     w = random_phase(rng, n=n, degree=degree, scale=scale)
     return GridFunction(n, np.exp(w.values))
+
+
+def _sweep_blocks(seed: int, trials: int, n: int, degree: int, pairs: bool):
+    """A sweep's inputs, drawn and yielded block by block.
+
+    Trial i seeds default_rng([seed, i]) and draws f then g (pairs) or psi
+    exactly as random_density and random_phase draw them; a block of
+    trials then takes one inverse FFT (and one exp) over all its spectra.
+    Yields a PairMetrics per block of pairs, or a (B, n) array of phases.
+    """
+    n = _check_grid_size(n)
+    size = max(1, _SWEEP_BLOCK_BYTES // (16 * n))
+    for start in range(0, trials, size):
+        block = range(start, min(trials, start + size))
+        sides = ([], []) if pairs else ([],)
+        for i in block:
+            rng = np.random.default_rng([seed, i])
+            for side in sides:
+                side.append(_phase_draw(rng, degree))
+        phases = np.fft.irfft(_phase_spectra(sum(sides, []), n), n)
+        if not pairs:
+            yield phases
+            continue
+        densities = np.exp(phases, out=phases)
+        if not np.all(np.isfinite(densities)):
+            raise ParameterError("grid samples must be finite")
+        yield PairMetrics(*densities.reshape(2, len(block), n))

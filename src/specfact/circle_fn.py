@@ -252,12 +252,13 @@ class SpectralFactor:
         return float(np.sqrt(2.0 * np.pi * np.sum(np.abs(self.coeffs) ** 2)))
 
     def to_json_dict(self) -> dict:
-        pairs = self.coeffs.view(np.float64).reshape(-1, 2).tolist()
-        out = {"coeffs": dict(zip(map(str, range(len(pairs))), pairs))}
+        """{"floor", "neg_energy" (when set), "a": [[re, im], ...]}."""
+        out = {}
         if self.floor_applied is not None:
             out["floor"] = self.floor_applied
         if self.neg_energy is not None:
             out["neg_energy"] = self.neg_energy
+        out["a"] = self.coeffs.view(np.float64).reshape(-1, 2).tolist()
         return out
 
 
@@ -269,6 +270,12 @@ def integrate(f: GridFunction):
 
 def lp_norm(f: GridFunction, p) -> float:
     """Grid L^p norm (sum_j |f_j|^p * 2*pi/n)^(1/p); the max for p = inf."""
+    return float(_lp_norms(f.values, p))
+
+
+def _lp_norms(v: np.ndarray, p) -> np.ndarray:
+    """lp_norm of every row of v along the last axis, row for row the same
+    floats as lp_norm of that row."""
     if isinstance(p, str):
         if p.lower() not in ("inf", "infinity"):
             raise ParameterError(f"unrecognized exponent {p!r}")
@@ -276,19 +283,23 @@ def lp_norm(f: GridFunction, p) -> float:
     p = float(p)
     if not p >= 1.0:
         raise ParameterError(f"exponent must satisfy p >= 1, got {p}")
-    a = np.abs(f.values)
+    a = np.abs(v)
     if np.isinf(p):
-        return float(a.max())
-    h = 2.0 * np.pi / f.n
+        return a.max(axis=-1)
+    h = 2.0 * np.pi / a.shape[-1]
+    rows = a.reshape(-1, a.shape[-1])
     with np.errstate(over="ignore"):
-        total = float((a ** p).sum() * h)
-    if 0.0 < total < math.inf:
-        return total ** (1.0 / p)
-    # a^p over- or underflowed: factor out the peak
-    peak = float(a.max())
-    if peak == 0.0:
-        return 0.0
-    return peak * float(((a / peak) ** p).sum() * h) ** (1.0 / p)
+        totals = (rows ** p).sum(axis=-1) * h
+    out = np.empty(len(rows))
+    for j, total in enumerate(totals.tolist()):
+        if 0.0 < total < math.inf:
+            out[j] = total ** (1.0 / p)
+            continue
+        # a^p over- or underflowed: factor out the peak
+        peak = float(rows[j].max())
+        out[j] = 0.0 if peak == 0.0 else (
+            peak * float(((rows[j] / peak) ** p).sum() * h) ** (1.0 / p))
+    return out.reshape(a.shape[:-1])
 
 
 def fourier_synthesize(series: FourierSeries, n: int) -> GridFunction:
@@ -319,11 +330,17 @@ def harmonic_conjugate(f: GridFunction) -> GridFunction:
     """
     if not f.is_real:
         raise ParameterError("harmonic_conjugate expects a real GridFunction")
-    R = np.fft.rfft(f.values)
+    return GridFunction(f.n, _conjugate(f.values))
+
+
+def _conjugate(v: np.ndarray) -> np.ndarray:
+    """harmonic_conjugate of every row of a real array along the last axis;
+    batched FFTs give each row the same floats as a 1-d call."""
+    R = np.fft.rfft(v)
     R *= -1j
-    R[0] = 0.0
-    R[-1] = 0.0
-    return GridFunction(f.n, np.fft.irfft(R, f.n))
+    R[..., 0] = 0.0
+    R[..., -1] = 0.0
+    return np.fft.irfft(R, v.shape[-1])
 
 
 def h2_distance(a: SpectralFactor, b: SpectralFactor) -> float:

@@ -23,16 +23,17 @@ import sys
 import numpy as np
 
 from .bounds import (
-    check_corollary_p,
-    check_identity,
-    check_lemma_l1,
-    check_lemma_orl,
-    check_theorem_2,
-    check_theorem_main,
+    _corollary_p,
+    _identity,
+    _lemma_l1,
+    _lemma_orl,
+    _psi_rows,
+    _sweep_blocks,
+    _theorem_2,
+    _theorem_main,
     constant_c_inf,
     constant_c_p,
-    random_density,
-    random_phase,
+    pair_metrics,
 )
 from .circle_fn import (
     FourierSeries,
@@ -125,36 +126,26 @@ def cmd_factorize(args) -> int:
         f = GridFunction(f.n, np.maximum(f.values, args.floor))
     report = outer_check(factor, f)
     out = factor.to_json_dict()
-    out["a"] = list(out["coeffs"].values())  # the same [re, im] lists
     out["method"] = args.method
     out["outer"] = report.to_json_dict()
     _emit(out)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _run_check(check: str, args, phi: NFunction | None, *grids: GridFunction):
-    """Run one check on its inputs: (psi,) for the lemmas, (f, g) otherwise."""
+def _run_check(check: str, args, phi: NFunction | None, record):
+    """One check's reports over a record: a (B, n) psi block for the lemmas,
+    a PairMetrics otherwise."""
     if check == "thm2":
-        return check_theorem_2(*grids)
+        return _theorem_2(record)
     if check == "cor-p":
-        return check_corollary_p(*grids, args.p)
+        return _corollary_p(record, args.p)
     if check == "main":
-        return check_theorem_main(*grids, phi)
+        return _theorem_main(record, phi)
     if check == "identity":
-        return check_identity(*grids)
+        return _identity(record)
     if check == "lemma-orl":
-        return check_lemma_orl(*grids, phi)
-    return check_lemma_l1(*grids)
-
-
-def _sweep_trial(check: str, args, phi: NFunction | None, index: int):
-    rng = np.random.default_rng([args.seed, index])
-    if check in _PSI_CHECKS:
-        return _run_check(check, args, phi,
-                          random_phase(rng, n=args.n, degree=args.degree))
-    f = random_density(rng, n=args.n, degree=args.degree)
-    g = random_density(rng, n=args.n, degree=args.degree)
-    return _run_check(check, args, phi, f, g)
+        return _lemma_orl(record, phi)
+    return _lemma_l1(record)
 
 
 def cmd_bounds(args) -> int:
@@ -173,8 +164,10 @@ def cmd_bounds(args) -> int:
             raise ParameterError(
                 f"--degree {args.degree} is not resolved on --n {args.n} "
                 f"samples: sweeps need --degree < --n / 2")
-        reports = [_sweep_trial(check, args, phi, i)
-                   for i in range(args.sweep)]
+        reports = []
+        for record in _sweep_blocks(args.seed, args.sweep, args.n,
+                                    args.degree, check not in _PSI_CHECKS):
+            reports += _run_check(check, args, phi, record)
         for i, rep in enumerate(reports):
             _emit({"trial": i, **rep.to_json_dict()})
         n_pass = sum(r.passed for r in reports)
@@ -184,13 +177,13 @@ def cmd_bounds(args) -> int:
     if check in _PSI_CHECKS:
         if args.f is None:
             raise ParameterError(f"--check {check} needs one input (psi)")
-        grids = [_as_grid(_load_any(args.f), args.n, "psi")]
+        record = _psi_rows(_as_grid(_load_any(args.f), args.n, "psi"))
     else:
         if args.f is None or args.g is None:
             raise ParameterError(f"--check {check} needs two inputs (f, g)")
-        grids = [_as_grid(_load_any(args.f), args.n, "f"),
-                 _as_grid(_load_any(args.g), args.n, "g")]
-    rep = _run_check(check, args, phi, *grids)
+        record = pair_metrics(_as_grid(_load_any(args.f), args.n, "f"),
+                              _as_grid(_load_any(args.g), args.n, "g"))
+    (rep,) = _run_check(check, args, phi, record)
     _emit(rep.to_json_dict())
     return EXIT_PASS if rep.passed else EXIT_FAIL
 

@@ -401,20 +401,21 @@ def cross_validate_pipeline(eps: float, du: float = 0.5,
                        enforce_bump_phase=False)
     met = family_metrics(fam)
     grid = pair_metrics(*grid_realization(fam, n_pts))
-    h2_grid = grid.h2_squared
-    terms = grid.terms
+    h2_grid = float(grid.h2_squared[0])
+    t1, t2, t3 = (float(t[0]) for t in (grid.terms.t1, grid.terms.t2,
+                                          grid.terms.t3))
 
     scale = max(abs(met.m4), 1e-300)
     pairs = {
-        "t1": (met.t1, terms.t1, max(abs(met.t1), 0.05 * scale)),
-        "t2": (met.t2, terms.t2, max(abs(met.t2), 0.05 * scale)),
-        "t3": (met.t3, terms.t3, max(abs(met.t3), 0.05 * scale)),
-        "m1": (met.m1, grid.l1_diff, max(abs(met.m1), 0.05 * scale)),
-        "m4": (met.m4, terms.total, abs(met.m4)),
+        "t1": (met.t1, t1, max(abs(met.t1), 0.05 * scale)),
+        "t2": (met.t2, t2, max(abs(met.t2), 0.05 * scale)),
+        "t3": (met.t3, t3, max(abs(met.t3), 0.05 * scale)),
+        "m1": (met.m1, float(grid.l1_diff[0]), max(abs(met.m1), 0.05 * scale)),
+        "m4": (met.m4, t1 + t2 + t3, abs(met.m4)),
         "h2_direct": (met.m4, h2_grid, abs(met.m4)),
         # m3 is a difference of same-size terms; measure it against the
         # identity sum to keep the comparison meaningful near cancellation
-        "m3": (met.m3, grid.lower_bound, max(abs(met.m3), scale)),
+        "m3": (met.m3, float(grid.lower_bound[0]), max(abs(met.m3), scale)),
     }
     details: dict = {"eps": eps, "du": du, "n_pts": n_pts, "tol": tol,
                      "u_star": u_star}

@@ -23,9 +23,9 @@ from .circle_fn import (
     FourierSeries,
     GridFunction,
     SpectralFactor,
+    _conjugate,
     fourier_synthesize,
     grid_theta,
-    harmonic_conjugate,
 )
 from .errors import DomainError, NumericalConditioningError, ParameterError
 from .report import BoundReport
@@ -58,19 +58,22 @@ _HERGLOTZ_COLS = 4096
 _HERGLOTZ_BLOCK_BYTES = 1 << 19
 
 
-def _positive_log(f: GridFunction, floor: float | None) -> np.ndarray:
-    if not f.is_real:
+def _positive_log(v: np.ndarray, floor: float | None) -> np.ndarray:
+    """log of real samples, rows along the last axis, after the floor."""
+    if np.iscomplexobj(v):
         raise ParameterError("factorization expects a real density")
-    v = f.values
     if floor is not None:
         if not floor > 0.0:
             raise ParameterError(f"floor must be positive, got {floor}")
         v = np.maximum(v, floor)
     if np.any(v <= 0.0):
-        j = int(np.argmin(v))
+        rows = v.reshape(-1, v.shape[-1])
+        row = rows[np.argmax(np.any(rows <= 0.0, axis=-1))]
+        j = int(np.argmin(row))
         raise DomainError(
-            f"density is not positive: sample {j} (theta = {f.theta[j]:.6f}) "
-            f"has value {v[j]:.6g}; pass floor=... to clamp")
+            f"density is not positive: sample {j} "
+            f"(theta = {grid_theta(len(row))[j]:.6f}) "
+            f"has value {row[j]:.6g}; pass floor=... to clamp")
     return np.log(v)
 
 
@@ -84,23 +87,43 @@ def factorize_boundary(f: GridFunction,
     result; for smooth positive f it is at roundoff level, and a large value
     flags a density the grid cannot resolve.
     """
-    logf = _positive_log(f, floor)
-    n = f.n
-    conj = harmonic_conjugate(GridFunction(n, logf))
-    boundary = np.exp(0.5 * logf + 0.5j * conj.values)
-    F = np.fft.fft(boundary) / n
+    coeffs, neg_energy = _boundary_factor(f.values, floor)
+    return SpectralFactor(coeffs, floor_applied=floor,
+                          neg_energy=float(neg_energy))
+
+
+def _boundary_factor(v: np.ndarray, floor: float | None = None):
+    """factorize_boundary of every row of v along the last axis.
+
+    Returns the coefficients, shape (..., n/2), and the negative-frequency
+    energy share of each row.  Batched FFTs, exp and last-axis sums give a
+    row of a block the same floats as a 1-d call.
+    """
+    logf = _positive_log(v, floor)
+    n = logf.shape[-1]
+    # updated in place where the values allow: a block's temporaries add up
+    F = 0.5j * _conjugate(logf)
+    F += 0.5 * logf
+    F = np.fft.fft(np.exp(F, out=F))
+    F /= n
     ks = np.arange(n // 2)
     sign = np.where(ks % 2 == 0, 1.0, -1.0)
-    coeffs = sign * F[ks]
-    total = float(np.sum(np.abs(F) ** 2))
-    neg = float(np.sum(np.abs(F[n // 2:]) ** 2))
-    a0 = coeffs[0]
-    if a0 == 0:
+    coeffs = sign * F[..., : n // 2]
+    power = np.abs(F)
+    power *= power
+    total = np.sum(power, axis=-1)
+    neg = np.sum(power[..., n // 2:], axis=-1)
+    a0 = coeffs[..., :1]
+    if np.any(a0 == 0):
         raise NumericalConditioningError("no positive value at the origin")
-    coeffs = coeffs * (a0.conjugate() / abs(a0))
-    coeffs[0] = abs(a0)
-    return SpectralFactor(coeffs, floor_applied=floor,
-                          neg_energy=neg / total if total > 0 else 0.0)
+    # |a0| and the rotation per row in scalar arithmetic: the vectorized
+    # complex abs can differ from it in the last bit
+    mod = np.array([abs(z) for z in a0.ravel()]).reshape(a0.shape)
+    rot = np.array([z.conjugate() / m for z, m in zip(a0.ravel(), mod.ravel())])
+    coeffs *= rot.reshape(a0.shape)
+    coeffs[..., :1] = mod
+    share = np.divide(neg, total, out=np.zeros_like(neg), where=total > 0)
+    return coeffs, share
 
 
 def factorize_herglotz(f: GridFunction, points, r_max: float = 0.95,
@@ -124,7 +147,7 @@ def factorize_herglotz(f: GridFunction, points, r_max: float = 0.95,
     not cancel as |z| nears the circle.  Blocks of bounded size keep memory
     flat in n; no FFT of log f is taken.
     """
-    logf = _positive_log(f, floor)
+    logf = _positive_log(f.values, floor)
     z = np.asarray(points, dtype=np.complex128)
     radius = np.abs(z)
     if np.any(radius > r_max + 1e-15):
@@ -314,7 +337,7 @@ def outer_check(factor: SpectralFactor, f: GridFunction,
     (1/4pi) int log f dtheta; any inner-factor contamination strictly lowers
     the left side.  Passes iff |lhs - rhs| <= tol * (1 + |rhs|).
     """
-    logf = _positive_log(f, None)
+    logf = _positive_log(f.values, None)
     rhs = float(np.mean(logf)) / 2.0
     a0 = factor.value_at_zero
     details = {"a0": a0, "log_mean_half": rhs}

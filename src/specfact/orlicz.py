@@ -433,15 +433,23 @@ def lambda_phi(phi: NFunction, s: float, rel_tol: float = 1e-10) -> float:
     For Phi = tau^q/q this is s^(1/q) in closed form.  For the density kind,
     one Brent root-find in log t solves rho(1/t) = 1/s, with
     rho(tau) = tau Phi'(tau), to rel_tol (finite and positive); the returned
-    t is on the feasible side, where rho(1/t) <= 1/s.
+    t is on the feasible side, where rho(1/t) <= 1/s.  At a subnormal s,
+    whose 1/s overflows, the two sides are compared as logs.
     """
     s = float(s)
     if not s > 0.0:
         raise ParameterError(f"lambda_phi needs s > 0, got {s}")
     if phi.kind == "power":
         return s ** (1.0 / phi.q)
-    z = _log_root(lambda z: 1.0 / s - phi.rho(1.0 / math.exp(z)), 0.0,
-                  rel_tol, "lambda_phi bracket expansion failed")
+    if math.isinf(1.0 / s):
+        # log rho(e^{-z}) = -z + log Phi'(e^{-z}) against -log s
+        def g(z: float) -> float:
+            u = phi.density(math.exp(-z))
+            return z - math.log(s) - (math.log(u) if u > 0.0 else -math.inf)
+    else:
+        def g(z: float) -> float:
+            return 1.0 / s - phi.rho(1.0 / math.exp(z))
+    z = _log_root(g, 0.0, rel_tol, "lambda_phi bracket expansion failed")
     return math.exp(z)
 
 

@@ -8,6 +8,7 @@ import pytest
 from specfact import (
     GridFunction,
     NFunction,
+    PairMetrics,
     ParameterError,
     check_corollary_p,
     check_identity,
@@ -19,7 +20,9 @@ from specfact import (
     constant_c_p,
     convergence_demo,
     dip_schedule,
+    factorize_boundary,
     grid_theta,
+    h2_distance,
     h2_identity_terms,
     h2_squared_direct,
     k0_constant,
@@ -75,6 +78,30 @@ def test_lower_bound_scaling_and_dominance(rng):
     for _ in range(5):
         pm = pair_metrics(f, random_density(rng, n=1024, degree=8))
         assert pm.lower_bound <= pm.terms.total + 1e-9
+
+
+@pytest.mark.parametrize("n", [8, 256, 4096])
+def test_block_record_rows_equal_single_pairs(rng, n):
+    """Row j of a B-pair record holds exactly (==) the floats of the B = 1
+    record of pair j, field by field."""
+    fs = [random_density(rng, n=n, degree=3) for _ in range(5)]
+    gs = [random_density(rng, n=n, degree=3) for _ in range(5)]
+    gs[2] = GridFunction(n, 1.5 * fs[2].values)
+    block = PairMetrics(np.array([f.values for f in fs]),
+                        np.array([g.values for g in gs]))
+    for j, (f, g) in enumerate(zip(fs, gs)):
+        one = pair_metrics(f, g)
+        assert np.array_equal(one.log_ratio[0], block.log_ratio[j])
+        for name in ("l1_diff", "log_l1_diff", "h2_squared", "lower_bound"):
+            assert getattr(one, name)[0] == getattr(block, name)[j], name
+        for name in ("t1", "t2", "t3", "total"):
+            assert (getattr(one.terms, name)[0]
+                    == getattr(block.terms, name)[j]), name
+        for p in (1, 2, 3.5, np.inf):
+            assert one.f_norm(p)[0] == block.f_norm(p)[j]
+        assert one.h2_squared[0] == h2_squared_direct(f, g)
+        assert one.h2_squared[0] == (h2_distance(
+            factorize_boundary(f), factorize_boundary(g)) ** 2)
 
 
 def test_theorem_2_scaling_closed_form(rng):

@@ -109,8 +109,8 @@ def test_factor_json_pairs_are_the_coefficients(rng):
     a = rng.normal(size=4097) + 1j * rng.normal(size=4097)
     a[3] = complex(-0.0, 0.0)
     fac = SpectralFactor(a, floor_applied=0.5, neg_energy=1e-20)
-    want = {"coeffs": {str(k): [c.real, c.imag] for k, c in enumerate(fac.coeffs)},
-            "floor": 0.5, "neg_energy": 1e-20}
+    want = {"floor": 0.5, "neg_energy": 1e-20,
+            "a": [[c.real, c.imag] for c in fac.coeffs]}
     assert json.dumps(fac.to_json_dict()) == json.dumps(want)
 
 

@@ -11,6 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specfact import (
+    NFunction,
+    check_corollary_p,
+    check_identity,
+    check_lemma_l1,
+    check_lemma_orl,
+    check_theorem_2,
+    check_theorem_main,
+    random_density,
+    random_phase,
+)
 from specfact.cli import main
 from specfact.factorization import FR_MAX_DEGREE
 
@@ -250,6 +261,54 @@ def test_sweep_verdicts_pinned(capsys, argv, trials, rhs_first, rhs_last):
     assert [r["pass"] for r in rows] == [True] * trials
     assert rows[0]["rhs"] == pytest.approx(rhs_first, rel=1e-9)
     assert rows[-1]["rhs"] == pytest.approx(rhs_last, rel=1e-9)
+
+
+# the two Phi of the sweep-main benchmark workload; its L log L nodes come
+# from np.log1p, which differs from LLOGL_PHI's math.log1p in a few last bits
+_POWER_PHI = {"kind": "power", "q": 3}
+_BENCH_LLOGL_PHI = {"kind": "density",
+                    "u_grid": [[float(t), float(np.log1p(t))]
+                               for t in np.geomspace(1e-6, 1e6, 49)]}
+
+#: (check, --phi or None, single-pair check on (f, g) or (psi,) and phi)
+_SWEEP_CASES = [
+    ("thm2", None, lambda grids, phi: check_theorem_2(*grids)),
+    ("cor-p", None, lambda grids, phi: check_corollary_p(*grids, 2.0)),
+    ("identity", None, lambda grids, phi: check_identity(*grids)),
+    ("lemma-l1", None, lambda grids, phi: check_lemma_l1(*grids)),
+] + [
+    (check, phi, single)
+    for phi in (_POWER_PHI, _BENCH_LLOGL_PHI)
+    for check, single in (
+        ("main", lambda grids, phi: check_theorem_main(*grids, phi)),
+        ("lemma-orl", lambda grids, phi: check_lemma_orl(*grids, phi)))
+]
+
+
+@pytest.mark.parametrize("check, phi, single", _SWEEP_CASES)
+def test_sweep_blocks_match_single_pair_checks(capsys, check, phi, single):
+    """A sweep, drawn and checked in blocks, prints what the single-pair
+    API gives trial by trial: 1, 7 and 9 trials leave ragged last blocks
+    at n = 4096 and 16384, and fit one block at n = 256."""
+    nf = NFunction.from_json_dict(phi) if phi else None
+    for n in (256, 4096, 16384):
+        for trials in (1, 7, 9):
+            argv = ["bounds", "--check", check, "--sweep", str(trials),
+                    "--n", str(n), "--seed", str(n + trials)]
+            if phi:
+                argv += ["--phi", json.dumps(phi)]
+            code, out, _ = run(capsys, *argv)
+            want, all_pass = [], True
+            for i in range(trials):
+                rng = np.random.default_rng([n + trials, i])
+                grids = ((random_phase(rng, n=n),) if check.startswith("lemma")
+                         else (random_density(rng, n=n),
+                               random_density(rng, n=n)))
+                rep = single(grids, nf)
+                all_pass = all_pass and rep.passed
+                want.append(json.dumps({"trial": i, **rep.to_json_dict()}))
+            assert out.splitlines() == want, (check, n, trials)
+            assert code == (0 if all_pass else 1)
 
 
 def test_counterexample_single(capsys):

@@ -317,6 +317,16 @@ def test_lambda_power_oracle():
             assert lambda_phi(phi, s) == pytest.approx(s ** (1.0 / q), rel=1e-9)
 
 
+def test_lambda_density_at_tiny_and_subnormal_s():
+    """Down to the smallest subnormal s, whose 1/s overflows, the density
+    copy of tau^2/2 matches power(2)'s closed form s^(1/2)."""
+    dens = _power_density_copy(2.0)
+    for s in (1e-300, 1e-308, 1e-310, 5e-324):
+        want = lambda_phi(NFunction.power(2.0), s)
+        assert want == pytest.approx(s ** 0.5, rel=1e-15)
+        assert lambda_phi(dens, s) == pytest.approx(want, rel=1e-9)
+
+
 def test_lambda_monotone_and_vanishing():
     _, dens = _sample_density_functions()
     for phi in (NFunction.power(2.0), dens):

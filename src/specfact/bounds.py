@@ -28,7 +28,7 @@ from .circle_fn import (
     _lp_norms,
 )
 from .errors import ParameterError
-from .factorization import _boundary_factor, _positive_log
+from .factorization import _positive_log, factorize_boundary
 from .orlicz import (
     NFunction,
     k0_constant,
@@ -59,12 +59,14 @@ __all__ = [
 ]
 
 
-#: Sweeps run their trials in blocks whose complex (trials x n) boundary
-#: values take at most this many bytes (at least one trial per block).
-#: 512 KB, 8 trials at n = 4096, measured fastest there on a 2-core VM with
-#: 2 MB of L2 per core: 4 trials ran 10% slower, and 16 ran level but took
-#: 2 MB more memory.  README has the table for n = 256 .. 65536.
-_SWEEP_BLOCK_BYTES = 1 << 19
+#: Sweeps stack their trials in blocks whose (trials x n) densities take at
+#: most this many bytes per side (at least one trial per block), so each
+#: check formula runs once per block.  Every density is still factored on
+#: its own, which leaves the time per trial level in the block size at
+#: n = 4096 (8 KB to 8 MB within 5% on a 2-core VM); at n = 256, 128 KB
+#: (64 trials) ran 8% faster than 8 KB.  512 KB ran no faster and added
+#: 4 MB to the peak RSS of a 100-trial sweep at n = 4096.
+_SWEEP_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,8 @@ class PairMetrics:
     f and g are (B, n) arrays whose row j is pair j; every field holds one
     value per row, so a field is a length-B array (IdentityTerms of such
     arrays for terms) and a single pair is the B = 1 case.  Each field is
-    computed on first access and kept, over the whole block at once: the
+    computed on first access and kept, over the whole block at once, except
+    h2_squared, which factors each density with factorize_boundary: the
     last-axis kernels give row j the same floats for any B.
 
     A check pays only for what its formula reads: the identity terms cost a
@@ -116,9 +119,10 @@ class PairMetrics:
 
     @cached_property
     def h2_squared(self) -> np.ndarray:
-        """||f+ - g+||^2 from the two boundary factorizations."""
-        a = _boundary_factor(self.f)[0]
-        b = _boundary_factor(self.g)[0]
+        """||f+ - g+||^2 from factorize_boundary of each density."""
+        n = self.f.shape[-1]
+        a, b = (np.array([factorize_boundary(GridFunction(n, v)).coeffs
+                          for v in side]) for side in (self.f, self.g))
         dist = np.sqrt(2.0 * np.pi * np.sum(np.abs(a - b) ** 2, axis=-1))
         # Python's float ** 2, the rounding of h2_distance(a, b) ** 2
         return np.array([d ** 2 for d in dist.tolist()])
@@ -369,33 +373,25 @@ def dip_schedule(f: GridFunction, ks, depth: float = 0.999,
     return out
 
 
-def _phase_draw(rng: np.random.Generator, degree: int):
-    """One random_phase draw: the cosine and sine coefficients."""
+def _phase_samples(rng: np.random.Generator, n: int,
+                   degree: int) -> np.ndarray:
+    """Samples of one random_phase draw before scaling."""
     d = int(rng.integers(1, degree + 1))
-    return rng.uniform(-1.0, 1.0, d + 1), rng.uniform(-1.0, 1.0, d)
-
-
-def _phase_spectra(draws, n: int) -> np.ndarray:
-    """rfft bins of the phases, one row per (a, b) draw.
-
-    a_k cos(k theta_j) + b_k sin(k theta_j) = Re[z_k e^{2 pi i m j / n}]
-    with z_k = (-1)^k (a_k - i b_k) and m = k mod n (theta_0 = -pi), so
-    one inverse real FFT sums the series; a term with m > n/2 enters bin
-    n - m conjugated, and bins 0 and n/2 carry only the real part.  All
-    draws are assembled by the same elementwise operations at once.
-    """
-    a = np.concatenate([a for a, _ in draws])
-    b = np.concatenate([x for _, b in draws for x in ((0.0,), b)])
-    k = np.concatenate([np.arange(len(a)) for a, _ in draws])
-    row = np.repeat(np.arange(len(draws)), [len(a) for a, _ in draws])
-    z = np.where(k % 2 == 0, 1.0, -1.0) * (a - 1j * b)
+    a = rng.uniform(-1.0, 1.0, d + 1)
+    b = rng.uniform(-1.0, 1.0, d)
+    # a_k cos(k theta_j) + b_k sin(k theta_j) = Re[z_k e^{2 pi i m j / n}]
+    # with z_k = (-1)^k (a_k - i b_k) and m = k mod n (theta_0 = -pi), so
+    # one inverse real FFT sums the series; a term with m > n/2 enters bin
+    # n - m conjugated, and bins 0 and n/2 carry only the real part
+    k = np.arange(d + 1)
+    z = np.where(k % 2 == 0, 1.0, -1.0) * (a - 1j * np.concatenate(([0.0], b)))
     m = k % n
     z = np.where(m > n // 2, np.conj(z), z)
     m = np.minimum(m, n - m)
     edge = (m == 0) | (2 * m == n)
-    spec = np.zeros((len(draws), n // 2 + 1), dtype=np.complex128)
-    np.add.at(spec, (row, m), np.where(edge, n * z.real, 0.5 * n * z))
-    return spec
+    spec = np.zeros(n // 2 + 1, dtype=np.complex128)
+    np.add.at(spec, m, np.where(edge, n * z.real, 0.5 * n * z))
+    return np.fft.irfft(spec, n)
 
 
 def random_phase(rng: np.random.Generator, n: int = 4096,
@@ -407,39 +403,34 @@ def random_phase(rng: np.random.Generator, n: int = 4096,
     phases; its exponential is the density distribution.
     """
     n = _check_grid_size(n)
-    spec = _phase_spectra([_phase_draw(rng, degree)], n)[0]
-    return GridFunction(n, scale * np.fft.irfft(spec, n))
+    return GridFunction(n, scale * _phase_samples(rng, n, degree))
 
 
 def random_density(rng: np.random.Generator, n: int = 4096,
                    degree: int = 16, scale: float = 1.0) -> GridFunction:
     """exp of a random_phase draw: positive, smooth, with integrable log."""
-    w = random_phase(rng, n=n, degree=degree, scale=scale)
-    return GridFunction(n, np.exp(w.values))
+    n = _check_grid_size(n)
+    return GridFunction(n, np.exp(scale * _phase_samples(rng, n, degree)))
 
 
 def _sweep_blocks(seed: int, trials: int, n: int, degree: int, pairs: bool):
-    """A sweep's inputs, drawn and yielded block by block.
+    """A sweep's inputs, drawn trial by trial and yielded block by block.
 
-    Trial i seeds default_rng([seed, i]) and draws f then g (pairs) or psi
-    exactly as random_density and random_phase draw them; a block of
-    trials then takes one inverse FFT (and one exp) over all its spectra.
+    Trial i seeds default_rng([seed, i]) and draws f then g with
+    random_density (pairs) or psi with random_phase; a block of trials is
+    stacked into one record, so each check's formula runs once per block.
     Yields a PairMetrics per block of pairs, or a (B, n) array of phases.
     """
     n = _check_grid_size(n)
-    size = max(1, _SWEEP_BLOCK_BYTES // (16 * n))
+    size = max(1, _SWEEP_BLOCK_BYTES // (8 * n))
     for start in range(0, trials, size):
-        block = range(start, min(trials, start + size))
-        sides = ([], []) if pairs else ([],)
-        for i in block:
-            rng = np.random.default_rng([seed, i])
-            for side in sides:
-                side.append(_phase_draw(rng, degree))
-        phases = np.fft.irfft(_phase_spectra(sum(sides, []), n), n)
+        rngs = [np.random.default_rng([seed, i])
+                for i in range(start, min(trials, start + size))]
         if not pairs:
-            yield phases
+            yield np.array([random_phase(rng, n=n, degree=degree).values
+                            for rng in rngs])
             continue
-        densities = np.exp(phases, out=phases)
-        if not np.all(np.isfinite(densities)):
-            raise ParameterError("grid samples must be finite")
-        yield PairMetrics(*densities.reshape(2, len(block), n))
+        draws = [(random_density(rng, n=n, degree=degree),
+                  random_density(rng, n=n, degree=degree)) for rng in rngs]
+        yield PairMetrics(np.array([f.values for f, _ in draws]),
+                          np.array([g.values for _, g in draws]))

@@ -87,43 +87,27 @@ def factorize_boundary(f: GridFunction,
     result; for smooth positive f it is at roundoff level, and a large value
     flags a density the grid cannot resolve.
     """
-    coeffs, neg_energy = _boundary_factor(f.values, floor)
-    return SpectralFactor(coeffs, floor_applied=floor,
-                          neg_energy=float(neg_energy))
-
-
-def _boundary_factor(v: np.ndarray, floor: float | None = None):
-    """factorize_boundary of every row of v along the last axis.
-
-    Returns the coefficients, shape (..., n/2), and the negative-frequency
-    energy share of each row.  Batched FFTs, exp and last-axis sums give a
-    row of a block the same floats as a 1-d call.
-    """
-    logf = _positive_log(v, floor)
-    n = logf.shape[-1]
-    # updated in place where the values allow: a block's temporaries add up
+    logf = _positive_log(f.values, floor)
+    n = f.n
+    # the boundary values, updated in place
     F = 0.5j * _conjugate(logf)
     F += 0.5 * logf
     F = np.fft.fft(np.exp(F, out=F))
     F /= n
-    ks = np.arange(n // 2)
-    sign = np.where(ks % 2 == 0, 1.0, -1.0)
-    coeffs = sign * F[..., : n // 2]
+    sign = np.ones(n // 2)
+    sign[1::2] = -1.0
+    coeffs = sign * F[: n // 2]
     power = np.abs(F)
     power *= power
-    total = np.sum(power, axis=-1)
-    neg = np.sum(power[..., n // 2:], axis=-1)
-    a0 = coeffs[..., :1]
-    if np.any(a0 == 0):
+    total = float(np.sum(power))
+    neg = float(np.sum(power[n // 2:]))
+    a0 = coeffs[0]
+    if a0 == 0:
         raise NumericalConditioningError("no positive value at the origin")
-    # |a0| and the rotation per row in scalar arithmetic: the vectorized
-    # complex abs can differ from it in the last bit
-    mod = np.array([abs(z) for z in a0.ravel()]).reshape(a0.shape)
-    rot = np.array([z.conjugate() / m for z, m in zip(a0.ravel(), mod.ravel())])
-    coeffs *= rot.reshape(a0.shape)
-    coeffs[..., :1] = mod
-    share = np.divide(neg, total, out=np.zeros_like(neg), where=total > 0)
-    return coeffs, share
+    coeffs *= a0.conjugate() / abs(a0)
+    coeffs[0] = abs(a0)
+    return SpectralFactor(coeffs, floor_applied=floor,
+                          neg_energy=neg / total if total > 0 else 0.0)
 
 
 def factorize_herglotz(f: GridFunction, points, r_max: float = 0.95,

@@ -289,7 +289,8 @@ _SWEEP_CASES = [
 def test_sweep_blocks_match_single_pair_checks(capsys, check, phi, single):
     """A sweep, drawn and checked in blocks, prints what the single-pair
     API gives trial by trial: 1, 7 and 9 trials leave ragged last blocks
-    at n = 4096 and 16384, and fit one block at n = 256."""
+    at n = 4096, run one trial per block at n = 16384, and fit one block at
+    n = 256."""
     nf = NFunction.from_json_dict(phi) if phi else None
     for n in (256, 4096, 16384):
         for trials in (1, 7, 9):

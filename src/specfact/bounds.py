@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +51,8 @@ __all__ = [
     "check_theorem_main",
     "check_lemma_orl",
     "check_lemma_l1",
+    "Check",
+    "CHECKS",
     "constant_c_p",
     "constant_c_inf",
     "convergence_demo",
@@ -67,6 +70,10 @@ __all__ = [
 #: (64 trials) ran 8% faster than 8 KB.  512 KB ran no faster and added
 #: 4 MB to the peak RSS of a 100-trial sweep at n = 4096.
 _SWEEP_BLOCK_BYTES = 1 << 17
+
+#: Relative pass tolerances of the bound checks, identity's on its own.
+_TOL = 1e-9
+_IDENTITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,7 @@ def _rows(*fields):
     return zip(*(x.tolist() for x in fields))
 
 
-def _identity(pm: PairMetrics, tol: float = 1e-6) -> list[BoundReport]:
+def _identity(pm: PairMetrics) -> list[BoundReport]:
     """Expansion sum against the directly computed squared H2 distance."""
     terms = pm.terms
     out = []
@@ -191,15 +198,15 @@ def _identity(pm: PairMetrics, tol: float = 1e-6) -> list[BoundReport]:
                                     pm.h2_squared):
         total = t1 + t2 + t3
         gap = abs(total - direct)
-        allow = tol * (1.0 + abs(direct))
+        allow = _IDENTITY_TOL * (1.0 + abs(direct))
         out.append(bound_report("identity", gap, 0.0, tol=0.0, atol=allow,
                                 details={"t1": t1, "t2": t2, "t3": t3,
                                          "sum": total, "h2_squared": direct,
-                                         "rel_tol": tol}))
+                                         "rel_tol": _IDENTITY_TOL}))
     return out
 
 
-def _theorem_2(pm: PairMetrics, tol: float = 1e-9) -> list[BoundReport]:
+def _theorem_2(pm: PairMetrics) -> list[BoundReport]:
     """||f+ - g+||^2 <= 2 ||f - g||_1 + 2.5 ||f||_inf ||log f - log g||_1."""
     two_k0 = 2.0 * k0_constant()
     out = []
@@ -208,8 +215,8 @@ def _theorem_2(pm: PairMetrics, tol: float = 1e-9) -> list[BoundReport]:
                                             pm.f_norm(np.inf)):
         rhs = 2.0 * l1diff + 2.5 * peak * logdiff
         rhs_sharp = 2.0 * l1diff + two_k0 * peak * logdiff
-        pass_sharp = lhs <= rhs_sharp * (1.0 + tol) + 1e-12
-        rep = bound_report("thm2", lhs, rhs, tol=tol, atol=1e-12,
+        pass_sharp = lhs <= rhs_sharp * (1.0 + _TOL) + 1e-12
+        rep = bound_report("thm2", lhs, rhs, tol=_TOL, atol=1e-12,
                            details={"l1_diff": l1diff, "log_l1_diff": logdiff,
                                     "sup_f": peak, "rhs_sharp": rhs_sharp,
                                     "pass_sharp": pass_sharp,
@@ -218,8 +225,7 @@ def _theorem_2(pm: PairMetrics, tol: float = 1e-9) -> list[BoundReport]:
     return out
 
 
-def _corollary_p(pm: PairMetrics, p: float,
-                 tol: float = 1e-9) -> list[BoundReport]:
+def _corollary_p(pm: PairMetrics, p: float) -> list[BoundReport]:
     """||f+ - g+||^2 <= 2 ||f-g||_1 + C(p) ||f||_p ||log f - log g||_1^(1-1/p)."""
     lhs = pm.h2_squared  # first: a nonpositive density outranks a bad p
     cp = constant_c_p(p)
@@ -227,14 +233,13 @@ def _corollary_p(pm: PairMetrics, p: float,
     for lhs, l1diff, logdiff, norm_p in _rows(lhs, pm.l1_diff,
                                               pm.log_l1_diff, pm.f_norm(p)):
         rhs = 2.0 * l1diff + cp * norm_p * logdiff ** ((p - 1.0) / p)
-        out.append(bound_report("cor-p", lhs, rhs, tol=tol, atol=1e-12,
+        out.append(bound_report("cor-p", lhs, rhs, tol=_TOL, atol=1e-12,
                                 details={"p": p, "C_p": cp, "l1_diff": l1diff,
                                          "log_l1_diff": logdiff}))
     return out
 
 
-def _theorem_main(pm: PairMetrics, phi: NFunction,
-                  tol: float = 1e-9) -> list[BoundReport]:
+def _theorem_main(pm: PairMetrics, phi: NFunction) -> list[BoundReport]:
     """The Orlicz-space master bound, finished row by row."""
     out = []
     for f, (lhs, l1diff, logdiff) in zip(pm.f, _rows(
@@ -243,7 +248,7 @@ def _theorem_main(pm: PairMetrics, phi: NFunction,
         s = 0.5 * k0_constant() * logdiff
         lam = lambda_phi(phi, s) if s > 0.0 else 0.0
         rhs = 2.0 * l1diff + 4.0 * norm_f * lam
-        out.append(bound_report("main", lhs, rhs, tol=tol, atol=1e-12,
+        out.append(bound_report("main", lhs, rhs, tol=_TOL, atol=1e-12,
                                 details={"l1_diff": l1diff,
                                          "log_l1_diff": logdiff,
                                          "orlicz_norm_f": norm_f,
@@ -251,8 +256,7 @@ def _theorem_main(pm: PairMetrics, phi: NFunction,
     return out
 
 
-def _lemma_orl(psi: np.ndarray, phi: NFunction,
-               tol: float = 1e-9) -> list[BoundReport]:
+def _lemma_orl(psi: np.ndarray, phi: NFunction) -> list[BoundReport]:
     """||1 - cos(psi~)||_(Phi) <= 2 Lambda_Phi(K0 ||psi||_1) per row of psi."""
     defect = 1.0 - np.cos(_conjugate(psi))
     out = []
@@ -260,18 +264,18 @@ def _lemma_orl(psi: np.ndarray, phi: NFunction,
         lhs = luxemburg_norm(GridFunction(len(d), d), phi)
         s = k0_constant() * psi_l1
         rhs = 2.0 * lambda_phi(phi, s) if s > 0.0 else 0.0
-        out.append(bound_report("lemma-orl", lhs, rhs, tol=tol, atol=1e-12,
+        out.append(bound_report("lemma-orl", lhs, rhs, tol=_TOL, atol=1e-12,
                                 details={"s": s}))
     return out
 
 
-def _lemma_l1(psi: np.ndarray, tol: float = 1e-9) -> list[BoundReport]:
+def _lemma_l1(psi: np.ndarray) -> list[BoundReport]:
     """||1 - cos(psi~)||_1 <= 2 K0 ||psi||_1 per row of psi."""
     defect = 1.0 - np.cos(_conjugate(psi))
     out = []
     for lhs, psi_l1 in _rows(_lp_norms(defect, 1), _lp_norms(psi, 1)):
         rhs = 2.0 * k0_constant() * psi_l1
-        out.append(bound_report("lemma-l1", lhs, rhs, tol=tol, atol=1e-12,
+        out.append(bound_report("lemma-l1", lhs, rhs, tol=_TOL, atol=1e-12,
                                 details={"psi_l1": psi_l1}))
     return out
 
@@ -283,20 +287,43 @@ def _psi_rows(psi: GridFunction) -> np.ndarray:
     return psi.values[None]
 
 
-def check_identity(f: GridFunction, g: GridFunction,
-                   tol: float = 1e-6) -> BoundReport:
+class Check(NamedTuple):
+    """A check's inputs, f g (read as a PairMetrics) or psi (read as a
+    (B, n) block), the option ("p" or "phi") its formula takes after the
+    record, and the formula, which gives one BoundReport per row."""
+
+    inputs: tuple[str, ...]
+    option: str | None
+    formula: Callable[..., list[BoundReport]]
+
+    def record(self, *grids: GridFunction):
+        """The one-row record of explicit inputs."""
+        return pair_metrics(*grids) if len(grids) == 2 else _psi_rows(*grids)
+
+
+#: Every check the command line offers, by name.
+CHECKS = {
+    "thm2": Check(("f", "g"), None, _theorem_2),
+    "cor-p": Check(("f", "g"), "p", _corollary_p),
+    "main": Check(("f", "g"), "phi", _theorem_main),
+    "identity": Check(("f", "g"), None, _identity),
+    "lemma-orl": Check(("psi",), "phi", _lemma_orl),
+    "lemma-l1": Check(("psi",), None, _lemma_l1),
+}
+
+
+def check_identity(f: GridFunction, g: GridFunction) -> BoundReport:
     """Expansion sum against the directly computed squared H2 distance."""
-    return _identity(pair_metrics(f, g), tol)[0]
+    return _identity(pair_metrics(f, g))[0]
 
 
-def check_theorem_2(f: GridFunction, g: GridFunction,
-                    tol: float = 1e-9) -> BoundReport:
+def check_theorem_2(f: GridFunction, g: GridFunction) -> BoundReport:
     """||f+ - g+||^2 <= 2 ||f - g||_1 + 2.5 ||f||_inf ||log f - log g||_1.
 
     The headline right side uses the round constant 2.5; the sharper value
     2*K0 is reported alongside and both must hold for the check to pass.
     """
-    return _theorem_2(pair_metrics(f, g), tol)[0]
+    return _theorem_2(pair_metrics(f, g))[0]
 
 
 def constant_c_p(p: float) -> float:
@@ -314,31 +341,30 @@ def constant_c_inf() -> float:
     return 2.0 * k0_constant()
 
 
-def check_corollary_p(f: GridFunction, g: GridFunction, p: float,
-                      tol: float = 1e-9) -> BoundReport:
+def check_corollary_p(f: GridFunction, g: GridFunction,
+                      p: float) -> BoundReport:
     """||f+ - g+||^2 <= 2 ||f-g||_1 + C(p) ||f||_p ||log f - log g||_1^(1-1/p)."""
-    return _corollary_p(pair_metrics(f, g), p, tol)[0]
+    return _corollary_p(pair_metrics(f, g), p)[0]
 
 
-def check_theorem_main(f: GridFunction, g: GridFunction, phi: NFunction,
-                       tol: float = 1e-9) -> BoundReport:
+def check_theorem_main(f: GridFunction, g: GridFunction,
+                       phi: NFunction) -> BoundReport:
     """The Orlicz-space master bound.
 
     ||f+ - g+||^2 <= 2 ||f-g||_1 + 4 ||f||_Psi Lambda_Phi((K0/2) ||log f - log g||_1)
     with Psi the complement of Phi and ||.||_Psi the Orlicz (Amemiya) norm.
     """
-    return _theorem_main(pair_metrics(f, g), phi, tol)[0]
+    return _theorem_main(pair_metrics(f, g), phi)[0]
 
 
-def check_lemma_orl(psi: GridFunction, phi: NFunction,
-                    tol: float = 1e-9) -> BoundReport:
+def check_lemma_orl(psi: GridFunction, phi: NFunction) -> BoundReport:
     """||1 - cos(psi~)||_(Phi) <= 2 Lambda_Phi(K0 ||psi||_1)."""
-    return _lemma_orl(_psi_rows(psi), phi, tol)[0]
+    return _lemma_orl(_psi_rows(psi), phi)[0]
 
 
-def check_lemma_l1(psi: GridFunction, tol: float = 1e-9) -> BoundReport:
+def check_lemma_l1(psi: GridFunction) -> BoundReport:
     """||1 - cos(psi~)||_1 <= 2 K0 ||psi||_1."""
-    return _lemma_l1(_psi_rows(psi), tol)[0]
+    return _lemma_l1(_psi_rows(psi))[0]
 
 
 def convergence_demo(f: GridFunction, perturbations) -> list[tuple[float, float, float]]:

@@ -22,19 +22,7 @@ import sys
 
 import numpy as np
 
-from .bounds import (
-    _corollary_p,
-    _identity,
-    _lemma_l1,
-    _lemma_orl,
-    _psi_rows,
-    _sweep_blocks,
-    _theorem_2,
-    _theorem_main,
-    constant_c_inf,
-    constant_c_p,
-    pair_metrics,
-)
+from .bounds import CHECKS, _sweep_blocks, constant_c_inf, constant_c_p
 from .circle_fn import (
     FourierSeries,
     GridFunction,
@@ -62,10 +50,6 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
-
-_PAIR_CHECKS = ("thm2", "cor-p", "main", "identity")
-_PSI_CHECKS = ("lemma-orl", "lemma-l1")
-_PHI_CHECKS = ("main", "lemma-orl")
 
 
 def _read_text(path: str) -> str:
@@ -132,30 +116,16 @@ def cmd_factorize(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _run_check(check: str, args, phi: NFunction | None, record):
-    """One check's reports over a record: a (B, n) psi block for the lemmas,
-    a PairMetrics otherwise."""
-    if check == "thm2":
-        return _theorem_2(record)
-    if check == "cor-p":
-        return _corollary_p(record, args.p)
-    if check == "main":
-        return _theorem_main(record, phi)
-    if check == "identity":
-        return _identity(record)
-    if check == "lemma-orl":
-        return _lemma_orl(record, phi)
-    return _lemma_l1(record)
-
-
 def cmd_bounds(args) -> int:
     if args.degree < 1:
         raise ParameterError(f"--degree must be >= 1, got {args.degree}")
-    check = args.check
-    # parsed once per command; trials share it and its cached complement
-    phi = (NFunction.from_json_dict(json.loads(args.phi))
-           if check in _PHI_CHECKS else None)
-    if args.sweep is not None:
+    check = CHECKS[args.check]
+    extra = [getattr(args, check.option)] if check.option else []
+    if check.option == "phi":
+        # parsed once per command; trials share it and its cached complement
+        extra = [NFunction.from_json_dict(json.loads(args.phi))]
+    sweep = args.sweep is not None
+    if sweep:
         if args.f is not None or args.g is not None:
             raise ParameterError("--sweep and explicit inputs are exclusive")
         if args.sweep < 1:
@@ -164,28 +134,26 @@ def cmd_bounds(args) -> int:
             raise ParameterError(
                 f"--degree {args.degree} is not resolved on --n {args.n} "
                 f"samples: sweeps need --degree < --n / 2")
-        reports = []
-        for record in _sweep_blocks(args.seed, args.sweep, args.n,
-                                    args.degree, check not in _PSI_CHECKS):
-            reports += _run_check(check, args, phi, record)
-        for i, rep in enumerate(reports):
-            _emit({"trial": i, **rep.to_json_dict()})
-        n_pass = sum(r.passed for r in reports)
-        print(f"{n_pass}/{len(reports)} trials passed", file=sys.stderr)
-        return EXIT_PASS if n_pass == len(reports) else EXIT_FAIL
-
-    if check in _PSI_CHECKS:
-        if args.f is None:
-            raise ParameterError(f"--check {check} needs one input (psi)")
-        record = _psi_rows(_as_grid(_load_any(args.f), args.n, "psi"))
+        records = _sweep_blocks(args.seed, args.sweep, args.n, args.degree,
+                                len(check.inputs) == 2)
     else:
-        if args.f is None or args.g is None:
-            raise ParameterError(f"--check {check} needs two inputs (f, g)")
-        record = pair_metrics(_as_grid(_load_any(args.f), args.n, "f"),
-                              _as_grid(_load_any(args.g), args.n, "g"))
-    (rep,) = _run_check(check, args, phi, record)
-    _emit(rep.to_json_dict())
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+        paths = (args.f, args.g)[:len(check.inputs)]
+        if None in paths:
+            count = "one input" if len(paths) == 1 else "two inputs"
+            raise ParameterError(f"--check {args.check} needs {count} "
+                                 f"({', '.join(check.inputs)})")
+        records = [check.record(*(
+            _as_grid(_load_any(path), args.n, name)
+            for path, name in zip(paths, check.inputs)))]
+    reports = [rep for record in records
+               for rep in check.formula(record, *extra)]
+    for i, rep in enumerate(reports):
+        _emit({"trial": i, **rep.to_json_dict()} if sweep
+              else rep.to_json_dict())
+    n_pass = sum(r.passed for r in reports)
+    if sweep:
+        print(f"{n_pass}/{len(reports)} trials passed", file=sys.stderr)
+    return EXIT_PASS if n_pass == len(reports) else EXIT_FAIL
 
 
 def cmd_counterexample(args) -> int:
@@ -215,6 +183,12 @@ def cmd_constants(_args) -> int:
     return EXIT_PASS
 
 
+def _reading(option: str) -> str:
+    """Names of the checks whose formula takes --option, for help texts."""
+    return " / ".join(name for name, check in CHECKS.items()
+                      if check.option == option)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specfact",
@@ -242,12 +216,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="density f (or psi for lemma checks)")
     p_bnd.add_argument("g", nargs="?", default=None,
                        help="density g (pair checks only)")
-    p_bnd.add_argument("--check", required=True,
-                       choices=_PAIR_CHECKS + _PSI_CHECKS)
+    p_bnd.add_argument("--check", required=True, choices=tuple(CHECKS))
     p_bnd.add_argument("--p", type=float, default=2.0,
-                       help="exponent for --check cor-p")
+                       help=f"exponent for --check {_reading('p')}")
     p_bnd.add_argument("--phi", default='{"kind": "power", "q": 2}',
-                       help="N-function JSON for --check main / lemma-orl")
+                       help=f"N-function JSON for --check {_reading('phi')}")
     p_bnd.add_argument("--sweep", type=int, default=None,
                        help="run N random trials instead of reading inputs")
     p_bnd.add_argument("--seed", type=int, default=0,

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bounds import pair_metrics
 from .circle_fn import CONJUGATE_ARC_SIGN, GridFunction, grid_theta
@@ -167,6 +166,7 @@ def _bump_quadratures(fam: CounterexampleFamily, step_eps: float):
     The weight w(s) = e^{-s} / (1 + e^{-2(u* + s)}) is the exact angular
     measure rescaled by e^{u*}/2, so the ratio carries no large factors.
     """
+    from scipy.integrate import quad
     u0 = fam.bump_center_u
     du = fam.bump_halfwidth_u
     beta = step_eps / (2.0 * math.pi)
@@ -380,8 +380,7 @@ def grid_realization(fam: CounterexampleFamily, n_pts: int,
 
 
 def cross_validate_pipeline(eps: float, du: float = 0.5,
-                            n_pts: int = 16384,
-                            tol: float = 0.02) -> BoundReport:
+                            n_pts: int = 16384) -> BoundReport:
     """Closed-form pipeline against direct grid factorization, at moderate eps.
 
     At moderate eps the bump sits at u* = 2 pi^2 / eps <= 12, close enough
@@ -389,8 +388,9 @@ def cross_validate_pipeline(eps: float, du: float = 0.5,
     by this module's closed forms and by factorize_boundary plus the
     H2 identity terms on the sampled realization.  Uses the plus-one
     variant (the floored weights need eps < 2).  Passes iff all metric
-    pairs agree to the stated relative tolerance.
+    pairs agree to the relative tolerance tol = 0.02.
     """
+    tol = 0.02
     eps = float(eps)
     u_star = 2.0 * math.pi ** 2 / eps
     if u_star > 12.0:

@@ -210,7 +210,7 @@ def _validation_grid(degree: int) -> int:
     return m
 
 
-def fejer_riesz(series, tol_circle: float = TOL_CIRCLE) -> np.ndarray:
+def fejer_riesz(series) -> np.ndarray:
     """Factor a nonnegative trig polynomial as |sum_k a_k e^{i k theta}|^2.
 
     Input: Hermitian coefficients c_{-N} .. c_N (FourierSeries or mapping).
@@ -256,9 +256,9 @@ def fejer_riesz(series, tol_circle: float = TOL_CIRCLE) -> np.ndarray:
     roots = np.roots(q[::-1])
 
     mod = np.abs(roots)
-    outside = roots[mod > 1.0 + tol_circle]
-    inside = roots[mod < 1.0 - tol_circle]
-    on_circle = roots[(mod >= 1.0 - tol_circle) & (mod <= 1.0 + tol_circle)]
+    outside = roots[mod > 1.0 + TOL_CIRCLE]
+    inside = roots[mod < 1.0 - TOL_CIRCLE]
+    on_circle = roots[(mod >= 1.0 - TOL_CIRCLE) & (mod <= 1.0 + TOL_CIRCLE)]
 
     if len(outside) != len(inside):
         raise NumericalConditioningError(
@@ -313,14 +313,14 @@ def _angle_clusters(roots: np.ndarray) -> list[np.ndarray]:
     return [np.asarray(c) for c in clusters]
 
 
-def outer_check(factor: SpectralFactor, f: GridFunction,
-                tol: float = 1e-8) -> BoundReport:
+def outer_check(factor: SpectralFactor, f: GridFunction) -> BoundReport:
     """Mean-value test separating the outer factor from its imposters.
 
     For the outer factor, log f_plus(0) equals the logarithmic mean
     (1/4pi) int log f dtheta; any inner-factor contamination strictly lowers
-    the left side.  Passes iff |lhs - rhs| <= tol * (1 + |rhs|).
+    the left side.  Passes iff |lhs - rhs| <= tol (1 + |rhs|), tol = 1e-8.
     """
+    tol = 1e-8
     logf = _positive_log(f.values, None)
     rhs = float(np.mean(logf)) / 2.0
     a0 = factor.value_at_zero

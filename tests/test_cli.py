@@ -4,13 +4,19 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specfact
 from specfact import (
     NFunction,
     check_corollary_p,
@@ -22,6 +28,7 @@ from specfact import (
     random_density,
     random_phase,
 )
+from specfact.bounds import CHECKS
 from specfact.cli import main
 from specfact.factorization import FR_MAX_DEGREE
 
@@ -147,6 +154,47 @@ def test_bounds_lemma_single_input(tmp_path, capsys):
     assert json.loads(out)["pass"] is True
     # pair checks refuse a single input
     assert run(capsys, "bounds", str(pp), "--check", "cor-p")[0] == 2
+
+
+def test_bounds_check_choices_come_from_the_table(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--check", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "{thm2,cor-p,main,identity,lemma-orl,lemma-l1}" in err
+    assert tuple(CHECKS) == ("thm2", "cor-p", "main", "identity",
+                             "lemma-orl", "lemma-l1")
+
+
+def test_thm2_and_factorize_load_no_scipy(tmp_path):
+    """Importing specfact, a thm2 sweep and a boundary factorization leave
+    scipy unimported: only density-kind Phi and the quadratures need it."""
+    density = tmp_path / "flat.txt"
+    density.write_text("4 4 4 4 4 4 4 4\n")
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        def scipy():
+            return sorted(m for m in sys.modules if m.startswith("scipy"))
+        import specfact
+        loaded = [scipy()]
+        from specfact.cli import main
+        for argv in (["bounds", "--check", "thm2", "--sweep", "2",
+                      "--n", "256"],
+                     ["factorize", sys.argv[1], "--method", "boundary"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            if code != 0:
+                sys.exit(f"{argv} exited {code}")
+            loaded.append(scipy())
+        print(json.dumps(loaded))
+    """)
+    src = Path(specfact.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script, str(density)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], []]
 
 
 def test_bounds_sweep_deterministic(capsys):
@@ -310,6 +358,50 @@ def test_sweep_blocks_match_single_pair_checks(capsys, check, phi, single):
                 want.append(json.dumps({"trial": i, **rep.to_json_dict()}))
             assert out.splitlines() == want, (check, n, trials)
             assert code == (0 if all_pass else 1)
+
+
+_SINGLE_CHECKS = {
+    "thm2": check_theorem_2,
+    "cor-p": check_corollary_p,
+    "main": check_theorem_main,
+    "identity": check_identity,
+    "lemma-orl": check_lemma_orl,
+    "lemma-l1": check_lemma_l1,
+}
+
+#: (check, option argv, the option's value) for every entry of CHECKS
+_EXPLICIT_CASES = [
+    pytest.param(name, argv, value, id=f"{name}{suffix}")
+    for name, check in CHECKS.items()
+    for suffix, argv, value in {
+        None: [("", [], None)],
+        "p": [("-p3", ["--p", "3"], 3.0)],
+        "phi": [(f"-{label}", ["--phi", json.dumps(phi)],
+                 NFunction.from_json_dict(phi))
+                for label, phi in (("power", _POWER_PHI),
+                                   ("llogl", _BENCH_LLOGL_PHI))],
+    }[check.option]
+]
+
+
+@pytest.mark.parametrize("name, argv, value", _EXPLICIT_CASES)
+def test_explicit_inputs_run_each_table_entry(tmp_path, capsys, name, argv,
+                                              value):
+    """Each check on JSON input files prints exactly the report of its
+    single-input API function and exits with its verdict."""
+    rng = np.random.default_rng(5)
+    inputs = CHECKS[name].inputs
+    draw = random_phase if inputs == ("psi",) else random_density
+    grids = [draw(rng, n=256) for _ in inputs]
+    paths = []
+    for label, grid in zip(inputs, grids):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(grid.to_json_dict()))
+        paths.append(str(path))
+    code, out, err = run(capsys, "bounds", *paths, "--check", name, *argv)
+    rep = _SINGLE_CHECKS[name](*grids, *([] if value is None else [value]))
+    assert out == json.dumps(rep.to_json_dict()) + "\n"
+    assert code == (0 if rep.passed else 1) and not err
 
 
 def test_counterexample_single(capsys):

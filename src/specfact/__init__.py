@@ -32,7 +32,6 @@ from .circle_fn import (
     lp_norm,
 )
 from .counterexample import (
-    BUDGET_N_MAX,
     CounterexampleFamily,
     FamilyMetrics,
     build_family,
@@ -47,7 +46,6 @@ from .errors import (
     DomainError,
     NumericalConditioningError,
     ParameterError,
-    PrecisionBudgetError,
     SpecfactError,
 )
 from .factorization import (

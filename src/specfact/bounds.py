@@ -379,18 +379,18 @@ def convergence_demo(f: GridFunction, perturbations) -> list[tuple[float, float,
              float(np.sqrt(pm.h2_squared[0]))) for pm in pairs]
 
 
-def dip_schedule(f: GridFunction, ks, depth: float = 0.999,
-                 sharpness: int = 32) -> list[GridFunction]:
+def dip_schedule(f: GridFunction, ks,
+                 depth: float = 0.999) -> list[GridFunction]:
     """Standard demo schedule f_k = f * (1 - (depth/k) * B), B a smooth bump.
 
-    B = ((1 + cos theta)/2)^sharpness has values in [0, 1], so f_1 dips to
+    B = ((1 + cos theta)/2)^32 has values in [0, 1], so f_1 dips to
     (1 - depth) * f at the bump peak.  The first two metrics decay like 1/k
     while the H2 column starts in the strongly nonlinear near-zero regime,
     which is what makes the demo's decay visible.
     """
     if not 0.0 < depth < 1.0:
         raise ParameterError("depth must be in (0, 1)")
-    bump = ((1.0 + np.cos(f.theta)) / 2.0) ** int(sharpness)
+    bump = ((1.0 + np.cos(f.theta)) / 2.0) ** 32
     out = []
     for k in ks:
         if not k >= 1:
@@ -421,22 +421,22 @@ def _phase_samples(rng: np.random.Generator, n: int,
 
 
 def random_phase(rng: np.random.Generator, n: int = 4096,
-                 degree: int = 16, scale: float = 1.0) -> GridFunction:
+                 degree: int = 16) -> GridFunction:
     """Random real trig polynomial, coefficients uniform in [-1, 1].
 
-    The degree is drawn uniformly from 1..degree and the result is scaled
-    by `scale`.  This is the documented sweep distribution for conjugate
-    phases; its exponential is the density distribution.
+    The degree is drawn uniformly from 1..degree.  This is the documented
+    sweep distribution for conjugate phases; its exponential is the density
+    distribution.
     """
     n = _check_grid_size(n)
-    return GridFunction(n, scale * _phase_samples(rng, n, degree))
+    return GridFunction(n, _phase_samples(rng, n, degree))
 
 
 def random_density(rng: np.random.Generator, n: int = 4096,
-                   degree: int = 16, scale: float = 1.0) -> GridFunction:
+                   degree: int = 16) -> GridFunction:
     """exp of a random_phase draw: positive, smooth, with integrable log."""
     n = _check_grid_size(n)
-    return GridFunction(n, np.exp(scale * _phase_samples(rng, n, degree)))
+    return GridFunction(n, np.exp(_phase_samples(rng, n, degree)))
 
 
 def _sweep_blocks(seed: int, trials: int, n: int, degree: int, pairs: bool):

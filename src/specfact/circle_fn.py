@@ -167,10 +167,10 @@ class FourierSeries:
     def coefficient(self, k: int) -> complex:
         return self.coeffs.get(int(k), 0.0 + 0.0j)
 
-    def is_real_valued(self, tol: float = 1e-12) -> bool:
-        """True when c_{-k} = conj(c_k) holds to tol (relative)."""
+    def is_real_valued(self) -> bool:
+        """True when c_{-k} = conj(c_k) holds to 1e-12 (relative)."""
         scale = max((abs(c) for c in self.coeffs.values()), default=0.0)
-        bound = tol * (1.0 + scale)
+        bound = 1e-12 * (1.0 + scale)
         return all(abs(c - self.coefficient(-k).conjugate()) <= bound
                    for k, c in self.coeffs.items())
 

@@ -6,7 +6,7 @@ Exit codes form the machine-readable contract:
     1  a check ran to completion and failed
     2  input could not be parsed or the arguments are invalid
     3  domain error (nonpositive density, polynomial not nonnegative, ...)
-    4  precision budget exceeded
+       or a verdict the numerics cannot resolve (exit 4 is retired)
 
 Inputs are file paths ("-" for standard input) holding either a grid
 function as JSON {"n": ..., "values": [...]}, a Fourier series as JSON
@@ -34,7 +34,6 @@ from .errors import (
     DomainError,
     NumericalConditioningError,
     ParameterError,
-    PrecisionBudgetError,
     SpecfactError,
 )
 from .factorization import (
@@ -49,7 +48,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
-EXIT_BUDGET = 4
+
+#: values of the check options when the check that reads one omits it
+_OPTION_DEFAULTS = {"p": 2.0, "phi": '{"kind": "power", "q": 2}'}
 
 
 def _read_text(path: str) -> str:
@@ -120,10 +121,17 @@ def cmd_bounds(args) -> int:
     if args.degree < 1:
         raise ParameterError(f"--degree must be >= 1, got {args.degree}")
     check = CHECKS[args.check]
-    extra = [getattr(args, check.option)] if check.option else []
+    extra = []
+    for option, default in _OPTION_DEFAULTS.items():
+        value = getattr(args, option)
+        if option == check.option:
+            extra = [default if value is None else value]
+        elif value is not None:
+            raise ParameterError(
+                f"--check {args.check} does not read --{option}")
     if check.option == "phi":
         # parsed once per command; trials share it and its cached complement
-        extra = [NFunction.from_json_dict(json.loads(args.phi))]
+        extra = [NFunction.from_json_dict(json.loads(extra[0]))]
     sweep = args.sweep is not None
     if sweep:
         if args.f is not None or args.g is not None:
@@ -137,6 +145,9 @@ def cmd_bounds(args) -> int:
         records = _sweep_blocks(args.seed, args.sweep, args.n, args.degree,
                                 len(check.inputs) == 2)
     else:
+        if len(check.inputs) == 1 and args.g is not None:
+            raise ParameterError(f"--check {args.check} reads psi only, "
+                                 f"not also {args.g!r}")
         paths = (args.f, args.g)[:len(check.inputs)]
         if None in paths:
             count = "one input" if len(paths) == 1 else "two inputs"
@@ -217,10 +228,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("g", nargs="?", default=None,
                        help="density g (pair checks only)")
     p_bnd.add_argument("--check", required=True, choices=tuple(CHECKS))
-    p_bnd.add_argument("--p", type=float, default=2.0,
-                       help=f"exponent for --check {_reading('p')}")
-    p_bnd.add_argument("--phi", default='{"kind": "power", "q": 2}',
-                       help=f"N-function JSON for --check {_reading('phi')}")
+    p_bnd.add_argument("--p", type=float, default=None,
+                       help=f"exponent for --check {_reading('p')} "
+                            f"(default {_OPTION_DEFAULTS['p']})")
+    p_bnd.add_argument("--phi", default=None,
+                       help=f"N-function JSON for --check {_reading('phi')} "
+                            f"(default {_OPTION_DEFAULTS['phi']})")
     p_bnd.add_argument("--sweep", type=int, default=None,
                        help="run N random trials instead of reading inputs")
     p_bnd.add_argument("--seed", type=int, default=0,
@@ -254,9 +267,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PrecisionBudgetError as exc:
-        print(f"specfact: precision budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (DomainError, NumericalConditioningError) as exc:
         print(f"specfact: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

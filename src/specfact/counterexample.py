@@ -24,21 +24,17 @@ height, kept in the log domain throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import pair_metrics
 from .circle_fn import CONJUGATE_ARC_SIGN, GridFunction, grid_theta
-from .errors import (
-    NumericalConditioningError,
-    ParameterError,
-    PrecisionBudgetError,
-)
+from .errors import NumericalConditioningError, ParameterError
 from .report import BoundReport
 
 __all__ = [
-    "BUDGET_N_MAX",
     "CounterexampleFamily",
     "FamilyMetrics",
     "build_family",
@@ -48,12 +44,6 @@ __all__ = [
     "cross_validate_pipeline",
     "family_row",
 ]
-
-#: Largest index n the double-precision pipeline supports end-to-end.  The
-#: bump height satisfies log c ~ 4 pi^3 n ~ 124 n, and exp(log c) must stay
-#: below the float64 overflow threshold exp(709.78); n = 5 gives log c ~ 621
-#: while n = 6 gives ~ 745.
-BUDGET_N_MAX = 5
 
 _QUAD_TOL = 1e-13
 
@@ -86,14 +76,13 @@ class CounterexampleFamily:
         hi = math.pi - 2.0 * math.atan(math.exp(-(u0 + du)))
         return lo, hi
 
-    def psi_values(self, theta, step_eps: float | None = None) -> np.ndarray:
-        """Conjugate phase (step_eps/2pi) * log|tan(theta/2)| pointwise.
+    def psi_values(self, theta) -> np.ndarray:
+        """Conjugate phase (eps/2pi) * log|tan(theta/2)| pointwise.
 
         Diverges logarithmically at theta in {0, +-pi}; infinities are
         returned as such.
         """
-        eps = self.eps if step_eps is None else float(step_eps)
-        beta = CONJUGATE_ARC_SIGN * eps / (2.0 * math.pi)
+        beta = CONJUGATE_ARC_SIGN * self.eps / (2.0 * math.pi)
         th = np.asarray(theta, dtype=float)
         with np.errstate(divide="ignore"):
             u = np.log(np.abs(np.tan(th / 2.0)))
@@ -105,7 +94,9 @@ def build_family(n: int | None = None, du: float = 0.1,
                  enforce_bump_phase: bool = True) -> CounterexampleFamily:
     """Construct the family member for index n (or explicit eps).
 
-    Exactly one of n and eps must be given; n >= 1 sets eps = 1/(2 pi n).
+    Exactly one of n and eps must be given; n >= 1 sets eps = 1/(2 pi n),
+    and an n whose bump center 4 pi^3 n leaves the float64 range raises
+    NumericalConditioningError.
     The bump is a unit-mass box on |u - u*| <= du with u* = 2 pi^2 / eps.
     With enforce_bump_phase (the default) the phase error |psi - pi| on the
     bump, which equals beta * du, must stay below 0.1; the pipeline
@@ -121,6 +112,10 @@ def build_family(n: int | None = None, du: float = 0.1,
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ParameterError(f"n must be a positive integer, got {n!r}")
         n = int(n)
+        if n > sys.float_info.max / (4.0 * math.pi ** 3):
+            raise NumericalConditioningError(
+                f"an index of {len(str(n))} digits puts the bump center "
+                f"4 pi^3 n beyond float64")
         eps = 1.0 / (2.0 * math.pi * n)
     else:
         eps = float(eps)
@@ -148,11 +143,12 @@ def build_family(n: int | None = None, du: float = 0.1,
         raise ParameterError("bump must stay inside the arc (u* > du)")
     width = 2.0 * (math.atan(math.exp(-(u_star - du)))
                    - math.atan(math.exp(-(u_star + du))))
-    if width > 0.0:
+    if width >= sys.float_info.min:
         log_height = -math.log(width)
     else:
-        # exp(-u*) underflowed; the tail of atan is below resolution and
-        # the asymptotic form is exact to O(e^{-2 u*})
+        # a subnormal or zero width has lost its digits; the tail of atan
+        # is below resolution and the asymptotic form is exact to
+        # O(e^{-2 u*})
         log_height = u_star - math.log(4.0 * math.sinh(du))
     return CounterexampleFamily(
         eps=eps, variant=variant, bump_center_u=u_star,
@@ -251,11 +247,12 @@ def family_metrics(fam: CounterexampleFamily,
 
     ratio, quad_error = _bump_quadratures(fam, se)
     bump_defect = bump_coeff * ratio
-    m1 = (1.0 - math.exp(-se)) * arc_mass
+    # expm1 keeps every digit of 1 - e^{-se} and 1 - e^{-se/2} as se -> 0
+    m1 = -math.expm1(-se) * arc_mass
     m2 = se * math.pi
-    t1 = (1.0 - math.exp(-se / 2.0)) ** 2 * arc_mass
-    t2 = 2.0 * (math.exp(-se / 2.0) - 1.0) * (
-        bump_defect + floor_density * defect_half_arc)
+    sqrt_h_step = math.expm1(-se / 2.0)  # sqrt(h) - 1 on the arc
+    t1 = sqrt_h_step ** 2 * arc_mass
+    t2 = 2.0 * sqrt_h_step * (bump_defect + floor_density * defect_half_arc)
     t3 = 2.0 * (bump_defect + floor_density * 2.0 * defect_half_arc)
     m3 = t3 - 4.0 * m1
     m4 = t1 + t2 + t3
@@ -286,21 +283,23 @@ def verify_theorem_1(n: int, du: float = 0.1,
     """Check the divergence statement at index n.
 
     Passes iff ||f - g||_1 <= 1/n, ||log f - log g||_1 <= 1/n, and the
-    certified lower bound satisfies sqrt(m3) >= 2 - 1/n.  Indices beyond
-    BUDGET_N_MAX raise PrecisionBudgetError rather than degrade silently.
+    certified lower bound satisfies sqrt(m3) >= 2 - 1/n, at any n.  A margin
+    sqrt(m3) - (2 - 1/n) within the row's budget (correction_bound +
+    quad_error) plus rounding, from about n = 10^13 on, is refused with
+    NumericalConditioningError.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
-    if n > BUDGET_N_MAX:
-        raise PrecisionBudgetError(
-            f"n = {n} exceeds the double-precision budget (n <= {BUDGET_N_MAX}); "
-            f"the bump height exponent {4 * math.pi ** 3 * n:.0f} overflows "
-            f"float64 and needs extended precision")
     fam = build_family(n=n, du=du, variant=variant)
+    n = fam.n
     met = family_metrics(fam)
     target = 2.0 - 1.0 / n
     achieved = math.sqrt(met.m3) if met.m3 > 0.0 else 0.0
+    # a few ulps of the two values near 2 cover the rounding of m3, its
+    # square root and the target
+    unresolved = met.correction_bound + met.quad_error + 4.0 * math.ulp(2.0)
+    if abs(achieved - target) <= unresolved:
+        raise NumericalConditioningError(
+            f"n = {n}: margin {achieved - target:.3g} over 2 - 1/n is within "
+            f"the row's budget plus rounding, {unresolved:.3g}")
     small = 1.0 / n
     passed = (achieved >= target) and (met.m1 <= small) and (met.m2 <= small)
     details = {
@@ -346,9 +345,8 @@ def _overlap_fraction(edges_lo: np.ndarray, edges_hi: np.ndarray,
     return frac / h
 
 
-def grid_realization(fam: CounterexampleFamily, n_pts: int,
-                     step_eps: float | None = None
-                     ) -> tuple[GridFunction, GridFunction]:
+def grid_realization(fam: CounterexampleFamily,
+                     n_pts: int) -> tuple[GridFunction, GridFunction]:
     """Sample the family on the uniform grid as cell averages (f, g).
 
     Cell averaging keeps the grid L1 norms of the box bump and of the step
@@ -356,8 +354,6 @@ def grid_realization(fam: CounterexampleFamily, n_pts: int,
     depend on where the discontinuities fall between samples.  Requires at
     least 32 cells across the bump.
     """
-    se = fam.eps if step_eps is None else float(step_eps)
-    c = math.exp(fam.log_bump_height)
     lo, hi = fam.bump_theta_support
     theta = grid_theta(n_pts)
     h_cell = 2.0 * math.pi / n_pts
@@ -365,6 +361,7 @@ def grid_realization(fam: CounterexampleFamily, n_pts: int,
         raise ParameterError(
             f"bump spans {(hi - lo) / h_cell:.1f} cells on {n_pts} points; "
             f"need at least 32 (raise n_pts or eps)")
+    c = math.exp(fam.log_bump_height)
     edges_lo = theta - h_cell / 2.0
     edges_hi = theta + h_cell / 2.0
     bump = c * _overlap_fraction(edges_lo, edges_hi, lo, hi)
@@ -373,24 +370,25 @@ def grid_realization(fam: CounterexampleFamily, n_pts: int,
     else:
         f_vals = 1.0 + bump
     arc = _overlap_fraction(edges_lo, edges_hi, 0.0, math.pi)
-    h_vals = 1.0 + (math.exp(-se) - 1.0) * arc
+    h_vals = 1.0 + (math.exp(-fam.eps) - 1.0) * arc
     f = GridFunction(n_pts, f_vals)
     g = GridFunction(n_pts, h_vals * f_vals)
     return f, g
 
 
-def cross_validate_pipeline(eps: float, du: float = 0.5,
-                            n_pts: int = 16384) -> BoundReport:
+def cross_validate_pipeline(eps: float, n_pts: int = 16384) -> BoundReport:
     """Closed-form pipeline against direct grid factorization, at moderate eps.
 
     At moderate eps the bump sits at u* = 2 pi^2 / eps <= 12, close enough
     to resolve on a uniform grid, so every metric can be computed twice:
     by this module's closed forms and by factorize_boundary plus the
     H2 identity terms on the sampled realization.  Uses the plus-one
-    variant (the floored weights need eps < 2).  Passes iff all metric
-    pairs agree to the relative tolerance tol = 0.02.
+    variant (the floored weights need eps < 2) with bump halfwidth
+    du = 0.5.  Passes iff all metric pairs agree to the relative tolerance
+    tol = 0.02.
     """
     tol = 0.02
+    du = 0.5
     eps = float(eps)
     u_star = 2.0 * math.pi ** 2 / eps
     if u_star > 12.0:

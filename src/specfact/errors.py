@@ -27,7 +27,3 @@ class AliasingError(ParameterError):
 
 class NumericalConditioningError(SpecfactError, ArithmeticError):
     """A computation could not be completed to its advertised accuracy."""
-
-
-class PrecisionBudgetError(SpecfactError, ValueError):
-    """The request exceeds what double precision supports end to end."""

@@ -141,13 +141,13 @@ class NFunction:
         grid = [[float(a), float(b)] for a, b in zip(t, u)]
         return cls("density", t_nodes=nodes, u_nodes=vals, json_grid=grid)
 
-    def _convexity_spot_check(self, tol: float = 1e-10) -> None:
+    def _convexity_spot_check(self) -> None:
         xs = np.geomspace(self.t_nodes[0], self.t_nodes[-1], 41)
         px = self.phi(xs)
         pm = self.phi(0.5 * (xs[:-1] + xs[1:]))
         gap = pm - 0.5 * (px[:-1] + px[1:])
         scale = 1.0 + np.abs(px[1:])
-        if np.any(gap > tol * scale):
+        if np.any(gap > 1e-10 * scale):
             raise ParameterError("density does not define a convex Phi")
 
     # -- evaluation ------------------------------------------------------
@@ -329,16 +329,12 @@ def _log_root(g: Callable[[float], float], z0: float, xtol: float,
 
     Widens from z0 by doubling steps within |z| <= _Z_MAX until g changes
     sign between the last two points (NumericalConditioningError(failure)
-    when the range runs out), then solves once with Brent's method to xtol,
-    which must be finite and positive (ParameterError).  Returns the
-    smallest evaluated z with g(z) >= 0: Brent's final bracket puts it
-    within xtol (plus 4 ulps of z) of the crossing.  g is clipped to the
-    finite range so the interpolation steps stay finite.
+    when the range runs out), then solves once with Brent's method to xtol.
+    Returns the smallest evaluated z with g(z) >= 0: Brent's final bracket
+    puts it within xtol (plus 4 ulps of z) of the crossing.  g is clipped
+    to the finite range so the interpolation steps stay finite.
     """
     from scipy.optimize import brentq
-    if not (math.isfinite(xtol) and xtol > 0.0):
-        raise ParameterError(
-            f"solver tolerance must be finite and positive, got {xtol}")
     values: dict[float, float] = {}
 
     def g_at(z: float) -> float:
@@ -360,14 +356,13 @@ def _log_root(g: Callable[[float], float], z0: float, xtol: float,
     return min(x for x, gx in values.items() if gx >= 0.0)
 
 
-def luxemburg_norm(f: GridFunction, phi: NFunction,
-                   rel_tol: float = 1e-10) -> float:
+def luxemburg_norm(f: GridFunction, phi: NFunction) -> float:
     """Luxemburg norm inf{kappa > 0 : int Phi(|f|/kappa) dtheta <= 1}.
 
     For Phi = tau^q/q this is (int |f|^q / q dtheta)^(1/q) in closed form.
     For the density kind, one Brent root-find in log kappa solves
-    int Phi(|f|/kappa) dtheta = 1 to rel_tol (finite and positive); the
-    returned kappa is on the feasible side, where the integral is <= 1.
+    int Phi(|f|/kappa) dtheta = 1 to 1e-10 in log kappa; the returned
+    kappa is on the feasible side, where the integral is <= 1.
     """
     v = np.abs(f.values)
     peak = float(v.max())
@@ -378,12 +373,11 @@ def luxemburg_norm(f: GridFunction, phi: NFunction,
         return _lq_norm(v, peak, phi.q, h) * phi.q ** (-1.0 / phi.q)
     z = _log_root(
         lambda z: 1.0 - _modal_integral(v / (peak * math.exp(z)), phi, h),
-        0.0, rel_tol, "no finite bracket for the Luxemburg norm")
+        0.0, 1e-10, "no finite bracket for the Luxemburg norm")
     return peak * math.exp(z)
 
 
-def orlicz_norm(f: GridFunction, phi: NFunction,
-                rel_tol: float = 1e-8) -> float:
+def orlicz_norm(f: GridFunction, phi: NFunction) -> float:
     """Orlicz norm by Amemiya's formula inf_{k>0} (1 + int Phi(k|f|))/k.
 
     For Phi = tau^q/q the infimum is (q/(q-1))^((q-1)/q) ||f||_q in closed
@@ -393,9 +387,9 @@ def orlicz_norm(f: GridFunction, phi: NFunction,
         Y(k) = int [k|f| Phi'(k|f|) - Phi(k|f|)] dtheta - 1,
 
     whose integrand Phi*(Phi'(k|f|)) is nondecreasing in k.  One bracketed
-    Brent root-find on log k, to rel_tol, locates the minimizer; the
-    objective there is returned, an upper bound on the infimum.  rel_tol
-    must be finite and positive.  Raises NumericalConditioningError when
+    Brent root-find on log k, to 1e-8, locates the minimizer; the
+    objective there is returned, an upper bound on the infimum.  Raises
+    NumericalConditioningError when
     no root lies in the searched range (the infimum is then approached
     only as k -> 0 or k -> inf).
     """
@@ -421,19 +415,19 @@ def orlicz_norm(f: GridFunction, phi: NFunction,
         return float(np.sum(terms)) * h - 1.0
 
     # start where k * mean|f| = 1
-    z = _log_root(young, -math.log(float(np.mean(w))), rel_tol,
+    z = _log_root(young, -math.log(float(np.mean(w))), 1e-8,
                   "no finite bracket for the Amemiya minimizer")
     k = math.exp(z) / peak
     return (1.0 + _modal_integral(k * v, phi, h)) / k
 
 
-def lambda_phi(phi: NFunction, s: float, rel_tol: float = 1e-10) -> float:
+def lambda_phi(phi: NFunction, s: float) -> float:
     """Lambda_Phi(s) = inf{t > 0 : (1/t) Phi'(1/t) <= 1/s} for s > 0.
 
     For Phi = tau^q/q this is s^(1/q) in closed form.  For the density kind,
     one Brent root-find in log t solves rho(1/t) = 1/s, with
-    rho(tau) = tau Phi'(tau), to rel_tol (finite and positive); the returned
-    t is on the feasible side, where rho(1/t) <= 1/s.  At a subnormal s,
+    rho(tau) = tau Phi'(tau), to 1e-10 in log t; the returned t is on the
+    feasible side, where rho(1/t) <= 1/s.  At a subnormal s,
     whose 1/s overflows, the two sides are compared as logs.
     """
     s = float(s)
@@ -449,7 +443,7 @@ def lambda_phi(phi: NFunction, s: float, rel_tol: float = 1e-10) -> float:
     else:
         def g(z: float) -> float:
             return 1.0 / s - phi.rho(1.0 / math.exp(z))
-    z = _log_root(g, 0.0, rel_tol, "lambda_phi bracket expansion failed")
+    z = _log_root(g, 0.0, 1e-10, "lambda_phi bracket expansion failed")
     return math.exp(z)
 
 

@@ -227,6 +227,28 @@ def test_bounds_rejects_degree_below_one(capsys):
     assert "--degree" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--check", "thm2", "--sweep", "2", "--phi", "{bad"], "--phi"),
+    (["--check", "thm2", "--sweep", "2", "--p", "0.5"], "--p"),
+    (["--check", "main", "--sweep", "2", "--p", "3"], "--p"),
+    (["--check", "cor-p", "--sweep", "2", "--phi", "{}"], "--phi"),
+    (["--check", "lemma-l1", "--sweep", "2", "--phi", "{}"], "--phi"),
+    (["--check", "lemma-orl", "--sweep", "2", "--p", "3"], "--p"),
+    (["PSI", "SECOND.json", "--check", "lemma-l1"], "SECOND.json"),
+    (["PSI", "SECOND.json", "--check", "lemma-orl"], "SECOND.json"),
+])
+def test_bounds_refuses_what_the_check_does_not_read(tmp_path, capsys, argv,
+                                                     named):
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps(random_phase(np.random.default_rng(1),
+                                           n=256).to_json_dict()))
+    argv = [str(psi) if a == "PSI" else a for a in argv]
+    code, out, err = run(capsys, "bounds", "--n", "256", *argv)
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and named in lines[0], err
+
+
 def test_bounds_sweep_refuses_unresolved_grid(capsys):
     code, out, err = run(capsys, "bounds", "--check", "thm2", "--n", "8",
                          "--sweep", "3")
@@ -424,9 +446,18 @@ def test_counterexample_sweep_rows(capsys):
 
 
 def test_counterexample_budget_and_usage(capsys):
-    code, _, err = run(capsys, "counterexample", "--n", "50")
-    assert code == 4
-    assert "budget" in err
+    """Every index the margin resolves passes; the rest exit 3 with one
+    stderr line and no row."""
+    for variant in ("floored", "plus-one"):
+        for n in (6, 50, 1000, 10 ** 5, 10 ** 8, 10 ** 12):
+            code, out, _ = run(capsys, "counterexample", "--n", str(n),
+                               "--variant", variant)
+            assert code == 0 and json.loads(out)["pass"] is True, (n, out)
+        for n in (10 ** 14, 10 ** 16, 10 ** 400):
+            code, out, err = run(capsys, "counterexample", "--n", str(n),
+                                 "--variant", variant)
+            assert code == 3 and not out, (n, out)
+            assert len(err.splitlines()) == 1, err
     assert run(capsys, "counterexample")[0] == 2
     assert run(capsys, "counterexample", "--n", "1", "--sweep", "2")[0] == 2
 
@@ -465,6 +496,22 @@ _BOUNDS_ARGV = st.tuples(
     _flag("--p", _EXPONENTS),
     _flag("--seed", st.integers(-2, 2 ** 40)),
 ).map(lambda t: ["bounds", "--check", t[0], *sum(t[1:], [])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=st.tuples(
+    st.one_of(
+        # log-uniform up to 10^400, plus the small and invalid ones
+        st.builds(lambda lead, digits: ["--n", str(lead * 10 ** digits)],
+                  st.integers(1, 9), st.integers(0, 400)),
+        st.integers(-2, 12).map(lambda n: ["--n", str(n)]),
+        st.integers(-1, 20).map(lambda n: ["--sweep", str(n)])),
+    st.sampled_from(["floored", "plus-one"]),
+).map(lambda t: ["counterexample", *t[0], "--variant", t[1]]))
+def test_counterexample_exit_codes_fuzzed(argv):
+    code, err = _exit_code(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
 
 
 @pytest.fixture(scope="module")

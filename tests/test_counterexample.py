@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from specfact import (
-    BUDGET_N_MAX,
+    NumericalConditioningError,
     ParameterError,
-    PrecisionBudgetError,
     build_family,
     cross_validate_pipeline,
     family_metrics,
@@ -47,7 +46,7 @@ def test_sqrt_m3_tables():
 def test_verify_passes_and_trends():
     prev_rhs = 0.0
     prev_m1 = math.inf
-    for n in range(1, BUDGET_N_MAX + 1):
+    for n in (1, 2, 3, 4, 5, 6, 50, 10 ** 3, 10 ** 5, 10 ** 8, 10 ** 12):
         rep = verify_theorem_1(n)
         assert rep.passed, rep
         assert rep.lhs == pytest.approx(2.0 - 1.0 / n, rel=1e-15)
@@ -136,10 +135,26 @@ def test_build_family_validation():
 
 
 def test_budget_refusal():
-    with pytest.raises(PrecisionBudgetError):
-        verify_theorem_1(BUDGET_N_MAX + 1)
+    """n = 10^12 clears its row's budget; from about 10^13 on the margin
+    sqrt(m3) - (2 - 1/n) is within the budget plus rounding and is refused,
+    and so is an index whose bump center leaves the float64 range."""
+    for variant in ("floored", "plus-one"):
+        rep = verify_theorem_1(10 ** 12, variant=variant)
+        d = rep.details
+        assert rep.passed
+        assert rep.slack > d["correction_bound"] + d["quad_error"]
+        for n in (10 ** 14, 10 ** 16, 10 ** 400):
+            with pytest.raises(NumericalConditioningError):
+                verify_theorem_1(n, variant=variant)
     with pytest.raises(ParameterError):
         verify_theorem_1(0)
+
+
+def test_grid_realization_refuses_narrow_bump():
+    """Past n = 5 the bump height overflows float64, but the bump spans far
+    less than one cell, so the cell check refuses it first."""
+    with pytest.raises(ParameterError, match="cells"):
+        grid_realization(build_family(n=6), 1 << 14)
 
 
 def test_cross_validation_validation():

@@ -28,7 +28,6 @@ from .circle_fn import (
     grid_theta,
     h2_distance,
     harmonic_conjugate,
-    integrate,
     lp_norm,
 )
 from .counterexample import (

@@ -27,6 +27,7 @@ from .circle_fn import (
     _check_grid_size,
     _conjugate,
     _lp_norms,
+    h2_distance,
 )
 from .errors import ParameterError
 from .factorization import _positive_log, factorize_boundary
@@ -97,8 +98,9 @@ class PairMetrics:
     value per row, so a field is a length-B array (IdentityTerms of such
     arrays for terms) and a single pair is the B = 1 case.  Each field is
     computed on first access and kept, over the whole block at once, except
-    h2_squared, which factors each density with factorize_boundary: the
-    last-axis kernels give row j the same floats for any B.
+    h2_squared, which factors each density with factorize_boundary and takes
+    h2_distance row by row: the last-axis kernels give row j the same floats
+    for any B.
 
     A check pays only for what its formula reads: the identity terms cost a
     conjugate FFT that Theorem 2, Corollary p and the master bound skip.
@@ -128,11 +130,9 @@ class PairMetrics:
     def h2_squared(self) -> np.ndarray:
         """||f+ - g+||^2 from factorize_boundary of each density."""
         n = self.f.shape[-1]
-        a, b = (np.array([factorize_boundary(GridFunction(n, v)).coeffs
-                          for v in side]) for side in (self.f, self.g))
-        dist = np.sqrt(2.0 * np.pi * np.sum(np.abs(a - b) ** 2, axis=-1))
-        # Python's float ** 2, the rounding of h2_distance(a, b) ** 2
-        return np.array([d ** 2 for d in dist.tolist()])
+        return np.array([h2_distance(factorize_boundary(GridFunction(n, f)),
+                                     factorize_boundary(GridFunction(n, g)))
+                         ** 2 for f, g in zip(self.f, self.g)])
 
     @cached_property
     def terms(self) -> IdentityTerms:
@@ -379,23 +379,20 @@ def convergence_demo(f: GridFunction, perturbations) -> list[tuple[float, float,
              float(np.sqrt(pm.h2_squared[0]))) for pm in pairs]
 
 
-def dip_schedule(f: GridFunction, ks,
-                 depth: float = 0.999) -> list[GridFunction]:
-    """Standard demo schedule f_k = f * (1 - (depth/k) * B), B a smooth bump.
+def dip_schedule(f: GridFunction, ks) -> list[GridFunction]:
+    """Standard demo schedule f_k = f * (1 - (0.999/k) * B), B a smooth bump.
 
     B = ((1 + cos theta)/2)^32 has values in [0, 1], so f_1 dips to
-    (1 - depth) * f at the bump peak.  The first two metrics decay like 1/k
+    0.001 * f at the bump peak.  The first two metrics decay like 1/k
     while the H2 column starts in the strongly nonlinear near-zero regime,
     which is what makes the demo's decay visible.
     """
-    if not 0.0 < depth < 1.0:
-        raise ParameterError("depth must be in (0, 1)")
     bump = ((1.0 + np.cos(f.theta)) / 2.0) ** 32
     out = []
     for k in ks:
         if not k >= 1:
             raise ParameterError("schedule indices must be >= 1")
-        out.append(GridFunction(f.n, f.values * (1.0 - (depth / k) * bump)))
+        out.append(GridFunction(f.n, f.values * (1.0 - (0.999 / k) * bump)))
     return out
 
 

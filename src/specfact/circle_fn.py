@@ -34,7 +34,6 @@ __all__ = [
     "FourierSeries",
     "SpectralFactor",
     "grid_theta",
-    "integrate",
     "lp_norm",
     "fourier_synthesize",
     "harmonic_conjugate",
@@ -68,9 +67,8 @@ def grid_theta(n: int) -> np.ndarray:
 class GridFunction:
     """Samples of a function on the uniform circle grid.
 
-    ``values.dtype`` is float64 when the function is tagged real and
-    complex128 otherwise.  The tag is part of the type: passing complex data
-    with ``real=True`` raises unless the imaginary parts are exactly zero.
+    ``values.dtype`` is float64 for real samples and complex128 otherwise;
+    is_real reads the tag from the dtype.
     """
 
     n: int
@@ -93,16 +91,6 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_samples(cls, values, real: bool | None = None) -> "GridFunction":
-        v = np.asarray(values)
-        if real is True and np.iscomplexobj(v):
-            if np.any(v.imag != 0.0):
-                raise ParameterError(
-                    "samples tagged real carry nonzero imaginary parts")
-            v = v.real
-        return cls(len(v), v)
-
-    @classmethod
     def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray],
                       n: int) -> "GridFunction":
         theta = grid_theta(n)
@@ -116,12 +104,6 @@ class GridFunction:
     @property
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.values)
-
-    def to_json_dict(self) -> dict:
-        if self.is_real:
-            return {"n": self.n, "values": self.values.tolist()}
-        pairs = [[float(z.real), float(z.imag)] for z in self.values]
-        return {"n": self.n, "values_complex": pairs}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "GridFunction":
@@ -173,10 +155,6 @@ class FourierSeries:
         bound = 1e-12 * (1.0 + scale)
         return all(abs(c - self.coefficient(-k).conjugate()) <= bound
                    for k, c in self.coeffs.items())
-
-    def to_json_dict(self) -> dict:
-        return {"coeffs": {str(k): [c.real, c.imag]
-                           for k, c in sorted(self.coeffs.items())}}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "FourierSeries":
@@ -248,9 +226,6 @@ class SpectralFactor:
         np.add.at(buf, ks % n, sign * self.coeffs)
         return GridFunction(n, np.fft.ifft(buf) * n)
 
-    def h2_norm(self) -> float:
-        return float(np.sqrt(2.0 * np.pi * np.sum(np.abs(self.coeffs) ** 2)))
-
     def to_json_dict(self) -> dict:
         """{"floor", "neg_energy" (when set), "a": [[re, im], ...]}."""
         out = {}
@@ -260,12 +235,6 @@ class SpectralFactor:
             out["neg_energy"] = self.neg_energy
         out["a"] = self.coeffs.view(np.float64).reshape(-1, 2).tolist()
         return out
-
-
-def integrate(f: GridFunction):
-    """Rectangle-rule integral against dtheta; exact for band-limited f."""
-    s = np.sum(f.values) * (2.0 * np.pi / f.n)
-    return float(s) if f.is_real else complex(s)
 
 
 def lp_norm(f: GridFunction, p) -> float:

@@ -5,8 +5,9 @@ Exit codes form the machine-readable contract:
     0  every requested check passed
     1  a check ran to completion and failed
     2  input could not be parsed or the arguments are invalid
-    3  domain error (nonpositive density, polynomial not nonnegative, ...)
-       or a verdict the numerics cannot resolve (exit 4 is retired)
+    3  domain error (nonpositive density, polynomial not nonnegative, ...),
+       or a verdict the numerics cannot resolve, labelled "numerically
+       unresolved" on standard error (exit 4 is retired)
 
 Inputs are file paths ("-" for standard input) holding either a grid
 function as JSON {"n": ..., "values": [...]}, a Fourier series as JSON
@@ -72,7 +73,7 @@ def _load_any(path: str):
     vals = [float(tok) for tok in text.replace(",", " ").split()]
     if not vals:
         raise ParameterError(f"no samples found in {path!r}")
-    return GridFunction.from_samples(vals)
+    return GridFunction(len(vals), vals)
 
 
 def _as_grid(obj, n: int, label: str) -> GridFunction:
@@ -267,8 +268,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, NumericalConditioningError) as exc:
+    except DomainError as exc:
         print(f"specfact: domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except NumericalConditioningError as exc:
+        print(f"specfact: numerically unresolved: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ParameterError, json.JSONDecodeError, ValueError, OSError) as exc:
         print(f"specfact: cannot parse input: {exc}", file=sys.stderr)

@@ -76,18 +76,6 @@ class CounterexampleFamily:
         hi = math.pi - 2.0 * math.atan(math.exp(-(u0 + du)))
         return lo, hi
 
-    def psi_values(self, theta) -> np.ndarray:
-        """Conjugate phase (eps/2pi) * log|tan(theta/2)| pointwise.
-
-        Diverges logarithmically at theta in {0, +-pi}; infinities are
-        returned as such.
-        """
-        beta = CONJUGATE_ARC_SIGN * self.eps / (2.0 * math.pi)
-        th = np.asarray(theta, dtype=float)
-        with np.errstate(divide="ignore"):
-            u = np.log(np.abs(np.tan(th / 2.0)))
-        return beta * u
-
 
 def build_family(n: int | None = None, du: float = 0.1,
                  variant: str = "floored", *, eps: float | None = None,
@@ -156,7 +144,7 @@ def build_family(n: int | None = None, du: float = 0.1,
         bump_theta_width=width, n=n)
 
 
-def _bump_quadratures(fam: CounterexampleFamily, step_eps: float):
+def _bump_quadratures(fam: CounterexampleFamily):
     """Pairing ratio R = int (1 - cos psi) w ds / int w ds over the bump.
 
     The weight w(s) = e^{-s} / (1 + e^{-2(u* + s)}) is the exact angular
@@ -165,7 +153,7 @@ def _bump_quadratures(fam: CounterexampleFamily, step_eps: float):
     from scipy.integrate import quad
     u0 = fam.bump_center_u
     du = fam.bump_halfwidth_u
-    beta = step_eps / (2.0 * math.pi)
+    beta = fam.eps / (2.0 * math.pi)
     phase0 = beta * u0
 
     def weight(s):
@@ -192,14 +180,12 @@ class FamilyMetrics:
     and m4 = T1 + T2 + T3 (the exact squared H2 distance).  pairing_ratio
     is the mean of 1 - cos(psi) over the bump against the angular measure;
     delta_r = 1 - pairing_ratio/2 measures how far the bump sits from the
-    ideal pairing value 2.  correction_bound bounds the weight-tail term
-    e^{-2(u* - du)}, and quad_error propagates the quadrature estimates;
-    both are already reflected in the values, not omitted from them.
+    ideal pairing value 2.  quad_error propagates the error estimates of the
+    two bump quadratures of the exact weight, tail included.
     """
 
     variant: str
     eps: float
-    step_eps: float
     m1: float
     m2: float
     m3: float
@@ -210,27 +196,19 @@ class FamilyMetrics:
     l1_f: float
     arc_mass: float
     pairing_ratio: float
-    delta_r: float | None
+    delta_r: float
     log_l1_f: float | None
-    correction_bound: float
     quad_error: float
 
 
-def family_metrics(fam: CounterexampleFamily,
-                   step_eps: float | None = None) -> FamilyMetrics:
+def family_metrics(fam: CounterexampleFamily) -> FamilyMetrics:
     """Evaluate every metric of the family member in closed form.
 
-    step_eps decouples the step height of h from the eps that placed the
-    bump; the default couples them (the theorem's regime, psi = pi at the
-    bump center).  With step_eps -> 0 at fixed fam all metrics vanish,
-    which is the h -> 1 consistency limit.
+    The step height of h is the eps that placed the bump, so psi = pi at
+    the bump center (the theorem's regime).
     """
-    coupled = step_eps is None
-    se = fam.eps if coupled else float(step_eps)
-    if not se >= 0.0:
-        raise ParameterError(f"step height must be nonnegative, got {se}")
     eps = fam.eps
-    beta_s = se / (2.0 * math.pi)
+    beta_s = eps / (2.0 * math.pi)
     sech_term = 1.0 / math.cosh(math.pi * beta_s / 2.0)
     defect_half_arc = math.pi * (1.0 - sech_term)
 
@@ -245,20 +223,17 @@ def family_metrics(fam: CounterexampleFamily,
         arc_mass = 1.0 + math.pi
         l1_f = 1.0 + 2.0 * math.pi
 
-    ratio, quad_error = _bump_quadratures(fam, se)
+    ratio, quad_error = _bump_quadratures(fam)
     bump_defect = bump_coeff * ratio
-    # expm1 keeps every digit of 1 - e^{-se} and 1 - e^{-se/2} as se -> 0
-    m1 = -math.expm1(-se) * arc_mass
-    m2 = se * math.pi
-    sqrt_h_step = math.expm1(-se / 2.0)  # sqrt(h) - 1 on the arc
+    # expm1 keeps every digit of 1 - e^{-eps} and 1 - e^{-eps/2} as eps -> 0
+    m1 = -math.expm1(-eps) * arc_mass
+    m2 = eps * math.pi
+    sqrt_h_step = math.expm1(-eps / 2.0)  # sqrt(h) - 1 on the arc
     t1 = sqrt_h_step ** 2 * arc_mass
     t2 = 2.0 * sqrt_h_step * (bump_defect + floor_density * defect_half_arc)
     t3 = 2.0 * (bump_defect + floor_density * 2.0 * defect_half_arc)
     m3 = t3 - 4.0 * m1
     m4 = t1 + t2 + t3
-
-    tail_arg = -2.0 * (fam.bump_center_u - fam.bump_halfwidth_u)
-    correction_bound = math.exp(tail_arg) if tail_arg > -740.0 else 0.0
 
     log_l1_f = None
     if fam.variant == "plus-one":
@@ -270,12 +245,11 @@ def family_metrics(fam: CounterexampleFamily,
             log_l1_f = math.exp(math.log(lc) - lc)
 
     return FamilyMetrics(
-        variant=fam.variant, eps=eps, step_eps=se,
+        variant=fam.variant, eps=eps,
         m1=m1, m2=m2, m3=m3, m4=m4, t1=t1, t2=t2, t3=t3,
         l1_f=l1_f, arc_mass=arc_mass,
-        pairing_ratio=ratio, delta_r=(1.0 - ratio / 2.0) if coupled else None,
-        log_l1_f=log_l1_f,
-        correction_bound=correction_bound, quad_error=quad_error)
+        pairing_ratio=ratio, delta_r=1.0 - ratio / 2.0,
+        log_l1_f=log_l1_f, quad_error=quad_error)
 
 
 def verify_theorem_1(n: int, du: float = 0.1,
@@ -284,9 +258,8 @@ def verify_theorem_1(n: int, du: float = 0.1,
 
     Passes iff ||f - g||_1 <= 1/n, ||log f - log g||_1 <= 1/n, and the
     certified lower bound satisfies sqrt(m3) >= 2 - 1/n, at any n.  A margin
-    sqrt(m3) - (2 - 1/n) within the row's budget (correction_bound +
-    quad_error) plus rounding, from about n = 10^13 on, is refused with
-    NumericalConditioningError.
+    sqrt(m3) - (2 - 1/n) within the row's budget (quad_error) plus rounding,
+    from about n = 10^13 on, is refused with NumericalConditioningError.
     """
     fam = build_family(n=n, du=du, variant=variant)
     n = fam.n
@@ -295,7 +268,7 @@ def verify_theorem_1(n: int, du: float = 0.1,
     achieved = math.sqrt(met.m3) if met.m3 > 0.0 else 0.0
     # a few ulps of the two values near 2 cover the rounding of m3, its
     # square root and the target
-    unresolved = met.correction_bound + met.quad_error + 4.0 * math.ulp(2.0)
+    unresolved = met.quad_error + 4.0 * math.ulp(2.0)
     if abs(achieved - target) <= unresolved:
         raise NumericalConditioningError(
             f"n = {n}: margin {achieved - target:.3g} over 2 - 1/n is within "
@@ -309,7 +282,6 @@ def verify_theorem_1(n: int, du: float = 0.1,
         "l1_budget": small,
         "h2_lower": achieved, "h2_identity": math.sqrt(met.m4),
         "pairing_ratio": met.pairing_ratio, "delta_r": met.delta_r,
-        "correction_bound": met.correction_bound,
         "quad_error": met.quad_error,
         "m1_ok": met.m1 <= small, "m2_ok": met.m2 <= small,
     }
@@ -328,7 +300,7 @@ def family_row(n: int, du: float = 0.1, variant: str = "floored") -> dict:
         "log_l1_diff": d["m2"],
         "h2_lower": d["h2_lower"],
         "h2_identity": d["h2_identity"],
-        "budget": d["correction_bound"] + d["quad_error"],
+        "budget": d["quad_error"],
         "pass": rep.passed,
     }
 
@@ -360,7 +332,7 @@ def grid_realization(fam: CounterexampleFamily,
     if (hi - lo) / h_cell < 32.0:
         raise ParameterError(
             f"bump spans {(hi - lo) / h_cell:.1f} cells on {n_pts} points; "
-            f"need at least 32 (raise n_pts or eps)")
+            f"need at least 32 (raise eps)")
     c = math.exp(fam.log_bump_height)
     edges_lo = theta - h_cell / 2.0
     edges_hi = theta + h_cell / 2.0
@@ -376,7 +348,7 @@ def grid_realization(fam: CounterexampleFamily,
     return f, g
 
 
-def cross_validate_pipeline(eps: float, n_pts: int = 16384) -> BoundReport:
+def cross_validate_pipeline(eps: float) -> BoundReport:
     """Closed-form pipeline against direct grid factorization, at moderate eps.
 
     At moderate eps the bump sits at u* = 2 pi^2 / eps <= 12, close enough
@@ -384,11 +356,12 @@ def cross_validate_pipeline(eps: float, n_pts: int = 16384) -> BoundReport:
     by this module's closed forms and by factorize_boundary plus the
     H2 identity terms on the sampled realization.  Uses the plus-one
     variant (the floored weights need eps < 2) with bump halfwidth
-    du = 0.5.  Passes iff all metric pairs agree to the relative tolerance
-    tol = 0.02.
+    du = 0.5 on a grid of n_pts = 16384 points.  Passes iff all metric pairs
+    agree to the relative tolerance tol = 0.02.
     """
     tol = 0.02
     du = 0.5
+    n_pts = 16384
     eps = float(eps)
     u_star = 2.0 * math.pi ** 2 / eps
     if u_star > 12.0:

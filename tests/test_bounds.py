@@ -227,8 +227,6 @@ def test_convergence_demo_dip_schedule(rng):
     assert all(a > b for a, b in zip(l1s, l1s[1:]))
     assert h2s[-1] < 1e-2 * h2s[0]
     with pytest.raises(ParameterError):
-        dip_schedule(f, [1], depth=1.5)
-    with pytest.raises(ParameterError):
         dip_schedule(f, [0])
 
 

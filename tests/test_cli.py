@@ -105,7 +105,7 @@ def test_factorize_nonpositive(tmp_path, capsys):
     path.write_text("\n".join(f"{math.cos(t):.17g}" for t in theta))
     code, _, err = run(capsys, "factorize", str(path), "--method", "boundary")
     assert code == 3
-    assert "domain" in err
+    assert err.startswith("specfact: domain error: density is not positive")
     # a clamp above the range keeps the density smooth; a binding clamp
     # would add corners whose aliasing honestly fails the 1e-8 outer gate
     code, out, _ = run(capsys, "factorize", str(path),
@@ -240,8 +240,8 @@ def test_bounds_rejects_degree_below_one(capsys):
 def test_bounds_refuses_what_the_check_does_not_read(tmp_path, capsys, argv,
                                                      named):
     psi = tmp_path / "psi.json"
-    psi.write_text(json.dumps(random_phase(np.random.default_rng(1),
-                                           n=256).to_json_dict()))
+    values = random_phase(np.random.default_rng(1), n=256).values
+    psi.write_text(json.dumps({"n": 256, "values": values.tolist()}))
     argv = [str(psi) if a == "PSI" else a for a in argv]
     code, out, err = run(capsys, "bounds", "--n", "256", *argv)
     assert code == 2 and not out
@@ -418,7 +418,8 @@ def test_explicit_inputs_run_each_table_entry(tmp_path, capsys, name, argv,
     paths = []
     for label, grid in zip(inputs, grids):
         path = tmp_path / f"{label}.json"
-        path.write_text(json.dumps(grid.to_json_dict()))
+        path.write_text(json.dumps({"n": grid.n,
+                                    "values": grid.values.tolist()}))
         paths.append(str(path))
     code, out, err = run(capsys, "bounds", *paths, "--check", name, *argv)
     rep = _SINGLE_CHECKS[name](*grids, *([] if value is None else [value]))
@@ -447,7 +448,7 @@ def test_counterexample_sweep_rows(capsys):
 
 def test_counterexample_budget_and_usage(capsys):
     """Every index the margin resolves passes; the rest exit 3 with one
-    stderr line and no row."""
+    stderr line, labelled numerically unresolved, and no row."""
     for variant in ("floored", "plus-one"):
         for n in (6, 50, 1000, 10 ** 5, 10 ** 8, 10 ** 12):
             code, out, _ = run(capsys, "counterexample", "--n", str(n),
@@ -458,6 +459,8 @@ def test_counterexample_budget_and_usage(capsys):
                                  "--variant", variant)
             assert code == 3 and not out, (n, out)
             assert len(err.splitlines()) == 1, err
+            # the input is in the domain; only the numerics cannot decide
+            assert err.startswith("specfact: numerically unresolved: "), err
     assert run(capsys, "counterexample")[0] == 2
     assert run(capsys, "counterexample", "--n", "1", "--sweep", "2")[0] == 2
 

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .factorization import (
     _herglotz_factor,
+    _NonpositiveDensity,
     factorize_boundary,
     fejer_riesz,
     outer_check,
@@ -52,6 +53,10 @@ EXIT_DOMAIN = 3
 
 #: values of the check options when the check that reads one omits it
 _OPTION_DEFAULTS = {"p": 2.0, "phi": '{"kind": "power", "q": 2}'}
+#: factorize options and the methods that read them
+_FACTORIZE_OPTIONS = {"floor": ("boundary", "herglotz"), "degree": ("herglotz",)}
+#: Taylor truncation degree of the herglotz method when --degree is omitted
+_HERGLOTZ_DEGREE = 64
 
 
 def _read_text(path: str) -> str:
@@ -90,8 +95,13 @@ def _emit(obj) -> None:
 
 
 def cmd_factorize(args) -> int:
-    if args.degree < 0:
-        raise ParameterError(f"--degree must be >= 0, got {args.degree}")
+    for option, methods in _FACTORIZE_OPTIONS.items():
+        if getattr(args, option) is not None and args.method not in methods:
+            raise ParameterError(
+                f"--method {args.method} does not read --{option}")
+    degree = _HERGLOTZ_DEGREE if args.degree is None else args.degree
+    if degree < 0:
+        raise ParameterError(f"--degree must be >= 0, got {degree}")
     data = _load_any(args.input)
     if args.method == "fejer-riesz":
         if not isinstance(data, FourierSeries):
@@ -106,7 +116,7 @@ def cmd_factorize(args) -> int:
         if args.method == "boundary":
             factor = factorize_boundary(f, floor=args.floor)
         else:
-            factor = _herglotz_factor(f, args.floor, args.degree)
+            factor = _herglotz_factor(f, args.floor, degree)
     if args.floor is not None:
         # the outer check must see the same density the factor came from
         f = GridFunction(f.n, np.maximum(f.values, args.floor))
@@ -217,9 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fac.add_argument("--n", type=int, default=4096,
                        help="grid size when synthesizing series input")
     p_fac.add_argument("--floor", type=float, default=None,
-                       help="clamp level for nonpositive samples")
-    p_fac.add_argument("--degree", type=int, default=64,
-                       help="Taylor truncation degree for the herglotz method")
+                       help="clamp level for nonpositive samples "
+                            "(boundary and herglotz methods)")
+    p_fac.add_argument("--degree", type=int, default=None,
+                       help="Taylor truncation degree for the herglotz method "
+                            f"(default {_HERGLOTZ_DEGREE})")
     p_fac.set_defaults(func=cmd_factorize)
 
     p_bnd = sub.add_parser(
@@ -268,6 +280,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _NonpositiveDensity as exc:
+        # name the clamp only where the command line has one: --floor of
+        # the factorize methods that read it
+        floor = getattr(args, "method", None) in _FACTORIZE_OPTIONS["floor"]
+        remedy = "; pass --floor to clamp" if floor else ""
+        print(f"specfact: domain error: {exc.finding}{remedy}", file=sys.stderr)
+        return EXIT_DOMAIN
     except DomainError as exc:
         print(f"specfact: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

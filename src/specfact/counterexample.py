@@ -23,6 +23,7 @@ height, kept in the log domain throughout.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -45,7 +46,12 @@ __all__ = [
     "family_row",
 ]
 
-_QUAD_TOL = 1e-13
+#: most terms of the pairing-ratio series; u* - du >= 0.2 needs fewer than
+#: 85, the grid cross-check at most 15 and every index n one
+_SERIES_TERMS = 100
+#: rounding of one series term (exp, sinh, one complex quotient and product)
+#: in ulps of the term's bound d_m; the sum adds one ulp per term
+_ROUNDING_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -144,31 +150,49 @@ def build_family(n: int | None = None, du: float = 0.1,
         bump_theta_width=width, n=n)
 
 
-def _bump_quadratures(fam: CounterexampleFamily):
-    """Pairing ratio R = int (1 - cos psi) w ds / int w ds over the bump.
+def _pairing_ratio(fam: CounterexampleFamily) -> tuple[float, float]:
+    """Pairing ratio R = int (1 - cos psi) w ds / int w ds over the bump,
+    and a bound on its error.
 
-    The weight w(s) = e^{-s} / (1 + e^{-2(u* + s)}) is the exact angular
-    measure rescaled by e^{u*}/2, so the ratio carries no large factors.
+    With q = e^{-2u*} the weight w(s) = e^{-s} / (1 + q e^{-2s}) expands as
+    sum_m (-q)^m e^{-ks}, k = 2m + 1, so both bump integrals are exact
+    series: D = int w = sum (-q)^m 2 sinh(k du)/k and
+    C = int cos(phi0 + beta s) w = sum (-q)^m Re[e^{i phi0}
+    2 sinh((i beta - k) du)/(i beta - k)], and R = 1 - C/D.  Term m of
+    either series is at most d_m = q^m 2 sinh(k du)/k, and d_{m+1}/d_m is
+    below rho = q e^{2du}, so the tail after M terms is at most
+    d_M / (1 - rho) in each.  The error bound is twice that tail plus
+    (_ROUNDING_ULPS + M) eps sum d_m of rounding, over D (|C| <= D).
+    Raises NumericalConditioningError when the tail needs more than
+    _SERIES_TERMS terms to fall below the rounding, which only an explicit
+    eps with u* - du near 0 reaches.
     """
-    from scipy.integrate import quad
     u0 = fam.bump_center_u
     du = fam.bump_halfwidth_u
     beta = fam.eps / (2.0 * math.pi)
     phase0 = beta * u0
-
-    def weight(s):
-        return math.exp(-s) / (1.0 + math.exp(-2.0 * (u0 + s)))
-
-    num, err_n = quad(lambda s: (1.0 - math.cos(phase0 + beta * s)) * weight(s),
-                      -du, du, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    den, err_d = quad(weight, -du, du,
-                      epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    if err_n > 1e-10 or err_d > 1e-10:
-        raise NumericalConditioningError(
-            f"bump quadrature error estimate too large ({err_n:.2e}, {err_d:.2e})")
-    ratio = num / den
-    quad_error = (err_n + ratio * err_d) / den
-    return ratio, quad_error
+    rot = complex(math.cos(phase0), math.sin(phase0))
+    q = math.exp(-2.0 * u0)
+    rho = math.exp(-2.0 * (u0 - du))
+    mass = cos_mass = size = 0.0
+    for m in range(_SERIES_TERMS + 1):
+        k = 2 * m + 1
+        q_m = q ** m
+        d_m = q_m * 2.0 * math.sinh(k * du) / k
+        tail = d_m / (1.0 - rho)
+        if tail <= sys.float_info.epsilon * size:
+            break
+        if m == _SERIES_TERMS:
+            raise NumericalConditioningError(
+                f"pairing-ratio series needs more than {_SERIES_TERMS} terms "
+                f"(u* - du = {u0 - du:.3g})")
+        z = complex(-k, beta)
+        sign = -1.0 if m % 2 else 1.0
+        mass += sign * d_m
+        cos_mass += sign * q_m * (rot * 2.0 * cmath.sinh(z * du) / z).real
+        size += d_m
+    rounding = (_ROUNDING_ULPS + m) * sys.float_info.epsilon * size
+    return 1.0 - cos_mass / mass, (2.0 * tail + rounding) / mass
 
 
 @dataclass(frozen=True)
@@ -180,8 +204,8 @@ class FamilyMetrics:
     and m4 = T1 + T2 + T3 (the exact squared H2 distance).  pairing_ratio
     is the mean of 1 - cos(psi) over the bump against the angular measure;
     delta_r = 1 - pairing_ratio/2 measures how far the bump sits from the
-    ideal pairing value 2.  quad_error propagates the error estimates of the
-    two bump quadratures of the exact weight, tail included.
+    ideal pairing value 2.  ratio_error bounds the error of pairing_ratio:
+    the truncation of its two exact series plus their rounding.
     """
 
     variant: str
@@ -198,14 +222,16 @@ class FamilyMetrics:
     pairing_ratio: float
     delta_r: float
     log_l1_f: float | None
-    quad_error: float
+    ratio_error: float
 
 
 def family_metrics(fam: CounterexampleFamily) -> FamilyMetrics:
     """Evaluate every metric of the family member in closed form.
 
     The step height of h is the eps that placed the bump, so psi = pi at
-    the bump center (the theorem's regime).
+    the bump center (the theorem's regime).  The pairing ratio comes from
+    two exact series (see _pairing_ratio); ratio_error, its error bound, is
+    3.8e-15 at every index n.
     """
     eps = fam.eps
     beta_s = eps / (2.0 * math.pi)
@@ -223,7 +249,7 @@ def family_metrics(fam: CounterexampleFamily) -> FamilyMetrics:
         arc_mass = 1.0 + math.pi
         l1_f = 1.0 + 2.0 * math.pi
 
-    ratio, quad_error = _bump_quadratures(fam)
+    ratio, ratio_error = _pairing_ratio(fam)
     bump_defect = bump_coeff * ratio
     # expm1 keeps every digit of 1 - e^{-eps} and 1 - e^{-eps/2} as eps -> 0
     m1 = -math.expm1(-eps) * arc_mass
@@ -249,7 +275,7 @@ def family_metrics(fam: CounterexampleFamily) -> FamilyMetrics:
         m1=m1, m2=m2, m3=m3, m4=m4, t1=t1, t2=t2, t3=t3,
         l1_f=l1_f, arc_mass=arc_mass,
         pairing_ratio=ratio, delta_r=1.0 - ratio / 2.0,
-        log_l1_f=log_l1_f, quad_error=quad_error)
+        log_l1_f=log_l1_f, ratio_error=ratio_error)
 
 
 def verify_theorem_1(n: int, du: float = 0.1,
@@ -258,8 +284,10 @@ def verify_theorem_1(n: int, du: float = 0.1,
 
     Passes iff ||f - g||_1 <= 1/n, ||log f - log g||_1 <= 1/n, and the
     certified lower bound satisfies sqrt(m3) >= 2 - 1/n, at any n.  A margin
-    sqrt(m3) - (2 - 1/n) within the row's budget (quad_error) plus rounding,
-    from about n = 10^13 on, is refused with NumericalConditioningError.
+    sqrt(m3) - (2 - 1/n), about 0.76/n (floored) or 0.34/n (plus-one),
+    within the row's budget (ratio_error) plus rounding, 5.6e-15, is
+    refused with NumericalConditioningError: n = 10^14 (plus-one) and
+    every n from 10^15 on.
     """
     fam = build_family(n=n, du=du, variant=variant)
     n = fam.n
@@ -268,7 +296,7 @@ def verify_theorem_1(n: int, du: float = 0.1,
     achieved = math.sqrt(met.m3) if met.m3 > 0.0 else 0.0
     # a few ulps of the two values near 2 cover the rounding of m3, its
     # square root and the target
-    unresolved = met.quad_error + 4.0 * math.ulp(2.0)
+    unresolved = met.ratio_error + 4.0 * math.ulp(2.0)
     if abs(achieved - target) <= unresolved:
         raise NumericalConditioningError(
             f"n = {n}: margin {achieved - target:.3g} over 2 - 1/n is within "
@@ -282,7 +310,7 @@ def verify_theorem_1(n: int, du: float = 0.1,
         "l1_budget": small,
         "h2_lower": achieved, "h2_identity": math.sqrt(met.m4),
         "pairing_ratio": met.pairing_ratio, "delta_r": met.delta_r,
-        "quad_error": met.quad_error,
+        "ratio_error": met.ratio_error,
         "m1_ok": met.m1 <= small, "m2_ok": met.m2 <= small,
     }
     return BoundReport(name="thm1", lhs=target, rhs=achieved,
@@ -300,14 +328,14 @@ def family_row(n: int, du: float = 0.1, variant: str = "floored") -> dict:
         "log_l1_diff": d["m2"],
         "h2_lower": d["h2_lower"],
         "h2_identity": d["h2_identity"],
-        "budget": d["quad_error"],
+        "budget": d["ratio_error"],
         "pass": rep.passed,
     }
 
 
-def _overlap_fraction(edges_lo: np.ndarray, edges_hi: np.ndarray,
-                      a: float, b: float) -> np.ndarray:
-    """Fraction of each cell [lo, hi] covered by (a, b), circle-aware."""
+def _three_shift_overlap(edges_lo: np.ndarray, edges_hi: np.ndarray,
+                         a: float, b: float) -> np.ndarray:
+    """Fraction of each cell [lo, hi] covered by (a, b) or its 2 pi images."""
     h = edges_hi - edges_lo
     frac = np.zeros_like(edges_lo)
     for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
@@ -315,6 +343,31 @@ def _overlap_fraction(edges_lo: np.ndarray, edges_hi: np.ndarray,
         hi = edges_hi + shift
         frac += np.clip(np.minimum(hi, b) - np.maximum(lo, a), 0.0, None)
     return frac / h
+
+
+def _overlap_fraction(edges_lo: np.ndarray, edges_hi: np.ndarray,
+                      a: float, b: float) -> np.ndarray:
+    """_three_shift_overlap on increasing cell edges, evaluated only on the
+    cells it can give a value other than 0.0 or 1.0.
+
+    A cell inside (a, b) that no 2 pi image of (a, b) reaches gets h/h = 1.0
+    from the formula, bit for bit, and a cell no image reaches gets 0.0.
+    The formula runs on the cells that a or b cuts, and on every cell a
+    shifted image reaches (two extra cells each side absorb the rounding of
+    the shift), so the result equals the formula's on every cell.
+    """
+    n = len(edges_lo)
+    frac = np.zeros_like(edges_lo)
+    frac[np.searchsorted(edges_lo, a):np.searchsorted(edges_hi, b, "right")] = 1.0
+    spans = [(np.searchsorted(edges_hi, x, "right"), np.searchsorted(edges_lo, x))
+             for x in (a, b)]
+    for shift in (-2.0 * math.pi, 2.0 * math.pi):
+        spans.append((np.searchsorted(edges_hi, a - shift, "right") - 2,
+                      np.searchsorted(edges_lo, b - shift) + 2))
+    cut = np.concatenate([np.arange(max(start, 0), min(stop, n))
+                          for start, stop in spans])
+    frac[cut] = _three_shift_overlap(edges_lo[cut], edges_hi[cut], a, b)
+    return frac
 
 
 def grid_realization(fam: CounterexampleFamily,
@@ -333,19 +386,22 @@ def grid_realization(fam: CounterexampleFamily,
         raise ParameterError(
             f"bump spans {(hi - lo) / h_cell:.1f} cells on {n_pts} points; "
             f"need at least 32 (raise eps)")
-    c = math.exp(fam.log_bump_height)
     edges_lo = theta - h_cell / 2.0
     edges_hi = theta + h_cell / 2.0
-    bump = c * _overlap_fraction(edges_lo, edges_hi, lo, hi)
+    # in place: the roundings of c * frac and then of the affine maps, with
+    # none of their n-sized temporaries, which page-fault in a small heap
+    f_vals = _overlap_fraction(edges_lo, edges_hi, lo, hi)
+    f_vals *= math.exp(fam.log_bump_height)
     if fam.variant == "floored":
-        f_vals = fam.eps / (4.0 * math.pi) + (1.0 - fam.eps / 2.0) * bump
+        f_vals *= 1.0 - fam.eps / 2.0
+        f_vals += fam.eps / (4.0 * math.pi)
     else:
-        f_vals = 1.0 + bump
-    arc = _overlap_fraction(edges_lo, edges_hi, 0.0, math.pi)
-    h_vals = 1.0 + (math.exp(-fam.eps) - 1.0) * arc
-    f = GridFunction(n_pts, f_vals)
-    g = GridFunction(n_pts, h_vals * f_vals)
-    return f, g
+        f_vals += 1.0
+    h_vals = _overlap_fraction(edges_lo, edges_hi, 0.0, math.pi)
+    h_vals *= math.exp(-fam.eps) - 1.0
+    h_vals += 1.0
+    h_vals *= f_vals
+    return GridFunction(n_pts, f_vals), GridFunction(n_pts, h_vals)
 
 
 def cross_validate_pipeline(eps: float) -> BoundReport:

@@ -58,6 +58,16 @@ _HERGLOTZ_COLS = 4096
 _HERGLOTZ_BLOCK_BYTES = 1 << 19
 
 
+class _NonpositiveDensity(DomainError):
+    """A density sample is not positive.  The message names the floor=
+    keyword as the remedy; `finding` is the message without it, for a
+    caller that spells the remedy its own way."""
+
+    def __init__(self, finding: str):
+        super().__init__(f"{finding}; pass floor=... to clamp")
+        self.finding = finding
+
+
 def _positive_log(v: np.ndarray, floor: float | None) -> np.ndarray:
     """log of real samples, rows along the last axis, after the floor."""
     if np.iscomplexobj(v):
@@ -70,10 +80,10 @@ def _positive_log(v: np.ndarray, floor: float | None) -> np.ndarray:
         rows = v.reshape(-1, v.shape[-1])
         row = rows[np.argmax(np.any(rows <= 0.0, axis=-1))]
         j = int(np.argmin(row))
-        raise DomainError(
+        raise _NonpositiveDensity(
             f"density is not positive: sample {j} "
             f"(theta = {grid_theta(len(row))[j]:.6f}) "
-            f"has value {row[j]:.6g}; pass floor=... to clamp")
+            f"has value {row[j]:.6g}")
     return np.log(v)
 
 

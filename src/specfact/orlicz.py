@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -308,7 +309,76 @@ def _lq_norm(v: np.ndarray, peak: float, q: float, h: float) -> float:
 #: solves run in a log variable z restricted to |z| <= _Z_MAX; beyond that
 #: the quantities they compare leave the double range
 _Z_MAX = 700.0
-_BIG = np.finfo(float).max
+#: Python floats, not numpy scalars: an overflow inside the Brent steps must
+#: stay a silent inf, as in C, not become a numpy RuntimeWarning
+_BIG = sys.float_info.max
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_ITER = 100
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float) -> float:
+    """Brent's root finder (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4), step for step as scipy.optimize.brentq runs
+    it with rtol = 4 eps and at most 100 iterations: the same points are
+    evaluated in the same order.  f(xa) and f(xb) must differ in sign bit
+    unless one is 0.  No step or a zero interpolation denominator counts as
+    an infinite step, which takes the bisection, as the C comparison with
+    inf or nan does.  Raises NumericalConditioningError for a nan value or
+    when the iterations run out.
+    """
+    def at(x: float) -> float:
+        y = f(x)
+        if math.isnan(y):
+            raise NumericalConditioningError(f"Brent step: f({x!r}) is nan")
+        return y
+
+    xpre, xcur = xa, xb
+    fpre, fcur = at(xpre), at(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ParameterError("Brent step: f(a) and f(b) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_ITER):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:
+                # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num = -fcur * (fblk * dblk - fpre * dpre)
+                den = dblk * dpre * (fblk - fpre)
+            if den != 0.0:
+                stry = num / den
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = at(xcur)
+    raise NumericalConditioningError(
+        f"Brent step: no convergence in {_BRENT_ITER} iterations")
 
 
 def _log_root(g: Callable[[float], float], z0: float, xtol: float,
@@ -322,7 +392,6 @@ def _log_root(g: Callable[[float], float], z0: float, xtol: float,
     puts it within xtol (plus 4 ulps of z) of the crossing.  g is clipped
     to the finite range so the interpolation steps stay finite.
     """
-    from scipy.optimize import brentq
     values: dict[float, float] = {}
 
     def g_at(z: float) -> float:
@@ -340,7 +409,7 @@ def _log_root(g: Callable[[float], float], z0: float, xtol: float,
         z = min(max(z + step, -_Z_MAX), _Z_MAX)
         y = g_at(z)
         step *= 2.0
-    brentq(g_at, min(z_prev, z), max(z_prev, z), xtol=xtol)
+    _brentq(g_at, min(z_prev, z), max(z_prev, z), xtol)
     return min(x for x, gx in values.items() if gx >= 0.0)
 
 

@@ -116,6 +116,65 @@ def test_factorize_nonpositive(tmp_path, capsys):
     assert obj["a"][0][0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
+def test_nonpositive_density_names_the_command_line_remedy(tmp_path, capsys):
+    """factorize by boundary and herglotz names --floor, not the Python
+    keyword floor=...; fejer-riesz, which refuses --floor, and bounds, which
+    has no clamp, name none."""
+    dips = tmp_path / "dips.txt"
+    dips.write_text("1 0.5 -0.25 0.5 1 2 3 2\n")
+    finding = ("specfact: domain error: density is not positive: sample 2 "
+               "(theta = -1.570796) has value -0.25")
+    for method in ("boundary", "herglotz"):
+        code, out, err = run(capsys, "factorize", str(dips), "--method",
+                             method)
+        assert code == 3 and not out
+        assert err == finding + "; pass --floor to clamp\n", err
+    flat = tmp_path / "flat.txt"
+    flat.write_text("1 1 1 1 1 1 1 1\n")
+    code, out, err = run(capsys, "bounds", str(dips), str(flat),
+                         "--check", "thm2")
+    assert code == 3 and not out
+    assert err == finding + "\n", err
+    # 1 + cos t: the root route factors it, but its sample at -pi is 0
+    series = tmp_path / "touch.json"
+    series.write_text('{"coeffs": {"0": [1, 0], "1": [0.5, 0], '
+                      '"-1": [0.5, 0]}}')
+    code, out, err = run(capsys, "factorize", str(series), "--method",
+                         "fejer-riesz")
+    assert code == 3 and not out
+    assert err.startswith("specfact: domain error: density is not positive: "
+                          "sample 0 (theta = -3.141593) has value "), err
+    assert "floor" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("method, option", [
+    ("fejer-riesz", ("--floor", "0.5")),
+    ("fejer-riesz", ("--degree", "8")),
+    ("boundary", ("--degree", "8")),
+])
+def test_factorize_refuses_what_the_method_does_not_read(tmp_path, capsys,
+                                                         method, option):
+    series = tmp_path / "series.json"
+    series.write_text('{"coeffs": {"0": [1.25, 0], "1": [-0.5, 0], '
+                      '"-1": [-0.5, 0]}}')
+    code, out, err = run(capsys, "factorize", str(series), "--method",
+                         method, *option)
+    assert code == 2 and not out
+    assert err == (f"specfact: cannot parse input: --method {method} "
+                   f"does not read {option[0]}\n"), err
+    # without the option the same command runs
+    assert run(capsys, "factorize", str(series), "--method", method)[0] == 0
+
+
+def test_factorize_herglotz_degree_defaults_to_64(tmp_path, capsys):
+    path = tmp_path / "flat.txt"
+    path.write_text("4 4 4 4 4 4 4 4\n")
+    _, plain, _ = run(capsys, "factorize", str(path), "--method", "herglotz")
+    _, explicit, _ = run(capsys, "factorize", str(path), "--method",
+                         "herglotz", "--degree", "64")
+    assert plain == explicit and len(json.loads(plain)["a"]) == 65
+
+
 def test_parse_failures(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -166,35 +225,53 @@ def test_bounds_check_choices_come_from_the_table(capsys):
                              "lemma-orl", "lemma-l1")
 
 
-def test_thm2_and_factorize_load_no_scipy(tmp_path):
-    """Importing specfact, a thm2 sweep and a boundary factorization leave
-    scipy unimported: only density-kind Phi and the quadratures need it."""
+def test_no_command_loads_scipy(tmp_path):
+    """No command and no workload step loads scipy: importing specfact,
+    all six bounds checks (main and lemma-orl under an L log L density
+    Phi), both counterexample variants, all three factorize routes,
+    constants and the grid cross-check each leave sys.modules free of it."""
     density = tmp_path / "flat.txt"
     density.write_text("4 4 4 4 4 4 4 4\n")
+    series = tmp_path / "series.json"
+    series.write_text('{"coeffs": {"0": [1.25, 0], "1": [-0.5, 0], '
+                      '"-1": [-0.5, 0]}}')
+    llogl = json.dumps(LLOGL_PHI)
+    steps = [["bounds", "--check", check, "--sweep", "2", "--n", "256",
+              *(["--phi", llogl] if check in ("main", "lemma-orl") else [])]
+             for check in CHECKS]
+    steps += [["counterexample", "--sweep", "5", "--variant", variant]
+              for variant in ("floored", "plus-one")]
+    steps += [["factorize", str(density), "--method", "boundary"],
+              ["factorize", str(density), "--method", "herglotz"],
+              ["factorize", str(series), "--method", "fejer-riesz"],
+              ["constants"]]
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         def scipy():
             return sorted(m for m in sys.modules if m.startswith("scipy"))
         import specfact
-        loaded = [scipy()]
+        loaded = [["import specfact", scipy()]]
         from specfact.cli import main
-        for argv in (["bounds", "--check", "thm2", "--sweep", "2",
-                      "--n", "256"],
-                     ["factorize", sys.argv[1], "--method", "boundary"]):
+        for argv in json.loads(sys.argv[1]):
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
             if code != 0:
                 sys.exit(f"{argv} exited {code}")
-            loaded.append(scipy())
+            loaded.append([" ".join(argv[:5]), scipy()])
+        from specfact.counterexample import cross_validate_pipeline
+        assert cross_validate_pipeline(7.0).passed
+        loaded.append(["cross_validate_pipeline(7.0)", scipy()])
         print(json.dumps(loaded))
     """)
     src = Path(specfact.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", script, str(density)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(steps)],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], [], []]
+    loaded = json.loads(proc.stdout)
+    assert len(loaded) == len(steps) + 2
+    assert [(step, mods) for step, mods in loaded if mods] == []
 
 
 def test_bounds_sweep_deterministic(capsys):
@@ -449,12 +526,15 @@ def test_counterexample_sweep_rows(capsys):
 def test_counterexample_budget_and_usage(capsys):
     """Every index the margin resolves passes; the rest exit 3 with one
     stderr line, labelled numerically unresolved, and no row."""
+    # the margin is about 0.76/n floored and 0.34/n plus-one, against a
+    # budget plus rounding of about 5.6e-15
+    last = {"floored": 10 ** 14, "plus-one": 10 ** 13}
     for variant in ("floored", "plus-one"):
-        for n in (6, 50, 1000, 10 ** 5, 10 ** 8, 10 ** 12):
+        for n in (6, 50, 1000, 10 ** 5, 10 ** 8, 10 ** 12, last[variant]):
             code, out, _ = run(capsys, "counterexample", "--n", str(n),
                                "--variant", variant)
             assert code == 0 and json.loads(out)["pass"] is True, (n, out)
-        for n in (10 ** 14, 10 ** 16, 10 ** 400):
+        for n in (10 * last[variant], 10 ** 16, 10 ** 400):
             code, out, err = run(capsys, "counterexample", "--n", str(n),
                                  "--variant", variant)
             assert code == 3 and not out, (n, out)

@@ -14,9 +14,11 @@ from specfact import (
     family_metrics,
     family_row,
     grid_realization,
+    grid_theta,
     lp_norm,
     verify_theorem_1,
 )
+from specfact.counterexample import _overlap_fraction, _three_shift_overlap
 
 # Hand-checked sqrt(m3) values, du = 0.1.  m3 is the certified lower bound
 # for the squared H2 distance, and must clear (2 - 1/n)^2.
@@ -66,7 +68,7 @@ def test_metrics_internal_consistency():
         assert m.m4 == pytest.approx(m.t1 + m.t2 + m.t3, rel=1e-12)
         assert m.m3 == pytest.approx(m.t3 - 4.0 * m.m1, rel=1e-12)
         assert 1.998 <= m.pairing_ratio <= 2.0
-        assert m.quad_error < 1e-10
+        assert m.ratio_error < 1e-14
     floored = family_metrics(build_family(n=2))
     assert floored.l1_f == 1.0
     plus = family_metrics(build_family(n=2, variant="plus-one"))
@@ -128,15 +130,21 @@ def test_build_family_validation():
 
 
 def test_budget_refusal():
-    """n = 10^12 clears its row's budget; from about 10^13 on the margin
-    sqrt(m3) - (2 - 1/n) is within the budget plus rounding and is refused,
-    and so is an index whose bump center leaves the float64 range."""
+    """The margin sqrt(m3) - (2 - 1/n) is about 0.76/n (floored) and 0.34/n
+    (plus-one), against a budget plus rounding of about 5.6e-15: n = 10^13
+    certifies in both variants and n = 10^14 in the floored one, while
+    larger indices are refused, and so is an index whose bump center leaves
+    the float64 range."""
+    certified = {"floored": (10 ** 12, 10 ** 13, 10 ** 14),
+                 "plus-one": (10 ** 12, 10 ** 13)}
+    refused = {"floored": (10 ** 15, 10 ** 16, 10 ** 400),
+               "plus-one": (10 ** 14, 10 ** 15, 10 ** 16, 10 ** 400)}
     for variant in ("floored", "plus-one"):
-        rep = verify_theorem_1(10 ** 12, variant=variant)
-        d = rep.details
-        assert rep.passed
-        assert rep.slack > d["quad_error"]
-        for n in (10 ** 14, 10 ** 16, 10 ** 400):
+        for n in certified[variant]:
+            rep = verify_theorem_1(n, variant=variant)
+            assert rep.passed
+            assert rep.slack > rep.details["ratio_error"] + 4.0 * math.ulp(2.0)
+        for n in refused[variant]:
             with pytest.raises(NumericalConditioningError):
                 verify_theorem_1(n, variant=variant)
     with pytest.raises(ParameterError):
@@ -148,6 +156,30 @@ def test_grid_realization_refuses_narrow_bump():
     less than one cell, so the cell check refuses it first."""
     with pytest.raises(ParameterError, match="cells"):
         grid_realization(build_family(n=6), 1 << 14)
+
+
+@pytest.mark.parametrize("n", [8, 64, 16384])
+def test_cut_cell_overlap_equals_the_three_shift_formula(n):
+    """Only the cut cells run the overlap formula; every cell still equals
+    the formula evaluated on all cells, bit for bit: random arcs inside
+    (-pi, pi), the arc (0, pi), arcs that wrap at +-pi, and ends exactly on
+    cell edges."""
+    h = 2.0 * math.pi / n
+    theta = grid_theta(n)
+    lo, hi = theta - h / 2.0, theta + h / 2.0
+    rng = np.random.default_rng([n, 5])
+    arcs = [tuple(sorted(rng.uniform(-math.pi, math.pi, 2)))
+            for _ in range(50)]
+    arcs += [(0.0, math.pi), (-math.pi, math.pi), (2.0, 4.0), (-4.0, -2.0),
+             (3.0, 3.0 + 2.0 * math.pi - 1e-3), (-math.pi - 0.5, -2.5)]
+    arcs += [(x, x + w) for x, w in zip(rng.uniform(-math.pi, math.pi, 20),
+                                        rng.uniform(0.0, 2.0 * math.pi, 20))]
+    arcs += [(lo[1], hi[n // 2]), (hi[0], lo[n - 1]), (lo[0], hi[n - 1]),
+             (lo[2], hi[2]), (hi[n // 4], hi[n // 4] + 0.5 * h)]
+    for a, b in arcs:
+        got = _overlap_fraction(lo, hi, a, b)
+        want = _three_shift_overlap(lo, hi, a, b)
+        assert np.array_equal(got, want), (a, b)
 
 
 def test_cross_validation_validation():

@@ -26,7 +26,8 @@ from specfact import (
     random_density,
     weak11_ratio,
 )
-from specfact.orlicz import _CATALAN, _SI_PI
+from specfact import orlicz
+from specfact.orlicz import _BIG, _CATALAN, _SI_PI, _brentq
 
 CATALAN = 0.915965594177219
 
@@ -220,6 +221,87 @@ def test_density_solvers_are_feasible_and_tight():
             t = lambda_phi(fn, s)
             assert fn.rho(1.0 / t) <= 1.0 / s, (s, t)
             assert fn.rho(1.0 / (t * _OTHER_SIDE)) > 1.0 / s, (s, t)
+
+
+def _brent_both(f, a, b, xtol):
+    """Root and evaluated points of scipy's brentq and of the port."""
+    from scipy.optimize import brentq
+    runs = []
+    for solve, failure in (
+            (lambda g: brentq(g, a, b, xtol=xtol), RuntimeError),
+            (lambda g: _brentq(g, a, b, xtol), NumericalConditioningError)):
+        points = []
+
+        def logged(x):
+            points.append(x)
+            return f(x)
+        try:
+            root = solve(logged)
+        except failure:
+            root = None
+        runs.append((root, points))
+    return runs
+
+
+def test_brent_port_takes_scipys_steps():
+    """On seeded monotone functions the port evaluates the points scipy's
+    brentq evaluates, in the same order, and returns the same root: smooth
+    and odd-power roots, values clipped at +-_BIG, a root at a bracket end,
+    and a step function whose bisections outlast the 100 iterations."""
+    rng = np.random.default_rng(7)
+
+    def clipped(y):
+        return min(max(y, -_BIG), _BIG)
+
+    cases = []
+    for _ in range(40):
+        c, s = rng.uniform(-5.0, 5.0), rng.uniform(0.1, 10.0)
+        a, b = c - rng.uniform(0.01, 20.0), c + rng.uniform(0.01, 20.0)
+        p = 2 * int(rng.integers(1, 4)) + 1
+        cases += [
+            (lambda x, c=c, s=s: math.tanh(s * (x - c)), a, b),
+            (lambda x, c=c, s=s, p=p: s * (x - c) ** p, a, b),
+            (lambda x, c=c, s=s: clipped(math.copysign(1e300 * s, x - c)
+                                         * abs(x - c) ** 0.3 * 10.0), a, b),
+        ]
+    cases += [(lambda x: x, 0.0, 1.0), (lambda x: x - 1.0, 0.0, 1.0),
+              (lambda x: clipped(math.exp(min(x, 709.0)) * 1e10) - 1.0,
+               -700.0, 700.0)]
+    for f, a, b in cases:
+        for xtol in (1e-8, 1e-10, 2e-12):
+            (want, want_points), (got, got_points) = _brent_both(f, a, b, xtol)
+            # odd powers are flat at their root: some solves run out of
+            # iterations, in both
+            assert got_points == want_points and got == want, (a, b, xtol)
+    # a root at the lower bracket end is returned after the two end values
+    assert _brent_both(lambda x: x, 0.0, 1.0, 1e-10)[1] == (0.0, [0.0, 1.0])
+    step = _brent_both(lambda x: -1.0 if x < 0.3 else 1.0, -1e300, 1e300,
+                       1e-12)
+    assert step[0] == step[1] and step[1][0] is None
+    assert len(step[1][1]) == 102
+
+
+def test_density_solvers_take_scipys_brent_steps(monkeypatch):
+    """The Young, Luxemburg and Lambda equations of the L log L Phi and its
+    complement: every Brent solve evaluates scipy's points and root."""
+    solves = []
+
+    def both(f, a, b, xtol):
+        (want, want_points), (got, got_points) = _brent_both(f, a, b, xtol)
+        assert got_points == want_points and got == want
+        solves.append(got)
+        return got
+
+    monkeypatch.setattr(orlicz, "_brentq", both)
+    phi = _llogl_phi()
+    for fn in (phi, phi.complement()):
+        for seed in range(3):
+            f = random_density(np.random.default_rng([seed, 1]), n=256)
+            orlicz_norm(f, fn)
+            luxemburg_norm(f, fn)
+        for s in (1e-300, 1e-12, 1.0, 1e12, 1e300):
+            lambda_phi(fn, s)
+    assert len(solves) == 2 * (2 * 3 + 5) and None not in solves
 
 
 class _StubPhi(NFunction):

@@ -54,12 +54,8 @@ from .factorization import (
     outer_check,
 )
 from .orlicz import (
-    GSpec,
     NFunction,
     davis_constant,
-    g_clipped_square,
-    g_one_minus_cos,
-    gauge_integral,
     holder_check,
     k0_constant,
     lambda_phi,

@@ -57,6 +57,8 @@ _OPTION_DEFAULTS = {"p": 2.0, "phi": '{"kind": "power", "q": 2}'}
 _FACTORIZE_OPTIONS = {"floor": ("boundary", "herglotz"), "degree": ("herglotz",)}
 #: Taylor truncation degree of the herglotz method when --degree is omitted
 _HERGLOTZ_DEGREE = 64
+#: grid size of sweeps and of series input when --n is omitted
+_GRID_N = 4096
 
 
 def _read_text(path: str) -> str:
@@ -79,6 +81,19 @@ def _load_any(path: str):
     if not vals:
         raise ParameterError(f"no samples found in {path!r}")
     return GridFunction(len(vals), vals)
+
+
+def _series_grid(n: int | None, inputs) -> int:
+    """The grid size --n, or its default, for inputs that include a series.
+
+    Sample input has its own grid, so an --n that no series reads is
+    refused.
+    """
+    if n is not None and not any(isinstance(obj, FourierSeries)
+                                 for obj in inputs):
+        raise ParameterError(f"--n {n} is the grid size of series input, "
+                             f"and no input here is a series")
+    return _GRID_N if n is None else n
 
 
 def _as_grid(obj, n: int, label: str) -> GridFunction:
@@ -108,15 +123,12 @@ def cmd_factorize(args) -> int:
             raise ParameterError(
                 "fejer-riesz input must be a Fourier series "
                 "(JSON with a coeffs mapping)")
-        coeffs = fejer_riesz(data)
-        factor = SpectralFactor(coeffs)
-        f = _as_grid(data, args.n, "input")
-    else:
-        f = _as_grid(data, args.n, "input")
-        if args.method == "boundary":
-            factor = factorize_boundary(f, floor=args.floor)
-        else:
-            factor = _herglotz_factor(f, args.floor, degree)
+        factor = SpectralFactor(fejer_riesz(data))
+    f = _as_grid(data, _series_grid(args.n, [data]), "input")
+    if args.method == "boundary":
+        factor = factorize_boundary(f, floor=args.floor)
+    elif args.method == "herglotz":
+        factor = _herglotz_factor(f, args.floor, degree)
     if args.floor is not None:
         # the outer check must see the same density the factor came from
         f = GridFunction(f.n, np.maximum(f.values, args.floor))
@@ -149,11 +161,12 @@ def cmd_bounds(args) -> int:
             raise ParameterError("--sweep and explicit inputs are exclusive")
         if args.sweep < 1:
             raise ParameterError("--sweep needs a positive trial count")
-        if 2 * args.degree >= args.n:
+        n = _GRID_N if args.n is None else args.n
+        if 2 * args.degree >= n:
             raise ParameterError(
-                f"--degree {args.degree} is not resolved on --n {args.n} "
+                f"--degree {args.degree} is not resolved on --n {n} "
                 f"samples: sweeps need --degree < --n / 2")
-        records = _sweep_blocks(args.seed, args.sweep, args.n, args.degree,
+        records = _sweep_blocks(args.seed, args.sweep, n, args.degree,
                                 len(check.inputs) == 2)
     else:
         if len(check.inputs) == 1 and args.g is not None:
@@ -164,9 +177,11 @@ def cmd_bounds(args) -> int:
             count = "one input" if len(paths) == 1 else "two inputs"
             raise ParameterError(f"--check {args.check} needs {count} "
                                  f"({', '.join(check.inputs)})")
+        inputs = [_load_any(path) for path in paths]
+        n = _series_grid(args.n, inputs)
         records = [check.record(*(
-            _as_grid(_load_any(path), args.n, name)
-            for path, name in zip(paths, check.inputs)))]
+            _as_grid(obj, n, name)
+            for obj, name in zip(inputs, check.inputs)))]
     reports = [rep for record in records
                for rep in check.formula(record, *extra)]
     for i, rep in enumerate(reports):
@@ -224,8 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="density samples or series (path or '-')")
     p_fac.add_argument("--method", required=True,
                        choices=("boundary", "herglotz", "fejer-riesz"))
-    p_fac.add_argument("--n", type=int, default=4096,
-                       help="grid size when synthesizing series input")
+    p_fac.add_argument("--n", type=int, default=None,
+                       help="grid size when synthesizing series input "
+                            f"(default {_GRID_N}; refused for sample input)")
     p_fac.add_argument("--floor", type=float, default=None,
                        help="clamp level for nonpositive samples "
                             "(boundary and herglotz methods)")
@@ -251,8 +267,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run N random trials instead of reading inputs")
     p_bnd.add_argument("--seed", type=int, default=0,
                        help="seed for --sweep trials")
-    p_bnd.add_argument("--n", type=int, default=4096,
-                       help="grid size for sweeps and series input")
+    p_bnd.add_argument("--n", type=int, default=None,
+                       help=f"grid size for sweeps and series input "
+                            f"(default {_GRID_N}; refused when neither runs)")
     p_bnd.add_argument("--degree", type=int, default=16,
                        help="trig-polynomial degree cap for sweep draws")
     p_bnd.set_defaults(func=cmd_bounds)

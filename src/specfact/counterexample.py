@@ -84,18 +84,18 @@ class CounterexampleFamily:
 
 
 def build_family(n: int | None = None, du: float = 0.1,
-                 variant: str = "floored", *, eps: float | None = None,
-                 enforce_bump_phase: bool = True) -> CounterexampleFamily:
+                 variant: str = "floored", *,
+                 eps: float | None = None) -> CounterexampleFamily:
     """Construct the family member for index n (or explicit eps).
 
     Exactly one of n and eps must be given; n >= 1 sets eps = 1/(2 pi n),
     and an n whose bump center 4 pi^3 n leaves the float64 range raises
     NumericalConditioningError.
     The bump is a unit-mass box on |u - u*| <= du with u* = 2 pi^2 / eps.
-    With enforce_bump_phase (the default) the phase error |psi - pi| on the
-    bump, which equals beta * du, must stay below 0.1; the pipeline
-    cross-check disables that to reach moderate eps where the whole family
-    fits on a uniform grid.
+    Its phase error |psi - pi| equals beta * du with beta = eps / (2 pi),
+    and must stay below pi/2, where the defect stays positive.  An index
+    gives beta * du = du / (4 pi^2 n) <= 1 / (4 pi^2); only an explicit
+    eps, as in the grid cross-check, comes near the limit.
     """
     if CONJUGATE_ARC_SIGN != 1:
         raise NotImplementedError(
@@ -125,10 +125,6 @@ def build_family(n: int | None = None, du: float = 0.1,
             f"floored variant needs eps < 2 (weight 1 - eps/2 > 0), got {eps}")
     beta = eps / (2.0 * math.pi)
     phase_err = beta * du
-    if enforce_bump_phase and phase_err > 0.1:
-        raise ParameterError(
-            f"|psi - pi| reaches {phase_err:.3g} > 0.1 on the bump; "
-            f"shrink du below {0.1 / beta:.3g}")
     if phase_err >= math.pi / 2.0:
         raise ParameterError(
             f"bump leaves the positive-defect region (beta*du = {phase_err:.3g})")
@@ -424,8 +420,7 @@ def cross_validate_pipeline(eps: float) -> BoundReport:
         raise ParameterError(
             f"eps = {eps} puts the bump at u* = {u_star:.2f} > 12, beyond "
             f"uniform-grid reach; need eps >= {2.0 * math.pi ** 2 / 12.0:.3f}")
-    fam = build_family(eps=eps, du=du, variant="plus-one",
-                       enforce_bump_phase=False)
+    fam = build_family(eps=eps, du=du, variant="plus-one")
     met = family_metrics(fam)
     grid = pair_metrics(*grid_realization(fam, n_pts))
     h2_grid = float(grid.h2_squared[0])

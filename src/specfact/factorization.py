@@ -198,21 +198,6 @@ def _herglotz_factor(f: GridFunction, floor: float | None,
     return SpectralFactor(a, floor_applied=floor)
 
 
-def _hermitian_coeffs(series) -> dict[int, complex]:
-    if isinstance(series, FourierSeries):
-        coeffs = dict(series.coeffs)
-    else:
-        coeffs = {int(k): complex(c) for k, c in dict(series).items()}
-    scale = max((abs(c) for c in coeffs.values()), default=0.0)
-    for k, c in coeffs.items():
-        mirror = coeffs.get(-k, 0.0)
-        if abs(c - np.conjugate(mirror)) > 1e-9 * (1.0 + scale):
-            raise ParameterError(
-                f"coefficients are not Hermitian at k = {k}: "
-                f"c_k = {c}, conj(c_-k) = {np.conjugate(mirror)}")
-    return coeffs
-
-
 def _validation_grid(degree: int) -> int:
     m = 4096
     while m < 16 * max(degree, 1):
@@ -233,12 +218,22 @@ def fejer_riesz(series) -> np.ndarray:
     input was not a nonnegative polynomial to working precision and raises
     NumericalConditioningError.
 
-    Degrees above FR_MAX_DEGREE raise ParameterError before any work on the
-    polynomial.  Nonnegativity and the final reproduction check are read on
-    a grid of at least 16 N samples, synthesized by one inverse FFT.
+    Coefficients that are not Hermitian by FourierSeries.is_real_valued, the
+    rule every series input meets, and degrees above FR_MAX_DEGREE raise
+    ParameterError before any work on the polynomial.  Nonnegativity and the
+    final reproduction check are read on a grid of at least 16 N samples,
+    synthesized by one inverse FFT.
     """
-    coeffs = _hermitian_coeffs(series)
-    coeffs = {k: c for k, c in coeffs.items() if c != 0}
+    if not isinstance(series, FourierSeries):
+        series = FourierSeries(series)
+    if not series.is_real_valued():
+        k = max(series.coeffs, key=lambda k: abs(
+            series.coefficient(k) - series.coefficient(-k).conjugate()))
+        raise ParameterError(
+            f"coefficients are not Hermitian at k = {k}: "
+            f"c_k = {series.coefficient(k)}, "
+            f"conj(c_-k) = {series.coefficient(-k).conjugate()}")
+    coeffs = {k: c for k, c in series.coeffs.items() if c != 0}
     if not coeffs:
         raise DomainError("cannot factor the zero polynomial")
     N = max(abs(k) for k in coeffs)

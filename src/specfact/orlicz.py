@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,18 +30,15 @@ from .report import BoundReport, bound_report
 
 __all__ = [
     "NFunction",
-    "GSpec",
+    "GAUGES",
     "luxemburg_norm",
     "orlicz_norm",
     "lambda_phi",
     "holder_check",
     "davis_constant",
     "k0_constant",
-    "gauge_integral",
     "lemma_G_report",
     "weak11_ratio",
-    "g_one_minus_cos",
-    "g_clipped_square",
 ]
 
 MASTER_LO = 1e-12
@@ -60,47 +56,31 @@ class NFunction:
     def __init__(self, kind: str, *, q: float | None = None,
                  t_nodes: np.ndarray | None = None,
                  u_nodes: np.ndarray | None = None):
+        # stores valid nodes: the factories validate what the caller gives
         self.kind = kind
         self._complement: NFunction | None = None
         if kind == "power":
-            q = float(q)
-            if not q > 1.0:
-                raise ParameterError(f"power N-function needs q > 1, got {q}")
             self.q = q
             return
-        if kind != "density":
-            raise ParameterError(f"unknown N-function kind {kind!r}")
-        t = np.asarray(t_nodes, dtype=float)
-        u = np.asarray(u_nodes, dtype=float)
-        if t.ndim != 1 or t.shape != u.shape or len(t) < 2:
-            raise ParameterError("density needs matching 1-d node arrays")
-        if np.any(t <= 0) or np.any(np.diff(t) <= 0):
-            raise ParameterError("density abscissae must be positive and increasing")
-        if np.any(u < 0) or np.any(np.diff(u) < -1e-15 * max(1.0, u.max())):
-            raise ParameterError("density values must be nonnegative and nondecreasing")
-        if not (u[0] > 0 and u[1] > u[0] and u[-1] > u[-2]):
-            raise ParameterError(
-                "density must be strictly increasing on its end segments "
-                "(needed for power-law extension and complementation)")
+        t, u = t_nodes, u_nodes
         self.t_nodes = t
         self.u_nodes = u
-        self.alpha_lo = math.log(u[1] / u[0]) / math.log(t[1] / t[0])
-        self.alpha_hi = math.log(u[-1] / u[-2]) / math.log(t[-1] / t[-2])
-        if not (self.alpha_lo > 0 and math.isfinite(self.alpha_lo)
-                and self.alpha_hi >= 0 and math.isfinite(self.alpha_hi)):
-            raise ParameterError("end segments give unusable power-law exponents")
+        self.alpha_lo, self.alpha_hi = _end_exponents(t, u)
         # cumulative integral of the piecewise-linear density; the piece
         # below the first node is the exact power-law integral
         head = u[0] * t[0] / (self.alpha_lo + 1.0)
         increments = 0.5 * (u[1:] + u[:-1]) * np.diff(t)
         self._cum = head + np.concatenate([[0.0], np.cumsum(increments)])
-        self._convexity_spot_check()
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def power(cls, q: float) -> "NFunction":
         """Phi(tau) = tau^q / q."""
+        q = float(q)
+        if not (q > 1.0 and math.isfinite(q)):
+            raise ParameterError(
+                f"power N-function needs a finite q > 1, got {q}")
         return cls("power", q=q)
 
     @classmethod
@@ -109,12 +89,23 @@ class NFunction:
 
         The samples are resampled onto a geometric master grid covering
         [1e-12, 1e12] (extended if the samples reach further), linear
-        between input nodes and power-law outside them.
+        between input nodes and power-law outside them.  This is the one
+        validation of a density: the samples must be finite, with positive
+        distinct t and a nonnegative nondecreasing u that increases
+        strictly on both end segments, and the resampled density must stay
+        finite, with finite power-law exponents on its end segments.  A
+        nondecreasing u makes Phi convex; complement() spot-checks the
+        convexity of the complement, which rounding can break.
         """
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=float)
         if t.ndim != 1 or t.shape != u.shape or len(t) < 2:
             raise ParameterError("u_grid needs at least two (t, u) samples")
+        finite = np.isfinite(t) & np.isfinite(u)
+        if not np.all(finite):
+            j = int(np.argmin(finite))
+            raise ParameterError(
+                f"density sample [{float(t[j])}, {float(u[j])}] is not finite")
         order = np.argsort(t)
         t, u = t[order], u[order]
         if np.any(t <= 0) or np.any(np.diff(t) <= 0):
@@ -124,8 +115,7 @@ class NFunction:
         if not (u[0] > 0 and u[1] > u[0] and u[-1] > u[-2]):
             raise ParameterError(
                 "density samples must increase strictly on the end segments")
-        a_lo = math.log(u[1] / u[0]) / math.log(t[1] / t[0])
-        a_hi = math.log(u[-1] / u[-2]) / math.log(t[-1] / t[-2])
+        a_lo, a_hi = _end_exponents(t, u)
         lo = min(MASTER_LO, t[0])
         hi = max(MASTER_HI, t[-1])
         master = np.geomspace(lo, hi, MASTER_POINTS)
@@ -134,19 +124,21 @@ class NFunction:
         below = nodes < t[0]
         above = nodes > t[-1]
         mid = ~(below | above)
-        vals[mid] = np.interp(nodes[mid], t, u)
-        vals[below] = u[0] * (nodes[below] / t[0]) ** a_lo
-        vals[above] = u[-1] * (nodes[above] / t[-1]) ** a_hi
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            vals[mid] = np.interp(nodes[mid], t, u)
+            vals[below] = u[0] * (nodes[below] / t[0]) ** a_lo
+            vals[above] = u[-1] * (nodes[above] / t[-1]) ** a_hi
+        if not np.all(np.isfinite(vals)):
+            raise ParameterError(
+                "density samples overflow when resampled onto the master grid")
+        if not (vals[0] > 0 and vals[1] > vals[0] and vals[-1] > vals[-2]):
+            raise ParameterError(
+                "density must be strictly increasing on its end segments "
+                "(needed for power-law extension and complementation)")
+        a_lo, a_hi = _end_exponents(nodes, vals)
+        if not (0.0 < a_lo < math.inf and 0.0 <= a_hi < math.inf):
+            raise ParameterError("end segments give unusable power-law exponents")
         return cls("density", t_nodes=nodes, u_nodes=vals)
-
-    def _convexity_spot_check(self) -> None:
-        xs = np.geomspace(self.t_nodes[0], self.t_nodes[-1], 41)
-        px = self.phi(xs)
-        pm = self.phi(0.5 * (xs[:-1] + xs[1:]))
-        gap = pm - 0.5 * (px[:-1] + px[1:])
-        scale = 1.0 + np.abs(px[1:])
-        if np.any(gap > 1e-10 * scale):
-            raise ParameterError("density does not define a convex Phi")
 
     # -- evaluation ------------------------------------------------------
 
@@ -251,7 +243,21 @@ class NFunction:
                 # flat u-segment: the inverse jumps; encode the jump as a
                 # ramp one ulp wide so the node set stays a function graph
                 ys[i] = np.nextafter(ys[i - 1], np.inf)
-        return NFunction("density", t_nodes=ys, u_nodes=self.t_nodes)
+        psi = NFunction("density", t_nodes=ys, u_nodes=self.t_nodes)
+        psi._convexity_spot_check()
+        return psi
+
+    def _convexity_spot_check(self) -> None:
+        # Psi is convex in exact arithmetic, but where u rises by a few ulps
+        # over a segment, the ramp of v is a few ulps wide and its
+        # evaluation is not convex to 1e-10: such a Phi is refused here
+        xs = np.geomspace(self.t_nodes[0], self.t_nodes[-1], 41)
+        px = self.phi(xs)
+        pm = self.phi(0.5 * (xs[:-1] + xs[1:]))
+        gap = pm - 0.5 * (px[:-1] + px[1:])
+        scale = 1.0 + np.abs(px[1:])
+        if np.any(gap > 1e-10 * scale):
+            raise ParameterError("density does not define a convex Phi")
 
     @classmethod
     def from_json_dict(cls, obj) -> "NFunction":
@@ -276,6 +282,15 @@ class NFunction:
         if self.kind == "power":
             return f"NFunction.power({self.q})"
         return f"NFunction.density(<{len(self.t_nodes)} nodes>)"
+
+
+def _end_exponents(t: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    """Power-law exponents log(u ratio) / log(t ratio) of the first and the
+    last segment; inf or nan where a ratio leaves the double range."""
+    return (math.log(float(u[1]) / float(u[0]))
+            / math.log(float(t[1]) / float(t[0])),
+            math.log(float(u[-1]) / float(u[-2]))
+            / math.log(float(t[-1]) / float(t[-2])))
 
 
 def _json_field(obj: dict, key: str, expected: str, convert):
@@ -543,7 +558,8 @@ def davis_constant() -> float:
 
 
 #: Si(pi) = int_0^pi sin(x)/x dx as adaptive quadrature returns it; the
-#: alternating Taylor series sums to 1-2 ulp away.
+#: alternating Taylor series sums to 1-2 ulp away.  It is also I(1 - cos),
+#: the gauge integral of lemma_G_report.
 _SI_PI = 1.851937051982466
 
 
@@ -556,79 +572,37 @@ def k0_constant() -> float:
 # -- distribution-side checks --------------------------------------------
 
 
-@dataclass(frozen=True)
-class GSpec:
-    """A gauge G on [0, a]: nondecreasing, G(0) = 0, with derivative gprime.
-
-    Arguments above a contribute G(a); that is how the maximal-function
-    lemma consumes gauges whose formula would decrease past a.
-    """
-
-    g: Callable
-    gprime: Callable
-    a: float
-    label: str = ""
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ParameterError("GSpec needs a > 0")
-        if abs(float(self.g(0.0))) > 1e-12:
-            raise ParameterError("G(0) must be 0")
-        xs = np.linspace(0.0, self.a, 1001)
-        vals = np.asarray(self.g(xs), dtype=float)
-        if np.any(np.diff(vals) < -1e-12):
-            raise ParameterError("G must be nondecreasing on [0, a]")
-
-    def capped(self, x):
-        return self.g(np.minimum(np.asarray(x, dtype=float), self.a))
+#: The gauges of the maximal-function lemma, keyed by the label its report
+#: prints: (G, a, I(G)) with G nondecreasing on [0, a], G(0) = 0, and
+#: I(G) = int_0^a G'(x)/x dx in closed form.  Arguments above a contribute
+#: G(a).  For 1 - cos, I(G) = int_0^pi sin(x)/x dx = Si(pi); for min(x^2, 1),
+#: I(G) = int_0^1 2 dx = 2.  The tests check both against quadrature.
+GAUGES = {
+    "1-cos": (lambda x: 1.0 - np.cos(x), math.pi, _SI_PI),
+    "min(x^2,1)": (lambda x: np.minimum(np.square(x), 1.0), 1.0, 2.0),
+}
 
 
-def g_one_minus_cos() -> GSpec:
-    """G(x) = 1 - cos x on [0, pi]."""
-    return GSpec(g=lambda x: 1.0 - np.cos(x), gprime=np.sin, a=math.pi,
-                 label="1-cos")
-
-
-def g_clipped_square() -> GSpec:
-    """G(x) = min(x^2, 1) on [0, 1]."""
-    return GSpec(g=lambda x: np.minimum(np.square(x), 1.0),
-                 gprime=lambda x: np.where(np.asarray(x) <= 1.0, 2.0 * np.asarray(x), 0.0),
-                 a=1.0, label="min(x^2,1)")
-
-
-def gauge_integral(gspec: GSpec) -> float:
-    """I(G) = int_0^a G'(x)/x dx by adaptive quadrature."""
-    from scipy.integrate import quad
-
-    def integrand(x):
-        if x == 0.0:
-            return 0.0
-        return float(gspec.gprime(x)) / x
-
-    val, err = quad(integrand, 0.0, gspec.a, epsabs=1e-12, epsrel=1e-12,
-                    limit=200)
-    if err > 1e-8 * (1.0 + abs(val)):
-        raise NumericalConditioningError(
-            f"gauge integral error estimate {err:.2e} too large")
-    return val
-
-
-def lemma_G_report(gspec: GSpec, psi: GridFunction) -> BoundReport:
-    """Check int G(|psi~|) dtheta <= K * I(G) * ||psi||_1.
+def lemma_G_report(gauge: str, psi: GridFunction) -> BoundReport:
+    """Check int G(|psi~|) dtheta <= K * I(G) * ||psi||_1 for GAUGES[gauge].
 
     The left side is a grid quadrature of a function with |.|-kinks, so the
     documented pass tolerance is the loose grid tolerance 0.02.
     """
+    if gauge not in GAUGES:
+        raise ParameterError(
+            f"unknown gauge {gauge!r}; known: {', '.join(GAUGES)}")
     if not psi.is_real:
         raise ParameterError("psi must be real")
+    g, a, ig = GAUGES[gauge]
     conj = harmonic_conjugate(psi)
-    lhs = float(np.sum(gspec.capped(np.abs(conj.values)))) * 2.0 * np.pi / psi.n
-    ig = gauge_integral(gspec)
+    lhs = (float(np.sum(g(np.minimum(np.abs(conj.values), a))))
+           * 2.0 * np.pi / psi.n)
     l1 = lp_norm(psi, 1)
     rhs = davis_constant() * ig * l1
     return bound_report("lemma-g", lhs, rhs, tol=0.02,
-                        details={"gauge": gspec.label or "custom",
-                                 "a": gspec.a, "I_G": ig, "psi_l1": l1})
+                        details={"gauge": gauge, "a": a, "I_G": ig,
+                                 "psi_l1": l1})
 
 
 def weak11_ratio(psi: GridFunction) -> float:

@@ -11,9 +11,16 @@ from typing import Any
 class BoundReport:
     """Outcome of one quantitative check.
 
-    The pass rule is always  lhs <= rhs * (1 + tol) + atol  with the
-    tolerances recorded in details, so a report can be re-audited from its
-    own fields.
+    Reports built by bound_report pass iff  lhs <= rhs * (1 + tol) + atol,
+    with tol and atol recorded in details.  Four state their own rule, each
+    readable from the report's fields:
+
+    * thm2 also needs details["pass_sharp"], the same rule against
+      rhs_sharp with the constant 2 K0;
+    * outer-check is two-sided: |lhs - rhs| <= tol (1 + |rhs|);
+    * thm1 needs lhs <= rhs exactly, with details["m1_ok"] and ["m2_ok"];
+    * cross-validation passes iff lhs (the worst relative gap) <= rhs,
+      which is the tolerance.
     """
 
     name: str
@@ -36,7 +43,7 @@ class BoundReport:
 
 def bound_report(name: str, lhs: float, rhs: float, tol: float,
                  atol: float = 0.0, details: dict | None = None) -> BoundReport:
-    """Assemble a BoundReport, applying the single shared pass rule."""
+    """Assemble a BoundReport, applying the shared pass rule."""
     lhs = float(lhs)
     rhs = float(rhs)
     passed = bool(lhs <= rhs * (1.0 + tol) + atol)

@@ -27,8 +27,6 @@ from specfact import (
     factorize_herglotz,
     fejer_riesz,
     fourier_synthesize,
-    g_clipped_square,
-    g_one_minus_cos,
     GridFunction,
     harmonic_conjugate,
     holder_check,
@@ -175,8 +173,6 @@ def test_criterion_6_lemma_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(6006)
     phi = NFunction.power(2.0)
-    gauge_cos = g_one_minus_cos()
-    gauge_sq = g_clipped_square()
     fails = 0
     worst_ratio = 0.0
     cap = davis_constant() * 1.05
@@ -184,8 +180,8 @@ def test_criterion_6_lemma_suite():
         psi = random_phase(rng, n=1024, degree=12)
         fails += not check_lemma_l1(psi).passed
         fails += not check_lemma_orl(psi, phi).passed
-        fails += not lemma_G_report(gauge_cos, psi).passed
-        fails += not lemma_G_report(gauge_sq, psi).passed
+        fails += not lemma_G_report("1-cos", psi).passed
+        fails += not lemma_G_report("min(x^2,1)", psi).passed
         ratio = weak11_ratio(psi)
         worst_ratio = max(worst_ratio, ratio)
         fails += not ratio <= cap

@@ -166,6 +166,63 @@ def test_factorize_refuses_what_the_method_does_not_read(tmp_path, capsys,
     assert run(capsys, "factorize", str(series), "--method", method)[0] == 0
 
 
+@pytest.mark.parametrize("method", ["boundary", "herglotz"])
+def test_factorize_refuses_n_for_sample_input(tmp_path, capsys, method):
+    samples = tmp_path / "flat.txt"
+    samples.write_text("4 4 4 4 4 4 4 4\n")
+    code, out, err = run(capsys, "factorize", str(samples), "--method",
+                         method, "--n", "512")
+    assert code == 2 and not out
+    assert err.startswith("specfact: cannot parse input: --n 512")
+    assert len(err.strip().splitlines()) == 1
+    assert run(capsys, "factorize", str(samples), "--method", method)[0] == 0
+    # series input reads --n
+    series = tmp_path / "series.json"
+    series.write_text('{"coeffs": {"0": [1.25, 0], "1": [-0.5, 0], '
+                      '"-1": [-0.5, 0]}}')
+    code, out, _ = run(capsys, "factorize", str(series), "--method", method,
+                       "--n", "512")
+    assert code == 0 and json.loads(out)["outer"]["pass"] is True
+
+
+def test_bounds_refuses_n_without_series_or_sweep(tmp_path, capsys):
+    f = random_density(np.random.default_rng(2), n=256)
+    samples = tmp_path / "s.txt"
+    samples.write_text("\n".join(map(repr, f.values.tolist())))
+    code, out, err = run(capsys, "bounds", str(samples), str(samples),
+                         "--check", "thm2", "--n", "512")
+    assert code == 2 and not out
+    assert err.startswith("specfact: cannot parse input: --n 512")
+    assert len(err.strip().splitlines()) == 1
+    assert run(capsys, "bounds", str(samples), str(samples),
+               "--check", "thm2")[0] == 0
+    # one series among the inputs reads --n, and sets the grid of the pair
+    series = tmp_path / "series.json"
+    series.write_text('{"coeffs": {"0": [1.25, 0], "1": [-0.5, 0], '
+                      '"-1": [-0.5, 0]}}')
+    assert run(capsys, "bounds", str(series), str(series), "--check", "thm2",
+               "--n", "512")[0] == 0
+    code, _, err = run(capsys, "bounds", str(series), str(samples),
+                       "--check", "thm2", "--n", "512")
+    assert code == 2 and "share a grid" in err, err
+
+
+def test_factorize_fejer_riesz_refuses_non_hermitian_before_roots(
+        tmp_path, capsys, monkeypatch):
+    def roots(_):
+        pytest.fail("np.roots ran on a series that is not Hermitian")
+
+    monkeypatch.setattr(np, "roots", roots)
+    path = tmp_path / "skewed.json"
+    path.write_text('{"coeffs": {"0": [1.25, 0], "1": [-0.5, 1e-10], '
+                    '"-1": [-0.5, 0]}}')
+    code, out, err = run(capsys, "factorize", str(path),
+                         "--method", "fejer-riesz")
+    assert code == 2 and not out
+    assert "not Hermitian at k = 1" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_factorize_herglotz_degree_defaults_to_64(tmp_path, capsys):
     path = tmp_path / "flat.txt"
     path.write_text("4 4 4 4 4 4 4 4\n")
@@ -226,10 +283,11 @@ def test_bounds_check_choices_come_from_the_table(capsys):
 
 
 def test_no_command_loads_scipy(tmp_path):
-    """No command and no workload step loads scipy: importing specfact,
-    all six bounds checks (main and lemma-orl under an L log L density
-    Phi), both counterexample variants, all three factorize routes,
-    constants and the grid cross-check each leave sys.modules free of it."""
+    """The package runs without scipy: with scipy made unimportable,
+    importing specfact, all six bounds checks (main and lemma-orl under an
+    L log L density Phi), both counterexample variants, all three
+    factorize routes, constants, the grid cross-check and lemma_G_report
+    for both gauges each run and leave sys.modules free of it."""
     density = tmp_path / "flat.txt"
     density.write_text("4 4 4 4 4 4 4 4\n")
     series = tmp_path / "series.json"
@@ -247,8 +305,10 @@ def test_no_command_loads_scipy(tmp_path):
               ["constants"]]
     script = textwrap.dedent("""
         import contextlib, io, json, sys
+        sys.modules["scipy"] = None  # any import of scipy now fails
         def scipy():
-            return sorted(m for m in sys.modules if m.startswith("scipy"))
+            return sorted(m for m in sys.modules
+                          if m.startswith("scipy") and sys.modules[m])
         import specfact
         loaded = [["import specfact", scipy()]]
         from specfact.cli import main
@@ -261,6 +321,12 @@ def test_no_command_loads_scipy(tmp_path):
         from specfact.counterexample import cross_validate_pipeline
         assert cross_validate_pipeline(7.0).passed
         loaded.append(["cross_validate_pipeline(7.0)", scipy()])
+        from specfact import lemma_G_report, random_phase
+        import numpy as np
+        psi = random_phase(np.random.default_rng(6), n=1024, degree=12)
+        for gauge in ("1-cos", "min(x^2,1)"):
+            assert lemma_G_report(gauge, psi).passed
+            loaded.append([f"lemma_G_report({gauge!r})", scipy()])
         print(json.dumps(loaded))
     """)
     src = Path(specfact.__file__).resolve().parent.parent
@@ -270,7 +336,7 @@ def test_no_command_loads_scipy(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert len(loaded) == len(steps) + 2
+    assert len(loaded) == len(steps) + 4
     assert [(step, mods) for step, mods in loaded if mods] == []
 
 
@@ -382,6 +448,24 @@ def test_bounds_phi_errors_exit_2(capsys, phi):
     assert code == 2 and not out
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("specfact: cannot parse")
+
+
+@pytest.mark.parametrize("phi, named", [
+    ({"kind": "density", "u_grid": [[1, 1], [2, 2], [math.inf, 3]]},
+     "sample [inf, 3.0] is not finite"),
+    ({"kind": "density", "u_grid": [[1, 1], [2, math.nan], [3, 3]]},
+     "sample [2.0, nan] is not finite"),
+    ({"kind": "power", "q": math.inf}, "finite q > 1, got inf"),
+], ids=["inf-sample", "nan-sample", "inf-q"])
+def test_bounds_non_finite_phi_exit_2(capsys, phi, named):
+    """Refused by name, in one stderr line, before any numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "bounds", "--check", "main", "--sweep",
+                             "1", "--n", "256", "--phi", json.dumps(phi))
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and named in lines[0], err
 
 
 LLOGL_PHI = {"kind": "density",

@@ -77,8 +77,7 @@ def test_metrics_internal_consistency():
 
 
 def test_phase_hits_pi_at_bump_center():
-    fam = build_family(eps=2.0 * math.pi, variant="plus-one",
-                       enforce_bump_phase=False)
+    fam = build_family(eps=2.0 * math.pi, variant="plus-one")
     lo, hi = fam.bump_theta_support
     mid = 0.5 * (lo + hi)
     # the conjugate phase (eps/2pi) log|tan(theta/2)| of the step
@@ -88,8 +87,7 @@ def test_phase_hits_pi_at_bump_center():
 
 
 def test_grid_realization_invariants():
-    fam = build_family(eps=2.0 * math.pi, variant="plus-one",
-                       enforce_bump_phase=False)
+    fam = build_family(eps=2.0 * math.pi, variant="plus-one")
     f, g = grid_realization(fam, 16384)
     assert np.all(g.values >= 0.0)
     assert np.all(g.values <= f.values + 1e-12)
@@ -122,11 +120,9 @@ def test_build_family_validation():
         build_family(n=1, variant="nope")
     with pytest.raises(ParameterError):
         build_family(eps=2.5)  # floored needs eps < 2
-    # phase error guard: beta*du must stay <= 0.1 unless relaxed
-    with pytest.raises(ParameterError):
-        build_family(eps=2.0 * math.pi, du=0.5, variant="plus-one")
-    build_family(eps=2.0 * math.pi, du=0.5, variant="plus-one",
-                 enforce_bump_phase=False)
+    # beta * du = eps du / (2 pi) must stay below pi/2
+    with pytest.raises(ParameterError, match="positive-defect"):
+        build_family(eps=10.0, du=1.0, variant="plus-one")
 
 
 def test_budget_refusal():

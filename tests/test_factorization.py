@@ -214,6 +214,14 @@ def test_fejer_riesz_scaling(rng):
 def test_fejer_riesz_validation():
     with pytest.raises(ParameterError):
         fejer_riesz(FourierSeries({0: 1.0, 1: 0.5}))  # not Hermitian
+    # a defect of 1e-10 breaks the one Hermitian rule, is_real_valued's
+    # 1e-12 relative, and is refused before the root step
+    skewed = FourierSeries({0: 1.25, 1: -0.5 + 1e-10j, -1: -0.5})
+    assert not skewed.is_real_valued()
+    with pytest.raises(ParameterError, match="not Hermitian at k = 1"):
+        fejer_riesz(skewed)
+    with pytest.raises(ParameterError, match="not Hermitian at k = 1"):
+        fejer_riesz({0: 1.25, 1: -0.5 + 1e-10j, -1: -0.5})
     with pytest.raises(DomainError):
         fejer_riesz(FourierSeries({-1: 0.5, 0: 0.25, 1: 0.5}))  # dips negative
     with pytest.raises(DomainError):

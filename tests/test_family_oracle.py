@@ -141,8 +141,7 @@ def test_family_matches_mpmath(n, du, variant):
 def test_cross_check_bump_matches_mpmath(eps):
     """The pairing ratio of the plus-one family the grid cross-check builds
     (du = 0.5, several series terms), at 50 digits."""
-    fam = build_family(eps=eps, du=0.5, variant="plus-one",
-                       enforce_bump_phase=False)
+    fam = build_family(eps=eps, du=0.5, variant="plus-one")
     with mpmath.workdps(_DPS):
         want = _bump_oracle(mpmath.mpf(eps), mpmath.mpf(0.5))
     _check_bump(fam, want)

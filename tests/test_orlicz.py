@@ -7,14 +7,10 @@ import pytest
 
 from specfact import (
     GridFunction,
-    GSpec,
     NFunction,
     NumericalConditioningError,
     ParameterError,
     davis_constant,
-    g_clipped_square,
-    g_one_minus_cos,
-    gauge_integral,
     grid_theta,
     holder_check,
     k0_constant,
@@ -27,7 +23,7 @@ from specfact import (
     weak11_ratio,
 )
 from specfact import orlicz
-from specfact.orlicz import _BIG, _CATALAN, _SI_PI, _brentq
+from specfact.orlicz import _BIG, _CATALAN, _SI_PI, GAUGES, _brentq
 
 CATALAN = 0.915965594177219
 
@@ -50,6 +46,8 @@ def test_power_phi_values():
         NFunction.power(1.0)
     with pytest.raises(ParameterError):
         NFunction.power(0.5)
+    with pytest.raises(ParameterError, match="finite q > 1, got inf"):
+        NFunction.power(math.inf)
 
 
 def test_power_complement_exponent():
@@ -432,6 +430,27 @@ def test_density_validation():
         NFunction.from_density([1.0, -2.0], [1.0, 2.0])
     with pytest.raises(ParameterError):
         NFunction.from_density([1.0, 2.0], [-1.0, 2.0])
+    with pytest.raises(ParameterError, match=r"\[inf, 3.0\] is not finite"):
+        NFunction.from_density([1.0, 2.0, math.inf], [1.0, 2.0, 3.0])
+    # u climbs to 6.5e131 over t < 6.6e-277: the slope between the samples
+    # overflows, and so does the interpolation on the master grid
+    with pytest.raises(ParameterError, match="overflow"):
+        NFunction.from_density(
+            [3.4382991388337074e-281, 1.3392219886108555e-278,
+             6.551632205429027e-277, 9.8448972316658e-203,
+             8.189835743447366e+171],
+            [1.0492257293e-312, 2.736162280370246e-277,
+             6.490331086261677e+131, 7.129333895321158e+225,
+             7.304156480138361e+279])
+    # u rises by one ulp on its last segment: valid, but the complement's
+    # ramp there is an ulp wide and its evaluation is not convex
+    flat = NFunction.from_density(
+        [2.0435202590449956e-239, 2.05511896702174e-239,
+         2.077926149854601e-239],
+        [9.946981405662749e+269, 9.946981405738359e+269,
+         9.94698140573836e+269])
+    with pytest.raises(ParameterError, match="convex"):
+        flat.complement()
 
 
 def test_constants_pins():
@@ -481,32 +500,51 @@ def test_catalan_literal_against_series():
     assert davis_constant() == (math.pi ** 2 / 8.0) / series
 
 
+#: G' of each gauge row, for the quadrature check of its I(G)
+_GAUGE_DERIVATIVES = {
+    "1-cos": np.sin,
+    "min(x^2,1)": lambda x: 2.0 * x if x <= 1.0 else 0.0,
+}
+
+
 def test_gauge_integrals():
-    si_pi = 1.851937051982466
-    assert gauge_integral(g_one_minus_cos()) == pytest.approx(si_pi, rel=1e-11)
-    assert gauge_integral(g_clipped_square()) == pytest.approx(2.0, rel=1e-11)
+    """Each row's I(G) is bit for bit what adaptive quadrature of G'(x)/x
+    over [0, a] returns."""
+    from scipy.integrate import quad
+
+    assert set(GAUGES) == set(_GAUGE_DERIVATIVES)
+    for label, (_, a, ig) in GAUGES.items():
+        gprime = _GAUGE_DERIVATIVES[label]
+        val, err = quad(lambda x: float(gprime(x)) / x if x > 0.0 else 0.0,
+                        0.0, a, epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert err <= 1e-8 * (1.0 + abs(val))
+        assert ig == val, label
+    assert GAUGES["1-cos"][2] == _SI_PI
 
 
-def test_gspec_validation():
-    with pytest.raises(ParameterError):
-        GSpec(g=lambda x: x - 1.0, gprime=lambda x: 1.0, a=1.0)  # G(0) != 0
-    with pytest.raises(ParameterError):
-        GSpec(g=lambda x: -x, gprime=lambda x: -1.0, a=1.0)  # decreasing
-    with pytest.raises(ParameterError):
-        GSpec(g=lambda x: x, gprime=lambda x: 1.0, a=0.0)
+def test_gauge_rows_are_gauges():
+    """G(0) = 0 and G nondecreasing on [0, a], for each row."""
+    for label, (g, a, _) in GAUGES.items():
+        assert a > 0.0
+        assert float(g(np.zeros(1))[0]) == 0.0, label
+        vals = g(np.linspace(0.0, a, 1001))
+        assert np.all(np.diff(vals) >= 0.0), label
 
 
 def test_lemma_g_report(rng):
     n = 1024
     th = grid_theta(n)
-    for gs in (g_one_minus_cos(), g_clipped_square()):
+    for gauge in GAUGES:
         for _ in range(5):
             w = np.zeros(n)
             for k in range(1, 9):
                 w += rng.uniform(-1, 1) * np.cos(k * th)
                 w += rng.uniform(-1, 1) * np.sin(k * th)
-            rep = lemma_G_report(gs, GridFunction(n, w))
+            rep = lemma_G_report(gauge, GridFunction(n, w))
             assert rep.passed, rep
+            assert rep.details["gauge"] == gauge
+    with pytest.raises(ParameterError, match="unknown gauge 'custom'"):
+        lemma_G_report("custom", GridFunction(n, np.cos(th)))
 
 
 def test_weak11_ratio(rng):

@@ -94,8 +94,9 @@ class NFunction:
         distinct t and a nonnegative nondecreasing u that increases
         strictly on both end segments, and the resampled density must stay
         finite, with finite power-law exponents on its end segments.  A
-        nondecreasing u makes Phi convex; complement() spot-checks the
-        convexity of the complement, which rounding can break.
+        nondecreasing u makes Phi convex; the complement is built here and
+        kept, and its convexity, which rounding can break, is spot-checked,
+        so every use of a density is refused or accepted alike.
         """
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=float)
@@ -138,7 +139,9 @@ class NFunction:
         a_lo, a_hi = _end_exponents(nodes, vals)
         if not (0.0 < a_lo < math.inf and 0.0 <= a_hi < math.inf):
             raise ParameterError("end segments give unusable power-law exponents")
-        return cls("density", t_nodes=nodes, u_nodes=vals)
+        phi = cls("density", t_nodes=nodes, u_nodes=vals)
+        phi.complement()
+        return phi
 
     # -- evaluation ------------------------------------------------------
 
@@ -228,7 +231,8 @@ class NFunction:
     def complement(self) -> "NFunction":
         """The complementary N-function via v(y) = sup{t : u(t) <= y}.
 
-        Built on first use and kept on the instance.
+        Built on first use, for a density by from_density, and kept on the
+        instance.
         """
         if self._complement is None:
             self._complement = self._build_complement()
@@ -329,6 +333,8 @@ _Z_MAX = 700.0
 _BIG = sys.float_info.max
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_ITER = 100
+#: below e^_LOG_SAFE no sample term of the Young integral can overflow
+_LOG_SAFE = 700.0
 
 
 def _brentq(f: Callable[[float], float], xa: float, xb: float,
@@ -459,11 +465,14 @@ def orlicz_norm(f: GridFunction, phi: NFunction) -> float:
         Y(k) = int [k|f| Phi'(k|f|) - Phi(k|f|)] dtheta - 1,
 
     whose integrand Phi*(Phi'(k|f|)) is nondecreasing in k.  One bracketed
-    Brent root-find on log k, to 1e-8, locates the minimizer; the
-    objective there is returned, an upper bound on the infimum.  Raises
-    NumericalConditioningError when
-    no root lies in the searched range (the infimum is then approached
-    only as k -> 0 or k -> inf).
+    Brent root-find on log k, to 1e-8, locates the minimizer.  Its steps
+    read Y from moments of the sorted samples, built once (_young_integral),
+    in O(nodes) work each; against the sample-by-sample sum they agree to
+    6e-13 relative where both are finite, and are +inf where it is.  The
+    objective at the root is summed sample by sample and returned, an
+    upper bound on the infimum whatever the error of the moments.  Raises
+    NumericalConditioningError when no root lies in the searched range
+    (the infimum is then approached only as k -> 0 or k -> inf).
     """
     v = np.abs(f.values)
     peak = float(v.max())
@@ -473,24 +482,85 @@ def orlicz_norm(f: GridFunction, phi: NFunction) -> float:
     if phi.kind == "power":
         q = phi.q
         return (q / (q - 1.0)) ** ((q - 1.0) / q) * _lq_norm(v, peak, q, h)
-    # sorted once: the node lookups inside phi then see monotone queries
     w = np.sort(v) / peak
-
-    def young(z: float) -> float:
-        x = math.exp(z) * w
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = phi.phi(x)
-            terms = x * phi.density(x) - p
-        # past the double range both products are inf; the integrand is
-        # unbounded there, not undefined
-        terms[np.isinf(p)] = np.inf
-        return float(np.sum(terms)) * h - 1.0
-
+    young = _young_integral(phi, w)
     # start where k * mean|f| = 1
-    z = _log_root(young, -math.log(float(np.mean(w))), 1e-8,
-                  "no finite bracket for the Amemiya minimizer")
+    z = _log_root(lambda z: young(z) * h - 1.0, -math.log(float(np.mean(w))),
+                  1e-8, "no finite bracket for the Amemiya minimizer")
     k = math.exp(z) / peak
     return (1.0 + _modal_integral(k * v, phi, h)) / k
+
+
+def _young_integral(phi: NFunction,
+                    w: np.ndarray) -> Callable[[float], float]:
+    """z -> sum_j g(e^z w_j) for the sorted samples w <= 1 of a density-kind
+    Phi, with g(x) = x Phi'(x) - Phi(x), from moments of w built once.
+
+    Between nodes the density is linear, so g(x) = c_i + q_i ((x/t_i)^2 - 1)
+    on [t_i, t_(i+1)), with c_i = t_i u_i - Phi(t_i) and q_i = s_i t_i^2 / 2
+    for the segment slope s_i: an interval needs only its count and sum of
+    w^2.  Below the first node g is a multiple of x^(alpha_lo + 1), above
+    the last one an affine function of x^(alpha_hi + 1), so each end piece
+    needs one power sum S of w; its coefficient C and S enter as
+    ((C S)^(1/p) e^z / t_end)^p, which overflows only where the piece
+    does.  A step is one search of the nodes that bracket the samples
+    among them plus O(nodes) arithmetic.  Where a sample's x Phi'(x) or
+    Phi(x) leaves the double range the sum is +inf, as summing g sample
+    by sample makes it.  The sums of w^2 are exact to rounding while every
+    nonzero sample is above 1e-150 of the peak, so that its square is a
+    normal double.
+    """
+    t, u, cum = phi.t_nodes, phi.u_nodes, phi._cum
+    a_lo, a_hi = phi.alpha_lo + 1.0, phi.alpha_hi + 1.0
+    w = w[np.searchsorted(w, 0.0, side="right"):]  # zeros add nothing
+    with np.errstate(all="ignore"):
+        c = t * u - cum
+        q = 0.5 * np.diff(u) * t[:-1] * (t[:-1] / np.diff(t))
+        # the end pieces' coefficients, nodes and exponents
+        coef = np.array([u[0] * t[0] * (1.0 - 1.0 / a_lo),
+                         u[-1] * t[-1] * (1.0 - 1.0 / a_hi)])
+        log_coef = np.log(coef)
+        t_ends = np.array([t[0], t[-1]])
+        powers = np.array([a_lo, a_hi])
+        zero = np.zeros(1)
+        w2 = np.concatenate([zero, np.cumsum(w * w)])
+        lo = np.concatenate([zero, np.cumsum(w ** a_lo)])
+        hi = np.concatenate([np.cumsum((w ** a_hi)[::-1])[::-1], zero])
+        # the top piece's g is affine in x^(alpha_hi + 1): its constant
+        c_top = float(c[-1] - coef[1])
+    log_t_top = math.log(t[-1])
+    log_u_top = math.log(u[-1])
+
+    def integral(z: float) -> float:
+        # x u(x) <= e^z u_top (e^z / t_top)^alpha_hi, and phi raises
+        # x / t_top to alpha_hi + 1: below e^_LOG_SAFE no sample overflows
+        above = max(z - log_t_top, 0.0)
+        if max(z + log_u_top + phi.alpha_hi * above, a_hi * above) > _LOG_SAFE:
+            k = math.exp(z)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if math.isinf(phi.phi(k)) or math.isinf(k * phi.density(k)):
+                    return math.inf
+        with np.errstate(all="ignore"):
+            tau = t * math.exp(-z)
+            # the nodes that bracket the samples: tau[a] <= w[0], tau[b] > 1
+            a, b = np.searchsorted(tau, (w[0], 1.0), side="right")
+            a, b = max(a - 1, 0), min(b, len(t) - 1)
+            # idx[i] counts the samples with e^z w < t_(a+i)
+            idx = np.searchsorted(w, tau[a:b + 1])
+            n_in = idx[1:] - idx[:-1]
+            mid = n_in * c[a:b] + q[a:b] * ((w2[idx[1:]] - w2[idx[:-1]])
+                                            / tau[a:b] ** 2 - n_in)
+            sums = np.array([lo[idx[0]], hi[idx[-1]]])
+            ends = (np.exp((log_coef + np.log(sums)) / powers)
+                    * (math.exp(z) / t_ends)) ** powers
+            # an empty end piece may hold inf * 0
+            total = float(mid.sum() + ends[sums > 0].sum())
+        n_hi = len(w) - int(idx[-1])
+        if n_hi:
+            total += n_hi * c_top
+        return total
+
+    return integral
 
 
 def lambda_phi(phi: NFunction, s: float) -> float:

@@ -468,6 +468,22 @@ def test_bounds_non_finite_phi_exit_2(capsys, phi, named):
     assert len(lines) == 1 and named in lines[0], err
 
 
+@pytest.mark.parametrize("check", ["lemma-orl", "main"])
+def test_bounds_ill_conditioned_phi_is_refused_by_every_check(capsys, check):
+    """A density whose last segment rises by one ulp is a valid Phi, but
+    its complement's ramp there is an ulp wide and not convex.  The
+    complement is built when --phi is parsed, so lemma-orl, which never
+    uses it, refuses the density as main does."""
+    phi = {"kind": "density", "u_grid": [
+        [2.04e-239, 9.946981405662749e269],
+        [2.06e-239, 9.946981405738359e269],
+        [2.08e-239, 9.94698140573836e269]]}
+    code, out, err = run(capsys, "bounds", "--check", check, "--sweep", "2",
+                         "--n", "256", "--phi", json.dumps(phi))
+    assert code == 2 and not out
+    assert "density does not define a convex Phi" in err
+
+
 LLOGL_PHI = {"kind": "density",
              "u_grid": [[float(t), math.log1p(t)]
                         for t in np.geomspace(1e-6, 1e6, 49)]}

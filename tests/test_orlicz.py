@@ -304,17 +304,25 @@ def test_density_solvers_take_scipys_brent_steps(monkeypatch):
 
 class _StubPhi(NFunction):
     """A density-kind stand-in that is not an N-function; it counts the
-    evaluations of phi and rho, one per solver step.
+    evaluations of phi and rho, and of the Young integral, one per solver
+    step.
 
-    linear, Phi(x) = |x|: x Phi'(x) - Phi(x) = 0, so the Young integral
-    Y(k) = -1 for every k and the Amemiya objective (1 + k ||f||_1)/k has no
-    minimizer.  constant, Phi(x) = 1: int Phi(|f|/kappa) = 2 pi for every
-    kappa and rho(tau) = tau Phi'(tau) = 0 for every tau, so neither the
-    Luxemburg equation nor the Lambda equation has a root.
+    linear, Phi(x) = |x|: nodes with u = 1 and end exponents 0, so
+    x Phi'(x) - Phi(x) = 0, the Young integral Y(k) = -1 for every k and
+    the Amemiya objective (1 + k ||f||_1)/k has no minimizer.  constant,
+    Phi(x) = 1: int Phi(|f|/kappa) = 2 pi for every kappa and
+    rho(tau) = tau Phi'(tau) = 0 for every tau, so neither the Luxemburg
+    equation nor the Lambda equation has a root.
     """
 
     def __init__(self, linear: bool):
-        self.kind = "density"
+        if linear:
+            t = np.geomspace(orlicz.MASTER_LO, orlicz.MASTER_HI,
+                             orlicz.MASTER_POINTS)
+            super().__init__("density", t_nodes=t, u_nodes=np.ones_like(t))
+            assert (self.alpha_lo, self.alpha_hi) == (0.0, 0.0)
+        else:
+            self.kind = "density"
         self.linear = linear
         self.evaluations = 0
 
@@ -334,10 +342,21 @@ class _StubPhi(NFunction):
         return f"_StubPhi(linear={self.linear})"
 
 
-def test_amemiya_bracket_search_is_bounded():
+def test_amemiya_bracket_search_is_bounded(monkeypatch):
     """Without a root, the Amemiya, Luxemburg and Lambda solvers refuse
     after widening to the end of the searched range, about a dozen
     evaluations each."""
+    young_integral = orlicz._young_integral
+
+    def counted(phi, w):
+        integral = young_integral(phi, w)
+
+        def step(z):
+            phi.evaluations += 1
+            return integral(z)
+        return step
+
+    monkeypatch.setattr(orlicz, "_young_integral", counted)
     n = 64
     f = GridFunction(n, np.exp(np.cos(grid_theta(n))))
     for linear, solve in ((True, lambda phi: orlicz_norm(f, phi)),
@@ -346,7 +365,104 @@ def test_amemiya_bracket_search_is_bounded():
         phi = _StubPhi(linear)
         with pytest.raises(NumericalConditioningError):
             solve(phi)
-        assert phi.evaluations <= 20, (phi, phi.evaluations)
+        assert 0 < phi.evaluations <= 20, (phi, phi.evaluations)
+
+
+def _young_by_samples(phi, w, z):
+    """sum_j [x_j Phi'(x_j) - Phi(x_j)] at x = e^z w, one sample at a time:
+    +inf where a sample's Phi or x Phi' leaves the double range."""
+    x = math.exp(z) * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = phi.phi(x)
+        terms = x * phi.density(x) - p
+        terms[np.isinf(p)] = np.inf
+        return float(np.sum(terms))
+
+
+def _orlicz_norm_by_samples(f, phi):
+    """orlicz_norm's solve with the Young integral summed sample by sample."""
+    v = np.abs(f.values)
+    peak = float(v.max())
+    h = 2.0 * np.pi / f.n
+    w = np.sort(v) / peak
+    z = orlicz._log_root(lambda z: _young_by_samples(phi, w, z) * h - 1.0,
+                         -math.log(float(np.mean(w))), 1e-8, "no root")
+    k = math.exp(z) / peak
+    return (1.0 + orlicz._modal_integral(k * v, phi, h)) / k
+
+
+def _young_phis():
+    """The L log L Phi, its complement, the density copies of tau^2/2 and
+    tau^3/3, and L log L scaled by 1e-200 and sampled from t = 1e-100: its
+    terms overflow only past z = 685, its e^z / t_0 past z = 480."""
+    phi = _llogl_phi()
+    t = np.geomspace(1e-100, 1e6, 107)
+    return (phi, phi.complement(), _power_density_copy(2.0),
+            _power_density_copy(3.0),
+            NFunction.from_density(t, 1e-200 * np.log1p(t)))
+
+
+def _overflow_z(phi):
+    """The z, to 1e-9, from which e^z Phi'(e^z) or Phi(e^z) is inf."""
+    def over(z):
+        x = math.exp(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return math.isinf(phi.phi(x)) or math.isinf(x * phi.density(x))
+
+    lo, hi = -700.0, 700.0
+    assert over(hi) and not over(lo)
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if over(mid) else (mid, hi)
+    return hi
+
+
+def test_young_moment_sum_matches_sample_sum():
+    """The Young integral from moments of the sorted samples agrees with
+    the sample-by-sample sum to 1e-12 relative wherever both are finite
+    and normal, and is +inf exactly where that sum is: for each of
+    _young_phis, f scaled by 1e-200, 1 and 1e200 (and, for the second
+    seed, zero on every 32nd sample), and z across [-700, 700].  Just
+    past the z where the top sample's x Phi'(x) overflows, the integrand
+    itself is still finite, but the sample sum is inf, and so must the
+    moment sum be.
+    """
+    tiny = np.finfo(float).tiny
+    for fn in _young_phis():
+        z_over = _overflow_z(fn)
+        zs = np.concatenate([np.linspace(-700.0, 700.0, 281),
+                             z_over + np.array([-1e-3, 0.0, 1e-6, 1e-3, 0.1,
+                                                0.3, 1.0, 2.0])])
+        for seed in range(2):
+            base = random_density(np.random.default_rng([seed, 2]), n=256)
+            for scale in (1e-200, 1.0, 1e200):
+                v = np.abs(base.values * scale)
+                if seed:
+                    v[::32] = 0.0
+                w = np.sort(v) / v.max()
+                young = orlicz._young_integral(fn, w)
+                for z in zs:
+                    got, want = young(z), _young_by_samples(fn, w, z)
+                    if math.isinf(got) or math.isinf(want):
+                        assert got == want, (fn, scale, z, got, want)
+                        continue
+                    assert math.isfinite(got), (fn, scale, z, got, want)
+                    if abs(want) >= tiny:
+                        assert abs(got - want) <= 1e-12 * abs(want), (
+                            fn, scale, z, got, want)
+
+
+def test_orlicz_norm_matches_sample_sum_solve():
+    """orlicz_norm is within 1e-14 relative of the same solve driven by the
+    sample-by-sample Young integral, for the first four _young_phis."""
+    for fn in _young_phis()[:4]:
+        for seed in range(3):
+            base = random_density(np.random.default_rng([seed, 3]), n=512)
+            for scale in (1e-200, 1.0, 1e200):
+                f = GridFunction(base.n, base.values * scale)
+                want = _orlicz_norm_by_samples(f, fn)
+                assert abs(orlicz_norm(f, fn) - want) <= 1e-14 * want, (
+                    fn, seed, scale)
 
 
 def test_complement_is_cached():
@@ -442,15 +558,15 @@ def test_density_validation():
             [1.0492257293e-312, 2.736162280370246e-277,
              6.490331086261677e+131, 7.129333895321158e+225,
              7.304156480138361e+279])
-    # u rises by one ulp on its last segment: valid, but the complement's
-    # ramp there is an ulp wide and its evaluation is not convex
-    flat = NFunction.from_density(
-        [2.0435202590449956e-239, 2.05511896702174e-239,
-         2.077926149854601e-239],
-        [9.946981405662749e+269, 9.946981405738359e+269,
-         9.94698140573836e+269])
+    # u rises by one ulp on its last segment: Phi is valid, but the
+    # complement's ramp there is an ulp wide and its evaluation is not
+    # convex; the complement is built with Phi, so Phi is refused
     with pytest.raises(ParameterError, match="convex"):
-        flat.complement()
+        NFunction.from_density(
+            [2.0435202590449956e-239, 2.05511896702174e-239,
+             2.077926149854601e-239],
+            [9.946981405662749e+269, 9.946981405738359e+269,
+             9.94698140573836e+269])
 
 
 def test_constants_pins():

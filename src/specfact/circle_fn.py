@@ -302,14 +302,16 @@ def harmonic_conjugate(f: GridFunction) -> GridFunction:
     return GridFunction(f.n, _conjugate(f.values))
 
 
-def _conjugate(v: np.ndarray) -> np.ndarray:
+def _conjugate(v: np.ndarray, out: np.ndarray | None = None,
+               spectrum: np.ndarray | None = None) -> np.ndarray:
     """harmonic_conjugate of every row of a real array along the last axis;
-    batched FFTs give each row the same floats as a 1-d call."""
-    R = np.fft.rfft(v)
+    batched FFTs give each row the same floats as a 1-d call.  The result
+    goes to `out` and the half-spectrum to `spectrum` when they are given."""
+    R = np.fft.rfft(v, out=spectrum)
     R *= -1j
     R[..., 0] = 0.0
     R[..., -1] = 0.0
-    return np.fft.irfft(R, v.shape[-1])
+    return np.fft.irfft(R, v.shape[-1], out=out)
 
 
 def h2_distance(a: SpectralFactor, b: SpectralFactor) -> float:

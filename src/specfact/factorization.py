@@ -17,6 +17,8 @@ their agreement a meaningful check.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .circle_fn import (
@@ -57,6 +59,18 @@ FR_MAX_DEGREE = 512
 _HERGLOTZ_COLS = 4096
 _HERGLOTZ_BLOCK_BYTES = 1 << 19
 
+#: factorize_boundary writes its three n-sized arrays (log f, its rfft and
+#: the boundary values) to buffers that each thread keeps for its last n,
+#: unless they take more than this many bytes (they take 32 n + 16, so n up
+#: to 2^16 is kept and a 2^18 call keeps nothing).  Allocated afresh, they
+#: were faulted in anew on every call once the allocator had trimmed the
+#: heap: a 48-call cross_validate_pipeline pass (n = 16384) took 18,432
+#: minor faults, and takes 9,216 with the buffers kept (2-core VM, numpy
+#: 2.4.6).
+_BOUNDARY_KEEP_BYTES = 1 << 22
+
+_boundary_slot = threading.local()
+
 
 class _NonpositiveDensity(DomainError):
     """A density sample is not positive.  The message names the floor=
@@ -68,14 +82,16 @@ class _NonpositiveDensity(DomainError):
         self.finding = finding
 
 
-def _positive_log(v: np.ndarray, floor: float | None) -> np.ndarray:
-    """log of real samples, rows along the last axis, after the floor."""
+def _positive_log(v: np.ndarray, floor: float | None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """log of real samples, rows along the last axis, after the floor;
+    written to `out` when given."""
     if np.iscomplexobj(v):
         raise ParameterError("factorization expects a real density")
     if floor is not None:
         if not floor > 0.0:
             raise ParameterError(f"floor must be positive, got {floor}")
-        v = np.maximum(v, floor)
+        v = np.maximum(v, floor, out=out)
     if np.any(v <= 0.0):
         rows = v.reshape(-1, v.shape[-1])
         row = rows[np.argmax(np.any(rows <= 0.0, axis=-1))]
@@ -84,7 +100,20 @@ def _positive_log(v: np.ndarray, floor: float | None) -> np.ndarray:
             f"density is not positive: sample {j} "
             f"(theta = {grid_theta(len(row))[j]:.6f}) "
             f"has value {row[j]:.6g}")
-    return np.log(v)
+    return np.log(v, out=out)
+
+
+def _boundary_buffers(n: int):
+    """This thread's (log f, rfft, boundary values) buffers for n points."""
+    bufs = getattr(_boundary_slot, "bufs", None)
+    if bufs is None or bufs[0].size != n:
+        # the old set is freed first: the two never take memory at once
+        bufs = _boundary_slot.bufs = None
+        bufs = (np.empty(n), np.empty(n // 2 + 1, dtype=np.complex128),
+                np.empty(n, dtype=np.complex128))
+        keep = sum(b.nbytes for b in bufs) <= _BOUNDARY_KEEP_BYTES
+        _boundary_slot.bufs = bufs if keep else None
+    return bufs
 
 
 def factorize_boundary(f: GridFunction,
@@ -97,17 +126,24 @@ def factorize_boundary(f: GridFunction,
     result; for smooth positive f it is at roundoff level, and a large value
     flags a density the grid cannot resolve.
     """
-    logf = _positive_log(f.values, floor)
     n = f.n
-    # the boundary values, updated in place
-    F = 0.5j * _conjugate(logf)
-    F += 0.5 * logf
-    F = np.fft.fft(np.exp(F, out=F))
-    F /= n
+    logf, half, F = _boundary_buffers(n)
+    _positive_log(f.values, floor, out=logf)
+    # the boundary values F = exp(0.5 log f + 0.5i (log f)~)
+    np.multiply(logf, 0.5, out=F.real)
+    _conjugate(logf, out=F.imag, spectrum=half)
+    F.imag *= 0.5
+    np.exp(F, out=F)
+    np.fft.fft(F, out=F)
+    # F is n times the coefficients; n is a power of two, so dividing the
+    # kept half is exact, and the energy ratio below is scale-free.  The
+    # division comes before the sign flip: the other order gives 0.0 where
+    # an exactly zero coefficient has -0.0 in this one
+    coeffs = F[: n // 2] / n
     sign = np.ones(n // 2)
     sign[1::2] = -1.0
-    coeffs = sign * F[: n // 2]
-    power = np.abs(F)
+    coeffs *= sign
+    power = np.abs(F, out=logf)
     power *= power
     total = float(np.sum(power))
     neg = float(np.sum(power[n // 2:]))

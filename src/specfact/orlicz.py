@@ -67,10 +67,17 @@ class NFunction:
         self.u_nodes = u
         self.alpha_lo, self.alpha_hi = _end_exponents(t, u)
         # cumulative integral of the piecewise-linear density; the piece
-        # below the first node is the exact power-law integral
-        head = u[0] * t[0] / (self.alpha_lo + 1.0)
-        increments = 0.5 * (u[1:] + u[:-1]) * np.diff(t)
-        self._cum = head + np.concatenate([[0.0], np.cumsum(increments)])
+        # below the first node is the exact power-law integral.  It is the
+        # one check the constructor makes, for Phi and its complement alike
+        with np.errstate(over="ignore"):
+            head = u[0] * t[0] / (self.alpha_lo + 1.0)
+            increments = 0.5 * (u[1:] + u[:-1]) * np.diff(t)
+            self._cum = head + np.concatenate([[0.0], np.cumsum(increments)])
+        if not math.isfinite(self._cum[-1]):
+            j = int(np.argmin(np.isfinite(self._cum)))
+            raise ParameterError(
+                f"Phi or its complement overflows inside the node range: "
+                f"the integral of the density is inf at node {t[j]:.6g}")
 
     # -- construction ----------------------------------------------------
 
@@ -93,7 +100,8 @@ class NFunction:
         validation of a density: the samples must be finite, with positive
         distinct t and a nonnegative nondecreasing u that increases
         strictly on both end segments, and the resampled density must stay
-        finite, with finite power-law exponents on its end segments.  A
+        finite, with finite power-law exponents on its end segments; Phi
+        and its complement must stay finite up to the last node.  A
         nondecreasing u makes Phi convex; the complement is built here and
         kept, and its convexity, which rounding can break, is spot-checked,
         so every use of a density is refused or accepted alike.
@@ -488,6 +496,11 @@ def orlicz_norm(f: GridFunction, phi: NFunction) -> float:
     z = _log_root(lambda z: young(z) * h - 1.0, -math.log(float(np.mean(w))),
                   1e-8, "no finite bracket for the Amemiya minimizer")
     k = math.exp(z) / peak
+    if not sys.float_info.min <= k < math.inf:
+        # k leaves the normal range for an extreme peak: the same objective
+        # in the normalized samples, peak e^-z (1 + int Phi(e^z w))
+        return (peak * math.exp(-z)
+                * (1.0 + _modal_integral(math.exp(z) * w, phi, h)))
     return (1.0 + _modal_integral(k * v, phi, h)) / k
 
 

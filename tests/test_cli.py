@@ -469,6 +469,22 @@ def test_bounds_non_finite_phi_exit_2(capsys, phi, named):
 
 
 @pytest.mark.parametrize("check", ["lemma-orl", "main"])
+def test_bounds_overflowing_phi_is_refused_by_every_check(capsys, check):
+    """u = 1e290 t: Phi, the integral of u, overflows near t = 2e9, inside
+    the master grid.  Refused when --phi is parsed, in one stderr line and
+    with no numpy warning."""
+    phi = {"kind": "density",
+           "u_grid": [[float(t), 1e290 * float(t)]
+                      for t in np.geomspace(1e-30, 1e6, 97)]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "bounds", "--check", check, "--sweep",
+                             "1", "--n", "256", "--phi", json.dumps(phi))
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "overflows inside the node range" in lines[0], err
+
+@pytest.mark.parametrize("check", ["lemma-orl", "main"])
 def test_bounds_ill_conditioned_phi_is_refused_by_every_check(capsys, check):
     """A density whose last segment rises by one ulp is a valid Phi, but
     its complement's ramp there is an ulp wide and not convex.  The

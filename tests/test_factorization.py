@@ -1,6 +1,8 @@
 """Outer factor computation: boundary route, Herglotz route, root route."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from specfact import (
     fourier_synthesize,
     grid_theta,
     outer_check,
+    random_density,
 )
 from specfact.factorization import FR_MAX_DEGREE, _angle_clusters
 
@@ -87,6 +90,117 @@ def test_boundary_scaling_equivariance(rng):
         base = factorize_boundary(f)
         assert np.max(np.abs(fc.coeffs - math.sqrt(c) * base.coeffs)) < 1e-10
 
+
+
+def _boundary_reference(f, floor=None):
+    """factorize_boundary's formula with fresh arrays for every step and
+    F /= n over all n points, as it was before the kept buffers: returns
+    (coeffs, neg_energy)."""
+    v = f.values if floor is None else np.maximum(f.values, floor)
+    logf = np.log(v)
+    n = f.n
+    R = np.fft.rfft(logf)
+    R *= -1j
+    R[0] = 0.0
+    R[-1] = 0.0
+    F = 0.5j * np.fft.irfft(R, n)
+    F += 0.5 * logf
+    F = np.fft.fft(np.exp(F, out=F))
+    F /= n
+    sign = np.ones(n // 2)
+    sign[1::2] = -1.0
+    coeffs = sign * F[: n // 2]
+    power = np.abs(F)
+    power *= power
+    neg = float(np.sum(power[n // 2:])) / float(np.sum(power))
+    a0 = coeffs[0]
+    coeffs *= a0.conjugate() / abs(a0)
+    coeffs[0] = abs(a0)
+    return coeffs, neg
+
+
+def _densities(sizes):
+    """A constant density, whose conjugate and spectrum are exact zeros,
+    then a random one, per size."""
+    for n in sizes:
+        yield GridFunction(n, np.full(n, 4.0))
+        yield random_density(np.random.default_rng([7, n]), n=n)
+
+
+def test_boundary_matches_the_reference_formula_bit_for_bit():
+    """The kept buffers, the in-place transforms and the division of the
+    kept half only change no bit of the coefficients or of neg_energy,
+    also with the floor clamping about half the samples, and with the
+    sizes alternating so that every call replaces the buffers."""
+    for f in _densities([8, 4096, 16384, 2 ** 18, 4096, 8]):
+        for floor in (None, float(np.median(f.values))):
+            fac = factorize_boundary(f, floor=floor)
+            coeffs, neg = _boundary_reference(f, floor)
+            assert fac.coeffs.tobytes() == coeffs.tobytes(), (f.n, floor)
+            assert fac.neg_energy.hex() == neg.hex(), (f.n, floor)
+
+
+def test_boundary_factor_owns_its_coefficients():
+    """A second call at the same n reuses the buffers but leaves the first
+    factor as it was."""
+    f, g = (random_density(np.random.default_rng([s, 1]), n=4096)
+            for s in (0, 1))
+    first = factorize_boundary(f)
+    kept = first.coeffs.copy()
+    second = factorize_boundary(g)
+    assert first.coeffs.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first.coeffs, second.coeffs)
+    assert not np.array_equal(first.coeffs, second.coeffs)
+
+
+def test_boundary_threads_reproduce_sequential_results():
+    """Each thread has its own buffers: four threads (more than the cores
+    of a small runner) factoring different densities of one size, with
+    the interpreter switching threads every microsecond, get the
+    sequential floats on every call."""
+    dens = [random_density(np.random.default_rng([s, 2]), n=16384)
+            for s in range(4)]
+    want = [factorize_boundary(f).coeffs.tobytes() for f in dens]
+    start = threading.Barrier(len(dens))
+    got = [[] for _ in dens]
+
+    def work(i):
+        start.wait()
+        for _ in range(40):
+            got[i].append(factorize_boundary(dens[i]).coeffs.tobytes())
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(dens))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 40 for w in want]
+
+
+def test_boundary_buffers_kept_only_below_the_byte_cap():
+    """A 2^14 call keeps its three buffers (32 n + 16 bytes); a 2^18 call,
+    over the cap, frees them and keeps nothing of its own."""
+    small, large = (GridFunction.from_callable(lambda t: np.exp(np.cos(t)), n)
+                    for n in (2 ** 14, 2 ** 18))
+    tracemalloc.start()
+    try:
+        factorize_boundary(large)  # drops whatever this thread kept
+        base = tracemalloc.get_traced_memory()[0]
+        factorize_boundary(small)
+        kept = tracemalloc.get_traced_memory()[0] - base
+        factorize_boundary(large)
+        after = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert 32 * 2 ** 14 + 16 <= kept < 32 * 2 ** 14 + 2 ** 16, kept
+    assert after < 2 ** 16, after
 
 def test_herglotz_values_quarter_poly():
     f = GridFunction.from_callable(lambda t: 1.25 - np.cos(t), 1024)

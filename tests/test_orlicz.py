@@ -465,6 +465,19 @@ def test_orlicz_norm_matches_sample_sum_solve():
                     fn, seed, scale)
 
 
+def test_orlicz_norm_is_homogeneous_where_k_overflows():
+    """For the last of _young_phis the minimizer has e^z near 1e183, so
+    k = e^z / peak overflows once the peak of f is below about 1e-125; the
+    objective is then summed in the normalized samples.  ||c f|| = c ||f||
+    holds to 1e-8 there (the norm is subnormal below c = 1e-125), and at
+    c = 1e-200, where the norm underflows, both sides are 0, not nan."""
+    phi = _young_phis()[4]
+    f = random_density(np.random.default_rng([0, 2]), n=256)
+    norm = orlicz_norm(f, phi)
+    for c in (1e-125, 1e-128, 1e-200):
+        got = orlicz_norm(GridFunction(f.n, c * f.values), phi)
+        assert got == pytest.approx(c * norm, rel=1e-8, abs=0.0), c
+
 def test_complement_is_cached():
     _, dens = _sample_density_functions()
     for phi in (NFunction.power(3.0), dens):
@@ -558,6 +571,15 @@ def test_density_validation():
             [1.0492257293e-312, 2.736162280370246e-277,
              6.490331086261677e+131, 7.129333895321158e+225,
              7.304156480138361e+279])
+    # Phi = int u overflows near t = 2e9, inside the master grid
+    t = np.geomspace(1e-30, 1e6, 97)
+    with pytest.raises(ParameterError, match="overflows inside the node"):
+        NFunction.from_density(t, 1e290 * t)
+    # Phi stays below 1.2e308 up to t = 1e12, but its complement, near
+    # 3 t u / 4 there, does not
+    t = np.geomspace(1.0, 1e12, 50)
+    with pytest.raises(ParameterError, match="overflows inside the node"):
+        NFunction.from_density(t, 4e260 * t ** 3)
     # u rises by one ulp on its last segment: Phi is valid, but the
     # complement's ramp there is an ulp wide and its evaluation is not
     # convex; the complement is built with Phi, so Phi is refused

@@ -29,7 +29,7 @@ from .circle_fn import (
     _lp_norms,
     h2_distance,
 )
-from .errors import ParameterError
+from .errors import AliasingError, ParameterError
 from .factorization import _positive_log, factorize_boundary
 from .orlicz import (
     NFunction,
@@ -280,13 +280,6 @@ def _lemma_l1(psi: np.ndarray) -> list[BoundReport]:
     return out
 
 
-def _psi_rows(psi: GridFunction) -> np.ndarray:
-    """A real phase as a one-row psi block."""
-    if not psi.is_real:
-        raise ParameterError("psi must be real")
-    return psi.values[None]
-
-
 class Check(NamedTuple):
     """A check's inputs, f g (read as a PairMetrics) or psi (read as a
     (B, n) block), the option ("p" or "phi") its formula takes after the
@@ -298,7 +291,8 @@ class Check(NamedTuple):
 
     def record(self, *grids: GridFunction):
         """The one-row record of explicit inputs."""
-        return pair_metrics(*grids) if len(grids) == 2 else _psi_rows(*grids)
+        return (pair_metrics(*grids) if len(grids) == 2
+                else grids[0].values[None])
 
 
 #: Every check the command line offers, by name.
@@ -359,12 +353,12 @@ def check_theorem_main(f: GridFunction, g: GridFunction,
 
 def check_lemma_orl(psi: GridFunction, phi: NFunction) -> BoundReport:
     """||1 - cos(psi~)||_(Phi) <= 2 Lambda_Phi(K0 ||psi||_1)."""
-    return _lemma_orl(_psi_rows(psi), phi)[0]
+    return _lemma_orl(psi.values[None], phi)[0]
 
 
 def check_lemma_l1(psi: GridFunction) -> BoundReport:
     """||1 - cos(psi~)||_1 <= 2 K0 ||psi||_1."""
-    return _lemma_l1(_psi_rows(psi))[0]
+    return _lemma_l1(psi.values[None])[0]
 
 
 def convergence_demo(f: GridFunction, perturbations) -> list[tuple[float, float, float]]:
@@ -398,22 +392,22 @@ def dip_schedule(f: GridFunction, ks) -> list[GridFunction]:
 
 def _phase_samples(rng: np.random.Generator, n: int,
                    degree: int) -> np.ndarray:
-    """Samples of one random_phase draw before scaling."""
+    """Samples of one random_phase draw before scaling; degree < n/2."""
+    if 2 * degree >= n:
+        raise AliasingError(f"degree {degree} is not resolved on {n} samples "
+                            f"(need degree < n/2)")
     d = int(rng.integers(1, degree + 1))
     a = rng.uniform(-1.0, 1.0, d + 1)
     b = rng.uniform(-1.0, 1.0, d)
-    # a_k cos(k theta_j) + b_k sin(k theta_j) = Re[z_k e^{2 pi i m j / n}]
-    # with z_k = (-1)^k (a_k - i b_k) and m = k mod n (theta_0 = -pi), so
-    # one inverse real FFT sums the series; a term with m > n/2 enters bin
-    # n - m conjugated, and bins 0 and n/2 carry only the real part
+    # a_k cos(k theta_j) + b_k sin(k theta_j) = Re[z_k e^{2 pi i k j / n}]
+    # with z_k = (-1)^k (a_k - i b_k) (theta_0 = -pi), so one inverse real
+    # FFT of bins 0 .. d < n/2 sums the series; bin 0 carries only the
+    # real part
     k = np.arange(d + 1)
     z = np.where(k % 2 == 0, 1.0, -1.0) * (a - 1j * np.concatenate(([0.0], b)))
-    m = k % n
-    z = np.where(m > n // 2, np.conj(z), z)
-    m = np.minimum(m, n - m)
-    edge = (m == 0) | (2 * m == n)
     spec = np.zeros(n // 2 + 1, dtype=np.complex128)
-    np.add.at(spec, m, np.where(edge, n * z.real, 0.5 * n * z))
+    spec[: d + 1] = 0.5 * n * z
+    spec[0] = n * z[0].real
     return np.fft.irfft(spec, n)
 
 
@@ -421,7 +415,8 @@ def random_phase(rng: np.random.Generator, n: int = 4096,
                  degree: int = 16) -> GridFunction:
     """Random real trig polynomial, coefficients uniform in [-1, 1].
 
-    The degree is drawn uniformly from 1..degree.  This is the documented
+    The degree is drawn uniformly from 1..degree, and degree >= n/2, which
+    the grid cannot resolve, raises AliasingError.  This is the documented
     sweep distribution for conjugate phases; its exponential is the density
     distribution.
     """

@@ -65,10 +65,10 @@ def grid_theta(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples of a function on the uniform circle grid.
+    """Real samples of a function on the uniform circle grid.
 
-    ``values.dtype`` is float64 for real samples and complex128 otherwise;
-    is_real reads the tag from the dtype.
+    ``values`` is a read-only float64 copy; complex samples raise
+    ParameterError.
     """
 
     n: int
@@ -81,9 +81,8 @@ class GridFunction:
             raise ParameterError(
                 f"expected {n} samples, got array of shape {v.shape}")
         if np.iscomplexobj(v):
-            v = v.astype(np.complex128, copy=True)
-        else:
-            v = v.astype(np.float64, copy=True)
+            raise ParameterError("grid samples must be real numbers")
+        v = v.astype(np.float64, copy=True)
         if not np.all(np.isfinite(v)):
             raise ParameterError("grid samples must be finite")
         v.setflags(write=False)
@@ -101,27 +100,17 @@ class GridFunction:
     def theta(self) -> np.ndarray:
         return grid_theta(self.n)
 
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values)
-
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "GridFunction":
-        if "values" in obj:
-            v = np.asarray(obj["values"], dtype=float)
-        elif "values_complex" in obj:
-            pairs = np.asarray(obj["values_complex"], dtype=float)
-            if pairs.ndim != 2 or pairs.shape[1] != 2:
-                raise ParameterError("values_complex must be [[re, im], ...]")
-            v = pairs[:, 0] + 1j * pairs[:, 1]
-        else:
+        if "values" not in obj:
             raise ParameterError(
-                "grid function JSON needs a values or values_complex key")
-        n = obj.get("n", len(v))
-        if n != len(v):
+                "grid function JSON needs a values key of real samples")
+        v = np.asarray(obj["values"], dtype=float)
+        n = _check_grid_size(obj.get("n", v.size))
+        if n != v.size:
             raise ParameterError(
-                f"declared n = {n} but {len(v)} samples given")
-        return cls(int(n), v)
+                f"declared n = {n} but {v.size} samples given")
+        return cls(n, v)
 
 
 @dataclass(frozen=True)
@@ -214,17 +203,16 @@ class SpectralFactor:
         """Evaluate the series at points of the closed unit disk."""
         return np.polynomial.polynomial.polyval(np.asarray(z), self.coeffs)
 
-    def boundary_values(self, n: int) -> GridFunction:
-        """Values at e^{i theta_j} on an n-point grid (needs n > bandwidth)."""
+    def boundary_values(self, n: int) -> np.ndarray:
+        """Complex values at e^{i theta_j}, n points (needs n > bandwidth)."""
         n = _check_grid_size(n)
         K = self.bandwidth
         if n <= K:
             raise AliasingError(f"bandwidth {K} does not fit on {n} samples")
         buf = np.zeros(n, dtype=np.complex128)
-        ks = np.arange(K + 1)
-        sign = np.where(ks % 2 == 0, 1.0, -1.0)
-        np.add.at(buf, ks % n, sign * self.coeffs)
-        return GridFunction(n, np.fft.ifft(buf) * n)
+        buf[: K + 1] = self.coeffs
+        buf[1: K + 1: 2] *= -1.0
+        return np.fft.ifft(buf) * n
 
     def to_json_dict(self) -> dict:
         """{"floor", "neg_energy" (when set), "a": [[re, im], ...]}."""
@@ -272,11 +260,19 @@ def _lp_norms(v: np.ndarray, p) -> np.ndarray:
 
 
 def fourier_synthesize(series: FourierSeries, n: int) -> GridFunction:
-    """Evaluate sum_k c_k e^{i k theta_j} on an n-point grid (n > 2*bandwidth).
+    """Evaluate a real-valued sum_k c_k e^{i k theta_j} on an n-point grid.
 
-    Real-valued series (c_{-k} = conj(c_k)) come back as real grid functions.
+    A series that is not real-valued (by FourierSeries.is_real_valued)
+    raises ParameterError, and one with n <= 2*bandwidth AliasingError.
     """
     n = _check_grid_size(n)
+    if not series.is_real_valued():
+        k = max(series.coeffs, key=lambda k: abs(
+            series.coefficient(k) - series.coefficient(-k).conjugate()))
+        raise ParameterError(
+            f"series is not real-valued: coefficients are not Hermitian at "
+            f"k = {k}: c_k = {series.coefficient(k)}, "
+            f"conj(c_-k) = {series.coefficient(-k).conjugate()}")
     K = series.bandwidth
     if n <= 2 * K:
         raise AliasingError(
@@ -284,21 +280,16 @@ def fourier_synthesize(series: FourierSeries, n: int) -> GridFunction:
     buf = np.zeros(n, dtype=np.complex128)
     for k, c in series.coeffs.items():
         buf[k % n] += c * (1.0 if k % 2 == 0 else -1.0)
-    vals = np.fft.ifft(buf) * n
-    if series.is_real_valued():
-        vals = vals.real
-    return GridFunction(n, vals)
+    return GridFunction(n, (np.fft.ifft(buf) * n).real)
 
 
 def harmonic_conjugate(f: GridFunction) -> GridFunction:
     """Harmonic conjugate via the multiplier -i*sgn(k); the mean maps to zero.
 
-    Requires a real grid function.  The k = 0 bin is zeroed (that is the
-    mean-zero normalization) and so is the Nyquist bin, where sgn(k) has no
-    well-defined value; band-limited inputs never populate it anyway.
+    The k = 0 bin is zeroed (that is the mean-zero normalization) and so is
+    the Nyquist bin, where sgn(k) has no well-defined value; band-limited
+    inputs never populate it anyway.
     """
-    if not f.is_real:
-        raise ParameterError("harmonic_conjugate expects a real GridFunction")
     return GridFunction(f.n, _conjugate(f.values))
 
 

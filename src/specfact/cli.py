@@ -12,6 +12,7 @@ Exit codes form the machine-readable contract:
 Inputs are file paths ("-" for standard input) holding either a grid
 function as JSON {"n": ..., "values": [...]}, a Fourier series as JSON
 {"coeffs": {"k": [re, im], ...}}, or plain text with one sample per line.
+Samples are real and a series real-valued (c_{-k} = conj(c_k)), or exit 2.
 Results are JSON on standard output; diagnostics go to standard error.
 """
 
@@ -38,6 +39,7 @@ from .errors import (
     SpecfactError,
 )
 from .factorization import (
+    HERGLOTZ_MAX_DEGREE,
     _herglotz_factor,
     _NonpositiveDensity,
     factorize_boundary,
@@ -55,7 +57,7 @@ EXIT_DOMAIN = 3
 _OPTION_DEFAULTS = {"p": 2.0, "phi": '{"kind": "power", "q": 2}'}
 #: factorize options and the methods that read them
 _FACTORIZE_OPTIONS = {"floor": ("boundary", "herglotz"), "degree": ("herglotz",)}
-#: Taylor truncation degree of the herglotz method when --degree is omitted
+#: herglotz --degree when omitted, unless n/2 - 1 on n samples is smaller
 _HERGLOTZ_DEGREE = 64
 #: grid size of sweeps and of series input when --n is omitted
 _GRID_N = 4096
@@ -96,13 +98,21 @@ def _series_grid(n: int | None, inputs) -> int:
     return _GRID_N if n is None else n
 
 
-def _as_grid(obj, n: int, label: str) -> GridFunction:
-    if isinstance(obj, GridFunction):
-        return obj
-    if not obj.is_real_valued():
+def _as_grid(obj, n: int) -> GridFunction:
+    return obj if isinstance(obj, GridFunction) else fourier_synthesize(obj, n)
+
+
+def _herglotz_degree(degree: int | None, n: int) -> int:
+    """--degree of the herglotz method on n samples, or its default."""
+    top = min(n // 2 - 1, HERGLOTZ_MAX_DEGREE)
+    if degree is None:
+        return min(_HERGLOTZ_DEGREE, top)
+    if not 0 <= degree <= top:
         raise ParameterError(
-            f"{label}: series is not real-valued, cannot use as a density")
-    return fourier_synthesize(obj, n)
+            f"--degree {degree} is outside 0 .. {top}: the herglotz method "
+            f"resolves degrees below n / 2 = {n // 2} on {n} samples, and "
+            f"up to {HERGLOTZ_MAX_DEGREE} on its r = 0.9 circle")
+    return degree
 
 
 def _emit(obj) -> None:
@@ -114,9 +124,6 @@ def cmd_factorize(args) -> int:
         if getattr(args, option) is not None and args.method not in methods:
             raise ParameterError(
                 f"--method {args.method} does not read --{option}")
-    degree = _HERGLOTZ_DEGREE if args.degree is None else args.degree
-    if degree < 0:
-        raise ParameterError(f"--degree must be >= 0, got {degree}")
     data = _load_any(args.input)
     if args.method == "fejer-riesz":
         if not isinstance(data, FourierSeries):
@@ -124,11 +131,12 @@ def cmd_factorize(args) -> int:
                 "fejer-riesz input must be a Fourier series "
                 "(JSON with a coeffs mapping)")
         factor = SpectralFactor(fejer_riesz(data))
-    f = _as_grid(data, _series_grid(args.n, [data]), "input")
+    f = _as_grid(data, _series_grid(args.n, [data]))
     if args.method == "boundary":
         factor = factorize_boundary(f, floor=args.floor)
     elif args.method == "herglotz":
-        factor = _herglotz_factor(f, args.floor, degree)
+        factor = _herglotz_factor(f, args.floor,
+                                  _herglotz_degree(args.degree, f.n))
     if args.floor is not None:
         # the outer check must see the same density the factor came from
         f = GridFunction(f.n, np.maximum(f.values, args.floor))
@@ -179,9 +187,7 @@ def cmd_bounds(args) -> int:
                                  f"({', '.join(check.inputs)})")
         inputs = [_load_any(path) for path in paths]
         n = _series_grid(args.n, inputs)
-        records = [check.record(*(
-            _as_grid(obj, n, name)
-            for obj, name in zip(inputs, check.inputs)))]
+        records = [check.record(*(_as_grid(obj, n) for obj in inputs))]
     reports = [rep for record in records
                for rep in check.formula(record, *extra)]
     for i, rep in enumerate(reports):
@@ -247,7 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(boundary and herglotz methods)")
     p_fac.add_argument("--degree", type=int, default=None,
                        help="Taylor truncation degree for the herglotz method "
-                            f"(default {_HERGLOTZ_DEGREE})")
+                            f"(default min({_HERGLOTZ_DEGREE}, n/2 - 1) on n "
+                            f"samples; at most n/2 - 1 and "
+                            f"{HERGLOTZ_MAX_DEGREE})")
     p_fac.set_defaults(func=cmd_factorize)
 
     p_bnd = sub.add_parser(

@@ -59,6 +59,12 @@ FR_MAX_DEGREE = 512
 _HERGLOTZ_COLS = 4096
 _HERGLOTZ_BLOCK_BYTES = 1 << 19
 
+#: _herglotz_factor reads Taylor coefficients off the circle |z| = 0.9 and
+#: divides coefficient k by 0.9^k, which multiplies its rounding by 0.9^-k.
+#: This is the largest degree d with 2^-52 * 0.9^-d <= 1e-6, the route's
+#: coefficient tolerance.
+HERGLOTZ_MAX_DEGREE = 210
+
 #: factorize_boundary writes its three n-sized arrays (log f, its rfft and
 #: the boundary values) to buffers that each thread keeps for its last n,
 #: unless they take more than this many bytes (they take 32 n + 16, so n up
@@ -220,7 +226,9 @@ def _herglotz_factor(f: GridFunction, floor: float | None,
 
     Samples the factor on the circle |z| = 0.9 and divides the FFT
     coefficients by 0.9^k; the geometric decay of the sampling radius
-    suppresses coefficients beyond `degree`.
+    suppresses coefficients beyond `degree`.  The rectangle rule gives z^k
+    the DFT coefficient k mod n of log f, so the command line refuses a
+    degree of n/2 or more, and one above HERGLOTZ_MAX_DEGREE.
     """
     r = 0.9
     m = 512
@@ -254,21 +262,14 @@ def fejer_riesz(series) -> np.ndarray:
     input was not a nonnegative polynomial to working precision and raises
     NumericalConditioningError.
 
-    Coefficients that are not Hermitian by FourierSeries.is_real_valued, the
-    rule every series input meets, and degrees above FR_MAX_DEGREE raise
-    ParameterError before any work on the polynomial.  Nonnegativity and the
-    final reproduction check are read on a grid of at least 16 N samples,
+    Degrees above FR_MAX_DEGREE, and coefficients that are not Hermitian by
+    FourierSeries.is_real_valued (which fourier_synthesize refuses), raise
+    ParameterError before any root is taken.  Nonnegativity and the final
+    reproduction check are read on a grid of at least 16 N samples,
     synthesized by one inverse FFT.
     """
     if not isinstance(series, FourierSeries):
         series = FourierSeries(series)
-    if not series.is_real_valued():
-        k = max(series.coeffs, key=lambda k: abs(
-            series.coefficient(k) - series.coefficient(-k).conjugate()))
-        raise ParameterError(
-            f"coefficients are not Hermitian at k = {k}: "
-            f"c_k = {series.coefficient(k)}, "
-            f"conj(c_-k) = {series.coefficient(-k).conjugate()}")
     coeffs = {k: c for k, c in series.coeffs.items() if c != 0}
     if not coeffs:
         raise DomainError("cannot factor the zero polynomial")
@@ -279,7 +280,7 @@ def fejer_riesz(series) -> np.ndarray:
             f"root step is an O(N^3) eigenproblem of size 2N")
 
     m = _validation_grid(N)
-    fvals = fourier_synthesize(FourierSeries(coeffs), m).values.real
+    fvals = fourier_synthesize(FourierSeries(coeffs), m).values
     peak = float(fvals.max())
     if peak <= 0.0 or float(fvals.min()) < -1e-10 * peak:
         raise DomainError(
@@ -329,7 +330,7 @@ def fejer_riesz(series) -> np.ndarray:
     a = gamma * monic
 
     factor = SpectralFactor(a)
-    check = np.abs(factor.boundary_values(m).values) ** 2
+    check = np.abs(factor.boundary_values(m)) ** 2
     err = float(np.max(np.abs(check - fvals))) / peak
     if err > 1e-6:
         raise NumericalConditioningError(

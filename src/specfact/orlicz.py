@@ -675,8 +675,6 @@ def lemma_G_report(gauge: str, psi: GridFunction) -> BoundReport:
     if gauge not in GAUGES:
         raise ParameterError(
             f"unknown gauge {gauge!r}; known: {', '.join(GAUGES)}")
-    if not psi.is_real:
-        raise ParameterError("psi must be real")
     g, a, ig = GAUGES[gauge]
     conj = harmonic_conjugate(psi)
     lhs = (float(np.sum(g(np.minimum(np.abs(conj.values), a))))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specfact import (
+    AliasingError,
     GridFunction,
     NFunction,
     PairMetrics,
@@ -242,10 +243,9 @@ def _loop_phase(rng, n, degree):
     return w
 
 
-@pytest.mark.parametrize("n, degree", [(4096, 16), (64, 31), (8, 20), (16, 40)])
+@pytest.mark.parametrize("n, degree", [(4096, 16), (64, 31), (8, 3)])
 def test_random_phase_matches_trig_loop(n, degree):
-    """Same draws, same order; the FFT changes only the summation order.
-    Degrees at or past n/2 alias onto the grid exactly as the loop does."""
+    """Same draws, same order; the FFT changes only the summation order."""
     for seed in range(10):
         fft = random_phase(np.random.default_rng([seed, 1]), n=n, degree=degree)
         loop = _loop_phase(np.random.default_rng([seed, 1]), n, degree)
@@ -254,10 +254,24 @@ def test_random_phase_matches_trig_loop(n, degree):
         random_phase(np.random.default_rng(0), n=0)
 
 
+@pytest.mark.parametrize("n, degree", [(8, 4), (8, 20), (16, 40), (64, 32)])
+def test_random_draws_refuse_unresolved_degrees(n, degree):
+    """A degree of n/2 or more would alias on the grid: both draws refuse
+    it before drawing anything."""
+    fresh = np.random.default_rng(0).bit_generator.state
+    for draw in (random_phase, random_density):
+        rng = np.random.default_rng(0)
+        with pytest.raises(AliasingError, match=f"degree {degree}"):
+            draw(rng, n=n, degree=degree)
+        assert rng.bit_generator.state == fresh
+
+
 def test_sweep_generators_deterministic():
     a = random_density(np.random.default_rng(42), n=512)
     b = random_density(np.random.default_rng(42), n=512)
     assert np.array_equal(a.values, b.values)
     assert np.all(a.values > 0)
     w = random_phase(np.random.default_rng(7), n=512, degree=4)
-    assert w.is_real
+    assert w.values.dtype == np.float64
+    assert np.array_equal(
+        w.values, random_phase(np.random.default_rng(7), n=512, degree=4).values)

@@ -45,10 +45,15 @@ def test_grid_function_rejects_bad_values():
 
 
 def test_grid_function_real_tag():
-    f = GridFunction(8, np.arange(8, dtype=float))
-    assert f.is_real and f.values.dtype == np.float64
-    g = GridFunction(8, np.arange(8) + 0j)
-    assert not g.is_real and g.values.dtype == np.complex128
+    """Samples are stored as float64, whatever real dtype they come in;
+    complex samples are refused, even with a zero imaginary part."""
+    for v in (np.arange(8), np.arange(8, dtype=np.float32), [True] * 8):
+        assert GridFunction(8, v).values.dtype == np.float64
+    for v in (np.arange(8) + 0j, np.arange(8) * 1j):
+        with pytest.raises(ParameterError, match="real"):
+            GridFunction(8, v)
+    with pytest.raises(ParameterError, match="real"):
+        GridFunction.from_callable(lambda t: np.exp(1j * t), 8)
 
 
 def test_values_read_only():
@@ -111,28 +116,33 @@ def test_factor_json_pairs_are_the_coefficients(rng):
 
 
 def test_synthesize_matches_direct_sum(rng):
-    """fourier_synthesize agrees with sum_k c_k e^{i k theta_j} on the grid,
-    for a real-valued series (returned real) and a complex one."""
+    """fourier_synthesize agrees with sum_k c_k e^{i k theta_j} on the grid
+    for a real-valued series and refuses a series that is not, naming a
+    frequency where c_{-k} = conj(c_k) fails."""
     n = 256
     th = grid_theta(n)
     real = {0: complex(rng.normal(), 0)}
-    cplx = {}
     for k in range(1, 20):
         c = complex(rng.normal(), rng.normal())
         real[k] = c
         real[-k] = c.conjugate()
-        cplx[k] = c
-        cplx[-k] = complex(rng.normal(), rng.normal())
-    for coeffs in (real, cplx):
-        f = fourier_synthesize(FourierSeries(coeffs), n)
-        direct = sum(c * np.exp(1j * k * th) for k, c in coeffs.items())
-        assert f.is_real == (coeffs is real)
-        assert np.max(np.abs(f.values - direct)) < 1e-12
+    f = fourier_synthesize(FourierSeries(real), n)
+    direct = sum(c * np.exp(1j * k * th) for k, c in real.items())
+    assert f.values.dtype == np.float64
+    assert np.max(np.abs(direct.imag)) < 1e-12
+    assert np.max(np.abs(f.values - direct.real)) < 1e-12
+
+    skewed = {**real, -7: real[-7] + 0.5j}
+    with pytest.raises(ParameterError,
+                       match="not real-valued.*not Hermitian at k = -?7:"):
+        fourier_synthesize(FourierSeries(skewed), n)
+    with pytest.raises(ParameterError, match="not real-valued"):
+        fourier_synthesize(FourierSeries({0: 1j}), n)
 
 
 def test_synthesize_known_coefficients():
     f = fourier_synthesize(FourierSeries({0: 1.25, 1: -0.5, -1: -0.5}), 128)
-    assert f.is_real
+    assert f.values.dtype == np.float64
     assert np.max(np.abs(f.values - (1.25 - np.cos(grid_theta(128))))) < 1e-14
 
 
@@ -186,10 +196,8 @@ def test_conjugate_parseval(rng):
 def test_conjugate_real_and_mean_free(rng):
     f = GridFunction(256, rng.normal(size=256))
     conj = harmonic_conjugate(f)
-    assert conj.is_real
+    assert conj.values.dtype == np.float64
     assert abs(np.sum(conj.values) * (2 * np.pi / conj.n)) < 1e-12
-    with pytest.raises(ParameterError):
-        harmonic_conjugate(GridFunction(8, np.arange(8) * 1j))
 
 
 def test_conjugate_indicator_sign_convention():
@@ -240,7 +248,8 @@ def test_spectral_factor_boundary_and_h2():
     fac = SpectralFactor([1.0, -0.5])
     bvals = fac.boundary_values(64)
     th = grid_theta(64)
-    assert np.max(np.abs(bvals.values - (1 - 0.5 * np.exp(1j * th)))) < 1e-12
+    assert bvals.dtype == np.complex128 and bvals.shape == (64,)
+    assert np.max(np.abs(bvals - (1 - 0.5 * np.exp(1j * th)))) < 1e-12
     assert np.abs(h2_distance(fac, SpectralFactor([0.0])) ** 2
                   - 2 * np.pi * 1.25) < 1e-12
     assert fac(0.0) == pytest.approx(1.0)
@@ -265,10 +274,9 @@ def test_json_roundtrips(rng):
         {"n": 16, "values": v.tolist()})))
     assert np.array_equal(f.values, v)
 
-    z = rng.normal(size=16) + 1j * rng.normal(size=16)
     g = GridFunction.from_json_dict(json.loads(json.dumps(
-        {"values_complex": [[c.real, c.imag] for c in z]})))
-    assert g.n == 16 and np.array_equal(g.values, z)
+        {"values": v.tolist()})))
+    assert g.n == 16 and np.array_equal(g.values, v)
 
     s = FourierSeries.from_json_dict(json.loads(json.dumps(
         {"coeffs": {"0": [1.0, 0.0], "3": [0.5, -0.25], "-3": [0.5, 0.25]}})))
@@ -278,3 +286,19 @@ def test_json_roundtrips(rng):
         GridFunction.from_json_dict({"n": 16, "values": [1.0] * 8})
     with pytest.raises(ParameterError):
         FourierSeries.from_json_dict({"coeffs": {"x": [1, 0]}})
+    # complex samples have no JSON form
+    with pytest.raises(ParameterError, match="values key"):
+        GridFunction.from_json_dict(
+            {"values_complex": [[c, 0.0] for c in v.tolist()]})
+
+
+def test_grid_json_refuses_a_non_integer_n():
+    """A declared n that is not an integer is refused as such, not as a
+    sample-count mismatch; values that are not a flat list are refused."""
+    for n in ("8", 8.0, None):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            GridFunction.from_json_dict({"n": n, "values": [1.0] * 8})
+    for obj in ({"values": 5.0}, {"n": 8, "values": 5.0},
+                {"values": [[1.0] * 8]}, {"values": [[1.0, 0.0]] * 8}):
+        with pytest.raises(ParameterError):
+            GridFunction.from_json_dict(obj)

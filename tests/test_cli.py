@@ -30,7 +30,7 @@ from specfact import (
 )
 from specfact.bounds import CHECKS
 from specfact.cli import main
-from specfact.factorization import FR_MAX_DEGREE
+from specfact.factorization import FR_MAX_DEGREE, HERGLOTZ_MAX_DEGREE
 
 
 def run(capsys, *argv):
@@ -223,13 +223,106 @@ def test_factorize_fejer_riesz_refuses_non_hermitian_before_roots(
     assert len(err.strip().splitlines()) == 1
 
 
+def _write_samples(path, values):
+    path.write_text("\n".join(map(repr, np.asarray(values).tolist())))
+    return str(path)
+
+
+def _quarter_poly(tmp_path, n):
+    """n samples of |1 + z/2|^2, whose outer factor is 1 + z/2."""
+    z = np.exp(1j * (-np.pi + 2 * np.pi * np.arange(n) / n))
+    return _write_samples(tmp_path / f"quarter-{n}.txt", np.abs(1 + z / 2) ** 2)
+
+
+def _coefficients(out):
+    return np.array([complex(re, im) for re, im in json.loads(out)["a"]])
+
+
 def test_factorize_herglotz_degree_defaults_to_64(tmp_path, capsys):
-    path = tmp_path / "flat.txt"
-    path.write_text("4 4 4 4 4 4 4 4\n")
-    _, plain, _ = run(capsys, "factorize", str(path), "--method", "herglotz")
-    _, explicit, _ = run(capsys, "factorize", str(path), "--method",
+    path = _quarter_poly(tmp_path, 256)
+    _, plain, _ = run(capsys, "factorize", path, "--method", "herglotz")
+    _, explicit, _ = run(capsys, "factorize", path, "--method",
                          "herglotz", "--degree", "64")
     assert plain == explicit and len(json.loads(plain)["a"]) == 65
+
+
+def test_factorize_herglotz_default_degree_fits_the_grid(tmp_path, capsys):
+    """On n <= 128 samples the default degree is n/2 - 1, and the route
+    then matches the boundary route on every coefficient: no alias of a
+    low coefficient is printed as a high one."""
+    flat = tmp_path / "flat.txt"
+    flat.write_text("4 4 4 4 4 4 4 4\n")
+    code, out, _ = run(capsys, "factorize", str(flat), "--method", "herglotz")
+    a = _coefficients(out)
+    assert code == 0 and len(a) == 4
+    assert np.max(np.abs(a - [2, 0, 0, 0])) < 1e-12
+
+    path = _quarter_poly(tmp_path, 64)
+    code, out, _ = run(capsys, "factorize", path, "--method", "herglotz")
+    herglotz = _coefficients(out)
+    assert code == 0 and len(herglotz) == 32
+    code, out, _ = run(capsys, "factorize", path, "--method", "boundary")
+    boundary = _coefficients(out)
+    assert code == 0 and len(boundary) == 32
+    assert np.max(np.abs(herglotz - boundary)) < 1e-11
+
+
+@pytest.mark.parametrize("n, degree, limit", [
+    (8, 4, "0 .. 3"), (64, 32, "0 .. 31"), (64, 300, "0 .. 31"),
+    (4096, HERGLOTZ_MAX_DEGREE + 1, f"0 .. {HERGLOTZ_MAX_DEGREE}")])
+def test_factorize_herglotz_refuses_unresolved_degrees(tmp_path, capsys, n,
+                                                       degree, limit):
+    path = _quarter_poly(tmp_path, n)
+    code, out, err = run(capsys, "factorize", path, "--method", "herglotz",
+                         "--degree", str(degree))
+    assert code == 2 and not out
+    assert f"--degree {degree}" in err and limit in err
+    assert len(err.strip().splitlines()) == 1
+
+
+_NON_REAL_SERIES = ('{"coeffs": {"0": [1.25, 0], "1": [-0.5, 0.3], '
+                    '"-1": [-0.5, 0]}}')
+
+
+@pytest.mark.parametrize("argv", [
+    ["factorize", "{x}", "--method", "boundary"],
+    ["factorize", "{x}", "--method", "herglotz"],
+    ["factorize", "{x}", "--method", "fejer-riesz"],
+    ["bounds", "{x}", "{ok}", "--check", "thm2"],
+    ["bounds", "{ok}", "{x}", "--check", "identity"],
+    ["bounds", "{x}", "--check", "lemma-l1"],
+])
+@pytest.mark.parametrize("text, message", [
+    (_NON_REAL_SERIES, "not real-valued"),
+    ('{"values_complex": [[1, 0], [1, 0], [1, 0], [1, 0], [1, 0], [1, 0], '
+     '[1, 0], [1, 0]]}', "values key"),
+    ("1+1j 1 1 1 1 1 1 1", "1+1j"),
+    ('{"n": "8", "values": [1, 1, 1, 1, 1, 1, 1, 1]}', "must be an integer"),
+])
+def test_inputs_that_are_not_real_exit_2(tmp_path, capsys, argv, text,
+                                         message):
+    """Complex samples, a non-real series and a malformed grid JSON are
+    refused by every command with one stderr line."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    ok = tmp_path / "ok.json"
+    ok.write_text('{"coeffs": {"0": [1.25, 0], "1": [-0.5, 0], '
+                  '"-1": [-0.5, 0]}}')
+    code, out, err = run(capsys, *(a.format(x=bad, ok=ok) for a in argv))
+    assert code == 2 and not out, err
+    assert message in err and len(err.strip().splitlines()) == 1, err
+
+
+def test_factorize_herglotz_largest_degree(tmp_path, capsys):
+    """The cap is the largest d with 2^-52 0.9^-d <= 1e-6, and at the cap
+    the route still meets 1e-6 on 4096 samples of |1 + z/2|^2."""
+    d = HERGLOTZ_MAX_DEGREE
+    assert 2.0 ** -52 * 0.9 ** -d <= 1e-6 < 2.0 ** -52 * 0.9 ** -(d + 1)
+    code, out, _ = run(capsys, "factorize", _quarter_poly(tmp_path, 4096),
+                       "--method", "herglotz", "--degree", str(d))
+    a = _coefficients(out)
+    assert code == 0 and len(a) == d + 1
+    assert np.max(np.abs(a - np.r_[1.0, 0.5, np.zeros(d - 1)])) < 1e-6
 
 
 def test_parse_failures(tmp_path, capsys):

@@ -143,8 +143,10 @@ class PairMetrics:
         rg = np.sqrt(self.g)
         h = 2.0 * np.pi / self.f.shape[-1]
         t1 = np.sum((rf - rg) ** 2, axis=-1) * h
-        t2 = np.sum(2.0 * rf * (rg - rf) * defect, axis=-1) * h
-        t3 = np.sum(2.0 * self.f * defect, axis=-1) * h
+        # the factor 2 comes last, which is exact: 2 f would overflow for
+        # f near the float maximum before a zero defect multiplies it
+        t2 = 2.0 * (np.sum(rf * (rg - rf) * defect, axis=-1) * h)
+        t3 = 2.0 * (np.sum(self.f * defect, axis=-1) * h)
         return IdentityTerms(t1, t2, t3)
 
     @cached_property
@@ -190,6 +192,12 @@ def _rows(*fields):
     return zip(*(x.tolist() for x in fields))
 
 
+def _term(scale: float, distance: float) -> float:
+    """scale * distance, and 0 for a zero distance even where the scale,
+    a norm of f, overflowed to inf."""
+    return scale * distance if distance else 0.0
+
+
 def _identity(pm: PairMetrics) -> list[BoundReport]:
     """Expansion sum against the directly computed squared H2 distance."""
     terms = pm.terms
@@ -213,8 +221,8 @@ def _theorem_2(pm: PairMetrics) -> list[BoundReport]:
     for lhs, l1diff, logdiff, peak in _rows(pm.h2_squared, pm.l1_diff,
                                             pm.log_l1_diff,
                                             pm.f_norm(np.inf)):
-        rhs = 2.0 * l1diff + 2.5 * peak * logdiff
-        rhs_sharp = 2.0 * l1diff + two_k0 * peak * logdiff
+        rhs = 2.0 * l1diff + _term(2.5 * peak, logdiff)
+        rhs_sharp = 2.0 * l1diff + _term(two_k0 * peak, logdiff)
         pass_sharp = lhs <= rhs_sharp * (1.0 + _TOL) + 1e-12
         rep = bound_report("thm2", lhs, rhs, tol=_TOL, atol=1e-12,
                            details={"l1_diff": l1diff, "log_l1_diff": logdiff,
@@ -232,7 +240,7 @@ def _corollary_p(pm: PairMetrics, p: float) -> list[BoundReport]:
     out = []
     for lhs, l1diff, logdiff, norm_p in _rows(lhs, pm.l1_diff,
                                               pm.log_l1_diff, pm.f_norm(p)):
-        rhs = 2.0 * l1diff + cp * norm_p * logdiff ** ((p - 1.0) / p)
+        rhs = 2.0 * l1diff + _term(cp * norm_p, logdiff ** ((p - 1.0) / p))
         out.append(bound_report("cor-p", lhs, rhs, tol=_TOL, atol=1e-12,
                                 details={"p": p, "C_p": cp, "l1_diff": l1diff,
                                          "log_l1_diff": logdiff}))
@@ -247,7 +255,7 @@ def _theorem_main(pm: PairMetrics, phi: NFunction) -> list[BoundReport]:
         norm_f = orlicz_norm(GridFunction(len(f), f), phi.complement())
         s = 0.5 * k0_constant() * logdiff
         lam = lambda_phi(phi, s) if s > 0.0 else 0.0
-        rhs = 2.0 * l1diff + 4.0 * norm_f * lam
+        rhs = 2.0 * l1diff + _term(4.0 * norm_f, lam)
         out.append(bound_report("main", lhs, rhs, tol=_TOL, atol=1e-12,
                                 details={"l1_diff": l1diff,
                                          "log_l1_diff": logdiff,

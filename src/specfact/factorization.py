@@ -17,6 +17,7 @@ their agreement a meaningful check.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -95,8 +96,9 @@ def _positive_log(v: np.ndarray, floor: float | None,
     if np.iscomplexobj(v):
         raise ParameterError("factorization expects a real density")
     if floor is not None:
-        if not floor > 0.0:
-            raise ParameterError(f"floor must be positive, got {floor}")
+        if not 0.0 < floor < math.inf:
+            raise ParameterError(
+                f"floor must be positive and finite, got {floor}")
         v = np.maximum(v, floor, out=out)
     if np.any(v <= 0.0):
         rows = v.reshape(-1, v.shape[-1])
@@ -149,7 +151,10 @@ def factorize_boundary(f: GridFunction,
     sign = np.ones(n // 2)
     sign[1::2] = -1.0
     coeffs *= sign
+    # |F| is scaled by a power of two before squaring, which is exact and
+    # keeps n^2 max f from overflowing; the energy ratio is scale-free
     power = np.abs(F, out=logf)
+    power *= math.ldexp(1.0, -math.frexp(power.max())[1])
     power *= power
     total = float(np.sum(power))
     neg = float(np.sum(power[n // 2:]))

@@ -4,15 +4,17 @@ An N-function is Phi(x) = int_0^|x| u(t) dt with u nondecreasing and
 u(0+) = 0.  Two representations are supported:
 
 * closed-form powers Phi(tau) = tau^q / q with q > 1, and
-* densities given by samples of u, interpreted as piecewise linear on a
-  geometric master grid spanning [1e-12, 1e12] and extended outside by the
-  power laws fitted to the end segments.
+* densities given by samples of u, kept as given: linear between the
+  samples and, outside them, the power laws fitted to the first and the
+  last segment.
 
 The complement is built from the generalized inverse
-v(y) = sup{t : u(t) <= y}, which for the piecewise-linear representation is
-again piecewise linear (flat u-segments become near-vertical ramps one ulp
-wide).  Young's inequality x*y <= Phi(x) + Psi(y) therefore holds for the
-represented pair up to roundoff, not just up to interpolation error.
+v(y) = sup{t : u(t) <= y}.  The inverse of a linear piece is linear and
+the inverse of u0 (t/t0)^alpha is a power law with exponent 1/alpha, so
+the complement is the same representation on the swapped samples (flat
+u-segments become near-vertical ramps one ulp wide).  Young's inequality
+x*y <= Phi(x) + Psi(y) therefore holds for the represented pair up to
+roundoff, not just up to interpolation error.
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ __all__ = [
     "lemma_G_report",
     "weak11_ratio",
 ]
-
-MASTER_LO = 1e-12
-MASTER_HI = 1e12
-MASTER_POINTS = 24 * 32 + 1  # 32 nodes per decade across [1e-12, 1e12]
-
 
 class NFunction:
     """Convex N-function with an explicit nondecreasing density.
@@ -94,17 +91,16 @@ class NFunction:
     def from_density(cls, t, u) -> "NFunction":
         """Build from samples (t_i, u(t_i)) of the density.
 
-        The samples are resampled onto a geometric master grid covering
-        [1e-12, 1e12] (extended if the samples reach further), linear
-        between input nodes and power-law outside them.  This is the one
-        validation of a density: the samples must be finite, with positive
-        distinct t and a nonnegative nondecreasing u that increases
-        strictly on both end segments, and the resampled density must stay
-        finite, with finite power-law exponents on its end segments; Phi
-        and its complement must stay finite up to the last node.  A
-        nondecreasing u makes Phi convex; the complement is built here and
-        kept, and its convexity, which rounding can break, is spot-checked,
-        so every use of a density is refused or accepted alike.
+        The samples are the nodes: u is linear between them and, outside
+        them, the power law through the first or the last segment.  This
+        is the one validation of a density: the samples must be finite,
+        with positive distinct t and a nonnegative nondecreasing u that
+        increases strictly on both end segments, whose power-law exponents
+        must be positive and finite; Phi and its complement must stay
+        finite up to the last node.  A nondecreasing u makes Phi convex;
+        the complement is built here and kept, and its convexity, which
+        rounding can break, is spot-checked, so every use of a density is
+        refused or accepted alike.
         """
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=float)
@@ -125,29 +121,9 @@ class NFunction:
             raise ParameterError(
                 "density samples must increase strictly on the end segments")
         a_lo, a_hi = _end_exponents(t, u)
-        lo = min(MASTER_LO, t[0])
-        hi = max(MASTER_HI, t[-1])
-        master = np.geomspace(lo, hi, MASTER_POINTS)
-        nodes = np.unique(np.concatenate([master, t]))
-        vals = np.empty_like(nodes)
-        below = nodes < t[0]
-        above = nodes > t[-1]
-        mid = ~(below | above)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            vals[mid] = np.interp(nodes[mid], t, u)
-            vals[below] = u[0] * (nodes[below] / t[0]) ** a_lo
-            vals[above] = u[-1] * (nodes[above] / t[-1]) ** a_hi
-        if not np.all(np.isfinite(vals)):
-            raise ParameterError(
-                "density samples overflow when resampled onto the master grid")
-        if not (vals[0] > 0 and vals[1] > vals[0] and vals[-1] > vals[-2]):
-            raise ParameterError(
-                "density must be strictly increasing on its end segments "
-                "(needed for power-law extension and complementation)")
-        a_lo, a_hi = _end_exponents(nodes, vals)
-        if not (0.0 < a_lo < math.inf and 0.0 <= a_hi < math.inf):
+        if not (0.0 < a_lo < math.inf and 0.0 < a_hi < math.inf):
             raise ParameterError("end segments give unusable power-law exponents")
-        phi = cls("density", t_nodes=nodes, u_nodes=vals)
+        phi = cls("density", t_nodes=t, u_nodes=u)
         phi.complement()
         return phi
 
@@ -175,12 +151,9 @@ class NFunction:
                 ux = u[i] + (u[i + 1] - u[i]) * frac
                 out[mid] = cum[i] + 0.5 * (ax[mid] - t[i]) * (u[i] + ux)
             if np.any(hi):
-                if self.alpha_hi == 0.0:
-                    tail = u[-1] * (ax[hi] - t[-1])
-                else:
-                    tail = (u[-1] * t[-1] / (self.alpha_hi + 1.0)
-                            * ((ax[hi] / t[-1]) ** (self.alpha_hi + 1.0) - 1.0))
-                out[hi] = cum[-1] + tail
+                out[hi] = cum[-1] + (
+                    u[-1] * t[-1] / (self.alpha_hi + 1.0)
+                    * ((ax[hi] / t[-1]) ** (self.alpha_hi + 1.0) - 1.0))
         return out if out.ndim else float(out)
 
     def density(self, x):
@@ -222,8 +195,6 @@ class NFunction:
             return t[0] * (y * (self.alpha_lo + 1.0) / (u[0] * t[0])) ** (
                 1.0 / (self.alpha_lo + 1.0))
         if y >= cum[-1]:
-            if self.alpha_hi == 0.0:
-                return t[-1] + (y - cum[-1]) / u[-1]
             base = 1.0 + (y - cum[-1]) * (self.alpha_hi + 1.0) / (u[-1] * t[-1])
             return t[-1] * base ** (1.0 / (self.alpha_hi + 1.0))
         i = int(np.searchsorted(cum, y, side="right") - 1)
@@ -248,7 +219,12 @@ class NFunction:
 
     def _build_complement(self) -> "NFunction":
         if self.kind == "power":
-            return NFunction.power(self.q / (self.q - 1.0))
+            p = self.q / (self.q - 1.0)
+            if not p > 1.0:
+                raise ParameterError(
+                    f"power N-function q = {self.q} has no usable complement: "
+                    f"its exponent q/(q-1) rounds to {p}, which is not > 1")
+            return NFunction.power(p)
         ys = self.u_nodes.copy()
         for i in range(1, len(ys)):
             if ys[i] <= ys[i - 1]:
@@ -325,12 +301,6 @@ def _modal_integral(values: np.ndarray, phi: NFunction, h: float) -> float:
     if np.any(np.isnan(vals)):
         raise DomainError("N-function evaluation produced NaN")
     return float(np.sum(vals) * h)
-
-
-def _lq_norm(v: np.ndarray, peak: float, q: float, h: float) -> float:
-    """(int v^q dtheta)^(1/q) for v >= 0 with max v = peak > 0, scaled by
-    the peak so v^q neither overflows nor underflows."""
-    return peak * (float(np.sum((v / peak) ** q)) * h) ** (1.0 / q)
 
 
 #: solves run in a log variable z restricted to |z| <= _Z_MAX; beyond that
@@ -450,13 +420,13 @@ def luxemburg_norm(f: GridFunction, phi: NFunction) -> float:
     int Phi(|f|/kappa) dtheta = 1 to 1e-10 in log kappa; the returned
     kappa is on the feasible side, where the integral is <= 1.
     """
+    if phi.kind == "power":
+        return lp_norm(f, phi.q) * phi.q ** (-1.0 / phi.q)
     v = np.abs(f.values)
     peak = float(v.max())
     if peak == 0.0:
         return 0.0
     h = 2.0 * np.pi / f.n
-    if phi.kind == "power":
-        return _lq_norm(v, peak, phi.q, h) * phi.q ** (-1.0 / phi.q)
     z = _log_root(
         lambda z: 1.0 - _modal_integral(v / (peak * math.exp(z)), phi, h),
         0.0, 1e-10, "no finite bracket for the Luxemburg norm")
@@ -482,26 +452,23 @@ def orlicz_norm(f: GridFunction, phi: NFunction) -> float:
     NumericalConditioningError when no root lies in the searched range
     (the infimum is then approached only as k -> 0 or k -> inf).
     """
+    if phi.kind == "power":
+        q = phi.q
+        return (q / (q - 1.0)) ** ((q - 1.0) / q) * lp_norm(f, q)
     v = np.abs(f.values)
     peak = float(v.max())
     if peak == 0.0:
         return 0.0
     h = 2.0 * np.pi / f.n
-    if phi.kind == "power":
-        q = phi.q
-        return (q / (q - 1.0)) ** ((q - 1.0) / q) * _lq_norm(v, peak, q, h)
     w = np.sort(v) / peak
     young = _young_integral(phi, w)
     # start where k * mean|f| = 1
     z = _log_root(lambda z: young(z) * h - 1.0, -math.log(float(np.mean(w))),
                   1e-8, "no finite bracket for the Amemiya minimizer")
-    k = math.exp(z) / peak
-    if not sys.float_info.min <= k < math.inf:
-        # k leaves the normal range for an extreme peak: the same objective
-        # in the normalized samples, peak e^-z (1 + int Phi(e^z w))
-        return (peak * math.exp(-z)
-                * (1.0 + _modal_integral(math.exp(z) * w, phi, h)))
-    return (1.0 + _modal_integral(k * v, phi, h)) / k
+    # the objective (1 + int Phi(k|f|))/k at k = e^z / peak, in the
+    # normalized samples, so an extreme peak cannot push k out of range
+    return (peak * math.exp(-z)
+            * (1.0 + _modal_integral(math.exp(z) * w, phi, h)))
 
 
 def _young_integral(phi: NFunction,

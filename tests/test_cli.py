@@ -167,6 +167,70 @@ def test_factorize_refuses_what_the_method_does_not_read(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("method", ["boundary", "herglotz"])
+@pytest.mark.parametrize("floor", ["inf", "nan", "0", "-1"])
+def test_factorize_refuses_a_floor_that_is_not_positive_and_finite(
+        tmp_path, capsys, method, floor):
+    """Refused before any arithmetic: one stderr line and no warning."""
+    path = tmp_path / "flat.txt"
+    path.write_text("4 4 4 4 4 4 4 4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "factorize", str(path), "--method",
+                             method, "--floor", floor)
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "floor must be positive and finite" in lines[0]
+
+
+def test_factorize_density_near_the_float_maximum(tmp_path, capsys):
+    """4096 samples of 1e302: n^2 max f overflows, the energy ratio does
+    not, and the run exits 0 with no numpy warning."""
+    path = tmp_path / "big.txt"
+    path.write_text("1e302\n" * 4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "factorize", str(path), "--method",
+                           "boundary")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["neg_energy"] == 0.0
+    assert obj["a"][0][0] == pytest.approx(1e151, rel=1e-12)
+
+
+@pytest.mark.parametrize("check", ["thm2", "cor-p", "main", "identity"])
+def test_bounds_identical_densities_near_the_float_maximum(tmp_path, capsys,
+                                                           check):
+    """f = g = 1e308: every distance is 0, so every distance term is 0,
+    although ||f||_inf, ||f||_2 and 2 f overflow; each pair check passes
+    with lhs = rhs = 0 and no numpy warning."""
+    path = tmp_path / "big.txt"
+    path.write_text("1e308\n" * 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "bounds", str(path), str(path),
+                           "--check", check)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["pass"] and (obj["lhs"], obj["rhs"]) == (0.0, 0.0), obj
+
+
+def test_bounds_huge_power_q_names_both_exponents(capsys):
+    """q = 1e17: main needs the complement, whose exponent q/(q-1) rounds
+    to 1, and the refusal names both numbers; lemma-orl never builds the
+    complement and accepts the q."""
+    phi = json.dumps({"kind": "power", "q": 1e17})
+    code, out, err = run(capsys, "bounds", "--check", "main", "--sweep", "1",
+                         "--n", "256", "--phi", phi)
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "q = 1e+17" in lines[0], err
+    assert "rounds to 1.0" in lines[0], err
+    code, _, _ = run(capsys, "bounds", "--check", "lemma-orl", "--sweep", "1",
+                     "--n", "256", "--phi", phi)
+    assert code == 0
+
+
+@pytest.mark.parametrize("method", ["boundary", "herglotz"])
 def test_factorize_refuses_n_for_sample_input(tmp_path, capsys, method):
     samples = tmp_path / "flat.txt"
     samples.write_text("4 4 4 4 4 4 4 4\n")
@@ -563,12 +627,12 @@ def test_bounds_non_finite_phi_exit_2(capsys, phi, named):
 
 @pytest.mark.parametrize("check", ["lemma-orl", "main"])
 def test_bounds_overflowing_phi_is_refused_by_every_check(capsys, check):
-    """u = 1e290 t: Phi, the integral of u, overflows near t = 2e9, inside
-    the master grid.  Refused when --phi is parsed, in one stderr line and
-    with no numpy warning."""
+    """u = 1e290 t sampled up to t = 1e12: Phi, the integral of u,
+    overflows near t = 2e9, inside the node range.  Refused when --phi is
+    parsed, in one stderr line and with no numpy warning."""
     phi = {"kind": "density",
            "u_grid": [[float(t), 1e290 * float(t)]
-                      for t in np.geomspace(1e-30, 1e6, 97)]}
+                      for t in np.geomspace(1e-30, 1e12, 97)]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "bounds", "--check", check, "--sweep",
@@ -576,6 +640,36 @@ def test_bounds_overflowing_phi_is_refused_by_every_check(capsys, check):
     assert code == 2 and not out
     lines = err.strip().splitlines()
     assert len(lines) == 1 and "overflows inside the node range" in lines[0], err
+
+def test_bounds_scaled_power_density_matches_power_2(capsys):
+    """u = 1e290 t sampled on [1e-30, 1e6] is Phi = 1e290 t^2 / 2, whose
+    integral stays finite up to the last node: both Phi checks accept it,
+    with no numpy warning.  Scaling Phi by c scales the Luxemburg norm and
+    Lambda by sqrt(c) and the complement's Orlicz norm by 1/sqrt(c), so
+    every result is the q = 2 one times a power of 1e145, within the
+    solvers' 1e-10."""
+    phi = {"kind": "density",
+           "u_grid": [[float(t), 1e290 * float(t)]
+                      for t in np.geomspace(1e-30, 1e6, 97)]}
+    scales = {"main": {"lhs": 1.0, "rhs": 1.0, "orlicz_norm_f": 1e-145,
+                       "lambda": 1e145},
+              "lemma-orl": {"lhs": 1e145, "rhs": 1e145}}
+    for check, fields in scales.items():
+        argv = ("bounds", "--check", check, "--sweep", "3", "--n", "256")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, *argv, "--phi", json.dumps(phi))
+        assert code == 0
+        code2, out2, _ = run(capsys, *argv, "--phi",
+                             json.dumps({"kind": "power", "q": 2}))
+        assert code2 == 0
+        for got, want in zip(out_lines(out), out_lines(out2), strict=True):
+            assert got["pass"] and want["pass"]
+            both = {**got, **got["details"]}, {**want, **want["details"]}
+            for key, scale in fields.items():
+                assert both[0][key] == pytest.approx(
+                    scale * both[1][key], rel=1e-9, abs=0.0), (check, key)
+
 
 @pytest.mark.parametrize("check", ["lemma-orl", "main"])
 def test_bounds_ill_conditioned_phi_is_refused_by_every_check(capsys, check):

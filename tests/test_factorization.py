@@ -81,6 +81,29 @@ def test_boundary_rejects_nonpositive_without_floor():
     assert fac.floor_applied == 1e-8
 
 
+@pytest.mark.parametrize("floor", [math.inf, math.nan, 0.0, -1.0])
+def test_floor_must_be_positive_and_finite(floor):
+    f = GridFunction(8, np.full(8, 4.0))
+    with pytest.raises(ParameterError, match="positive and finite"):
+        factorize_boundary(f, floor=floor)
+    with pytest.raises(ParameterError, match="positive and finite"):
+        factorize_herglotz(f, [0.0], floor=floor)
+
+
+def test_boundary_energy_near_the_float_maximum(recwarn):
+    """n^2 max f above the float maximum: the squares of |F| are taken
+    after an exact power-of-two scaling, so neither the constant 1e302 nor
+    a random density times 1e302 overflows or warns on 4096 samples."""
+    n = 4096
+    fac = factorize_boundary(GridFunction(n, np.full(n, 1e302)))
+    assert fac.neg_energy == 0.0
+    assert fac.coeffs[0] == pytest.approx(1e151, rel=1e-12)
+    f = random_density(np.random.default_rng(5), n=n)
+    big = factorize_boundary(GridFunction(n, 1e302 * f.values))
+    assert 0.0 <= big.neg_energy < 1e-25
+    assert not recwarn.list
+
+
 def test_boundary_scaling_equivariance(rng):
     n = 512
     f_vals = np.exp(rng.normal(size=1)[0] + np.cos(grid_theta(n)))

@@ -31,7 +31,7 @@ CATALAN = 0.915965594177219
 def _sample_density_functions():
     phi2 = NFunction.power(2.0)
     t = np.geomspace(1e-6, 1e6, 241)
-    dens = NFunction.from_density(t, t)  # the power-2 density, resampled
+    dens = NFunction.from_density(t, t)  # the power-2 density, exactly
     return phi2, dens
 
 
@@ -97,6 +97,62 @@ def test_young_density_kind(rng):
     ys = np.exp(rng.uniform(-2, 2, 50))
     gap = dens.phi(xs) + comp.phi(ys) - xs * ys
     assert np.min(gap) > -1e-9 * np.max(xs * ys)
+
+
+def test_density_extends_by_its_end_power_laws():
+    """Sampled only on [0.1, 10], the density is, outside its samples, the
+    power law through its first or last segment, and Phi is its integral
+    in closed form; the complement extends by the inverse power laws."""
+    t = np.geomspace(0.1, 10.0, 9)
+    u = np.log1p(t)
+    phi = NFunction.from_density(t, u)
+    a_lo = math.log(u[1] / u[0]) / math.log(t[1] / t[0])
+    a_hi = math.log(u[-1] / u[-2]) / math.log(t[-1] / t[-2])
+    head = u[0] * t[0] / (a_lo + 1.0)
+    phi_top = head + float(np.sum(0.5 * (u[1:] + u[:-1]) * np.diff(t)))
+    for x in (1e-6, 1e-3, 0.05):
+        assert phi.density(x) == pytest.approx(
+            u[0] * (x / t[0]) ** a_lo, rel=1e-14)
+        assert phi.phi(x) == pytest.approx(
+            head * (x / t[0]) ** (a_lo + 1.0), rel=1e-14)
+    for x in (20.0, 1e3, 1e6):
+        assert phi.density(x) == pytest.approx(
+            u[-1] * (x / t[-1]) ** a_hi, rel=1e-14)
+        assert phi.phi(x) == pytest.approx(
+            phi_top + u[-1] * t[-1] / (a_hi + 1.0)
+            * ((x / t[-1]) ** (a_hi + 1.0) - 1.0), rel=1e-14)
+    psi = phi.complement()
+    assert psi.alpha_lo == pytest.approx(1.0 / a_lo, rel=1e-14)
+    assert psi.alpha_hi == pytest.approx(1.0 / a_hi, rel=1e-14)
+
+
+def test_young_equality_across_ends_and_a_flat_segment():
+    """Phi(x) + Psi(u(x)) = x u(x) to 1e-14 relative, for x below the first
+    sample, on every segment (u is flat between t = 2 and 3, where the
+    complement's inverse jumps over a ramp one ulp wide) and above the
+    last sample."""
+    t = np.array([0.5, 1.0, 2.0, 3.0, 4.0, 8.0])
+    u = np.array([0.25, 1.0, 2.0, 2.0, 3.0, 9.0])
+    phi = NFunction.from_density(t, u)
+    psi = phi.complement()
+    assert np.nextafter(2.0, np.inf) in psi.t_nodes
+    xs = np.concatenate([np.geomspace(1e-3, 0.5, 7),
+                         np.linspace(0.5, 8.0, 31),
+                         np.geomspace(8.0, 1e3, 7)])
+    ux = phi.density(xs)
+    assert np.all(ux[(xs > 2.0) & (xs < 3.0)] == 2.0)
+    gap = phi.phi(xs) + psi.phi(ux) - xs * ux
+    assert np.max(np.abs(gap) / (xs * ux)) <= 1e-14
+
+
+def test_power_complement_of_a_huge_q_names_both_exponents():
+    """For q = 1e17 the complement's exponent q/(q-1) rounds to 1: the
+    refusal names q and the rounded exponent, and Phi itself is usable."""
+    phi = NFunction.power(1e17)
+    assert lambda_phi(phi, 2.0) == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(ParameterError,
+                       match=r"q = 1e\+17 .* rounds to 1\.0, which is not > 1"):
+        phi.complement()
 
 
 def test_luxemburg_power_closed_form(rng):
@@ -317,8 +373,7 @@ class _StubPhi(NFunction):
 
     def __init__(self, linear: bool):
         if linear:
-            t = np.geomspace(orlicz.MASTER_LO, orlicz.MASTER_HI,
-                             orlicz.MASTER_POINTS)
+            t = np.geomspace(1e-12, 1e12, 49)
             super().__init__("density", t_nodes=t, u_nodes=np.ones_like(t))
             assert (self.alpha_lo, self.alpha_hi) == (0.0, 0.0)
         else:
@@ -467,8 +522,8 @@ def test_orlicz_norm_matches_sample_sum_solve():
 
 def test_orlicz_norm_is_homogeneous_where_k_overflows():
     """For the last of _young_phis the minimizer has e^z near 1e183, so
-    k = e^z / peak overflows once the peak of f is below about 1e-125; the
-    objective is then summed in the normalized samples.  ||c f|| = c ||f||
+    k = e^z / peak would overflow once the peak of f is below about
+    1e-125; the objective is summed in the normalized samples.  ||c f|| = c ||f||
     holds to 1e-8 there (the norm is subnormal below c = 1e-125), and at
     c = 1e-200, where the norm underflows, both sides are 0, not nan."""
     phi = _young_phis()[4]
@@ -561,9 +616,9 @@ def test_density_validation():
         NFunction.from_density([1.0, 2.0], [-1.0, 2.0])
     with pytest.raises(ParameterError, match=r"\[inf, 3.0\] is not finite"):
         NFunction.from_density([1.0, 2.0, math.inf], [1.0, 2.0, 3.0])
-    # u climbs to 6.5e131 over t < 6.6e-277: the slope between the samples
-    # overflows, and so does the interpolation on the master grid
-    with pytest.raises(ParameterError, match="overflow"):
+    # u climbs by 1e54 over the last segment while t climbs by 8e373: the
+    # ratio of t overflows, and the last exponent is log(1e54) / inf = 0
+    with pytest.raises(ParameterError, match="unusable power-law exponents"):
         NFunction.from_density(
             [3.4382991388337074e-281, 1.3392219886108555e-278,
              6.551632205429027e-277, 9.8448972316658e-203,
@@ -571,8 +626,8 @@ def test_density_validation():
             [1.0492257293e-312, 2.736162280370246e-277,
              6.490331086261677e+131, 7.129333895321158e+225,
              7.304156480138361e+279])
-    # Phi = int u overflows near t = 2e9, inside the master grid
-    t = np.geomspace(1e-30, 1e6, 97)
+    # Phi = int u overflows near t = 2e9, inside the node range
+    t = np.geomspace(1e-30, 1e12, 97)
     with pytest.raises(ParameterError, match="overflows inside the node"):
         NFunction.from_density(t, 1e290 * t)
     # Phi stays below 1.2e308 up to t = 1e12, but its complement, near

@@ -128,7 +128,10 @@ class PairMetrics:
 
     @cached_property
     def h2_squared(self) -> np.ndarray:
-        """||f+ - g+||^2 from factorize_boundary of each density."""
+        """||f+ - g+||^2 from factorize_boundary of each density.
+
+        Each row goes in as a GridFunction, checked again but shared, not
+        copied, when the block is read-only (as a sweep's blocks are)."""
         n = self.f.shape[-1]
         return np.array([h2_distance(factorize_boundary(GridFunction(n, f)),
                                      factorize_boundary(GridFunction(n, g)))
@@ -136,17 +139,19 @@ class PairMetrics:
 
     @cached_property
     def terms(self) -> IdentityTerms:
-        """T1, T2, T3 of the expansion; their sum is h2_squared."""
+        """T1, T2, T3 of the expansion; their sum is h2_squared.  A sum
+        beyond the double range is inf, with no overflow warning."""
         psi_hat = 0.5 * _conjugate(self.log_ratio)
         defect = 1.0 - np.cos(psi_hat)
         rf = np.sqrt(self.f)
         rg = np.sqrt(self.g)
         h = 2.0 * np.pi / self.f.shape[-1]
-        t1 = np.sum((rf - rg) ** 2, axis=-1) * h
-        # the factor 2 comes last, which is exact: 2 f would overflow for
-        # f near the float maximum before a zero defect multiplies it
-        t2 = 2.0 * (np.sum(rf * (rg - rf) * defect, axis=-1) * h)
-        t3 = 2.0 * (np.sum(self.f * defect, axis=-1) * h)
+        with np.errstate(over="ignore"):
+            t1 = np.sum((rf - rg) ** 2, axis=-1) * h
+            # the factor 2 comes last, which is exact: 2 f would overflow
+            # for f near the float maximum before a zero defect multiplies it
+            t2 = 2.0 * (np.sum(rf * (rg - rf) * defect, axis=-1) * h)
+            t3 = 2.0 * (np.sum(self.f * defect, axis=-1) * h)
         return IdentityTerms(t1, t2, t3)
 
     @cached_property
@@ -409,13 +414,14 @@ def _phase_samples(rng: np.random.Generator, n: int,
     b = rng.uniform(-1.0, 1.0, d)
     # a_k cos(k theta_j) + b_k sin(k theta_j) = Re[z_k e^{2 pi i k j / n}]
     # with z_k = (-1)^k (a_k - i b_k) (theta_0 = -pi), so one inverse real
-    # FFT of bins 0 .. d < n/2 sums the series; bin 0 carries only the
-    # real part
-    k = np.arange(d + 1)
-    z = np.where(k % 2 == 0, 1.0, -1.0) * (a - 1j * np.concatenate(([0.0], b)))
+    # FFT of bins 0 .. d < n/2 sums the series; bin k > 0 holds (n/2) z_k
+    # and bin 0 n a_0.  Scaling by n/2 and flipping signs are exact
     spec = np.zeros(n // 2 + 1, dtype=np.complex128)
-    spec[: d + 1] = 0.5 * n * z
-    spec[0] = n * z[0].real
+    z = spec[: d + 1]
+    np.multiply(a, 0.5 * n, out=z.real)
+    np.multiply(b, -0.5 * n, out=z.imag[1:])
+    z[1::2] *= -1.0
+    z.real[0] = n * a[0]
     return np.fft.irfft(spec, n)
 
 
@@ -429,14 +435,22 @@ def random_phase(rng: np.random.Generator, n: int = 4096,
     distribution.
     """
     n = _check_grid_size(n)
-    return GridFunction(n, _phase_samples(rng, n, degree))
+    return GridFunction(n, _handed_over(_phase_samples(rng, n, degree)))
 
 
 def random_density(rng: np.random.Generator, n: int = 4096,
                    degree: int = 16) -> GridFunction:
     """exp of a random_phase draw: positive, smooth, with integrable log."""
     n = _check_grid_size(n)
-    return GridFunction(n, np.exp(_phase_samples(rng, n, degree)))
+    v = _phase_samples(rng, n, degree)
+    return GridFunction(n, _handed_over(np.exp(v, out=v)))
+
+
+def _handed_over(v: np.ndarray) -> np.ndarray:
+    """v, just made here, read-only: GridFunction and PairMetrics rows
+    then share it rather than copy it."""
+    v.setflags(write=False)
+    return v
 
 
 def _sweep_blocks(seed: int, trials: int, n: int, degree: int, pairs: bool):
@@ -453,10 +467,10 @@ def _sweep_blocks(seed: int, trials: int, n: int, degree: int, pairs: bool):
         rngs = [np.random.default_rng([seed, i])
                 for i in range(start, min(trials, start + size))]
         if not pairs:
-            yield np.array([random_phase(rng, n=n, degree=degree).values
-                            for rng in rngs])
+            yield _handed_over(np.array([
+                random_phase(rng, n=n, degree=degree).values for rng in rngs]))
             continue
         draws = [(random_density(rng, n=n, degree=degree),
                   random_density(rng, n=n, degree=degree)) for rng in rngs]
-        yield PairMetrics(np.array([f.values for f, _ in draws]),
-                          np.array([g.values for _, g in draws]))
+        yield PairMetrics(_handed_over(np.array([f.values for f, _ in draws])),
+                          _handed_over(np.array([g.values for _, g in draws])))

@@ -57,6 +57,24 @@ def _check_grid_size(n) -> int:
     return n
 
 
+def _adopt(v: np.ndarray, dtype) -> np.ndarray:
+    """v itself when nothing can write to it, else a read-only copy in dtype.
+
+    v is shared when it is read-only, C-contiguous and of dtype, and the
+    array that owns its memory (v, or its base) is read-only too.  Package
+    code hands over the arrays it has just made that way, and never sets
+    them writeable again.
+    """
+    owner = v if v.base is None else v.base
+    if (not v.flags.writeable and v.flags.c_contiguous and v.dtype == dtype
+            and isinstance(owner, np.ndarray) and owner.flags.owndata
+            and not owner.flags.writeable):
+        return v
+    v = v.astype(dtype)
+    v.setflags(write=False)
+    return v
+
+
 def grid_theta(n: int) -> np.ndarray:
     """Sample angles theta_j = -pi + 2*pi*j/n."""
     n = _check_grid_size(n)
@@ -67,8 +85,11 @@ def grid_theta(n: int) -> np.ndarray:
 class GridFunction:
     """Real samples of a function on the uniform circle grid.
 
-    ``values`` is a read-only float64 copy; complex samples raise
-    ParameterError.
+    ``values`` is read-only float64.  It is the given array itself when
+    that is read-only, C-contiguous float64 and owned by a read-only array
+    (itself or its base), and a read-only copy otherwise, so a caller that
+    keeps a writeable array can change nothing here.  Complex samples raise
+    ParameterError, and so do samples that are not finite.
     """
 
     n: int
@@ -80,12 +101,11 @@ class GridFunction:
         if v.shape != (n,):
             raise ParameterError(
                 f"expected {n} samples, got array of shape {v.shape}")
-        if np.iscomplexobj(v):
+        if v.dtype.kind == "c":
             raise ParameterError("grid samples must be real numbers")
-        v = v.astype(np.float64, copy=True)
-        if not np.all(np.isfinite(v)):
+        v = _adopt(v, np.float64)
+        if not np.isfinite(v).all():
             raise ParameterError("grid samples must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", v)
 
@@ -175,6 +195,10 @@ class SpectralFactor:
     floor_applied records the clamp level when the source density was
     floored before taking logs; neg_energy records the relative energy the
     boundary extraction found at negative frequencies.
+
+    ``coeffs`` is read-only complex128, shared or copied by GridFunction's
+    rule: the given array itself when it is read-only, C-contiguous
+    complex128 and owned by a read-only array, a read-only copy otherwise.
     """
 
     coeffs: np.ndarray
@@ -185,10 +209,9 @@ class SpectralFactor:
         a = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
         if a.ndim != 1 or a.size == 0:
             raise ParameterError("factor coefficients must be a nonempty 1-d array")
-        if not np.all(np.isfinite(a)):
+        a = _adopt(a, np.complex128)
+        if not np.isfinite(a).all():
             raise ParameterError("factor coefficients must be finite")
-        a = a.copy()
-        a.setflags(write=False)
         object.__setattr__(self, "coeffs", a)
 
     @property
@@ -294,22 +317,29 @@ def harmonic_conjugate(f: GridFunction) -> GridFunction:
 
 
 def _conjugate(v: np.ndarray, out: np.ndarray | None = None,
-               spectrum: np.ndarray | None = None) -> np.ndarray:
+               spectrum: np.ndarray | None = None,
+               multiplier: complex = -1j) -> np.ndarray:
     """harmonic_conjugate of every row of a real array along the last axis;
     batched FFTs give each row the same floats as a 1-d call.  The result
-    goes to `out` and the half-spectrum to `spectrum` when they are given."""
+    goes to `out` and the half-spectrum to `spectrum` when they are given.
+    A multiplier of -1j times a power of two, such as -0.5j, scales the
+    result by that power exactly."""
     R = np.fft.rfft(v, out=spectrum)
-    R *= -1j
+    R *= multiplier
     R[..., 0] = 0.0
     R[..., -1] = 0.0
     return np.fft.irfft(R, v.shape[-1], out=out)
 
 
 def h2_distance(a: SpectralFactor, b: SpectralFactor) -> float:
-    """H2 distance sqrt(2*pi * sum_k |a_k - b_k|^2) of one-sided series."""
-    K = max(a.bandwidth, b.bandwidth)
-    pa = np.zeros(K + 1, dtype=np.complex128)
-    pb = np.zeros(K + 1, dtype=np.complex128)
-    pa[: a.bandwidth + 1] = a.coeffs
-    pb[: b.bandwidth + 1] = b.coeffs
-    return float(np.sqrt(2.0 * np.pi * np.sum(np.abs(pa - pb) ** 2)))
+    """H2 distance sqrt(2*pi * sum_k |a_k - b_k|^2) of one-sided series.
+
+    The shorter series is padded with zeros; a distance beyond the double
+    range is inf, with no overflow warning.
+    """
+    pa, pb = a.coeffs, b.coeffs
+    if len(pa) != len(pb):
+        K = max(len(pa), len(pb))
+        pa, pb = (np.pad(c, (0, K - len(c))) for c in (pa, pb))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(2.0 * np.pi * (np.abs(pa - pb) ** 2).sum()))

@@ -6,8 +6,9 @@ Exit codes form the machine-readable contract:
     1  a check ran to completion and failed
     2  input could not be parsed or the arguments are invalid
     3  domain error (nonpositive density, polynomial not nonnegative, ...),
-       or a verdict the numerics cannot resolve, labelled "numerically
-       unresolved" on standard error (exit 4 is retired)
+       or a verdict the numerics cannot resolve (such as a bound whose
+       sides leave the double range), labelled "numerically unresolved" on
+       standard error (exit 4 is retired)
 
 Inputs are file paths ("-" for standard input) holding either a grid
 function as JSON {"n": ..., "values": [...]}, a Fourier series as JSON
@@ -19,6 +20,7 @@ Results are JSON on standard output; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -232,7 +234,10 @@ def _reading(option: str) -> str:
                       if check.option == option)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged,
+    so in-process calls of main share it."""
     parser = argparse.ArgumentParser(
         prog="specfact",
         description="Spectral factorization on the circle with machine-checked "

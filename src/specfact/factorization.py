@@ -100,7 +100,7 @@ def _positive_log(v: np.ndarray, floor: float | None,
             raise ParameterError(
                 f"floor must be positive and finite, got {floor}")
         v = np.maximum(v, floor, out=out)
-    if np.any(v <= 0.0):
+    if (v <= 0.0).any():
         rows = v.reshape(-1, v.shape[-1])
         row = rows[np.argmax(np.any(rows <= 0.0, axis=-1))]
         j = int(np.argmin(row))
@@ -137,32 +137,35 @@ def factorize_boundary(f: GridFunction,
     n = f.n
     logf, half, F = _boundary_buffers(n)
     _positive_log(f.values, floor, out=logf)
-    # the boundary values F = exp(0.5 log f + 0.5i (log f)~)
+    # the boundary values F = exp(0.5 log f + 0.5i (log f)~); the conjugate
+    # takes its 0.5 in the spectrum, which scales every float exactly
     np.multiply(logf, 0.5, out=F.real)
-    _conjugate(logf, out=F.imag, spectrum=half)
-    F.imag *= 0.5
+    _conjugate(logf, out=F.imag, spectrum=half, multiplier=-0.5j)
     np.exp(F, out=F)
     np.fft.fft(F, out=F)
     # F is n times the coefficients; n is a power of two, so dividing the
     # kept half is exact, and the energy ratio below is scale-free.  The
     # division comes before the sign flip: the other order gives 0.0 where
-    # an exactly zero coefficient has -0.0 in this one
+    # an exactly zero coefficient has -0.0 in this one.  The flip
+    # multiplies by 1 + 0j and -1 + 0j, as a sign vector would: the
+    # even entries' product turns some zeros' -0.0 into 0.0
     coeffs = F[: n // 2] / n
-    sign = np.ones(n // 2)
-    sign[1::2] = -1.0
-    coeffs *= sign
+    coeffs[::2] *= 1.0
+    coeffs[1::2] *= -1.0
     # |F| is scaled by a power of two before squaring, which is exact and
     # keeps n^2 max f from overflowing; the energy ratio is scale-free
     power = np.abs(F, out=logf)
     power *= math.ldexp(1.0, -math.frexp(power.max())[1])
     power *= power
-    total = float(np.sum(power))
-    neg = float(np.sum(power[n // 2:]))
+    total = float(power.sum())
+    neg = float(power[n // 2:].sum())
     a0 = coeffs[0]
     if a0 == 0:
         raise NumericalConditioningError("no positive value at the origin")
     coeffs *= a0.conjugate() / abs(a0)
     coeffs[0] = abs(a0)
+    # handed over read-only, the factor keeps this array without a copy
+    coeffs.setflags(write=False)
     return SpectralFactor(coeffs, floor_applied=floor,
                           neg_energy=neg / total if total > 0 else 0.0)
 
@@ -244,6 +247,7 @@ def _herglotz_factor(f: GridFunction, floor: float | None,
     c = np.fft.fft(vals) / m
     a = c[: degree + 1] / r ** np.arange(degree + 1)
     a = a * np.exp(-1j * np.angle(a[0]))
+    a.setflags(write=False)
     return SpectralFactor(a, floor_applied=floor)
 
 

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from .errors import NumericalConditioningError
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -43,9 +45,18 @@ class BoundReport:
 
 def bound_report(name: str, lhs: float, rhs: float, tol: float,
                  atol: float = 0.0, details: dict | None = None) -> BoundReport:
-    """Assemble a BoundReport, applying the shared pass rule."""
+    """Assemble a BoundReport, applying the shared pass rule.
+
+    A side that is inf or nan, which inputs at the edge of the double range
+    give, decides nothing (inf <= inf would pass): it raises
+    NumericalConditioningError.
+    """
     lhs = float(lhs)
     rhs = float(rhs)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NumericalConditioningError(
+            f"{name}: lhs = {lhs!r} and rhs = {rhs!r} must both be finite; "
+            f"the inputs leave the double range")
     passed = bool(lhs <= rhs * (1.0 + tol) + atol)
     det = dict(details or {})
     det.setdefault("tol", tol)
@@ -55,8 +66,8 @@ def bound_report(name: str, lhs: float, rhs: float, tol: float,
 
 
 def _json_safe(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
+    if isinstance(v, float):
+        return float(v) if math.isfinite(v) else repr(v)
     if isinstance(v, dict):
         return {k: _json_safe(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

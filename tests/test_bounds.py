@@ -32,6 +32,7 @@ from specfact import (
     random_density,
     random_phase,
 )
+from specfact.bounds import _sweep_blocks
 
 
 def test_identity_zero_for_equal_inputs(rng):
@@ -275,3 +276,26 @@ def test_sweep_generators_deterministic():
     assert w.values.dtype == np.float64
     assert np.array_equal(
         w.values, random_phase(np.random.default_rng(7), n=512, degree=4).values)
+
+
+def test_draws_hand_over_their_samples():
+    """random_density and random_phase make their samples and hand them
+    over read-only: the grid function owns them and nothing can write."""
+    for draw in (random_density, random_phase):
+        v = draw(np.random.default_rng(3), n=256).values
+        assert v.flags.owndata and not v.flags.writeable
+
+
+def test_pair_rows_are_shared_only_from_read_only_blocks():
+    """Rows of a sweep's read-only block go into GridFunction without a
+    copy; rows of a caller's writeable block are copied, so writing to the
+    block afterwards leaves the grid function as it was."""
+    pm = next(_sweep_blocks(0, 2, 256, 16, True))
+    assert not pm.f.flags.writeable
+    assert np.shares_memory(GridFunction(256, pm.f[1]).values, pm.f)
+    block = np.array(pm.f)
+    user = PairMetrics(block, np.array(pm.g))
+    row = GridFunction(256, user.f[1])
+    assert not np.shares_memory(row.values, block)
+    block[1] = 1.0
+    assert np.array_equal(row.values, pm.f[1])

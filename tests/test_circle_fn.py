@@ -62,6 +62,44 @@ def test_values_read_only():
         f.values[0] = 1.0
 
 
+def _handed_over(v):
+    v = np.array(v)
+    v.setflags(write=False)
+    return v
+
+
+#: the array a GridFunction or a SpectralFactor keeps of a given one
+_HELD = [(lambda v: GridFunction(len(v), v).values, np.float64),
+         (lambda v: SpectralFactor(v).coeffs, np.complex128)]
+
+
+@pytest.mark.parametrize("held, dtype", _HELD)
+def test_a_writeable_array_is_copied(held, dtype):
+    """The caller keeps a writeable array, so the object copies it, and
+    also a read-only view of it: writing to the array changes nothing."""
+    v = np.arange(1.0, 9.0).astype(dtype)
+    view = v.view()
+    view.setflags(write=False)
+    for given in (v, view):
+        kept = held(given)
+        assert not np.shares_memory(kept, v)
+        v[0] = 99.0
+        assert kept[0] == 1.0 and not kept.flags.writeable
+        v[0] = 1.0
+
+
+@pytest.mark.parametrize("held, dtype", _HELD)
+def test_a_read_only_owned_array_is_shared(held, dtype):
+    """A read-only array that owns its data, or a row of one, is handed
+    over: the object keeps it without a copy, after the same checks."""
+    v = _handed_over(np.arange(1.0, 9.0).astype(dtype))
+    assert held(v) is v
+    block = _handed_over(np.ones((2, 8), dtype=dtype))
+    assert np.shares_memory(held(block[1]), block)
+    with pytest.raises(ParameterError, match="finite"):
+        held(_handed_over(np.full(8, np.inf, dtype=dtype)))
+
+
 def test_integral_oracles():
     n = 512
     one = GridFunction.from_callable(lambda t: np.ones_like(t), n)

@@ -29,8 +29,9 @@ from specfact import (
     random_phase,
 )
 from specfact.bounds import CHECKS
-from specfact.cli import main
+from specfact.cli import _build_parser, main
 from specfact.factorization import FR_MAX_DEGREE, HERGLOTZ_MAX_DEGREE
+from specfact.report import bound_report
 
 
 def run(capsys, *argv):
@@ -212,6 +213,70 @@ def test_bounds_identical_densities_near_the_float_maximum(tmp_path, capsys,
     assert code == 0
     obj = json.loads(out)
     assert obj["pass"] and (obj["lhs"], obj["rhs"]) == (0.0, 0.0), obj
+
+
+@pytest.mark.parametrize("check", ["thm2", "cor-p", "main", "identity"])
+def test_bounds_pair_beyond_the_double_range_is_refused(tmp_path, capsys,
+                                                        check):
+    """f = 1e308 against g = 1e307: ||f+ - g+||^2 and ||f - g||_1 leave the
+    double range, and inf <= inf decides nothing.  Every pair check exits 3
+    with one stderr line, prints nothing on stdout, and numpy warns of no
+    overflow on the way."""
+    f, g = tmp_path / "f.txt", tmp_path / "g.txt"
+    f.write_text("1e308\n" * 8)
+    g.write_text("1e307\n" * 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "bounds", str(f), str(g),
+                             "--check", check)
+    assert (code, out) == (3, ""), out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("specfact: numerically unresolved:"), err
+
+
+def test_bound_report_refuses_a_side_that_is_not_finite():
+    for lhs, rhs in ((math.inf, math.inf), (math.nan, 0.0), (1.0, -math.inf)):
+        with pytest.raises(specfact.NumericalConditioningError,
+                           match="finite"):
+            bound_report("thm2", lhs, rhs, tol=1e-9)
+    assert bound_report("thm2", 0.0, 0.0, tol=1e-9).passed
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    """main builds its parser once per process.  A call that sets an option
+    and then one that leaves it out, and an argparse error (exit 2) and
+    then a valid call, each print and exit as a fresh
+    `python -m specfact.cli` does."""
+    assert _build_parser() is _build_parser()
+    density = tmp_path / "f.txt"
+    theta = -np.pi + 2.0 * np.pi * np.arange(64) / 64
+    density.write_text("\n".join(map(repr, (1.0 + 0.9 * np.cos(theta)).tolist())))
+    thm2 = ["bounds", "--check", "thm2", "--sweep", "2"]
+    calls = [
+        ["factorize", str(density), "--method", "boundary", "--floor", "0.5"],
+        ["factorize", str(density), "--method", "boundary"],
+        ["bounds", "--check", "main", "--phi", json.dumps(LLOGL_PHI),
+         "--sweep", "2"],
+        thm2,
+        ["bounds", "--sweep", "2"],  # no --check
+        thm2,
+    ]
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(specfact.__file__).resolve().parent.parent))
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "specfact.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+        codes.append(code)
+    assert codes[4] == 2 and codes[5] == 0, codes
 
 
 def test_bounds_huge_power_q_names_both_exponents(capsys):

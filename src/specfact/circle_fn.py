@@ -20,9 +20,10 @@ is sin, and the conjugate of the indicator of the arc (0, pi) is
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TextIO
 
 import numpy as np
 
@@ -46,6 +47,9 @@ __all__ = [
 #: Pinned empirically by the test suite; downstream formulas import it
 #: rather than hard-coding the sign.
 CONJUGATE_ARC_SIGN = 1
+
+#: coefficient pairs SpectralFactor.write_json formats per write
+_JSON_CHUNK = 4096
 
 
 def _check_grid_size(n) -> int:
@@ -237,15 +241,38 @@ class SpectralFactor:
         buf[1: K + 1: 2] *= -1.0
         return np.fft.ifft(buf) * n
 
-    def to_json_dict(self) -> dict:
-        """{"floor", "neg_energy" (when set), "a": [[re, im], ...]}."""
+    def _json_head(self) -> dict:
         out = {}
         if self.floor_applied is not None:
             out["floor"] = self.floor_applied
         if self.neg_energy is not None:
             out["neg_energy"] = self.neg_energy
+        return out
+
+    def to_json_dict(self) -> dict:
+        """{"floor", "neg_energy" (when set), "a": [[re, im], ...]}."""
+        out = self._json_head()
         out["a"] = self.coeffs.view(np.float64).reshape(-1, 2).tolist()
         return out
+
+    def write_json(self, fh: TextIO, tail: Mapping) -> None:
+        """Write json.dumps({**self.to_json_dict(), **tail}) and a newline.
+
+        `tail` holds keys that to_json_dict does not.  The line is encoded
+        with an empty coefficient list before the first write, and the
+        coefficients are formatted into that gap _JSON_CHUNK pairs at a
+        time, so neither the whole line nor a nested list of all pairs is
+        ever held.
+        """
+        line = json.dumps({**self._json_head(), "a": [], **tail}) + "\n"
+        # the head holds numbers only, so the first match is the "a" key
+        gap = line.index('"a": []') + len('"a": [')
+        fh.write(line[:gap])
+        pairs = self.coeffs.view(np.float64).reshape(-1, 2)
+        for i in range(0, len(pairs), _JSON_CHUNK):
+            fh.write((", " if i else "")
+                     + json.dumps(pairs[i:i + _JSON_CHUNK].tolist())[1:-1])
+        fh.write(line[gap:])
 
 
 def lp_norm(f: GridFunction, p) -> float:

@@ -12,8 +12,9 @@ Exit codes form the machine-readable contract:
 
 Inputs are file paths ("-" for standard input) holding either a grid
 function as JSON {"n": ..., "values": [...]}, a Fourier series as JSON
-{"coeffs": {"k": [re, im], ...}}, or plain text with one sample per line.
-Samples are real and a series real-valued (c_{-k} = conj(c_k)), or exit 2.
+{"coeffs": {"k": [re, im], ...}}, or plain text samples separated by
+whitespace or commas, each a token float() reads.  Samples are real and
+finite and a series real-valued (c_{-k} = conj(c_k)), or exit 2.
 Results are JSON on standard output; diagnostics go to standard error.
 """
 
@@ -23,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -72,6 +74,31 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _parse_samples(text: str) -> np.ndarray:
+    """Whitespace- or comma-separated samples, read-only, empty for none.
+
+    One numpy call reads ordinary text, to the doubles float() gives token
+    by token; it drops the sign of a nan and also reads nan(...), which
+    float() refuses, and GridFunction refuses both.  Text it does not read
+    to the end goes through float() token by token, which names the token
+    it refuses and accepts spellings numpy does not (1_0, non-ASCII digits
+    and separators).
+    """
+    text = text.replace(",", " ")
+    if not text or text.isspace():
+        # numpy reads whitespace alone as [-1.0]
+        return np.empty(0)
+    try:
+        with warnings.catch_warnings():
+            # a numpy that only warns on unmatched data returns the prefix
+            warnings.simplefilter("error")
+            vals = np.fromstring(text, sep=" ")
+    except (ValueError, Warning):
+        vals = np.array([float(tok) for tok in text.split()])
+    vals.setflags(write=False)
+    return vals
+
+
 def _load_any(path: str):
     """Parse a path into a GridFunction or FourierSeries."""
     text = _read_text(path)
@@ -81,8 +108,8 @@ def _load_any(path: str):
         if "coeffs" in obj:
             return FourierSeries.from_json_dict(obj)
         return GridFunction.from_json_dict(obj)
-    vals = [float(tok) for tok in text.replace(",", " ").split()]
-    if not vals:
+    vals = _parse_samples(text)
+    if not vals.size:
         raise ParameterError(f"no samples found in {path!r}")
     return GridFunction(len(vals), vals)
 
@@ -143,10 +170,8 @@ def cmd_factorize(args) -> int:
         # the outer check must see the same density the factor came from
         f = GridFunction(f.n, np.maximum(f.values, args.floor))
     report = outer_check(factor, f)
-    out = factor.to_json_dict()
-    out["method"] = args.method
-    out["outer"] = report.to_json_dict()
-    _emit(out)
+    factor.write_json(sys.stdout, {"method": args.method,
+                                   "outer": report.to_json_dict()})
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 

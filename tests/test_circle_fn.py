@@ -1,5 +1,6 @@
 """Grid conventions: quadrature, Fourier analysis, and the conjugate operator."""
 
+import io
 import json
 import math
 import warnings
@@ -20,6 +21,7 @@ from specfact import (
     harmonic_conjugate,
     lp_norm,
 )
+from specfact.circle_fn import _JSON_CHUNK
 
 
 def test_grid_theta_layout():
@@ -151,6 +153,25 @@ def test_factor_json_pairs_are_the_coefficients(rng):
     want = {"floor": 0.5, "neg_energy": 1e-20,
             "a": [[c.real, c.imag] for c in fac.coeffs]}
     assert json.dumps(fac.to_json_dict()) == json.dumps(want)
+
+
+
+@pytest.mark.parametrize("pairs", [1, _JSON_CHUNK, _JSON_CHUNK + 1,
+                                   3 * _JSON_CHUNK + 1])
+@pytest.mark.parametrize("floor, neg_energy", [(None, None), (0.5, None),
+                                               (None, 1e-20), (0.5, 0.0)])
+@pytest.mark.parametrize("tail", [{}, {"method": "boundary", "outer": {
+    "lhs": 1.5, "pass": True, "details": {"a": [1, 2]}}}])
+def test_factor_json_writer_writes_the_dumped_dict(rng, pairs, floor,
+                                                   neg_energy, tail):
+    """The streamed line is json.dumps of to_json_dict plus the tail, also
+    with an empty head or tail and across chunk joins."""
+    a = rng.normal(size=pairs) + 1j * rng.normal(size=pairs)
+    a[-1] = complex(-0.0, 5e-324)
+    fac = SpectralFactor(a, floor_applied=floor, neg_energy=neg_energy)
+    fh = io.StringIO()
+    fac.write_json(fh, tail)
+    assert fh.getvalue() == json.dumps({**fac.to_json_dict(), **tail}) + "\n"
 
 
 def test_synthesize_matches_direct_sum(rng):

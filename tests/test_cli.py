@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import specfact
 from specfact import (
     NFunction,
+    SpectralFactor,
     check_corollary_p,
     check_identity,
     check_lemma_l1,
@@ -29,7 +30,8 @@ from specfact import (
     random_phase,
 )
 from specfact.bounds import CHECKS
-from specfact.cli import _build_parser, main
+from specfact.circle_fn import _JSON_CHUNK
+from specfact.cli import _build_parser, _parse_samples, main
 from specfact.factorization import FR_MAX_DEGREE, HERGLOTZ_MAX_DEGREE
 from specfact.report import bound_report
 
@@ -463,6 +465,133 @@ def test_parse_failures(tmp_path, capsys):
     words = tmp_path / "words.txt"
     words.write_text("one two three")
     assert run(capsys, "factorize", str(words), "--method", "boundary")[0] == 2
+
+
+
+def _per_token(text):
+    return np.array([float(tok) for tok in text.replace(",", " ").split()])
+
+
+_REPRS = 10.0 ** np.arange(-300, 301, 7) * np.linspace(-1.7, 1.7, 86)
+
+
+@pytest.mark.parametrize("text", [
+    "\n".join(map(repr, _REPRS.tolist())),
+    "1.7976931348623157e308 2.2250738585072014e-308 0.1 1. .5 +3 1E5",
+    "0 -0 0.0 -0.0 +0.0",
+    "5e-324 -4.9e-324 2.5e-320 2.2250738585072009e-308",
+    "1e-400 -1e-400 1e400 -1e400",
+    "nan NaN NAN -nan +nan inf -inf +inf Inf INF infinity -Infinity",
+    "1.5\r\n2.5\r\n", "1\t2\t\t3", "1\f2\v3 \f", "1,2,,3 , 4,",
+    # float() reads these and numpy does not: the token-by-token path
+    "1_0 2", "1\u00a02", "1\u20082", "\u0661\u0662 3",
+])
+def test_sample_parse_matches_float_per_token(text):
+    """The bulk parse gives the doubles float() gives token by token, bit
+    for bit (a nan's sign aside), read-only."""
+    got, want = _parse_samples(text), _per_token(text)
+    assert got.dtype == np.float64 and not got.flags.writeable
+    nan = np.isnan(want)
+    assert got.shape == want.shape and (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("text", ["", " \n\t \n", ",,,", " , ,\r\n"])
+@pytest.mark.parametrize("stdin", [False, True])
+def test_text_without_samples_exits_2(tmp_path, capsys, monkeypatch, text,
+                                      stdin):
+    """numpy alone reads whitespace as the one sample -1.0; no token at
+    all is refused as such, from a path and from standard input."""
+    path = tmp_path / "blank.txt"
+    path.write_text(text)
+    source = "-" if stdin else str(path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "factorize", source, "--method", "boundary")
+    assert code == 2 and not out
+    assert err == f"specfact: cannot parse input: no samples found in " \
+                  f"{source!r}\n"
+
+
+@pytest.mark.parametrize("token", ["1+1j", "1e5x", "abc"])
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("warn_only", [False, True])
+def test_unreadable_tokens_are_named_not_truncated(tmp_path, capsys,
+                                                   monkeypatch, token, where,
+                                                   warn_only):
+    """Eight good samples and one bad token exit 2 naming the token; the
+    good prefix is never factored, also under a numpy that only warns on
+    unmatched data and returns what it read."""
+    if warn_only:
+        def fromstring(text, sep):
+            warnings.warn("string or file could not be read to its end due "
+                          "to unmatched data", DeprecationWarning)
+            return np.full(8, 4.0)
+        monkeypatch.setattr(np, "fromstring", fromstring)
+    good = ["4"] * 8
+    path = tmp_path / "bad.txt"
+    path.write_text(" ".join([token] + good if where == "first"
+                             else good + [token]))
+    for argv in (["factorize", str(path), "--method", "boundary"],
+                 ["bounds", str(path), str(path), "--check", "thm2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == (f"specfact: cannot parse input: could not convert "
+                       f"string to float: {token!r}\n")
+
+
+@pytest.mark.parametrize("token", ["nan(123)", "nan()"])
+def test_nan_with_payload_is_refused_as_not_finite(tmp_path, capsys, token):
+    """float() refuses nan(...) and numpy reads it as nan: either way the
+    sample exits 2, now as a sample that is not finite."""
+    path = tmp_path / "nan.txt"
+    path.write_text(" ".join([token] + ["4"] * 7))
+    code, out, err = run(capsys, "factorize", str(path), "--method",
+                         "boundary")
+    assert code == 2 and not out
+    assert err == "specfact: cannot parse input: grid samples must be finite\n"
+
+
+def _dumped_line(factor, fh, tail):
+    fh.write(json.dumps({**factor.to_json_dict(), **tail}) + "\n")
+
+
+@pytest.mark.parametrize("source, argv", [
+    ("samples", ["--method", "boundary"]),
+    ("samples", ["--method", "boundary", "--floor", "0.3"]),
+    ("stdin", ["--method", "boundary"]),
+    ("small", ["--method", "herglotz"]),
+    ("small", ["--method", "herglotz", "--floor", "0.3", "--degree", "40"]),
+    ("series", ["--method", "boundary", "--n", "1024"]),
+    ("series", ["--method", "herglotz"]),
+    ("series", ["--method", "fejer-riesz"]),
+])
+def test_factorize_line_is_the_dumped_dict(tmp_path, capsys, monkeypatch,
+                                           source, argv):
+    """factorize streams exactly json.dumps of the factor's dict with
+    method and outer added, whatever the method, head and input kind."""
+    n = 8 * _JSON_CHUNK if source in ("samples", "stdin") else 256
+    z = np.exp(1j * (-np.pi + 2 * np.pi * np.arange(n) / n))
+    path = _write_samples(tmp_path / "dip.txt",
+                          np.abs(1 + 0.9 * z + 0.3j * z ** 3) ** 2)
+    if source == "series":
+        path = str(tmp_path / "series.json")
+        Path(path).write_text('{"coeffs": {"0": [1.25, 0], "1": [-0.5, 0], '
+                              '"-1": [-0.5, 0]}}')
+    if source == "stdin":
+        stdin = Path(path).read_text()
+        path = "-"
+    runs = []
+    for writer in (None, _dumped_line):
+        if writer is not None:
+            monkeypatch.setattr(SpectralFactor, "write_json", writer)
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        runs.append(run(capsys, "factorize", path, *argv))
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code in (0, 1) and out.endswith("}\n")
+    if source in ("samples", "stdin"):
+        assert len(json.loads(out)["a"]) > 2 * _JSON_CHUNK
 
 
 def test_bounds_pair_from_files(tmp_path, capsys):

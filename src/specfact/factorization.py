@@ -7,7 +7,12 @@ f_plus(0) > 0, with f = |f_plus|^2 on the boundary:
   f_plus = sqrt(f) * exp((i/2) * (log f)~), coefficients read off by FFT;
 * factorize_herglotz: exp of the Herglotz integral of log f, evaluated at
   interior points of the disk by a blocked direct rectangle-rule sum in
-  bounded memory (no FFT of log f);
+  bounded memory (no FFT of log f).  The Taylor coefficients of this route
+  are read off m = 512 or 1024 evenly spaced points of |z| = 0.9, where
+  the same sum is a circular correlation: _herglotz_circle takes it as the
+  wrapped diagonals of matrix products, m n multiply-adds in products
+  small enough for one BLAS thread plus O(m^2) diagonal sums, in O(n + m)
+  memory (42 ms at n = 2^18 against 0.47 s for the direct sum, 2-core VM);
 * fejer_riesz: root factorization of a nonnegative trigonometric
   polynomial, of degree at most FR_MAX_DEGREE, checked on an FFT grid.
 
@@ -56,9 +61,22 @@ FR_MAX_DEGREE = 512
 #: partial sums stay accurate: one BLAS product over all 2^16 samples left
 #: the Taylor coefficients 20x less accurate.  512 KB blocks measured
 #: fastest on a 2-core VM with 2 MB of L2 per core (256 KB and 1 MB blocks
-#: ran 3-28% slower at n = 4096 .. 2^16).
+#: ran 3-28% slower at n = 4096 .. 2^16).  The circle kernel writes its
+#: matrix products into a superblock of at most _HERGLOTZ_BLOCK_BYTES
+#: before it takes their wrapped diagonal sums.
 _HERGLOTZ_COLS = 4096
 _HERGLOTZ_BLOCK_BYTES = 1 << 19
+
+#: Multiply-adds per matrix product in the circle kernel.  OpenBLAS runs a
+#: product of up to 2^18 multiply-adds on one thread; a larger one wakes
+#: its worker threads, and under the default thread count such a product
+#: can cost about one scheduler quantum on a 2-core VM whose vCPUs give
+#: one core of throughput: (512 x 8) @ (8 x 1024) took 16 ms (median of
+#: 15) in two of three fresh processes and 0.5 ms in the third, while 16
+#: products of (32 x 8) @ (8 x 1024) took 0.35 ms.  So the superblock is
+#: filled by products of at most this size, as the direct kernel's
+#: (16 x 4096) @ (4096 x 3) already is.
+_BLAS_ONE_THREAD = 1 << 18
 
 #: _herglotz_factor reads Taylor coefficients off the circle |z| = 0.9 and
 #: divides coefficient k by 0.9^k, which multiplies its rounding by 0.9^-k.
@@ -177,6 +195,9 @@ def factorize_herglotz(f: GridFunction, points, r_max: float = 0.95,
     Evaluates at the given interior points; |z| <= r_max is enforced because
     the rectangle-rule kernel loses accuracy near the boundary.  Returns a
     complex array shaped like `points` (a scalar input gives a scalar).
+    This is the path for arbitrary points; the command line's evenly
+    spaced circle goes through _herglotz_circle, which is checked against
+    this kernel.
 
     The rectangle rule is summed directly, in real arithmetic: with
     z = x + iy and D = (cos t - x)^2 + (sin t - y)^2 = |e^{i t} - z|^2,
@@ -221,11 +242,84 @@ def factorize_herglotz(f: GridFunction, points, r_max: float = 0.95,
             d += e
             np.reciprocal(d, out=d)
             sums[i:i + rows] += d @ weights[j:j + cols]
-    re = (1.0 - (x * x + y * y)) * sums[:, 0]
-    im = 2.0 * (y * sums[:, 1] - x * sums[:, 2])
-    zn = z.ravel() ** n
-    vals = np.exp((re + 1j * im) / (2.0 * n) + 0.5 * c * (1.0 + zn) / (1.0 - zn))
+    vals = _herglotz_values(z.ravel(), c, n,
+                            (1.0 - (x * x + y * y)) * sums[:, 0],
+                            2.0 * (y * sums[:, 1] - x * sums[:, 2]))
     return complex(vals[0]) if z.ndim == 0 else vals.reshape(z.shape)
+
+
+def _herglotz_values(z: np.ndarray, c: float, n: int, re: np.ndarray,
+                     im: np.ndarray) -> np.ndarray:
+    """The factor at points z from the real and imaginary parts of the
+    kernel sum over the centred log f, plus the mean c's exact share."""
+    zn = z ** n
+    return np.exp((re + 1j * im) / (2.0 * n) + 0.5 * c * (1.0 + zn) / (1.0 - zn))
+
+
+def _herglotz_circle(f: GridFunction, floor: float | None, m: int,
+                     r: float) -> np.ndarray:
+    """factorize_herglotz at the m points z_p = r e^{2 pi i p / m}, m a
+    power of two.
+
+    With psi = t - 2 pi p / m, the kernel at z_p is
+
+        Re K = (1 - r^2) / D,    Im K = -2 r sin psi / D,
+        D = (cos psi - r)^2 + sin^2 psi,
+
+    and every difference psi between a sample angle and a point's angle
+    lies on the grid of L = max(n, m) angles, so 1/D and sin psi / D are
+    tabulated once on L angles.  The centred log f is placed on that grid
+    every L / n angles; reshaped to (m, L/m), both arrays make each
+    point's two sums a wrapped diagonal of G = dev K^T (a circular
+    correlation).  G is taken one row block at a time, by products of at
+    most _BLAS_ONE_THREAD multiply-adds (up to n = 2^21), into a
+    superblock of at most _HERGLOTZ_BLOCK_BYTES: m n multiply-adds (m^2
+    when n < m, where the products carry zeros between samples) plus
+    O(m^2) diagonal sums, and O(n + m) memory.  No FFT of log f is taken.
+    """
+    n = f.n
+    L = max(n, m)
+    b = L // m
+    u = np.zeros(L)
+    on_grid = u[:: L // n]
+    _positive_log(f.values, floor, out=on_grid)
+    c = float(np.mean(on_grid))
+    on_grid -= c
+    dev = u.reshape(m, b)
+    # kern[2 q + 0] and kern[2 q + 1] hold 1/D and sin psi / D over the
+    # b angles of row q mod m; rows run to 2m so no diagonal wraps
+    psi = grid_theta(L)
+    sin = np.sin(psi)
+    d = np.cos(psi, out=psi)
+    d -= r
+    d *= d
+    d += sin * sin
+    np.reciprocal(d, out=d)
+    table = np.empty((2, m, 2, b))
+    table[0, :, 0] = d.reshape(m, b)
+    np.multiply(sin.reshape(m, b), table[0, :, 0], out=table[0, :, 1])
+    table[1] = table[0]
+    kern = table.reshape(4 * m, b)
+    # rows and m are powers of two, so the row blocks tile G exactly
+    rows = max(1, _HERGLOTZ_BLOCK_BYTES // (32 * m))
+    cols = max(1, _BLAS_ONE_THREAD // (2 * rows * b))
+    width = m + rows - 1
+    block = np.empty(rows * (2 * width + 2))
+    prod = block[: 2 * rows * width].reshape(rows, 2 * width)
+    # row a of this view starts at G[i + a, i + a], so its column k holds
+    # the diagonal G[i + a, i + a + k], a term of the point p = -k mod m
+    diagonals = block.reshape(rows, 2 * width + 2)[:, : 2 * m]
+    sums = np.zeros(2 * m)
+    for i in range(0, m, rows):
+        for j in range(0, width, cols):
+            k = min(j + cols, width)
+            np.matmul(dev[i:i + rows], kern[2 * (i + j): 2 * (i + k)].T,
+                      out=prod[:, 2 * j: 2 * k])
+        sums += diagonals.sum(axis=0)
+    s = sums.reshape(m, 2)[-np.arange(m) % m]
+    z = r * np.exp(2j * np.pi * np.arange(m) / m)
+    return _herglotz_values(z, c, n, (1.0 - r * r) * s[:, 0],
+                            -2.0 * r * s[:, 1])
 
 
 def _herglotz_factor(f: GridFunction, floor: float | None,
@@ -242,8 +336,7 @@ def _herglotz_factor(f: GridFunction, floor: float | None,
     m = 512
     while m < 4 * (degree + 1):
         m *= 2
-    phi = 2.0 * np.pi * np.arange(m) / m
-    vals = factorize_herglotz(f, r * np.exp(1j * phi), floor=floor)
+    vals = _herglotz_circle(f, floor, m, r)
     c = np.fft.fft(vals) / m
     a = c[: degree + 1] / r ** np.arange(degree + 1)
     a = a * np.exp(-1j * np.angle(a[0]))

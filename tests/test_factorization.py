@@ -22,7 +22,11 @@ from specfact import (
     outer_check,
     random_density,
 )
-from specfact.factorization import FR_MAX_DEGREE, _angle_clusters
+from specfact.factorization import (
+    FR_MAX_DEGREE,
+    _angle_clusters,
+    _herglotz_circle,
+)
 
 
 def _series_from_factor(a):
@@ -281,20 +285,58 @@ def test_herglotz_keeps_the_shape_of_points():
         factorize_herglotz(f, np.array([[0.0, 0.99j]]))
 
 
-def test_herglotz_memory_is_bounded():
-    """512 points on 2^16 samples: the dense kernel needed about 1.6 GB."""
-    n = 2 ** 16
+def _circle(m, r=0.9):
+    return r * np.exp(2j * np.pi * np.arange(m) / m)
+
+
+def _asymmetric_density(n):
+    """exp of a random trig polynomial, times a factor with a kink at an
+    angle off every grid's symmetry axes."""
+    th = grid_theta(n)
+    rng = np.random.default_rng(n)
+    w = sum(rng.uniform(-1, 1) * np.cos(k * th + rng.uniform(0, 2 * np.pi))
+            for k in range(1, 9))
+    return GridFunction(n, np.exp(w) * (1.0 + 0.3 * np.abs(np.sin(th - 0.4))))
+
+
+@pytest.mark.parametrize("floor", [None, 0.5])
+@pytest.mark.parametrize("m", [512, 1024])
+@pytest.mark.parametrize("n", [8, 256, 512, 4096, 2 ** 16])
+def test_herglotz_circle_matches_direct_kernel(n, m, floor):
+    """The circle kernel's wrapped diagonals are the direct kernel's sums:
+    an off-by-one diagonal or a sign slip in sin psi fails here."""
+    f = _asymmetric_density(n)
+    got = _herglotz_circle(f, floor, m, 0.9)
+    want = factorize_herglotz(f, _circle(m), floor=floor)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+def test_herglotz_circle_matches_dense_oracle():
+    f = _asymmetric_density(4096)
+    got = _herglotz_circle(f, None, 512, 0.9)
+    want = _dense_herglotz(f, _circle(512))
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+@pytest.mark.parametrize("n, kernel, limit", [
+    # 512 points on 2^16 samples: the dense kernel needed about 1.6 GB
+    pytest.param(2 ** 16, lambda f: factorize_herglotz(f, _circle(512)), 64,
+                 id="direct"),
+    # an (m x n) kernel at 2^18 samples would take 1 GB
+    pytest.param(2 ** 18, lambda f: _herglotz_circle(f, None, 512, 0.9), 48,
+                 id="circle"),
+])
+def test_herglotz_memory_is_bounded(n, kernel, limit):
     f = GridFunction.from_callable(lambda t: np.exp(np.cos(t)), n)
-    pts = 0.9 * np.exp(2j * np.pi * np.arange(512) / 512)
     tracemalloc.start()
     try:
-        vals = factorize_herglotz(f, pts)
+        vals = kernel(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20, peak
+    assert peak < limit * 2 ** 20, peak
     # exp(cos) has the outer factor exp(z / 2)
-    assert np.allclose(vals, np.exp(pts / 2.0), rtol=1e-12, atol=0)
+    assert np.allclose(vals, np.exp(_circle(512) / 2.0), rtol=1e-12, atol=0)
 
 
 def test_route_agreement(rng):

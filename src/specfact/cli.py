@@ -65,6 +65,9 @@ _FACTORIZE_OPTIONS = {"floor": ("boundary", "herglotz"), "degree": ("herglotz",)
 _HERGLOTZ_DEGREE = 64
 #: grid size of sweeps and of series input when --n is omitted
 _GRID_N = 4096
+#: --seed and --degree of a sweep when omitted; only sweeps read them
+_SWEEP_SEED = 0
+_SWEEP_DEGREE = 16
 
 
 def _read_text(path: str) -> str:
@@ -176,8 +179,6 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.degree < 1:
-        raise ParameterError(f"--degree must be >= 1, got {args.degree}")
     check = CHECKS[args.check]
     extra = []
     for option, default in _OPTION_DEFAULTS.items():
@@ -197,13 +198,22 @@ def cmd_bounds(args) -> int:
         if args.sweep < 1:
             raise ParameterError("--sweep needs a positive trial count")
         n = _GRID_N if args.n is None else args.n
-        if 2 * args.degree >= n:
+        degree = _SWEEP_DEGREE if args.degree is None else args.degree
+        if degree < 1:
+            raise ParameterError(f"--degree must be >= 1, got {degree}")
+        if 2 * degree >= n:
             raise ParameterError(
-                f"--degree {args.degree} is not resolved on --n {n} "
+                f"--degree {degree} is not resolved on --n {n} "
                 f"samples: sweeps need --degree < --n / 2")
-        records = _sweep_blocks(args.seed, args.sweep, n, args.degree,
+        seed = _SWEEP_SEED if args.seed is None else args.seed
+        records = _sweep_blocks(seed, args.sweep, n, degree,
                                 len(check.inputs) == 2)
     else:
+        for option in ("seed", "degree"):
+            value = getattr(args, option)
+            if value is not None:
+                raise ParameterError(f"--{option} {value} is read by --sweep "
+                                     f"only, and no --sweep is given")
         if len(check.inputs) == 1 and args.g is not None:
             raise ParameterError(f"--check {args.check} reads psi only, "
                                  f"not also {args.g!r}")
@@ -303,13 +313,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"(default {_OPTION_DEFAULTS['phi']})")
     p_bnd.add_argument("--sweep", type=int, default=None,
                        help="run N random trials instead of reading inputs")
-    p_bnd.add_argument("--seed", type=int, default=0,
-                       help="seed for --sweep trials")
+    p_bnd.add_argument("--seed", type=int, default=None,
+                       help=f"seed for --sweep trials (default {_SWEEP_SEED})")
     p_bnd.add_argument("--n", type=int, default=None,
                        help=f"grid size for sweeps and series input "
                             f"(default {_GRID_N}; refused when neither runs)")
-    p_bnd.add_argument("--degree", type=int, default=16,
-                       help="trig-polynomial degree cap for sweep draws")
+    p_bnd.add_argument("--degree", type=int, default=None,
+                       help="trig-polynomial degree cap for sweep draws "
+                            f"(default {_SWEEP_DEGREE}, at least 1)")
     p_bnd.set_defaults(func=cmd_bounds)
 
     p_ctr = sub.add_parser(

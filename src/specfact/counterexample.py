@@ -298,7 +298,6 @@ def verify_theorem_1(n: int, du: float = 0.1,
             f"n = {n}: margin {achieved - target:.3g} over 2 - 1/n is within "
             f"the row's budget plus rounding, {unresolved:.3g}")
     small = 1.0 / n
-    passed = (achieved >= target) and (met.m1 <= small) and (met.m2 <= small)
     details = {
         "n": n, "eps": fam.eps, "variant": variant,
         "u_star": fam.bump_center_u, "du": du,
@@ -309,9 +308,7 @@ def verify_theorem_1(n: int, du: float = 0.1,
         "ratio_error": met.ratio_error,
         "m1_ok": met.m1 <= small, "m2_ok": met.m2 <= small,
     }
-    return BoundReport(name="thm1", lhs=target, rhs=achieved,
-                       slack=achieved - target, passed=passed,
-                       details=details)
+    return BoundReport("thm1", target, achieved, details)
 
 
 def family_row(n: int, du: float = 0.1, variant: str = "floored") -> dict:
@@ -448,6 +445,4 @@ def cross_validate_pipeline(eps: float) -> BoundReport:
         details[key + "_grid"] = grid
         details[key + "_rel"] = rel
         worst = max(worst, rel)
-    return BoundReport(name="cross-validation", lhs=worst, rhs=tol,
-                       slack=tol - worst, passed=worst <= tol,
-                       details=details)
+    return BoundReport("cross-validation", worst, tol, details)

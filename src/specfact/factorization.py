@@ -468,14 +468,8 @@ def outer_check(factor: SpectralFactor, f: GridFunction) -> BoundReport:
     logf = _positive_log(f.values, None)
     rhs = float(np.mean(logf)) / 2.0
     a0 = factor.value_at_zero
-    details = {"a0": a0, "log_mean_half": rhs}
+    details = {"a0": a0, "log_mean_half": rhs, "tol": tol}
     if a0.real <= 0.0 or abs(a0.imag) > 1e-12 * (1.0 + abs(a0)):
-        return BoundReport(name="outer-check", lhs=float("-inf"), rhs=rhs,
-                           slack=float("inf"), passed=False,
-                           details={**details, "tol": tol,
-                                    "reason": "value at origin not positive"})
-    lhs = float(np.log(a0.real))
-    passed = abs(lhs - rhs) <= tol * (1.0 + abs(rhs))
-    return BoundReport(name="outer-check", lhs=lhs, rhs=rhs,
-                       slack=rhs - lhs, passed=passed,
-                       details={**details, "tol": tol})
+        return BoundReport("outer-check", float("-inf"), rhs, {
+            **details, "reason": "value at origin not positive"})
+    return BoundReport("outer-check", float(np.log(a0.real)), rhs, details)

@@ -9,28 +9,43 @@ from typing import Any
 from .errors import NumericalConditioningError
 
 
+def _plain(lhs: float, rhs: float, details: dict) -> bool:
+    """The rule of every name not in RULES: lhs <= rhs (1 + tol) + atol."""
+    return lhs <= rhs * (1.0 + details["tol"]) + details["atol"]
+
+
+#: Pass predicate (lhs, rhs, details) of each report name with its own rule.
+RULES = {
+    # Theorem 2 holds with 2.5 (rhs) and with the sharp 2 K0 (rhs_sharp),
+    # and rhs_sharp <= rhs; a report without rhs_sharp has the plain rule
+    "thm2": lambda lhs, rhs, d: _plain(
+        lhs, min(rhs, d.get("rhs_sharp", rhs)), d),
+    "outer-check": lambda lhs, rhs, d: (
+        abs(lhs - rhs) <= d["tol"] * (1.0 + abs(rhs))),
+    "thm1": lambda lhs, rhs, d: lhs <= rhs and d["m1_ok"] and d["m2_ok"],
+    "cross-validation": lambda lhs, rhs, d: lhs <= rhs,
+}
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of one quantitative check.
 
-    Reports built by bound_report pass iff  lhs <= rhs * (1 + tol) + atol,
-    with tol and atol recorded in details.  Four state their own rule, each
-    readable from the report's fields:
-
-    * thm2 also needs details["pass_sharp"], the same rule against
-      rhs_sharp with the constant 2 K0;
-    * outer-check is two-sided: |lhs - rhs| <= tol (1 + |rhs|);
-    * thm1 needs lhs <= rhs exactly, with details["m1_ok"] and ["m2_ok"];
-    * cross-validation passes iff lhs (the worst relative gap) <= rhs,
-      which is the tolerance.
+    slack is rhs - lhs, and passed applies RULES to the other fields, so
+    every verdict can be re-audited from the report itself.
     """
 
     name: str
     lhs: float
     rhs: float
-    slack: float
-    passed: bool
+    slack: float = field(init=False)
+    passed: bool = field(init=False)
     details: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self):
+        passed = RULES.get(self.name, _plain)(self.lhs, self.rhs, self.details)
+        object.__setattr__(self, "slack", self.rhs - self.lhs)
+        object.__setattr__(self, "passed", bool(passed))
 
     def to_json_dict(self) -> dict:
         return {
@@ -45,7 +60,7 @@ class BoundReport:
 
 def bound_report(name: str, lhs: float, rhs: float, tol: float,
                  atol: float = 0.0, details: dict | None = None) -> BoundReport:
-    """Assemble a BoundReport, applying the shared pass rule.
+    """Assemble a BoundReport with tol and atol recorded in its details.
 
     A side that is inf or nan, which inputs at the edge of the double range
     give, decides nothing (inf <= inf would pass): it raises
@@ -57,12 +72,8 @@ def bound_report(name: str, lhs: float, rhs: float, tol: float,
         raise NumericalConditioningError(
             f"{name}: lhs = {lhs!r} and rhs = {rhs!r} must both be finite; "
             f"the inputs leave the double range")
-    passed = bool(lhs <= rhs * (1.0 + tol) + atol)
-    det = dict(details or {})
-    det.setdefault("tol", tol)
-    det.setdefault("atol", atol)
-    return BoundReport(name=name, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                       passed=passed, details=det)
+    return BoundReport(name=name, lhs=lhs, rhs=rhs,
+                       details={**(details or {}), "tol": tol, "atol": atol})
 
 
 def _json_safe(v):

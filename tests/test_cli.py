@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import specfact
 from specfact import (
+    GridFunction,
     NFunction,
     SpectralFactor,
     check_corollary_p,
@@ -26,14 +27,21 @@ from specfact import (
     check_lemma_orl,
     check_theorem_2,
     check_theorem_main,
+    cross_validate_pipeline,
+    factorize_boundary,
+    holder_check,
+    lemma_G_report,
+    outer_check,
     random_density,
     random_phase,
+    verify_theorem_1,
 )
 from specfact.bounds import CHECKS
 from specfact.circle_fn import _JSON_CHUNK
 from specfact.cli import _build_parser, _parse_samples, main
 from specfact.factorization import FR_MAX_DEGREE, HERGLOTZ_MAX_DEGREE
-from specfact.report import bound_report
+from specfact.orlicz import GAUGES
+from specfact.report import RULES, _plain, bound_report
 
 
 def run(capsys, *argv):
@@ -243,6 +251,59 @@ def test_bound_report_refuses_a_side_that_is_not_finite():
                            match="finite"):
             bound_report("thm2", lhs, rhs, tol=1e-9)
     assert bound_report("thm2", 0.0, 0.0, tol=1e-9).passed
+
+
+def test_thm2_report_needs_its_sharp_side():
+    """Theorem 2 is checked with 2.5 and with the sharp 2 K0: an lhs within
+    rhs (1 + tol) + atol but above rhs_sharp (1 + tol) + atol fails."""
+    for lhs, passed in ((0.99, True), (0.995, False), (1.0 + 1e-10, False)):
+        rep = bound_report("thm2", lhs, 1.0, tol=1e-9, atol=1e-12,
+                           details={"rhs_sharp": 0.99})
+        assert rep.passed is passed, lhs
+        assert rep.slack == 1.0 - lhs
+
+
+def _from_json(v):
+    """A parsed JSON value with the "inf" and "-inf" of non-finite floats
+    read back as floats."""
+    if isinstance(v, dict):
+        return {k: _from_json(x) for k, x in v.items()}
+    return float(v) if v in ("inf", "-inf") else v
+
+
+def test_every_report_reaudits_from_its_own_json(capsys):
+    """Each printed report carries every field its pass rule reads."""
+    objs = []
+    for check in CHECKS:
+        for seed in range(5):
+            code, out, _ = run(capsys, "bounds", "--check", check, "--sweep",
+                               "2", "--seed", str(seed), "--n", "256")
+            assert code in (0, 1)
+            objs += out_lines(out)
+    rng = np.random.default_rng(3)
+    f, g = (random_density(rng, n=256) for _ in range(2))
+    psi = random_phase(rng, n=1024, degree=12)
+    dens = GridFunction.from_callable(lambda t: 1.25 - np.cos(t), 512)
+    reports = [
+        holder_check(f, g, NFunction.power(3.0)),
+        *(lemma_G_report(gauge, psi) for gauge in GAUGES),
+        # the factor, an imposter with a0 = 0 and one with a0 > 0
+        *(outer_check(factor, dens) for factor in (
+            factorize_boundary(dens), SpectralFactor([0.0, 1.0, -0.5]),
+            SpectralFactor([0.5, -1.0]))),
+        *(verify_theorem_1(n, variant=variant) for n in range(1, 6)
+          for variant in ("floored", "plus-one")),
+        *(cross_validate_pipeline(eps) for eps in (4.0, 7.0, 12.0)),
+    ]
+    objs += [json.loads(json.dumps(rep.to_json_dict())) for rep in reports]
+    for obj in map(_from_json, objs):
+        rule = RULES.get(obj["name"], _plain)
+        assert rule(obj["lhs"], obj["rhs"], obj["details"]) == obj["pass"], obj
+        assert obj["slack"] == obj["rhs"] - obj["lhs"], obj
+    assert {obj["name"] for obj in objs} == {
+        *CHECKS, "holder", "lemma-g", "outer-check", "thm1",
+        "cross-validation"}
+    assert not all(obj["pass"] for obj in objs)
 
 
 def test_reused_parser_leaks_no_state(tmp_path, capsys):
@@ -738,6 +799,24 @@ def test_bounds_refuses_what_the_check_does_not_read(tmp_path, capsys, argv,
     psi.write_text(json.dumps({"n": 256, "values": values.tolist()}))
     argv = [str(psi) if a == "PSI" else a for a in argv]
     code, out, err = run(capsys, "bounds", "--n", "256", *argv)
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and named in lines[0], err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["F", "G", "--check", "thm2", "--seed", "3"], "--seed"),
+    (["F", "G", "--check", "thm2", "--degree", "5"], "--degree"),
+    (["F", "G", "--check", "thm2", "--degree", "0"], "--degree"),
+    (["F", "--check", "lemma-l1", "--seed", "0"], "--seed"),
+])
+def test_bounds_refuses_sweep_options_without_a_sweep(tmp_path, capsys, argv,
+                                                      named):
+    path = tmp_path / "flat.txt"
+    path.write_text("4 4 4 4 4 4 4 4\n")
+    argv = [str(path) if a in ("F", "G") else a for a in argv]
+    assert run(capsys, "bounds", *argv[:-2])[0] == 0
+    code, out, err = run(capsys, "bounds", *argv)
     assert code == 2 and not out
     lines = err.strip().splitlines()
     assert len(lines) == 1 and named in lines[0], err

@@ -141,8 +141,9 @@ class PairMetrics:
     def terms(self) -> IdentityTerms:
         """T1, T2, T3 of the expansion; their sum is h2_squared.  A sum
         beyond the double range is inf, with no overflow warning."""
-        psi_hat = 0.5 * _conjugate(self.log_ratio)
-        defect = 1.0 - np.cos(psi_hat)
+        # psi_hat = (log f - log g)~ / 2, so its half angle is the
+        # conjugate at -0.25j, scaled exactly
+        defect = _one_minus_cos(_conjugate(self.log_ratio, multiplier=-0.25j))
         rf = np.sqrt(self.f)
         rg = np.sqrt(self.g)
         h = 2.0 * np.pi / self.f.shape[-1]
@@ -190,6 +191,19 @@ def h2_identity_terms(f: GridFunction, g: GridFunction) -> IdentityTerms:
 def h2_squared_direct(f: GridFunction, g: GridFunction) -> float:
     """Squared H2 distance of the boundary factors, no expansion involved."""
     return float(pair_metrics(f, g).h2_squared[0])
+
+
+def _one_minus_cos(half: np.ndarray) -> np.ndarray:
+    """1 - cos x from half = x / 2, in place, as 2 t^2 / (1 + t^2) with
+    t = tan(x / 2).  Unlike 1 - cos x, which rounds to 0 below x = 1e-8
+    (where it is x^2 / 2), this forms no difference of nearby numbers;
+    |tan| <= 1.6e16 on doubles, so t^2 stays finite."""
+    t = np.tan(half, out=half)
+    t *= t
+    d = t + 1.0
+    t += t
+    t /= d
+    return t
 
 
 def _rows(*fields):
@@ -271,7 +285,7 @@ def _theorem_main(pm: PairMetrics, phi: NFunction) -> list[BoundReport]:
 
 def _lemma_orl(psi: np.ndarray, phi: NFunction) -> list[BoundReport]:
     """||1 - cos(psi~)||_(Phi) <= 2 Lambda_Phi(K0 ||psi||_1) per row of psi."""
-    defect = 1.0 - np.cos(_conjugate(psi))
+    defect = _one_minus_cos(_conjugate(psi, multiplier=-0.5j))
     out = []
     for d, psi_l1 in zip(defect, _lp_norms(psi, 1).tolist()):
         lhs = luxemburg_norm(GridFunction(len(d), d), phi)
@@ -284,7 +298,7 @@ def _lemma_orl(psi: np.ndarray, phi: NFunction) -> list[BoundReport]:
 
 def _lemma_l1(psi: np.ndarray) -> list[BoundReport]:
     """||1 - cos(psi~)||_1 <= 2 K0 ||psi||_1 per row of psi."""
-    defect = 1.0 - np.cos(_conjugate(psi))
+    defect = _one_minus_cos(_conjugate(psi, multiplier=-0.5j))
     out = []
     for lhs, psi_l1 in _rows(_lp_norms(defect, 1), _lp_norms(psi, 1)):
         rhs = 2.0 * k0_constant() * psi_l1

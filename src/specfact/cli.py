@@ -63,8 +63,10 @@ _OPTION_DEFAULTS = {"p": 2.0, "phi": '{"kind": "power", "q": 2}'}
 _FACTORIZE_OPTIONS = {"floor": ("boundary", "herglotz"), "degree": ("herglotz",)}
 #: herglotz --degree when omitted, unless n/2 - 1 on n samples is smaller
 _HERGLOTZ_DEGREE = 64
-#: grid size of sweeps and of series input when --n is omitted
+#: grid size of sweeps and of series input when --n is omitted, and the
+#: largest one accepted: 2^22, the largest sweep measured to run
 _GRID_N = 4096
+_GRID_MAX = 1 << 22
 #: --seed and --degree of a sweep when omitted; only sweeps read them
 _SWEEP_SEED = 0
 _SWEEP_DEGREE = 16
@@ -127,7 +129,18 @@ def _series_grid(n: int | None, inputs) -> int:
                                  for obj in inputs):
         raise ParameterError(f"--n {n} is the grid size of series input, "
                              f"and no input here is a series")
-    return _GRID_N if n is None else n
+    return _grid_n(n)
+
+
+def _grid_n(n: int | None) -> int:
+    """The grid size --n, or its default; one above _GRID_MAX is refused
+    before anything is allocated."""
+    if n is None:
+        return _GRID_N
+    if n > _GRID_MAX:
+        raise ParameterError(f"--n {n} exceeds the largest grid, "
+                             f"{_GRID_MAX} = 2^22")
+    return n
 
 
 def _as_grid(obj, n: int) -> GridFunction:
@@ -197,7 +210,7 @@ def cmd_bounds(args) -> int:
             raise ParameterError("--sweep and explicit inputs are exclusive")
         if args.sweep < 1:
             raise ParameterError("--sweep needs a positive trial count")
-        n = _GRID_N if args.n is None else args.n
+        n = _grid_n(args.n)
         degree = _SWEEP_DEGREE if args.degree is None else args.degree
         if degree < 1:
             raise ParameterError(f"--degree must be >= 1, got {degree}")
@@ -206,6 +219,8 @@ def cmd_bounds(args) -> int:
                 f"--degree {degree} is not resolved on --n {n} "
                 f"samples: sweeps need --degree < --n / 2")
         seed = _SWEEP_SEED if args.seed is None else args.seed
+        if seed < 0:
+            raise ParameterError(f"--seed must be >= 0, got {seed}")
         records = _sweep_blocks(seed, args.sweep, n, degree,
                                 len(check.inputs) == 2)
     else:
@@ -287,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("boundary", "herglotz", "fejer-riesz"))
     p_fac.add_argument("--n", type=int, default=None,
                        help="grid size when synthesizing series input "
-                            f"(default {_GRID_N}; refused for sample input)")
+                            f"(default {_GRID_N}, at most 2^22; refused for "
+                            f"sample input)")
     p_fac.add_argument("--floor", type=float, default=None,
                        help="clamp level for nonpositive samples "
                             "(boundary and herglotz methods)")
@@ -314,10 +330,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("--sweep", type=int, default=None,
                        help="run N random trials instead of reading inputs")
     p_bnd.add_argument("--seed", type=int, default=None,
-                       help=f"seed for --sweep trials (default {_SWEEP_SEED})")
+                       help=f"seed for --sweep trials (default {_SWEEP_SEED}, "
+                            f"at least 0)")
     p_bnd.add_argument("--n", type=int, default=None,
                        help=f"grid size for sweeps and series input "
-                            f"(default {_GRID_N}; refused when neither runs)")
+                            f"(default {_GRID_N}, at most 2^22; refused when "
+                            f"neither runs)")
     p_bnd.add_argument("--degree", type=int, default=None,
                        help="trig-polynomial degree cap for sweep draws "
                             f"(default {_SWEEP_DEGREE}, at least 1)")

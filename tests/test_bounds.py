@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,7 +33,7 @@ from specfact import (
     random_density,
     random_phase,
 )
-from specfact.bounds import _sweep_blocks
+from specfact.bounds import _one_minus_cos, _sweep_blocks
 
 
 def test_identity_zero_for_equal_inputs(rng):
@@ -202,6 +203,31 @@ def test_lemma_l1_known_value():
     assert rep.lhs == pytest.approx(expect, rel=1e-10)
     # |cos| has corners, so the rectangle rule only gets ~1e-7 here
     assert rep.rhs == pytest.approx(8 * k0_constant(), rel=1e-6)
+    assert rep.passed
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_cosine_defect_against_mpmath(k):
+    """1 - cos x at x = 10^-k within 2^-51 relative of 50 digits; the
+    difference 1 - np.cos(x) is 0 at x = 1e-8 and 4e-5 off at 1e-6."""
+    x = 10.0 ** -k
+    got = float(_one_minus_cos(np.array([0.5 * x]))[0])
+    with mpmath.workdps(50):
+        want = float(1 - mpmath.cos(mpmath.mpf(x)))
+    assert abs(got - want) <= 2.0 ** -51 * want, (got, want)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_lemma_l1_small_phase_against_mpmath(k):
+    """psi = c cos t: lhs = 2 pi (1 - J_0(c)), about pi c^2 / 2, within
+    1e-14 relative at c = 10^-k; the rectangle rule is exact to rounding
+    for this entire periodic integrand on 256 points."""
+    c = 10.0 ** -k
+    rep = check_lemma_l1(GridFunction.from_callable(lambda t: c * np.cos(t),
+                                                    256))
+    with mpmath.workdps(50):
+        want = float(2 * mpmath.pi * (1 - mpmath.besselj(0, c)))
+    assert rep.lhs == pytest.approx(want, rel=1e-14, abs=0.0)
     assert rep.passed
 
 

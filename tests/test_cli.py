@@ -822,6 +822,36 @@ def test_bounds_refuses_sweep_options_without_a_sweep(tmp_path, capsys, argv,
     assert len(lines) == 1 and named in lines[0], err
 
 
+def test_bounds_sweep_refuses_a_negative_seed(capsys, monkeypatch):
+    """--seed -1 exits 2 with one stderr line that names --seed, before
+    any trial is drawn (numpy's own refusal named no option)."""
+    monkeypatch.setattr("specfact.cli._sweep_blocks", None)
+    code, out, err = run(capsys, "bounds", "--check", "thm2", "--sweep", "1",
+                         "--seed", "-1", "--n", "256")
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "--seed" in lines[0], err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--check", "thm2", "--sweep", "1"],
+    ["bounds", "SERIES", "SERIES", "--check", "thm2"],
+    ["factorize", "SERIES", "--method", "boundary"],
+])
+@pytest.mark.parametrize("n", [2 ** 22 + 1, 2 ** 40])
+def test_grid_n_above_the_cap_is_refused(tmp_path, capsys, argv, n):
+    """A grid --n above 2^22 exits 2 with one stderr line naming --n (it
+    once ended in an allocation traceback and exit 1)."""
+    series = tmp_path / "series.json"
+    series.write_text('{"coeffs": {"0": [1.25, 0], "1": [-0.5, 0], '
+                      '"-1": [-0.5, 0]}}')
+    argv = [str(series) if a == "SERIES" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--n", str(n))
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and f"--n {n}" in lines[0] and "2^22" in lines[0]
+
+
 def test_bounds_sweep_refuses_unresolved_grid(capsys):
     code, out, err = run(capsys, "bounds", "--check", "thm2", "--n", "8",
                          "--sweep", "3")

@@ -119,20 +119,10 @@ def test_boundary_scaling_equivariance(rng):
 
 
 
-def _boundary_reference(f, floor=None):
-    """factorize_boundary's formula with fresh arrays for every step and
-    F /= n over all n points, as it was before the kept buffers: returns
-    (coeffs, neg_energy)."""
-    v = f.values if floor is None else np.maximum(f.values, floor)
-    logf = np.log(v)
-    n = f.n
-    R = np.fft.rfft(logf)
-    R *= -1j
-    R[0] = 0.0
-    R[-1] = 0.0
-    F = 0.5j * np.fft.irfft(R, n)
-    F += 0.5 * logf
-    F = np.fft.fft(np.exp(F, out=F))
+def _boundary_coefficients(F, n):
+    """(coeffs, neg_energy) from boundary values F, with fresh arrays and
+    F /= n over all n points, as before the kept buffers."""
+    F = np.fft.fft(F)
     F /= n
     sign = np.ones(n // 2)
     sign[1::2] = -1.0
@@ -144,6 +134,39 @@ def _boundary_reference(f, floor=None):
     coeffs *= a0.conjugate() / abs(a0)
     coeffs[0] = abs(a0)
     return coeffs, neg
+
+
+def _boundary_reference(f, floor=None):
+    """factorize_boundary's formula with fresh arrays for every step: the
+    boundary values sqrt(f) e^{2iu}, u = (log f)~ / 4, by the half-angle
+    forms in t = tan u.  Returns (coeffs, neg_energy)."""
+    v = f.values if floor is None else np.maximum(f.values, floor)
+    n = f.n
+    R = np.fft.rfft(np.log(v))
+    R *= -0.25j
+    R[0] = 0.0
+    R[-1] = 0.0
+    t = np.tan(np.fft.irfft(R, n))
+    q = np.sqrt(v) / (1.0 + t * t)
+    F = np.empty(n, dtype=np.complex128)
+    F.real = (1.0 - t * t) * q
+    F.imag = 2.0 * (t * q)
+    return _boundary_coefficients(F, n)
+
+
+def _boundary_exp_reference(f):
+    """The boundary values as one complex exp, exp(0.5 log f + 0.5i
+    (log f)~), the formula before the half-angle forms: a second
+    reference, which agrees with the first to rounding only."""
+    logf = np.log(f.values)
+    n = f.n
+    R = np.fft.rfft(logf)
+    R *= -1j
+    R[0] = 0.0
+    R[-1] = 0.0
+    F = 0.5j * np.fft.irfft(R, n)
+    F += 0.5 * logf
+    return _boundary_coefficients(np.exp(F), n)
 
 
 def _densities(sizes):
@@ -166,6 +189,40 @@ def test_boundary_matches_the_reference_formula_bit_for_bit():
             coeffs, neg = _boundary_reference(f, floor)
             assert fac.coeffs.tobytes() == coeffs.tobytes(), (f.n, floor)
             assert fac.neg_energy.hex() == neg.hex(), (f.n, floor)
+
+
+def test_boundary_matches_the_complex_exp_formula():
+    """The half-angle forms round differently from the complex exp: the
+    coefficients stay within 1e-13 of max |a| of it at degrees up to 128
+    (9e-16 on these draws, 1.7e-14 on the factorize benchmark's degree-64
+    series), and neg_energy within 1e-9 relative or 1e-30."""
+    for degree in (1, 8, 32, 128):
+        for seed in range(5):
+            f = random_density(np.random.default_rng([seed, degree]),
+                               n=4096, degree=degree)
+            want, neg = _boundary_exp_reference(f)
+            fac = factorize_boundary(f)
+            gap = np.max(np.abs(fac.coeffs - want)) / np.max(np.abs(want))
+            assert gap <= 1e-13, (degree, seed, gap)
+            assert fac.neg_energy == pytest.approx(neg, rel=1e-9, abs=1e-30)
+
+
+def test_boundary_closed_form_through_a_quarter_turn():
+    """f = exp(L sin theta) has the outer factor exp(-(iL/2) z), so
+    a_k = (-iL/2)^k / k!.  At L = 2 pi the angle u = -(pi/2) cos theta
+    passes through -pi/2 at theta = 0, a grid point, where t = tan u is
+    about 1e16 and t^2 about 1e32; the coefficients still come within
+    1e-15 of max |a| (2.4e-16 measured, as with the complex exp)."""
+    n = 4096
+    theta = grid_theta(n)
+    assert np.max(np.abs(np.tan(-0.5 * np.pi * np.cos(theta)))) > 1e15
+    for L in (1.0, 2.0 * np.pi, 5.0):
+        fac = factorize_boundary(GridFunction(n, np.exp(L * np.sin(theta))))
+        want = np.zeros(n // 2, dtype=np.complex128)
+        for k in range(60):  # (L/2)^60 / 60! < 1e-50 for L <= 2 pi
+            want[k] = (-0.5j * L) ** k / math.factorial(k)
+        gap = np.max(np.abs(fac.coeffs - want)) / np.max(np.abs(want))
+        assert gap <= 1e-15, (L, gap)
 
 
 def test_boundary_factor_owns_its_coefficients():

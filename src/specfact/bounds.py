@@ -27,6 +27,7 @@ from .circle_fn import (
     _check_grid_size,
     _conjugate,
     _lp_norms,
+    _one_minus_cos,
     h2_distance,
 )
 from .errors import AliasingError, ParameterError
@@ -191,19 +192,6 @@ def h2_identity_terms(f: GridFunction, g: GridFunction) -> IdentityTerms:
 def h2_squared_direct(f: GridFunction, g: GridFunction) -> float:
     """Squared H2 distance of the boundary factors, no expansion involved."""
     return float(pair_metrics(f, g).h2_squared[0])
-
-
-def _one_minus_cos(half: np.ndarray) -> np.ndarray:
-    """1 - cos x from half = x / 2, in place, as 2 t^2 / (1 + t^2) with
-    t = tan(x / 2).  Unlike 1 - cos x, which rounds to 0 below x = 1e-8
-    (where it is x^2 / 2), this forms no difference of nearby numbers;
-    |tan| <= 1.6e16 on doubles, so t^2 stays finite."""
-    t = np.tan(half, out=half)
-    t *= t
-    d = t + 1.0
-    t += t
-    t /= d
-    return t
 
 
 def _rows(*fields):

@@ -50,14 +50,17 @@ CONJUGATE_ARC_SIGN = 1
 
 #: coefficient pairs SpectralFactor.write_json formats per write
 _JSON_CHUNK = 4096
+#: the smallest grid: grid sizes are powers of two from here up
+_GRID_MIN = 8
 
 
 def _check_grid_size(n) -> int:
     if not isinstance(n, (int, np.integer)):
         raise ParameterError(f"grid size must be an integer, got {n!r}")
     n = int(n)
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ParameterError(f"grid size must be a power of two >= 8, got {n}")
+    if n < _GRID_MIN or (n & (n - 1)) != 0:
+        raise ParameterError(
+            f"grid size must be a power of two >= {_GRID_MIN}, got {n}")
     return n
 
 
@@ -356,6 +359,19 @@ def _conjugate(v: np.ndarray, out: np.ndarray | None = None,
     R[..., 0] = 0.0
     R[..., -1] = 0.0
     return np.fft.irfft(R, v.shape[-1], out=out)
+
+
+def _one_minus_cos(half: np.ndarray) -> np.ndarray:
+    """1 - cos x from half = x / 2, in place, as 2 t^2 / (1 + t^2) with
+    t = tan(x / 2).  Unlike 1 - cos x, which rounds to 0 below x = 1e-8
+    (where it is x^2 / 2), this forms no difference of nearby numbers;
+    |tan| <= 1.6e16 on doubles, so t^2 stays finite."""
+    t = np.tan(half, out=half)
+    t *= t
+    d = t + 1.0
+    t += t
+    t /= d
+    return t
 
 
 def h2_distance(a: SpectralFactor, b: SpectralFactor) -> float:

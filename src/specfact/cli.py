@@ -23,13 +23,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import CHECKS, _sweep_blocks, constant_c_inf, constant_c_p
 from .circle_fn import (
+    _GRID_MIN,
     FourierSeries,
     GridFunction,
     SpectralFactor,
@@ -57,19 +60,135 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
-#: values of the check options when the check that reads one omits it
-_OPTION_DEFAULTS = {"p": 2.0, "phi": '{"kind": "power", "q": 2}'}
-#: factorize options and the methods that read them
-_FACTORIZE_OPTIONS = {"floor": ("boundary", "herglotz"), "degree": ("herglotz",)}
-#: herglotz --degree when omitted, unless n/2 - 1 on n samples is smaller
-_HERGLOTZ_DEGREE = 64
-#: grid size of sweeps and of series input when --n is omitted, and the
-#: largest one accepted: 2^22, the largest sweep measured to run
-_GRID_N = 4096
+#: the largest grid --n: 2^22, the largest sweep measured to run
 _GRID_MAX = 1 << 22
-#: --seed and --degree of a sweep when omitted; only sweeps read them
-_SWEEP_SEED = 0
-_SWEEP_DEGREE = 16
+
+
+class Range(NamedTuple):
+    """low .. high.  An infinite end is never accepted, a finite high end
+    is, and low is unless low_open; pow2 accepts powers of two only."""
+
+    low: float
+    high: float = math.inf
+    low_open: bool = False
+    pow2: bool = False
+
+    def __contains__(self, x) -> bool:
+        return ((x > self.low if self.low_open else x >= self.low)
+                and (x <= self.high if self.high < math.inf else x < math.inf)
+                and not (self.pow2 and x & (x - 1)))
+
+    def text(self, kind: type) -> str:
+        """The range in words, for values of type kind."""
+        low = (f">= {self.low:g}" if not self.low_open
+               else "positive" if self.low == 0 else f"> {self.low:g}")
+        high = (f"<= 2^{int(self.high).bit_length() - 1}" if self.pow2
+                else f"<= {self.high:g}" if self.high < math.inf
+                else "finite" if kind is float else "")
+        words = " and ".join(word for word in (low, high) if word)
+        return f"a power of two {words}" if self.pow2 else words
+
+
+class Option(NamedTuple):
+    """What an option sets and accepts (a Range, the choices, or words for
+    what its reader parses), its type and value when omitted, and who
+    reads it: the methods or checks in reads (None: all), in runs with
+    --sweep (sweep True), in all runs (None), or in runs without --sweep,
+    which need either it or --sweep (False)."""
+
+    help: str
+    accepts: Range | list[str] | str
+    type: type = int
+    default: object = None
+    reads: tuple[str, ...] | None = None
+    sweep: bool | None = None
+
+
+_GRID = Range(_GRID_MIN, _GRID_MAX, pow2=True)
+
+#: Every option of every command.  The parser, the help texts, the
+#: README's option table and the refusals of _options come from here.
+OPTIONS = {
+    "factorize": {
+        "method": Option("factorization route",
+                         ["boundary", "herglotz", "fejer-riesz"], str),
+        "n": Option("grid size of series input, refused for sample input",
+                    _GRID, default=4096),
+        "floor": Option("clamp level for nonpositive samples",
+                        Range(0.0, low_open=True), float,
+                        reads=("boundary", "herglotz")),
+        "degree": Option("Taylor truncation degree; on n samples at most "
+                         f"n/2 - 1 and {HERGLOTZ_MAX_DEGREE}, and so is the "
+                         "default", Range(0), default=64, reads=("herglotz",)),
+    },
+    "bounds": {
+        "check": Option("the bound to check", list(CHECKS), str),
+        "p": Option("exponent of the L^p norm", Range(1.0, low_open=True),
+                    float, 2.0,
+                    tuple(c for c in CHECKS if CHECKS[c].option == "p")),
+        "phi": Option("N-function", 'JSON {"kind": "power", "q": Q} or '
+                      '{"kind": "density", "u_grid": [[t, u], ...]}', str,
+                      '{"kind": "power", "q": 2}',
+                      tuple(c for c in CHECKS if CHECKS[c].option == "phi")),
+        "sweep": Option("random trials, drawn instead of reading inputs",
+                        Range(1)),
+        "seed": Option("seed of the trials", Range(0), default=0, sweep=True),
+        "n": Option("grid size of sweeps and of series input, refused where "
+                    "neither is read", _GRID, default=4096),
+        "degree": Option("trig-polynomial degree cap of the trials, below "
+                         "--n / 2", Range(1), default=16, sweep=True),
+    },
+    "counterexample": {
+        "n": Option("family index", Range(1), sweep=False),
+        "sweep": Option("run every index 1 .. SWEEP", Range(1)),
+        "du": Option("bump halfwidth in the transformed coordinate",
+                     Range(0.0, 1.0, low_open=True), float, 0.1),
+        "variant": Option("family variant", ["floored", "plus-one"], str,
+                          "floored"),
+    },
+    "constants": {},
+}
+
+
+def _described(command: str, name: str) -> tuple[str, str, str]:
+    """Who reads an option, its default and what it accepts, in the words
+    of the help texts and the README's option table."""
+    opt, selector = OPTIONS[command][name], _COMMANDS[command][1]
+    who = [f"--{selector} {', '.join(opt.reads)}"] if opt.reads else []
+    who += {True: ["sweeps"], False: ["runs without --sweep"]}.get(
+        opt.sweep, [])
+    default = ("required" if name == selector
+               else "none" if opt.default is None else str(opt.default))
+    accepts = (opt.accepts.text(opt.type) if isinstance(opt.accepts, Range)
+               else ", ".join(opt.accepts) if isinstance(opt.accepts, list)
+               else opt.accepts)
+    return ", ".join(who) or "all", default, accepts
+
+
+def _options(args) -> dict:
+    """Each option's value, as given or its default.  An option the run
+    does not read, or a value out of range, is refused here: before any
+    input is read, any trial drawn or any grid allocated."""
+    selector = _COMMANDS[args.command][1]
+    case = getattr(args, selector) if selector else None
+    sweep = getattr(args, "sweep", None) is not None
+    values = {}
+    for name, opt in OPTIONS[args.command].items():
+        value = getattr(args, name)
+        if opt.sweep is False and (value is not None) == sweep:
+            raise ParameterError(f"give exactly one of --{name} and --sweep")
+        if value is None:
+            value = opt.default
+        elif opt.reads is not None and case not in opt.reads:
+            raise ParameterError(f"--{selector} {case} does not read --{name}")
+        elif opt.sweep and not sweep:
+            raise ParameterError(f"--{name} {value} is read by --sweep only, "
+                                 f"and no --sweep is given")
+        elif isinstance(opt.accepts, Range) and value not in opt.accepts:
+            raise ParameterError(f"--{name} {value} is out of range: {name} "
+                                 f"must be {opt.accepts.text(opt.type)}")
+        values[name] = value
+    return values
 
 
 def _read_text(path: str) -> str:
@@ -119,56 +238,34 @@ def _load_any(path: str):
     return GridFunction(len(vals), vals)
 
 
-def _series_grid(n: int | None, inputs) -> int:
-    """The grid size --n, or its default, for inputs that include a series.
-
-    Sample input has its own grid, so an --n that no series reads is
-    refused.
-    """
-    if n is not None and not any(isinstance(obj, FourierSeries)
-                                 for obj in inputs):
+def _grids(inputs, n: int, given: bool) -> list[GridFunction]:
+    """The inputs as grid functions, series synthesized on n samples.
+    Sample input has its own grid, so a given --n is refused unless an
+    input is a series."""
+    if given and not any(isinstance(obj, FourierSeries) for obj in inputs):
         raise ParameterError(f"--n {n} is the grid size of series input, "
                              f"and no input here is a series")
-    return _grid_n(n)
+    return [fourier_synthesize(obj, n) if isinstance(obj, FourierSeries)
+            else obj for obj in inputs]
 
 
-def _grid_n(n: int | None) -> int:
-    """The grid size --n, or its default; one above _GRID_MAX is refused
-    before anything is allocated."""
-    if n is None:
-        return _GRID_N
-    if n > _GRID_MAX:
-        raise ParameterError(f"--n {n} exceeds the largest grid, "
-                             f"{_GRID_MAX} = 2^22")
-    return n
-
-
-def _as_grid(obj, n: int) -> GridFunction:
-    return obj if isinstance(obj, GridFunction) else fourier_synthesize(obj, n)
-
-
-def _herglotz_degree(degree: int | None, n: int) -> int:
-    """--degree of the herglotz method on n samples, or its default."""
+def _herglotz_degree(degree: int, given: bool, n: int) -> int:
+    """--degree of the herglotz method on n samples: a given one must be
+    resolved there, and the default is cut to what is."""
     top = min(n // 2 - 1, HERGLOTZ_MAX_DEGREE)
-    if degree is None:
-        return min(_HERGLOTZ_DEGREE, top)
-    if not 0 <= degree <= top:
+    if given and degree > top:
         raise ParameterError(
             f"--degree {degree} is outside 0 .. {top}: the herglotz method "
             f"resolves degrees below n / 2 = {n // 2} on {n} samples, and "
             f"up to {HERGLOTZ_MAX_DEGREE} on its r = 0.9 circle")
-    return degree
+    return min(degree, top)
 
 
 def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def cmd_factorize(args) -> int:
-    for option, methods in _FACTORIZE_OPTIONS.items():
-        if getattr(args, option) is not None and args.method not in methods:
-            raise ParameterError(
-                f"--method {args.method} does not read --{option}")
+def cmd_factorize(args, opts: dict) -> int:
     data = _load_any(args.input)
     if args.method == "fejer-riesz":
         if not isinstance(data, FourierSeries):
@@ -176,12 +273,12 @@ def cmd_factorize(args) -> int:
                 "fejer-riesz input must be a Fourier series "
                 "(JSON with a coeffs mapping)")
         factor = SpectralFactor(fejer_riesz(data))
-    f = _as_grid(data, _series_grid(args.n, [data]))
+    [f] = _grids([data], opts["n"], args.n is not None)
     if args.method == "boundary":
         factor = factorize_boundary(f, floor=args.floor)
     elif args.method == "herglotz":
-        factor = _herglotz_factor(f, args.floor,
-                                  _herglotz_degree(args.degree, f.n))
+        factor = _herglotz_factor(f, args.floor, _herglotz_degree(
+            opts["degree"], args.degree is not None, f.n))
     if args.floor is not None:
         # the outer check must see the same density the factor came from
         f = GridFunction(f.n, np.maximum(f.values, args.floor))
@@ -191,44 +288,23 @@ def cmd_factorize(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args, opts: dict) -> int:
     check = CHECKS[args.check]
-    extra = []
-    for option, default in _OPTION_DEFAULTS.items():
-        value = getattr(args, option)
-        if option == check.option:
-            extra = [default if value is None else value]
-        elif value is not None:
-            raise ParameterError(
-                f"--check {args.check} does not read --{option}")
-    if check.option == "phi":
-        # parsed once per command; trials share it and its cached complement
+    extra = [opts[check.option]] if check.option else []
+    if check.option == "phi":  # parsed once: trials share its complement
         extra = [NFunction.from_json_dict(json.loads(extra[0]))]
     sweep = args.sweep is not None
     if sweep:
         if args.f is not None or args.g is not None:
             raise ParameterError("--sweep and explicit inputs are exclusive")
-        if args.sweep < 1:
-            raise ParameterError("--sweep needs a positive trial count")
-        n = _grid_n(args.n)
-        degree = _SWEEP_DEGREE if args.degree is None else args.degree
-        if degree < 1:
-            raise ParameterError(f"--degree must be >= 1, got {degree}")
+        n, degree = opts["n"], opts["degree"]
         if 2 * degree >= n:
             raise ParameterError(
                 f"--degree {degree} is not resolved on --n {n} "
                 f"samples: sweeps need --degree < --n / 2")
-        seed = _SWEEP_SEED if args.seed is None else args.seed
-        if seed < 0:
-            raise ParameterError(f"--seed must be >= 0, got {seed}")
-        records = _sweep_blocks(seed, args.sweep, n, degree,
+        records = _sweep_blocks(opts["seed"], args.sweep, n, degree,
                                 len(check.inputs) == 2)
     else:
-        for option in ("seed", "degree"):
-            value = getattr(args, option)
-            if value is not None:
-                raise ParameterError(f"--{option} {value} is read by --sweep "
-                                     f"only, and no --sweep is given")
         if len(check.inputs) == 1 and args.g is not None:
             raise ParameterError(f"--check {args.check} reads psi only, "
                                  f"not also {args.g!r}")
@@ -238,8 +314,8 @@ def cmd_bounds(args) -> int:
             raise ParameterError(f"--check {args.check} needs {count} "
                                  f"({', '.join(check.inputs)})")
         inputs = [_load_any(path) for path in paths]
-        n = _series_grid(args.n, inputs)
-        records = [check.record(*(_as_grid(obj, n) for obj in inputs))]
+        records = [check.record(*_grids(inputs, opts["n"],
+                                        args.n is not None))]
     reports = [rep for record in records
                for rep in check.formula(record, *extra)]
     for i, rep in enumerate(reports):
@@ -251,24 +327,16 @@ def cmd_bounds(args) -> int:
     return EXIT_PASS if n_pass == len(reports) else EXIT_FAIL
 
 
-def cmd_counterexample(args) -> int:
-    if (args.n is None) == (args.sweep is None):
-        raise ParameterError("give exactly one of --n and --sweep")
-    if args.n is not None:
-        ns = [args.n]
-    else:
-        if args.sweep < 1:
-            raise ParameterError("--sweep needs a positive maximum index")
-        ns = list(range(1, args.sweep + 1))
+def cmd_counterexample(args, opts: dict) -> int:
     all_pass = True
-    for n in ns:
-        row = family_row(n, du=args.du, variant=args.variant)
+    for n in [args.n] if args.sweep is None else range(1, args.sweep + 1):
+        row = family_row(n, du=opts["du"], variant=opts["variant"])
         _emit(row)
         all_pass = all_pass and row["pass"]
     return EXIT_PASS if all_pass else EXIT_FAIL
 
 
-def cmd_constants(_args) -> int:
+def cmd_constants(_args, _opts) -> int:
     _emit({
         "K": davis_constant(),
         "K0": k0_constant(),
@@ -278,84 +346,45 @@ def cmd_constants(_args) -> int:
     return EXIT_PASS
 
 
-def _reading(option: str) -> str:
-    """Names of the checks whose formula takes --option, for help texts."""
-    return " / ".join(name for name, check in CHECKS.items()
-                      if check.option == option)
+#: each command: its run, the option that selects what a run reads, its
+#: help and its inputs (name, default, help)
+_COMMANDS = {
+    "factorize": (cmd_factorize, "method",
+                  "compute the outer spectral factor of a density",
+                  [("input", "-", "density samples or series (path or '-')")]),
+    "bounds": (cmd_bounds, "check",
+               "check one continuity bound on given or random inputs",
+               [("f", None, "density f (or psi for lemma checks)"),
+                ("g", None, "density g (pair checks only)")]),
+    "counterexample": (cmd_counterexample, None, "emit divergence-family rows "
+                       "(JSON lines, one per index)", []),
+    "constants": (cmd_constants, None,
+                  "emit the pinned constants K, K0, C2, C_inf", []),
+}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once: parsing leaves it unchanged,
-    so in-process calls of main share it."""
+    """The command-line parser, built once from _COMMANDS and OPTIONS:
+    parsing leaves it unchanged, so in-process calls of main share it."""
     parser = argparse.ArgumentParser(
         prog="specfact",
         description="Spectral factorization on the circle with machine-checked "
                     "continuity bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fac = sub.add_parser(
-        "factorize", help="compute the outer spectral factor of a density")
-    p_fac.add_argument("input", nargs="?", default="-",
-                       help="density samples or series (path or '-')")
-    p_fac.add_argument("--method", required=True,
-                       choices=("boundary", "herglotz", "fejer-riesz"))
-    p_fac.add_argument("--n", type=int, default=None,
-                       help="grid size when synthesizing series input "
-                            f"(default {_GRID_N}, at most 2^22; refused for "
-                            f"sample input)")
-    p_fac.add_argument("--floor", type=float, default=None,
-                       help="clamp level for nonpositive samples "
-                            "(boundary and herglotz methods)")
-    p_fac.add_argument("--degree", type=int, default=None,
-                       help="Taylor truncation degree for the herglotz method "
-                            f"(default min({_HERGLOTZ_DEGREE}, n/2 - 1) on n "
-                            f"samples; at most n/2 - 1 and "
-                            f"{HERGLOTZ_MAX_DEGREE})")
-    p_fac.set_defaults(func=cmd_factorize)
-
-    p_bnd = sub.add_parser(
-        "bounds", help="check one continuity bound on given or random inputs")
-    p_bnd.add_argument("f", nargs="?", default=None,
-                       help="density f (or psi for lemma checks)")
-    p_bnd.add_argument("g", nargs="?", default=None,
-                       help="density g (pair checks only)")
-    p_bnd.add_argument("--check", required=True, choices=tuple(CHECKS))
-    p_bnd.add_argument("--p", type=float, default=None,
-                       help=f"exponent for --check {_reading('p')} "
-                            f"(default {_OPTION_DEFAULTS['p']})")
-    p_bnd.add_argument("--phi", default=None,
-                       help=f"N-function JSON for --check {_reading('phi')} "
-                            f"(default {_OPTION_DEFAULTS['phi']})")
-    p_bnd.add_argument("--sweep", type=int, default=None,
-                       help="run N random trials instead of reading inputs")
-    p_bnd.add_argument("--seed", type=int, default=None,
-                       help=f"seed for --sweep trials (default {_SWEEP_SEED}, "
-                            f"at least 0)")
-    p_bnd.add_argument("--n", type=int, default=None,
-                       help=f"grid size for sweeps and series input "
-                            f"(default {_GRID_N}, at most 2^22; refused when "
-                            f"neither runs)")
-    p_bnd.add_argument("--degree", type=int, default=None,
-                       help="trig-polynomial degree cap for sweep draws "
-                            f"(default {_SWEEP_DEGREE}, at least 1)")
-    p_bnd.set_defaults(func=cmd_bounds)
-
-    p_ctr = sub.add_parser(
-        "counterexample",
-        help="emit divergence-family rows (JSON lines, one per index)")
-    p_ctr.add_argument("--n", type=int, default=None, help="single index")
-    p_ctr.add_argument("--sweep", type=int, default=None,
-                       help="all indices 1..MAX")
-    p_ctr.add_argument("--du", type=float, default=0.1,
-                       help="bump halfwidth in the transformed coordinate")
-    p_ctr.add_argument("--variant", default="floored",
-                       choices=("floored", "plus-one"))
-    p_ctr.set_defaults(func=cmd_counterexample)
-
-    p_cst = sub.add_parser(
-        "constants", help="emit the pinned constants K, K0, C2, C_inf")
-    p_cst.set_defaults(func=cmd_constants)
+    for command, (run, _, about, inputs) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for arg, value, about in inputs:
+            p.add_argument(arg, nargs="?", default=value, help=about)
+        for name, opt in OPTIONS[command].items():
+            who, default, accepts = _described(command, name)
+            required = default == "required"
+            default = default if required else f"default {default}"
+            p.add_argument(
+                f"--{name}", type=opt.type, required=required,
+                choices=opt.accepts if isinstance(opt.accepts, list) else None,
+                help=f"{opt.help} (read by {who}; {default}; {accepts})")
+        p.set_defaults(func=run)
     return parser
 
 
@@ -363,11 +392,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _options(args))
     except _NonpositiveDensity as exc:
         # name the clamp only where the command line has one: --floor of
         # the factorize methods that read it
-        floor = getattr(args, "method", None) in _FACTORIZE_OPTIONS["floor"]
+        floor = (getattr(args, "method", None)
+                 in OPTIONS["factorize"]["floor"].reads)
         remedy = "; pass --floor to clamp" if floor else ""
         print(f"specfact: domain error: {exc.finding}{remedy}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -26,7 +26,12 @@ from typing import Callable
 
 import numpy as np
 
-from .circle_fn import GridFunction, harmonic_conjugate, lp_norm
+from .circle_fn import (
+    GridFunction,
+    _one_minus_cos,
+    harmonic_conjugate,
+    lp_norm,
+)
 from .errors import DomainError, NumericalConditioningError, ParameterError
 from .report import BoundReport, bound_report
 
@@ -130,31 +135,30 @@ class NFunction:
     # -- evaluation ------------------------------------------------------
 
     def phi(self, x):
-        """Phi(x), vectorized; even in x."""
+        """Phi(x), vectorized; even in x.  A density Phi refuses nan."""
         ax = np.abs(np.asarray(x, dtype=float))
         if self.kind == "power":
             with np.errstate(over="ignore"):
                 out = ax ** self.q / self.q
             return out if out.ndim else float(out)
+        if np.isnan(ax).any():
+            raise ParameterError("Phi is not defined at nan")
         t, u, cum = self.t_nodes, self.u_nodes, self._cum
-        out = np.zeros_like(ax)
-        lo = (ax > 0) & (ax <= t[0])
-        mid = (ax > t[0]) & (ax <= t[-1])
-        hi = ax > t[-1]
-        with np.errstate(over="ignore"):
+        # one search puts each sample on its segment; the power laws below
+        # the first node and above the last then overwrite their samples
+        x = ax.reshape(-1)
+        i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+        ti, ui = t[i], u[i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ux = ui + (u[i + 1] - ui) * ((x - ti) / (t[i + 1] - ti))
+            out = cum[i] + 0.5 * (x - ti) * (ui + ux)
+            lo, hi = x <= t[0], x > t[-1]
             out[lo] = (u[0] * t[0] / (self.alpha_lo + 1.0)
-                       * (ax[lo] / t[0]) ** (self.alpha_lo + 1.0))
-            if np.any(mid):
-                i = np.searchsorted(t, ax[mid], side="right") - 1
-                i = np.clip(i, 0, len(t) - 2)
-                frac = (ax[mid] - t[i]) / (t[i + 1] - t[i])
-                ux = u[i] + (u[i + 1] - u[i]) * frac
-                out[mid] = cum[i] + 0.5 * (ax[mid] - t[i]) * (u[i] + ux)
-            if np.any(hi):
-                out[hi] = cum[-1] + (
-                    u[-1] * t[-1] / (self.alpha_hi + 1.0)
-                    * ((ax[hi] / t[-1]) ** (self.alpha_hi + 1.0) - 1.0))
-        return out if out.ndim else float(out)
+                       * (x[lo] / t[0]) ** (self.alpha_lo + 1.0))
+            out[hi] = cum[-1] + (
+                u[-1] * t[-1] / (self.alpha_hi + 1.0)
+                * ((x[hi] / t[-1]) ** (self.alpha_hi + 1.0) - 1.0))
+        return out.reshape(ax.shape) if ax.ndim else float(out[0])
 
     def density(self, x):
         """The density u(x) = Phi'(x) for x >= 0, vectorized."""
@@ -628,7 +632,7 @@ def k0_constant() -> float:
 #: G(a).  For 1 - cos, I(G) = int_0^pi sin(x)/x dx = Si(pi); for min(x^2, 1),
 #: I(G) = int_0^1 2 dx = 2.  The tests check both against quadrature.
 GAUGES = {
-    "1-cos": (lambda x: 1.0 - np.cos(x), math.pi, _SI_PI),
+    "1-cos": (lambda x: _one_minus_cos(0.5 * x), math.pi, _SI_PI),
     "min(x^2,1)": (lambda x: np.minimum(np.square(x), 1.0), 1.0, 2.0),
 }
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -457,6 +458,58 @@ def _young_phis():
             NFunction.from_density(t, 1e-200 * np.log1p(t)))
 
 
+def _phi_by_masks(phi, x):
+    """Phi of a density as the mask form computed it: each piece indexed
+    by its own mask, the node search on the middle piece alone, and 0.0
+    where no mask holds (nan)."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    t, u, cum = phi.t_nodes, phi.u_nodes, phi._cum
+    out = np.zeros_like(ax)
+    lo = (ax > 0) & (ax <= t[0])
+    mid = (ax > t[0]) & (ax <= t[-1])
+    hi = ax > t[-1]
+    with np.errstate(over="ignore"):
+        out[lo] = (u[0] * t[0] / (phi.alpha_lo + 1.0)
+                   * (ax[lo] / t[0]) ** (phi.alpha_lo + 1.0))
+        if np.any(mid):
+            i = np.searchsorted(t, ax[mid], side="right") - 1
+            i = np.clip(i, 0, len(t) - 2)
+            frac = (ax[mid] - t[i]) / (t[i + 1] - t[i])
+            ux = u[i] + (u[i + 1] - u[i]) * frac
+            out[mid] = cum[i] + 0.5 * (ax[mid] - t[i]) * (u[i] + ux)
+        if np.any(hi):
+            out[hi] = cum[-1] + (
+                u[-1] * t[-1] / (phi.alpha_hi + 1.0)
+                * ((ax[hi] / t[-1]) ** (phi.alpha_hi + 1.0) - 1.0))
+    return out
+
+
+def test_density_phi_matches_the_mask_form_bit_for_bit(rng):
+    """One node search and two end-piece overwrites give the mask form's
+    floats on every Phi of _young_phis: at 0, +-inf, the exact nodes,
+    their neighbours, both end pieces and random finite values of both
+    signs, for arrays of any shape and for scalars.  nan is refused."""
+    for phi in _young_phis():
+        t = phi.t_nodes
+        x = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7e308], t, -t,
+            np.nextafter(t, 0.0), np.nextafter(t, np.inf),
+            t[0] * np.geomspace(1e-30, 1.0, 50),
+            t[-1] * np.geomspace(1.0, 1e30, 50),
+            np.exp(rng.uniform(math.log(t[0]), math.log(t[-1]), 500))
+            * rng.choice([-1.0, 1.0], 500)])
+        want = _phi_by_masks(phi, x)
+        assert phi.phi(x).tobytes() == want.tobytes(), phi
+        assert phi.phi(x.reshape(2, -1)).tobytes() == want.tobytes(), phi
+        for xi, wi in zip(x[:40].tolist(), want[:40].tolist()):
+            got = phi.phi(xi)
+            assert type(got) is float and (got, math.copysign(1, got)) == (
+                wi, math.copysign(1, wi)), (phi, xi)
+        for bad in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ParameterError, match="nan"):
+                phi.phi(bad)
+
+
 def _overflow_z(phi):
     """The z, to 1e-9, from which e^z Phi'(e^z) or Phi(e^z) is inf."""
     def over(z):
@@ -738,6 +791,21 @@ def test_lemma_g_report(rng):
             assert rep.details["gauge"] == gauge
     with pytest.raises(ParameterError, match="unknown gauge 'custom'"):
         lemma_G_report("custom", GridFunction(n, np.cos(th)))
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_lemma_g_one_minus_cos_against_mpmath(k):
+    """psi = c cos(theta) on 256 points, c = 10^-k: the 1 - cos gauge sums
+    1 - cos(c sin(theta_j)), whose rectangle rule is 2 pi (1 - J_0(c))
+    up to J_256(c); the report's lhs matches it to 1e-14 relative.  The
+    difference 1 - cos x lost the small ones: 4e-5 relative at c = 1e-6,
+    and 0.0 from c = 1e-8 on."""
+    c = 10.0 ** -k
+    n = 256
+    rep = lemma_G_report("1-cos", GridFunction(n, c * np.cos(grid_theta(n))))
+    with mpmath.workdps(50):
+        want = float(2 * mpmath.pi * (1 - mpmath.besselj(0, mpmath.mpf(c))))
+    assert rep.lhs == pytest.approx(want, rel=1e-14, abs=0.0), (c, rep.lhs)
 
 
 def test_weak11_ratio(rng):

@@ -55,7 +55,7 @@ _GRID_MIN = 8
 
 
 def _check_grid_size(n) -> int:
-    if not isinstance(n, (int, np.integer)):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ParameterError(f"grid size must be an integer, got {n!r}")
     n = int(n)
     if n < _GRID_MIN or (n & (n - 1)) != 0:
@@ -129,10 +129,11 @@ class GridFunction:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "GridFunction":
-        if "values" not in obj:
-            raise ParameterError(
-                "grid function JSON needs a values key of real samples")
-        v = np.asarray(obj["values"], dtype=float)
+        try:
+            v = np.asarray(obj["values"], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise ParameterError("grid function JSON needs a values key "
+                                 "of real samples") from None
         n = _check_grid_size(obj.get("n", v.size))
         if n != v.size:
             raise ParameterError(
@@ -183,7 +184,10 @@ class FourierSeries:
                 kk = int(k)
             except (TypeError, ValueError):
                 raise ParameterError(f"non-integer frequency key {k!r}") from None
-            pair = np.asarray(pair, dtype=float)
+            try:
+                pair = np.asarray(pair, dtype=float)
+            except (TypeError, ValueError):  # not numbers: refused below
+                pair = np.empty(0)
             if pair.shape != (2,):
                 raise ParameterError(f"coefficient at k = {kk} must be [re, im]")
             coeffs[kk] = complex(pair[0], pair[1])

@@ -279,9 +279,6 @@ def cmd_factorize(args, opts: dict) -> int:
     elif args.method == "herglotz":
         factor = _herglotz_factor(f, args.floor, _herglotz_degree(
             opts["degree"], args.degree is not None, f.n))
-    if args.floor is not None:
-        # the outer check must see the same density the factor came from
-        f = GridFunction(f.n, np.maximum(f.values, args.floor))
     report = outer_check(factor, f)
     factor.write_json(sys.stdout, {"method": args.method,
                                    "outer": report.to_json_dict()})

@@ -479,9 +479,10 @@ def outer_check(factor: SpectralFactor, f: GridFunction) -> BoundReport:
     For the outer factor, log f_plus(0) equals the logarithmic mean
     (1/4pi) int log f dtheta; any inner-factor contamination strictly lowers
     the left side.  Passes iff |lhs - rhs| <= tol (1 + |rhs|), tol = 1e-8.
+    f is floored at factor.floor_applied, as the factor's density was.
     """
     tol = 1e-8
-    logf = _positive_log(f.values, None)
+    logf = _positive_log(f.values, factor.floor_applied)
     rhs = float(np.mean(logf)) / 2.0
     a0 = factor.value_at_zero
     details = {"a0": a0, "log_mean_half": rhs, "tol": tol}

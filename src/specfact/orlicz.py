@@ -310,78 +310,47 @@ def _modal_integral(values: np.ndarray, phi: NFunction, h: float) -> float:
 #: solves run in a log variable z restricted to |z| <= _Z_MAX; beyond that
 #: the quantities they compare leave the double range
 _Z_MAX = 700.0
-#: Python floats, not numpy scalars: an overflow inside the Brent steps must
-#: stay a silent inf, as in C, not become a numpy RuntimeWarning
+#: Python floats, not numpy scalars: an overflow inside a root step must
+#: stay a silent inf, not become a numpy RuntimeWarning
 _BIG = sys.float_info.max
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon
-_BRENT_ITER = 100
 #: below e^_LOG_SAFE no sample term of the Young integral can overflow
 _LOG_SAFE = 700.0
 
 
-def _brentq(f: Callable[[float], float], xa: float, xb: float,
-            xtol: float) -> float:
-    """Brent's root finder (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4), step for step as scipy.optimize.brentq runs
-    it with rtol = 4 eps and at most 100 iterations: the same points are
-    evaluated in the same order.  f(xa) and f(xb) must differ in sign bit
-    unless one is 0.  No step or a zero interpolation denominator counts as
-    an infinite step, which takes the bisection, as the C comparison with
-    inf or nan does.  Raises NumericalConditioningError for a nan value or
-    when the iterations run out.
-    """
-    def at(x: float) -> float:
-        y = f(x)
-        if math.isnan(y):
-            raise NumericalConditioningError(f"Brent step: f({x!r}) is nan")
-        return y
+def _root_step(g: Callable[[float], float], a: tuple[float, float],
+               b: tuple[float, float], xtol: float) -> float:
+    """Chandrupatla's method (Adv. Eng. Software 28 (1997) 145-149) on the
+    bracket a, b = (x, g(x)) of a nondecreasing g, with g < 0 at one end.
 
-    xpre, xcur = xa, xb
-    fpre, fcur = at(xpre), at(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ParameterError("Brent step: f(a) and f(b) have the same sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_ITER):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                num, den = -fcur * (xcur - xpre), fcur - fpre
-            else:
-                # inverse quadratic extrapolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                num = -fcur * (fblk * dblk - fpre * dpre)
-                den = dblk * dpre * (fblk - fpre)
-            if den != 0.0:
-                stry = num / den
-        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
+    Each step evaluates g once, at the inverse quadratic interpolant where
+    Chandrupatla's (xi, Phi) test allows it and at the midpoint otherwise,
+    kept tol / 2 inside the bracket (tol = xtol + 4 eps |x|).  Once the
+    bracket is at most tol wide, returns its end where g >= 0: the crossing
+    lies within tol below it.  NumericalConditioningError after 100 steps.
+    """
+    (xa, ga), (xb, gb) = a, b
+    xc, gc = a
+    t = 0.5
+    for _ in range(100):
+        x = xa + t * (xb - xa)
+        y = g(x)
+        if (y < 0.0) == (ga < 0.0):
+            xc, gc = xa, ga
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = at(xcur)
-    raise NumericalConditioningError(
-        f"Brent step: no convergence in {_BRENT_ITER} iterations")
+            xc, gc, xb, gb = xb, gb, xa, ga
+        xa, ga = x, y
+        width = abs(xb - xa)
+        tol = xtol + 4.0 * sys.float_info.epsilon * min(abs(xa), abs(xb))
+        if width <= tol:
+            return xa if ga >= 0.0 else xb
+        xi, ph = (xa - xb) / (xc - xb), (ga - gb) / (gc - gb)
+        t = 0.5
+        if ph * ph < xi and (1.0 - ph) * (1.0 - ph) < 1.0 - xi:
+            t = (ga / (gb - ga) * gc / (gb - gc)
+                 + (xc - xa) / (xb - xa) * ga / (gc - ga) * gb / (gc - gb))
+        t_min = 0.5 * tol / width
+        t = min(max(t, t_min), 1.0 - t_min)
+    raise NumericalConditioningError("root step: no convergence in 100 steps")
 
 
 def _log_root(g: Callable[[float], float], z0: float, xtol: float,
@@ -390,17 +359,14 @@ def _log_root(g: Callable[[float], float], z0: float, xtol: float,
 
     Widens from z0 by doubling steps within |z| <= _Z_MAX until g changes
     sign between the last two points (NumericalConditioningError(failure)
-    when the range runs out), then solves once with Brent's method to xtol.
-    Returns the smallest evaluated z with g(z) >= 0: Brent's final bracket
-    puts it within xtol (plus 4 ulps of z) of the crossing.  g is clipped
-    to the finite range so the interpolation steps stay finite.
+    when the range runs out), then narrows that bracket to xtol with
+    _root_step.  g is clipped to +-_BIG, and a nan of g is refused.
     """
-    values: dict[float, float] = {}
-
     def g_at(z: float) -> float:
-        if z not in values:
-            values[z] = min(max(g(z), -_BIG), _BIG)
-        return values[z]
+        y = g(z)
+        if math.isnan(y):
+            raise NumericalConditioningError(f"root step: g({z!r}) is nan")
+        return min(max(y, -_BIG), _BIG)
 
     z = z0
     y = g_at(z)
@@ -408,21 +374,20 @@ def _log_root(g: Callable[[float], float], z0: float, xtol: float,
     while (y < 0.0) == (step > 0.0):
         if abs(z) >= _Z_MAX:
             raise NumericalConditioningError(failure)
-        z_prev = z
+        prev = (z, y)
         z = min(max(z + step, -_Z_MAX), _Z_MAX)
         y = g_at(z)
         step *= 2.0
-    _brentq(g_at, min(z_prev, z), max(z_prev, z), xtol)
-    return min(x for x, gx in values.items() if gx >= 0.0)
+    return _root_step(g_at, prev, (z, y), xtol)
 
 
 def luxemburg_norm(f: GridFunction, phi: NFunction) -> float:
     """Luxemburg norm inf{kappa > 0 : int Phi(|f|/kappa) dtheta <= 1}.
 
     For Phi = tau^q/q this is (int |f|^q / q dtheta)^(1/q) in closed form.
-    For the density kind, one Brent root-find in log kappa solves
-    int Phi(|f|/kappa) dtheta = 1 to 1e-10 in log kappa; the returned
-    kappa is on the feasible side, where the integral is <= 1.
+    For the density kind, one bracketed root step in log kappa solves
+    int Phi(|f|/kappa) dtheta = 1 to 1e-10 in log kappa (_log_root); the
+    returned kappa is on the feasible side, where the integral is <= 1.
     """
     if phi.kind == "power":
         return lp_norm(f, phi.q) * phi.q ** (-1.0 / phi.q)
@@ -447,9 +412,9 @@ def orlicz_norm(f: GridFunction, phi: NFunction) -> float:
         Y(k) = int [k|f| Phi'(k|f|) - Phi(k|f|)] dtheta - 1,
 
     whose integrand Phi*(Phi'(k|f|)) is nondecreasing in k.  One bracketed
-    Brent root-find on log k, to 1e-8, locates the minimizer.  Its steps
-    read Y from moments of the sorted samples, built once (_young_integral),
-    in O(nodes) work each; against the sample-by-sample sum they agree to
+    root step in log k to 1e-8 (_log_root) locates the minimizer.  Its
+    steps read Y from moments of the sorted samples, built once
+    (_young_integral), in O(nodes) work each; against the sample-by-sample sum they agree to
     6e-13 relative where both are finite, and are +inf where it is.  The
     objective at the root is summed sample by sample and returned, an
     upper bound on the infimum whatever the error of the moments.  Raises
@@ -551,9 +516,9 @@ def lambda_phi(phi: NFunction, s: float) -> float:
     """Lambda_Phi(s) = inf{t > 0 : (1/t) Phi'(1/t) <= 1/s} for s > 0.
 
     For Phi = tau^q/q this is s^(1/q) in closed form.  For the density kind,
-    one Brent root-find in log t solves rho(1/t) = 1/s, with
-    rho(tau) = tau Phi'(tau), to 1e-10 in log t; the returned t is on the
-    feasible side, where rho(1/t) <= 1/s.  At a subnormal s,
+    one bracketed root step in log t solves rho(1/t) = 1/s, with
+    rho(tau) = tau Phi'(tau), to 1e-10 in log t (_log_root); the returned
+    t is on the feasible side, where rho(1/t) <= 1/s.  At a subnormal s,
     whose 1/s overflows, the two sides are compared as logs.
     """
     s = float(s)

@@ -352,12 +352,15 @@ def test_json_roundtrips(rng):
 
 
 def test_grid_json_refuses_a_non_integer_n():
-    """A declared n that is not an integer is refused as such, not as a
-    sample-count mismatch; values that are not a flat list are refused."""
-    for n in ("8", 8.0, None):
+    """A declared n that is not an integer (a bool included) is refused as
+    such, not as a sample-count mismatch; values that are not a flat list
+    of numbers are refused."""
+    for n in ("8", 8.0, None, True):
         with pytest.raises(ParameterError, match="must be an integer"):
             GridFunction.from_json_dict({"n": n, "values": [1.0] * 8})
     for obj in ({"values": 5.0}, {"n": 8, "values": 5.0},
-                {"values": [[1.0] * 8]}, {"values": [[1.0, 0.0]] * 8}):
+                {"values": [[1.0] * 8]}, {"values": [[1.0, 0.0]] * 8},
+                {"n": 8, "values": {"a": 1}},
+                {"values": [{"a": 1}, 2, 3, 4, 5, 6, 7, 8]}):
         with pytest.raises(ParameterError):
             GridFunction.from_json_dict(obj)

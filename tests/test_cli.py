@@ -526,6 +526,19 @@ def test_parse_failures(tmp_path, capsys):
     words = tmp_path / "words.txt"
     words.write_text("one two three")
     assert run(capsys, "factorize", str(words), "--method", "boundary")[0] == 2
+    # JSON of the wrong type: one stderr line, through both commands
+    wrong = tmp_path / "wrong.json"
+    for text in ('{"n": 8, "values": {"a": 1}}',
+                 '{"values": [{"a": 1}, 2, 3, 4, 5, 6, 7, 8]}',
+                 '{"coeffs": {"0": {"re": 1}}}',
+                 '{"coeffs": {"0": [1, {"x": 0}]}}',
+                 '{"n": true, "values": [1, 1, 1, 1, 1, 1, 1, 1]}'):
+        wrong.write_text(text)
+        for argv in (["factorize", str(wrong), "--method", "boundary"],
+                     ["bounds", str(wrong), "--check", "lemma-l1"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out, (text, argv)
+            assert len(err.strip().splitlines()) == 1, (text, err)
 
 
 

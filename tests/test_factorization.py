@@ -508,6 +508,22 @@ def test_outer_check_accepts_true_factor_and_rejects_imposters():
     assert not outer_check(reflected, f).passed
 
 
+def test_outer_check_reads_the_factor_floor():
+    """outer_check compares a floored factor against f floored at the same
+    level: a floor above the density's minimum, and a density that is zero
+    on half the circle."""
+    n = 1024
+    for f, floor in (
+            (GridFunction.from_callable(lambda t: 0.2 + np.cos(t) ** 2, n),
+             0.5),
+            (GridFunction.from_callable(
+                lambda t: np.maximum(np.cos(t), 0.0) ** 2, n), 0.1)):
+        floored = GridFunction(n, np.maximum(f.values, floor))
+        assert outer_check(factorize_boundary(floored), floored).passed
+        rep = outer_check(factorize_boundary(f, floor=floor), f)
+        assert rep.passed, (floor, rep.lhs, rep.rhs)
+
+
 def test_three_routes_agree_on_polynomial_density(rng):
     a_true = _random_outer_factor(rng, 6)
     series = _series_from_factor(a_true)

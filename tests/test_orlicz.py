@@ -24,7 +24,7 @@ from specfact import (
     weak11_ratio,
 )
 from specfact import orlicz
-from specfact.orlicz import _BIG, _CATALAN, _SI_PI, GAUGES, _brentq
+from specfact.orlicz import _BIG, _CATALAN, _SI_PI, GAUGES, _root_step
 
 CATALAN = 0.915965594177219
 
@@ -245,8 +245,8 @@ def test_amemiya_root_find_is_the_minimum():
             assert abs(root - grid) <= 1e-12 * grid, (seed, root, grid)
 
 
-#: one Brent tolerance below a solver's result, in the log variable z the
-#: solvers work in: their 1e-10 plus brentq's 4 ulps of |z|, with |z| <= 700
+#: one root-step tolerance below a solver's result, in the log variable z
+#: the solvers work in: their 1e-10 plus 4 eps |z|, with |z| <= 700
 _OTHER_SIDE = math.exp(-(1e-10 + 4.0 * np.finfo(float).eps * 700.0))
 
 
@@ -278,35 +278,23 @@ def test_density_solvers_are_feasible_and_tight():
             assert fn.rho(1.0 / (t * _OTHER_SIDE)) > 1.0 / s, (s, t)
 
 
-def _brent_both(f, a, b, xtol):
-    """Root and evaluated points of scipy's brentq and of the port."""
-    from scipy.optimize import brentq
-    runs = []
-    for solve, failure in (
-            (lambda g: brentq(g, a, b, xtol=xtol), RuntimeError),
-            (lambda g: _brentq(g, a, b, xtol), NumericalConditioningError)):
-        points = []
-
-        def logged(x):
-            points.append(x)
-            return f(x)
-        try:
-            root = solve(logged)
-        except failure:
-            root = None
-        runs.append((root, points))
-    return runs
-
-
-def test_brent_port_takes_scipys_steps():
-    """On seeded monotone functions the port evaluates the points scipy's
-    brentq evaluates, in the same order, and returns the same root: smooth
-    and odd-power roots, values clipped at +-_BIG, a root at a bracket end,
-    and a step function whose bisections outlast the 100 iterations."""
+def test_root_step_brackets_the_crossing():
+    """On seeded nondecreasing functions every root step returns a point z
+    where g >= 0 with the crossing at most xtol + 4 eps |z| below it:
+    smooth and odd-power roots (flat at the crossing), values clipped at
+    +-_BIG, a root at the bracket end and step functions.  A smooth root
+    takes at most 16 steps; a step across +-1e300 needs about 1040
+    bisections and is refused after 100 steps, and a nan of g is refused."""
     rng = np.random.default_rng(7)
 
     def clipped(y):
         return min(max(y, -_BIG), _BIG)
+
+    def logged(g, points):
+        def at(x):
+            points.append(x)
+            return g(x)
+        return at
 
     cases = []
     for _ in range(40):
@@ -314,49 +302,36 @@ def test_brent_port_takes_scipys_steps():
         a, b = c - rng.uniform(0.01, 20.0), c + rng.uniform(0.01, 20.0)
         p = 2 * int(rng.integers(1, 4)) + 1
         cases += [
-            (lambda x, c=c, s=s: math.tanh(s * (x - c)), a, b),
-            (lambda x, c=c, s=s, p=p: s * (x - c) ** p, a, b),
+            (lambda x, c=c, s=s: math.tanh(s * (x - c)), a, b, 16),
+            (lambda x, c=c, s=s, p=p: s * (x - c) ** p, a, b, 100),
             (lambda x, c=c, s=s: clipped(math.copysign(1e300 * s, x - c)
-                                         * abs(x - c) ** 0.3 * 10.0), a, b),
+                                         * abs(x - c) ** 0.3 * 10.0), a, b,
+             100),
+            (lambda x, c=c: -1.0 if x < c else 1.0, a, b, 100),
         ]
-    cases += [(lambda x: x, 0.0, 1.0), (lambda x: x - 1.0, 0.0, 1.0),
+    cases += [(lambda x: x - 1.0, 0.0, 1.0, 100),
+              (lambda x: x, -1.0, 0.0, 100),
               (lambda x: clipped(math.exp(min(x, 709.0)) * 1e10) - 1.0,
-               -700.0, 700.0)]
-    for f, a, b in cases:
+               -700.0, 700.0, 100)]
+    for g, a, b, max_steps in cases:
         for xtol in (1e-8, 1e-10, 2e-12):
-            (want, want_points), (got, got_points) = _brent_both(f, a, b, xtol)
-            # odd powers are flat at their root: some solves run out of
-            # iterations, in both
-            assert got_points == want_points and got == want, (a, b, xtol)
-    # a root at the lower bracket end is returned after the two end values
-    assert _brent_both(lambda x: x, 0.0, 1.0, 1e-10)[1] == (0.0, [0.0, 1.0])
-    step = _brent_both(lambda x: -1.0 if x < 0.3 else 1.0, -1e300, 1e300,
-                       1e-12)
-    assert step[0] == step[1] and step[1][0] is None
-    assert len(step[1][1]) == 102
-
-
-def test_density_solvers_take_scipys_brent_steps(monkeypatch):
-    """The Young, Luxemburg and Lambda equations of the L log L Phi and its
-    complement: every Brent solve evaluates scipy's points and root."""
-    solves = []
-
-    def both(f, a, b, xtol):
-        (want, want_points), (got, got_points) = _brent_both(f, a, b, xtol)
-        assert got_points == want_points and got == want
-        solves.append(got)
-        return got
-
-    monkeypatch.setattr(orlicz, "_brentq", both)
-    phi = _llogl_phi()
-    for fn in (phi, phi.complement()):
-        for seed in range(3):
-            f = random_density(np.random.default_rng([seed, 1]), n=256)
-            orlicz_norm(f, fn)
-            luxemburg_norm(f, fn)
-        for s in (1e-300, 1e-12, 1.0, 1e12, 1e300):
-            lambda_phi(fn, s)
-    assert len(solves) == 2 * (2 * 3 + 5) and None not in solves
+            for ends in (((a, g(a)), (b, g(b))), ((b, g(b)), (a, g(a)))):
+                points = []
+                z = _root_step(logged(g, points), *ends, xtol)
+                tol = xtol + 4.0 * np.finfo(float).eps * abs(z)
+                assert g(z) >= 0.0 > g(z - tol), (a, b, xtol, z)
+                assert len(points) <= max_steps, (a, b, xtol, len(points))
+    points = []
+    step = logged(lambda x: -1.0 if x < 0.3 else 1.0, points)
+    with pytest.raises(NumericalConditioningError, match="100 steps"):
+        _root_step(step, (-1e300, -1.0), (1e300, 1.0), 1e-12)
+    assert len(points) == 100
+    # _log_root refuses a nan of g, in its bracket search and in the step
+    for nan_from, nan_to in ((0.5, math.inf), (0.3, 0.7)):
+        def g(z):
+            return -1.0 if z < nan_from else math.nan if z < nan_to else 1.0
+        with pytest.raises(NumericalConditioningError, match="is nan"):
+            orlicz._log_root(g, 0.0, 1e-10, "no bracket")
 
 
 class _StubPhi(NFunction):

@@ -64,6 +64,13 @@ def _check_grid_size(n) -> int:
     return n
 
 
+def _holds_bool(x) -> bool:
+    """Whether a JSON value is or holds a boolean, which float() and numpy
+    read as 0 or 1: the readers of JSON numbers refuse it as a non-number."""
+    kinds = set(map(type, x)) if type(x) is list else {type(x)}
+    return bool in kinds or (list in kinds and any(map(_holds_bool, x)))
+
+
 def _adopt(v: np.ndarray, dtype) -> np.ndarray:
     """v itself when nothing can write to it, else a read-only copy in dtype.
 
@@ -130,6 +137,8 @@ class GridFunction:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "GridFunction":
         try:
+            if _holds_bool(obj["values"]):
+                raise TypeError("a boolean is not a sample")
             v = np.asarray(obj["values"], dtype=float)
         except (KeyError, TypeError, ValueError):
             raise ParameterError("grid function JSON needs a values key "
@@ -185,6 +194,8 @@ class FourierSeries:
             except (TypeError, ValueError):
                 raise ParameterError(f"non-integer frequency key {k!r}") from None
             try:
+                if _holds_bool(pair):
+                    raise TypeError("a boolean is not a number")
                 pair = np.asarray(pair, dtype=float)
             except (TypeError, ValueError):  # not numbers: refused below
                 pair = np.empty(0)

@@ -4,7 +4,8 @@ Exit codes form the machine-readable contract:
 
     0  every requested check passed
     1  a check ran to completion and failed
-    2  input could not be parsed or the arguments are invalid
+    2  input could not be parsed or the arguments are invalid (argparse's
+       refusals too: one stderr line, no usage block)
     3  domain error (nonpositive density, polynomial not nonnegative, ...),
        or a verdict the numerics cannot resolve (such as a bound whose
        sides leave the double range), labelled "numerically unresolved" on
@@ -43,12 +44,11 @@ from .errors import (
     DomainError,
     NumericalConditioningError,
     ParameterError,
-    SpecfactError,
 )
 from .factorization import (
     HERGLOTZ_MAX_DEGREE,
+    _fr_coeffs,
     _herglotz_factor,
-    _NonpositiveDensity,
     factorize_boundary,
     fejer_riesz,
     outer_check,
@@ -272,9 +272,12 @@ def cmd_factorize(args, opts: dict) -> int:
             raise ParameterError(
                 "fejer-riesz input must be a Fourier series "
                 "(JSON with a coeffs mapping)")
-        factor = SpectralFactor(fejer_riesz(data))
+        _fr_coeffs(data)  # its refusals come before --n's
+    # the grid comes first: an --n too small for the series costs no roots
     [f] = _grids([data], opts["n"], args.n is not None)
-    if args.method == "boundary":
+    if args.method == "fejer-riesz":
+        factor = SpectralFactor(fejer_riesz(data))
+    elif args.method == "boundary":
         factor = factorize_boundary(f, floor=args.floor)
     elif args.method == "herglotz":
         factor = _herglotz_factor(f, args.floor, _herglotz_degree(
@@ -291,9 +294,14 @@ def cmd_bounds(args, opts: dict) -> int:
     if check.option == "phi":  # parsed once: trials share its complement
         extra = [NFunction.from_json_dict(json.loads(extra[0]))]
     sweep = args.sweep is not None
+    paths = [path for path in (args.f, args.g) if path is not None]
+    reads = () if sweep else check.inputs
+    if len(paths) != len(reads):
+        raise ParameterError(
+            f"--check {args.check}{' --sweep' * sweep} reads "
+            f"{' and '.join(reads) or 'no inputs'}; given: "
+            f"{', '.join(map(repr, paths)) or 'none'}")
     if sweep:
-        if args.f is not None or args.g is not None:
-            raise ParameterError("--sweep and explicit inputs are exclusive")
         n, degree = opts["n"], opts["degree"]
         if 2 * degree >= n:
             raise ParameterError(
@@ -302,14 +310,6 @@ def cmd_bounds(args, opts: dict) -> int:
         records = _sweep_blocks(opts["seed"], args.sweep, n, degree,
                                 len(check.inputs) == 2)
     else:
-        if len(check.inputs) == 1 and args.g is not None:
-            raise ParameterError(f"--check {args.check} reads psi only, "
-                                 f"not also {args.g!r}")
-        paths = (args.f, args.g)[:len(check.inputs)]
-        if None in paths:
-            count = "one input" if len(paths) == 1 else "two inputs"
-            raise ParameterError(f"--check {args.check} needs {count} "
-                                 f"({', '.join(check.inputs)})")
         inputs = [_load_any(path) for path in paths]
         records = [check.record(*_grids(inputs, opts["n"],
                                         args.n is not None))]
@@ -360,11 +360,18 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser and subparsers whose errors reach main as ParameterError."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     """The command-line parser, built once from _COMMANDS and OPTIONS:
     parsing leaves it unchanged, so in-process calls of main share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specfact",
         description="Spectral factorization on the circle with machine-checked "
                     "continuity bounds.")
@@ -386,30 +393,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args, _options(args))
-    except _NonpositiveDensity as exc:
-        # name the clamp only where the command line has one: --floor of
-        # the factorize methods that read it
+    except DomainError as exc:
+        # the only domain error of the --floor methods: a nonpositive density
         floor = (getattr(args, "method", None)
                  in OPTIONS["factorize"]["floor"].reads)
         remedy = "; pass --floor to clamp" if floor else ""
-        print(f"specfact: domain error: {exc.finding}{remedy}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except DomainError as exc:
-        print(f"specfact: domain error: {exc}", file=sys.stderr)
+        print(f"specfact: domain error: {exc}{remedy}", file=sys.stderr)
         return EXIT_DOMAIN
     except NumericalConditioningError as exc:
         print(f"specfact: numerically unresolved: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ParameterError, json.JSONDecodeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParameterError, JSON's errors
         print(f"specfact: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except SpecfactError as exc:
-        print(f"specfact: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

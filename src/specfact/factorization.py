@@ -97,20 +97,11 @@ _BOUNDARY_KEEP_BYTES = 1 << 22
 _boundary_slot = threading.local()
 
 
-class _NonpositiveDensity(DomainError):
-    """A density sample is not positive.  The message names the floor=
-    keyword as the remedy; `finding` is the message without it, for a
-    caller that spells the remedy its own way."""
-
-    def __init__(self, finding: str):
-        super().__init__(f"{finding}; pass floor=... to clamp")
-        self.finding = finding
-
-
 def _positive_log(v: np.ndarray, floor: float | None,
                   out: np.ndarray | None = None) -> np.ndarray:
     """log of real samples, rows along the last axis, after the floor;
-    written to `out` when given."""
+    written to `out` when given.  A sample that is not positive raises
+    DomainError, whose message leaves the remedy, floor=, to the caller."""
     if np.iscomplexobj(v):
         raise ParameterError("factorization expects a real density")
     if floor is not None:
@@ -122,7 +113,7 @@ def _positive_log(v: np.ndarray, floor: float | None,
         rows = v.reshape(-1, v.shape[-1])
         row = rows[np.argmax(np.any(rows <= 0.0, axis=-1))]
         j = int(np.argmin(row))
-        raise _NonpositiveDensity(
+        raise DomainError(
             f"density is not positive: sample {j} "
             f"(theta = {grid_theta(len(row))[j]:.6f}) "
             f"has value {row[j]:.6g}")
@@ -150,7 +141,8 @@ def factorize_boundary(f: GridFunction,
     result is rotated by a unimodular constant so that a_0 is exactly real
     and positive.  Energy left at negative frequencies is recorded on the
     result; for smooth positive f it is at roundoff level, and a large value
-    flags a density the grid cannot resolve.
+    flags a density the grid cannot resolve.  A sample that is not
+    positive raises DomainError; floor= clamps the samples first.
     """
     n = f.n
     logf, half, F = _boundary_buffers(n)
@@ -226,7 +218,8 @@ def factorize_herglotz(f: GridFunction, points, r_max: float = 0.95,
     n-th roots of unity, and centring stops a large mean from cancelling
     between the cos and sin sums.  D comes from the differences, which do
     not cancel as |z| nears the circle.  Blocks of bounded size keep memory
-    flat in n; no FFT of log f is taken.
+    flat in n; no FFT of log f is taken.  A sample that is not positive
+    raises DomainError; floor= clamps the samples first.
     """
     logf = _positive_log(f.values, floor)
     z = np.asarray(points, dtype=np.complex128)
@@ -367,6 +360,22 @@ def _validation_grid(degree: int) -> int:
     return m
 
 
+def _fr_coeffs(series) -> tuple[dict[int, complex], int]:
+    """fejer_riesz's nonzero coefficients and degree, or its refusals of
+    the zero polynomial and of a degree above FR_MAX_DEGREE."""
+    if not isinstance(series, FourierSeries):
+        series = FourierSeries(series)
+    coeffs = {k: c for k, c in series.coeffs.items() if c != 0}
+    if not coeffs:
+        raise DomainError("cannot factor the zero polynomial")
+    N = max(abs(k) for k in coeffs)
+    if N > FR_MAX_DEGREE:
+        raise ParameterError(
+            f"fejer-riesz degree {N} exceeds the cap {FR_MAX_DEGREE}: the "
+            f"root step is an O(N^3) eigenproblem of size 2N")
+    return coeffs, N
+
+
 def fejer_riesz(series) -> np.ndarray:
     """Factor a nonnegative trig polynomial as |sum_k a_k e^{i k theta}|^2.
 
@@ -386,17 +395,7 @@ def fejer_riesz(series) -> np.ndarray:
     reproduction check are read on a grid of at least 16 N samples,
     synthesized by one inverse FFT.
     """
-    if not isinstance(series, FourierSeries):
-        series = FourierSeries(series)
-    coeffs = {k: c for k, c in series.coeffs.items() if c != 0}
-    if not coeffs:
-        raise DomainError("cannot factor the zero polynomial")
-    N = max(abs(k) for k in coeffs)
-    if N > FR_MAX_DEGREE:
-        raise ParameterError(
-            f"fejer-riesz degree {N} exceeds the cap {FR_MAX_DEGREE}: the "
-            f"root step is an O(N^3) eigenproblem of size 2N")
-
+    coeffs, N = _fr_coeffs(series)
     m = _validation_grid(N)
     fvals = fourier_synthesize(FourierSeries(coeffs), m).values
     peak = float(fvals.max())

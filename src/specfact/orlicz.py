@@ -28,6 +28,7 @@ import numpy as np
 
 from .circle_fn import (
     GridFunction,
+    _holds_bool,
     _one_minus_cos,
     harmonic_conjugate,
     lp_norm,
@@ -290,6 +291,8 @@ def _json_field(obj: dict, key: str, expected: str, convert):
         raise ParameterError(
             f"{obj['kind']} N-function needs the key {key!r} ({expected})")
     try:
+        if _holds_bool(obj[key]):
+            raise TypeError("a boolean is not a number")
         return convert(obj[key])
     except (TypeError, ValueError):
         raise ParameterError(f"N-function key {key!r} must be {expected}") from None

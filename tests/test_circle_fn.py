@@ -364,3 +364,10 @@ def test_grid_json_refuses_a_non_integer_n():
                 {"values": [{"a": 1}, 2, 3, 4, 5, 6, 7, 8]}):
         with pytest.raises(ParameterError):
             GridFunction.from_json_dict(obj)
+    # JSON booleans, which float() reads as 1 and 0, are not numbers
+    for values in ([True] * 8, [1.0] * 7 + [False]):
+        with pytest.raises(ParameterError, match="values key"):
+            GridFunction.from_json_dict({"values": values})
+    for pair in ([True, False], [1.0, False]):
+        with pytest.raises(ParameterError, match=r"must be \[re, im\]"):
+            FourierSeries.from_json_dict({"coeffs": {"0": pair}})

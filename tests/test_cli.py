@@ -532,7 +532,12 @@ def test_parse_failures(tmp_path, capsys):
                  '{"values": [{"a": 1}, 2, 3, 4, 5, 6, 7, 8]}',
                  '{"coeffs": {"0": {"re": 1}}}',
                  '{"coeffs": {"0": [1, {"x": 0}]}}',
-                 '{"n": true, "values": [1, 1, 1, 1, 1, 1, 1, 1]}'):
+                 '{"n": true, "values": [1, 1, 1, 1, 1, 1, 1, 1]}',
+                 # JSON booleans, which float() reads as 1 and 0
+                 '{"values": [true, true, true, true, true, true, true, true]}',
+                 '{"values": [4, 4, 4, 4, 4, 4, 4, false]}',
+                 '{"coeffs": {"0": [true, false]}}',
+                 '{"coeffs": {"0": [4, 0], "1": [1, false], "-1": [1, 0]}}'):
         wrong.write_text(text)
         for argv in (["factorize", str(wrong), "--method", "boundary"],
                      ["bounds", str(wrong), "--check", "lemma-l1"]):
@@ -697,12 +702,29 @@ def test_bounds_lemma_single_input(tmp_path, capsys):
     assert run(capsys, "bounds", str(pp), "--check", "cor-p")[0] == 2
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["f.json", "--check", "thm2"], "--check thm2 reads f and g; given: "
+     "'f.json'"),
+    (["--check", "cor-p"], "--check cor-p reads f and g; given: none"),
+    (["f.json", "g.json", "--check", "lemma-l1"],
+     "--check lemma-l1 reads psi; given: 'f.json', 'g.json'"),
+    (["f.json", "--check", "identity", "--sweep", "2"],
+     "--check identity --sweep reads no inputs; given: 'f.json'"),
+])
+def test_bounds_input_count_is_one_rule(capsys, argv, line):
+    """A check reads its table's inputs, and a sweep none: any other count
+    is refused by one rule, before any input is read."""
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == 2 and not out
+    assert err == f"specfact: cannot parse input: {line}\n", err
+
+
 def test_bounds_check_choices_come_from_the_table(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--check", "bogus"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "{thm2,cor-p,main,identity,lemma-orl,lemma-l1}" in err
+    code, out, err = run(capsys, "bounds", "--check", "bogus")
+    assert code == 2 and not out
+    [line] = err.splitlines()
+    assert ("(choose from 'thm2', 'cor-p', 'main', 'identity', 'lemma-orl', "
+            "'lemma-l1')") in line, line
     assert tuple(CHECKS) == ("thm2", "cor-p", "main", "identity",
                              "lemma-orl", "lemma-l1")
 
@@ -782,10 +804,36 @@ def test_bounds_sweep_deterministic(capsys):
 
 
 def test_bounds_rejects_removed_jobs_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--sweep", "2", "--check", "thm2", "--jobs", "2"])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    code, out, err = run(capsys, "bounds", "--sweep", "2", "--check", "thm2",
+                         "--jobs", "2")
+    assert code == 2 and not out
+    [line] = err.splitlines()
+    assert "--jobs" in line, line
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "command"),
+    (["bounds", "--sweep", "1"], "--check"),
+    (["factorize", "flat.txt"], "--method"),
+    (["bounds", "--check", "bogus", "--sweep", "1"], "--check"),
+    (["factorize", "flat.txt", "--method", "nope"], "--method"),
+    (["counterexample", "--n", "1", "--variant", "nope"], "--variant"),
+    (["bounds", "--check", "thm2", "--sweep", "1", "--du", "3"], "--du"),
+    (["constants", "--n", "8"], "--n"),
+    (["bounds", "--check", "thm2", "--sweep", "1", "--n", "abc"], "--n"),
+    (["bounds", "--check", "cor-p", "--sweep", "1", "--p", "two"], "--p"),
+    (["factorize", "flat.txt", "extra.txt", "--method", "boundary"],
+     "extra.txt"),
+    (["constants", "extra"], "extra"),
+])
+def test_every_parse_refusal_is_one_line(capsys, argv, named):
+    """argparse's refusals go through main's one-line refusal: exit 2,
+    nothing on stdout and one stderr line, with no usage block."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out, (argv, code, out)
+    [line] = err.splitlines()
+    assert line.startswith("specfact: cannot parse input: "), line
+    assert named in line, line
 
 
 def test_bounds_rejects_degree_below_one(capsys):
@@ -899,6 +947,24 @@ def test_factorize_fejer_riesz_degree_cap(tmp_path, capsys, monkeypatch):
     assert "5000" in err and str(FR_MAX_DEGREE) in err
 
 
+def test_factorize_fejer_riesz_refuses_a_small_grid_before_roots(
+        tmp_path, capsys, monkeypatch):
+    """The outer check's --n grid is synthesized before the root step, so
+    a grid that cannot hold the series costs no np.roots work."""
+    def roots(_):
+        pytest.fail("np.roots ran on a series --n cannot hold")
+
+    monkeypatch.setattr(np, "roots", roots)
+    path = tmp_path / "wide.json"
+    path.write_text('{"coeffs": {"0": [3, 0], "300": [0.5, 0], '
+                    '"-300": [0.5, 0]}}')
+    code, out, err = run(capsys, "factorize", str(path),
+                         "--method", "fejer-riesz", "--n", "512")
+    assert code == 2 and not out
+    assert err == ("specfact: cannot parse input: cannot synthesize "
+                   "bandwidth 300 on 512 samples (need n > 2K)\n"), err
+
+
 def test_factorize_rejects_negative_degree(tmp_path, capsys):
     path = tmp_path / "flat.txt"
     path.write_text("4 4 4 4 4 4 4 4\n")
@@ -914,6 +980,9 @@ def test_factorize_rejects_negative_degree(tmp_path, capsys):
     {"kind": "power", "q": None},
     {"kind": "density", "u_grid": [[1.0, 2.0], [3.0]]},
     [2.0],
+    # JSON booleans, which float() reads as 1 and 0
+    {"kind": "power", "q": True},
+    {"kind": "density", "u_grid": [[0.5, 0.5], [1.0, True], [2.0, 2.0]]},
 ])
 def test_bounds_phi_errors_exit_2(capsys, phi):
     code, out, err = run(capsys, "bounds", "--check", "main", "--sweep", "1",
@@ -1168,15 +1237,15 @@ def test_counterexample_budget_and_usage(capsys):
 
 
 def _exit_code(argv):
-    """Exit code and stderr of one in-process run; argparse usage errors
-    exit 2 by SystemExit.  Any other escaping exception fails the test."""
+    """Exit code and stderr of one in-process run.  Any escaping exception,
+    SystemExit included, fails the test; a refusal (exit 2 or 3) prints
+    exactly one stderr line."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
+    if code in (2, 3):
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
     return code, err.getvalue()
 
 

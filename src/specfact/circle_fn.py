@@ -64,11 +64,14 @@ def _check_grid_size(n) -> int:
     return n
 
 
-def _holds_bool(x) -> bool:
-    """Whether a JSON value is or holds a boolean, which float() and numpy
-    read as 0 or 1: the readers of JSON numbers refuse it as a non-number."""
-    kinds = set(map(type, x)) if type(x) is list else {type(x)}
-    return bool in kinds or (list in kinds and any(map(_holds_bool, x)))
+def _json_numbers(x) -> bool:
+    """Whether a JSON value is a number or nested lists of numbers: int and
+    float leaves only, not the strings and booleans that float() and numpy
+    also read."""
+    kinds = set(map(type, x)) if isinstance(x, (list, tuple)) else {type(x)}
+    return all(issubclass(k, (int, float)) and k is not bool
+               or issubclass(k, (list, tuple)) and all(map(_json_numbers, x))
+               for k in kinds)
 
 
 def _adopt(v: np.ndarray, dtype) -> np.ndarray:
@@ -137,8 +140,8 @@ class GridFunction:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "GridFunction":
         try:
-            if _holds_bool(obj["values"]):
-                raise TypeError("a boolean is not a sample")
+            if not _json_numbers(obj["values"]):
+                raise TypeError("samples are numbers")
             v = np.asarray(obj["values"], dtype=float)
         except (KeyError, TypeError, ValueError):
             raise ParameterError("grid function JSON needs a values key "
@@ -194,8 +197,8 @@ class FourierSeries:
             except (TypeError, ValueError):
                 raise ParameterError(f"non-integer frequency key {k!r}") from None
             try:
-                if _holds_bool(pair):
-                    raise TypeError("a boolean is not a number")
+                if not _json_numbers(pair):
+                    raise TypeError("coefficients are numbers")
                 pair = np.asarray(pair, dtype=float)
             except (TypeError, ValueError):  # not numbers: refused below
                 pair = np.empty(0)
@@ -361,19 +364,16 @@ def harmonic_conjugate(f: GridFunction) -> GridFunction:
     return GridFunction(f.n, _conjugate(f.values))
 
 
-def _conjugate(v: np.ndarray, out: np.ndarray | None = None,
-               spectrum: np.ndarray | None = None,
-               multiplier: complex = -1j) -> np.ndarray:
+def _conjugate(v: np.ndarray, multiplier: complex = -1j) -> np.ndarray:
     """harmonic_conjugate of every row of a real array along the last axis;
-    batched FFTs give each row the same floats as a 1-d call.  The result
-    goes to `out` and the half-spectrum to `spectrum` when they are given.
-    A multiplier of -1j times a power of two, such as -0.5j, scales the
-    result by that power exactly."""
-    R = np.fft.rfft(v, out=spectrum)
+    batched FFTs give each row the same floats as a 1-d call.  A multiplier
+    of -1j times a power of two, such as -0.5j, scales the result by that
+    power exactly."""
+    R = np.fft.rfft(v)
     R *= multiplier
     R[..., 0] = 0.0
     R[..., -1] = 0.0
-    return np.fft.irfft(R, v.shape[-1], out=out)
+    return np.fft.irfft(R, v.shape[-1])
 
 
 def _one_minus_cos(half: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ Exit codes form the machine-readable contract:
        or a verdict the numerics cannot resolve (such as a bound whose
        sides leave the double range), labelled "numerically unresolved" on
        standard error (exit 4 is retired)
+    SIGPIPE  the reader closed standard output: the `specfact` command
+       ends silently (status 141 in a shell), as a POSIX filter does
 
 Inputs are file paths ("-" for standard input) holding either a grid
 function as JSON {"n": ..., "values": [...]}, a Fourier series as JSON
@@ -25,6 +27,7 @@ import argparse
 import functools
 import json
 import math
+import signal
 import sys
 import warnings
 from typing import NamedTuple
@@ -411,5 +414,13 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
 
-if __name__ == "__main__":
+def console_main():
+    """The `specfact` command: main under the default SIGPIPE handling,
+    where the platform has SIGPIPE (main, run in-process, changes none)."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -23,7 +23,6 @@ their agreement a meaningful check.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -84,19 +83,6 @@ _BLAS_ONE_THREAD = 1 << 18
 #: coefficient tolerance.
 HERGLOTZ_MAX_DEGREE = 210
 
-#: factorize_boundary writes its three n-sized arrays (log f, its rfft and
-#: the boundary values) to buffers that each thread keeps for its last n,
-#: unless they take more than this many bytes (they take 32 n + 16, so n up
-#: to 2^16 is kept and a 2^18 call keeps nothing).  Allocated afresh, they
-#: were faulted in anew on every call once the allocator had trimmed the
-#: heap: a 48-call cross_validate_pipeline pass (n = 16384) took 18,432
-#: minor faults, and takes 9,216 with the buffers kept (2-core VM, numpy
-#: 2.4.6).
-_BOUNDARY_KEEP_BYTES = 1 << 22
-
-_boundary_slot = threading.local()
-
-
 def _positive_log(v: np.ndarray, floor: float | None,
                   out: np.ndarray | None = None) -> np.ndarray:
     """log of real samples, rows along the last axis, after the floor;
@@ -120,19 +106,6 @@ def _positive_log(v: np.ndarray, floor: float | None,
     return np.log(v, out=out)
 
 
-def _boundary_buffers(n: int):
-    """This thread's (log f, rfft, boundary values) buffers for n points."""
-    bufs = getattr(_boundary_slot, "bufs", None)
-    if bufs is None or bufs[0].size != n:
-        # the old set is freed first: the two never take memory at once
-        bufs = _boundary_slot.bufs = None
-        bufs = (np.empty(n), np.empty(n // 2 + 1, dtype=np.complex128),
-                np.empty(n, dtype=np.complex128))
-        keep = sum(b.nbytes for b in bufs) <= _BOUNDARY_KEEP_BYTES
-        _boundary_slot.bufs = bufs if keep else None
-    return bufs
-
-
 def factorize_boundary(f: GridFunction,
                        floor: float | None = None) -> SpectralFactor:
     """Outer factor from boundary values sqrt(f) * exp((i/2) (log f)~).
@@ -145,29 +118,29 @@ def factorize_boundary(f: GridFunction,
     positive raises DomainError; floor= clamps the samples first.
     """
     n = f.n
-    logf, half, F = _boundary_buffers(n)
-    _positive_log(f.values, floor, out=logf)
     # the boundary values F = sqrt(f) e^{2iu}, u = (log f)~ / 4, by the
     # half-angle forms cos 2u = (1 - t^2) / (1 + t^2) and sin 2u =
     # 2t / (1 + t^2), t = tan u: one vectorized tan is cheaper than a
     # complex exp, which numpy runs as a scalar loop.  |tan| <= 1.6e16 on
     # doubles, so t^2 stays finite.
     # The conjugate takes its 1/4 in the spectrum, which scales every float
-    # exactly; the spectrum's buffer then holds the real scratch w
+    # exactly.  F.imag holds the scratch (t^2 is formed twice) and log f is
+    # freed first: two n-sized arrays live, not three, fault fewer pages
+    t = _conjugate(_positive_log(f.values, floor), multiplier=-0.25j)
+    np.tan(t, out=t)
+    F = np.empty(n, dtype=np.complex128)
     if floor is None:
         np.sqrt(f.values, out=F.real)
     else:
         np.sqrt(np.maximum(f.values, floor, out=F.real), out=F.real)
-    t = np.tan(_conjugate(logf, out=logf, spectrum=half, multiplier=-0.25j),
-               out=logf)
-    w = half.view(np.float64)[:n]
-    np.multiply(t, t, out=w)
-    np.subtract(1.0, w, out=F.imag)
-    w += 1.0
-    np.divide(F.real, w, out=w)
-    np.multiply(F.imag, w, out=F.real)
-    w *= t
-    np.add(w, w, out=F.imag)
+    np.multiply(t, t, out=F.imag)
+    F.imag += 1.0
+    np.divide(F.real, F.imag, out=F.real)
+    np.multiply(t, t, out=F.imag)
+    np.subtract(1.0, F.imag, out=F.imag)
+    t *= F.real
+    F.real *= F.imag
+    np.add(t, t, out=F.imag)
     np.fft.fft(F, out=F)
     # F is n times the coefficients; n is a power of two, so dividing the
     # kept half is exact, and the energy ratio below is scale-free.  The
@@ -180,7 +153,7 @@ def factorize_boundary(f: GridFunction,
     coeffs[1::2] *= -1.0
     # |F| is scaled by a power of two before squaring, which is exact and
     # keeps n^2 max f from overflowing; the energy ratio is scale-free
-    power = np.abs(F, out=logf)
+    power = np.abs(F, out=t)
     power *= math.ldexp(1.0, -math.frexp(power.max())[1])
     power *= power
     total = float(power.sum())

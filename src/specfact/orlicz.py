@@ -28,7 +28,7 @@ import numpy as np
 
 from .circle_fn import (
     GridFunction,
-    _holds_bool,
+    _json_numbers,
     _one_minus_cos,
     harmonic_conjugate,
     lp_norm,
@@ -291,8 +291,8 @@ def _json_field(obj: dict, key: str, expected: str, convert):
         raise ParameterError(
             f"{obj['kind']} N-function needs the key {key!r} ({expected})")
     try:
-        if _holds_bool(obj[key]):
-            raise TypeError("a boolean is not a number")
+        if not _json_numbers(obj[key]):
+            raise TypeError("JSON numbers only")
         return convert(obj[key])
     except (TypeError, ValueError):
         raise ParameterError(f"N-function key {key!r} must be {expected}") from None
@@ -518,27 +518,43 @@ def _young_integral(phi: NFunction,
 def lambda_phi(phi: NFunction, s: float) -> float:
     """Lambda_Phi(s) = inf{t > 0 : (1/t) Phi'(1/t) <= 1/s} for s > 0.
 
-    For Phi = tau^q/q this is s^(1/q) in closed form.  For the density kind,
-    one bracketed root step in log t solves rho(1/t) = 1/s, with
-    rho(tau) = tau Phi'(tau), to 1e-10 in log t (_log_root); the returned
-    t is on the feasible side, where rho(1/t) <= 1/s.  At a subnormal s,
-    whose 1/s overflows, the two sides are compared as logs.
+    For Phi = tau^q/q this is s^(1/q).  For the density kind, rho(tau) =
+    tau Phi'(tau) = 1/s is solved in closed form on the piece where rho
+    crosses 1/s, found among rho's node values in logs (log t + log u
+    against -log s, finite down to s = 5e-324): between two nodes the
+    quadratic (t_i + delta)(u_i + sigma_i delta) = 1/s, in the form that
+    does not cancel; beyond the end nodes the power law, in logs, and one
+    Newton step on the ratio s rho(tau).  1/tau is then stepped up by ulps
+    to the feasible side, rho(1/t) <= 1/s; it is inf where tau underflows.
     """
     s = float(s)
     if not s > 0.0:
         raise ParameterError(f"lambda_phi needs s > 0, got {s}")
     if phi.kind == "power":
         return s ** (1.0 / phi.q)
-    if math.isinf(1.0 / s):
-        # log rho(e^{-z}) = -z + log Phi'(e^{-z}) against -log s
-        def g(z: float) -> float:
-            u = phi.density(math.exp(-z))
-            return z - math.log(s) - (math.log(u) if u > 0.0 else -math.inf)
-    else:
-        def g(z: float) -> float:
-            return 1.0 / s - phi.rho(1.0 / math.exp(z))
-    z = _log_root(g, 0.0, 1e-10, "lambda_phi bracket expansion failed")
-    return math.exp(z)
+    t, u = phi.t_nodes, phi.u_nodes
+    log_rho = np.log(t) + np.log(u)
+    k = int(np.searchsorted(log_rho, -math.log(s), side="right"))
+    with np.errstate(all="ignore"):
+        if 0 < k < len(t):
+            ti, ui = t[k - 1], u[k - 1]
+            # delta = 2c / (b + sqrt(b^2 + 4 sigma c)), c = 1/s - t_i u_i,
+            # b = u_i + sigma t_i; hypot keeps b^2 and sigma c in range
+            sigma = (u[k] - ui) / (t[k] - ti)
+            c, b = max(1.0 / s - ti * ui, 0.0), ui + sigma * ti
+            tau = ti + 2.0 * (c / (b + np.hypot(b, 2.0 * np.sqrt(sigma)
+                                                 * np.sqrt(c))))
+        else:
+            j, alpha = (0, phi.alpha_lo) if k == 0 else (-1, phi.alpha_hi)
+            p = 1.0 / (alpha + 1.0)
+            tau = t[j] * np.exp((-math.log(s) - log_rho[j]) * p)
+            ratio = float(phi.density(tau) * (tau * s))
+            if 0.0 < ratio < math.inf:
+                tau *= ratio ** -p
+        lam = float(1.0 / tau)
+    while lam > 0.0 and phi.rho(1.0 / lam) > 1.0 / s:
+        lam = math.nextafter(lam, math.inf)
+    return lam
 
 
 def holder_check(f: GridFunction, g: GridFunction,

@@ -364,10 +364,12 @@ def test_grid_json_refuses_a_non_integer_n():
                 {"values": [{"a": 1}, 2, 3, 4, 5, 6, 7, 8]}):
         with pytest.raises(ParameterError):
             GridFunction.from_json_dict(obj)
-    # JSON booleans, which float() reads as 1 and 0, are not numbers
-    for values in ([True] * 8, [1.0] * 7 + [False]):
+    # JSON booleans and strings, which float() reads as 1, 0 and 4, are
+    # not numbers
+    for values in ([True] * 8, [1.0] * 7 + [False], ["4"] * 8,
+                   [4.0] * 7 + ["4"]):
         with pytest.raises(ParameterError, match="values key"):
             GridFunction.from_json_dict({"values": values})
-    for pair in ([True, False], [1.0, False]):
+    for pair in ([True, False], [1.0, False], ["4", "0"], [4.0, "0"]):
         with pytest.raises(ParameterError, match=r"must be \[re, im\]"):
             FourierSeries.from_json_dict({"coeffs": {"0": pair}})

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -547,6 +548,51 @@ def test_parse_failures(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("json_input, named", [
+    ('{"values": ["4", "4", "4", "4", "4", "4", "4", "4"]}', "values key"),
+    ('{"coeffs": {"0": ["4", "0"]}}', "coefficient at k = 0"),
+    ('{"kind": "power", "q": "3"}', "key 'q'"),
+])
+def test_json_strings_are_not_numbers(tmp_path, capsys, json_input, named):
+    """float() and numpy read the string "4" as 4, but a JSON string is no
+    number: a grid's values, a series pair and --phi's q refuse it with
+    exit 2, nothing on stdout and one stderr line that names the field."""
+    if '"kind"' in json_input:
+        argv = ["bounds", "--check", "lemma-orl", "--sweep", "1", "--n",
+                "256", "--phi", json_input]
+    else:
+        path = tmp_path / "strings.json"
+        path.write_text(json_input)
+        argv = ["factorize", str(path), "--method", "boundary"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and named in lines[0], err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"),
+                    reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_command_silently():
+    """A reader that closes standard output after 10 bytes ends the
+    `specfact` command by SIGPIPE, as it ends a POSIX filter, with nothing
+    on stderr: not exit 2 with 'cannot parse input: Broken pipe'."""
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(specfact.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "specfact.cli", "bounds", "--check", "thm2",
+         "--sweep", "2000", "--n", "256"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == -signal.SIGPIPE
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
 def _per_token(text):
     return np.array([float(tok) for tok in text.replace(",", " ").split()])
 
@@ -983,6 +1029,8 @@ def test_factorize_rejects_negative_degree(tmp_path, capsys):
     # JSON booleans, which float() reads as 1 and 0
     {"kind": "power", "q": True},
     {"kind": "density", "u_grid": [[0.5, 0.5], [1.0, True], [2.0, 2.0]]},
+    # a JSON string, which float() reads as a number
+    {"kind": "density", "u_grid": [[0.5, 0.5], [1.0, "1"], [2.0, 2.0]]},
 ])
 def test_bounds_phi_errors_exit_2(capsys, phi):
     code, out, err = run(capsys, "bounds", "--check", "main", "--sweep", "1",

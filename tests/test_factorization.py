@@ -226,8 +226,7 @@ def test_boundary_closed_form_through_a_quarter_turn():
 
 
 def test_boundary_factor_owns_its_coefficients():
-    """A second call at the same n reuses the buffers but leaves the first
-    factor as it was."""
+    """A second call at the same n leaves the first factor as it was."""
     f, g = (random_density(np.random.default_rng([s, 1]), n=4096)
             for s in (0, 1))
     first = factorize_boundary(f)
@@ -239,10 +238,10 @@ def test_boundary_factor_owns_its_coefficients():
 
 
 def test_boundary_threads_reproduce_sequential_results():
-    """Each thread has its own buffers: four threads (more than the cores
-    of a small runner) factoring different densities of one size, with
-    the interpreter switching threads every microsecond, get the
-    sequential floats on every call."""
+    """Four threads (more than the cores of a small runner) factoring
+    different densities of one size, with the interpreter switching
+    threads every microsecond, get the sequential floats on every call:
+    the kernel shares no state between calls."""
     dens = [random_density(np.random.default_rng([s, 2]), n=16384)
             for s in range(4)]
     want = [factorize_boundary(f).coeffs.tobytes() for f in dens]
@@ -269,23 +268,26 @@ def test_boundary_threads_reproduce_sequential_results():
     assert got == [[w] * 40 for w in want]
 
 
-def test_boundary_buffers_kept_only_below_the_byte_cap():
-    """A 2^14 call keeps its three buffers (32 n + 16 bytes); a 2^18 call,
-    over the cap, frees them and keeps nothing of its own."""
-    small, large = (GridFunction.from_callable(lambda t: np.exp(np.cos(t)), n)
-                    for n in (2 ** 14, 2 ** 18))
-    tracemalloc.start()
-    try:
-        factorize_boundary(large)  # drops whatever this thread kept
-        base = tracemalloc.get_traced_memory()[0]
-        factorize_boundary(small)
-        kept = tracemalloc.get_traced_memory()[0] - base
-        factorize_boundary(large)
-        after = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert 32 * 2 ** 14 + 16 <= kept < 32 * 2 ** 14 + 2 ** 16, kept
-    assert after < 2 ** 16, after
+def test_boundary_keeps_nothing_between_calls():
+    """Once its factor is dropped, a factorize_boundary call leaves no
+    traced allocation behind, at n = 2^14 as at 2^18; while the factor
+    lives, it holds its n / 2 coefficients (8 n bytes)."""
+    for n in (2 ** 14, 2 ** 18):
+        f = GridFunction.from_callable(lambda t: np.exp(np.cos(t)), n)
+        # numpy's FFT caches for this n are filled first
+        np.fft.irfft(np.fft.rfft(np.zeros(n)), n)
+        np.fft.fft(np.zeros(n, dtype=complex))
+        tracemalloc.start()
+        try:
+            factor = factorize_boundary(f)
+            held = tracemalloc.get_traced_memory()[0]
+            del factor
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 8 * n <= held < 8 * n + 2 ** 12, (n, held)
+        assert left < 2 ** 12, (n, left)
+
 
 def test_herglotz_values_quarter_poly():
     f = GridFunction.from_callable(lambda t: 1.25 - np.cos(t), 1024)

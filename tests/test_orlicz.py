@@ -336,15 +336,13 @@ def test_root_step_brackets_the_crossing():
 
 class _StubPhi(NFunction):
     """A density-kind stand-in that is not an N-function; it counts the
-    evaluations of phi and rho, and of the Young integral, one per solver
-    step.
+    evaluations of phi, and of the Young integral, one per solver step.
 
     linear, Phi(x) = |x|: nodes with u = 1 and end exponents 0, so
     x Phi'(x) - Phi(x) = 0, the Young integral Y(k) = -1 for every k and
     the Amemiya objective (1 + k ||f||_1)/k has no minimizer.  constant,
-    Phi(x) = 1: int Phi(|f|/kappa) = 2 pi for every kappa and
-    rho(tau) = tau Phi'(tau) = 0 for every tau, so neither the Luxemburg
-    equation nor the Lambda equation has a root.
+    Phi(x) = 1: int Phi(|f|/kappa) = 2 pi for every kappa, so the
+    Luxemburg equation has no root.
     """
 
     def __init__(self, linear: bool):
@@ -365,18 +363,14 @@ class _StubPhi(NFunction):
     def density(self, x):
         return np.full_like(np.asarray(x, dtype=float), float(self.linear))
 
-    def rho(self, tau):
-        self.evaluations += 1
-        return super().rho(tau)
-
     def __repr__(self):
         return f"_StubPhi(linear={self.linear})"
 
 
 def test_amemiya_bracket_search_is_bounded(monkeypatch):
-    """Without a root, the Amemiya, Luxemburg and Lambda solvers refuse
-    after widening to the end of the searched range, about a dozen
-    evaluations each."""
+    """Without a root, the Amemiya and Luxemburg solvers refuse after
+    widening to the end of the searched range, about a dozen evaluations
+    each."""
     young_integral = orlicz._young_integral
 
     def counted(phi, w):
@@ -391,8 +385,7 @@ def test_amemiya_bracket_search_is_bounded(monkeypatch):
     n = 64
     f = GridFunction(n, np.exp(np.cos(grid_theta(n))))
     for linear, solve in ((True, lambda phi: orlicz_norm(f, phi)),
-                          (False, lambda phi: luxemburg_norm(f, phi)),
-                          (False, lambda phi: lambda_phi(phi, 1.0))):
+                          (False, lambda phi: luxemburg_norm(f, phi))):
         phi = _StubPhi(linear)
         with pytest.raises(NumericalConditioningError):
             solve(phi)
@@ -604,6 +597,52 @@ def test_lambda_density_at_tiny_and_subnormal_s():
         want = lambda_phi(NFunction.power(2.0), s)
         assert want == pytest.approx(s ** 0.5, rel=1e-15)
         assert lambda_phi(dens, s) == pytest.approx(want, rel=1e-9)
+
+
+def _lambda_residual(fn, s, lam):
+    """rho(1/lam) s - 1, formed as u(tau) (tau s), which stays in range
+    where 1/s and rho(tau) overflow."""
+    tau = 1.0 / lam
+    return float(fn.density(tau)) * (tau * s) - 1.0
+
+
+def test_lambda_density_closed_form_is_feasible_and_tight():
+    """lambda_phi's closed form lands on the feasible side,
+    rho(1/Lambda) <= 1/s, with |rho(1/Lambda) s - 1| <= 1e-12: on the
+    L log L Phi, its complement and the power copies for s from 5e-324 to
+    1e300, and at 1/s on every node value of rho.
+
+    A complement whose Phi has flat density segments has one-ulp ramps,
+    where rho jumps between the two nodes of a ramp.  At each ramp end,
+    with 1/s at or just above the node value of rho, Lambda is feasible
+    and either tight or the best double there is: one ulp less is not
+    feasible.  (A ramp's upper node is sometimes no 1/Lambda of a double
+    Lambda: 1/x skips doubles where the mantissa of x is above sqrt 2.)"""
+    llogl = _llogl_phi()
+    smooth = [llogl, llogl.complement(), _power_density_copy(2.0),
+              _power_density_copy(3.0)]
+    s_grid = [5e-324, 1e-320, 1e-310, *np.geomspace(1e-300, 1e300, 241)]
+    for fn in smooth:
+        node_s = [1.0 / float(fn.rho(t)) for t in fn.t_nodes[:: 1 + len(
+            fn.t_nodes) // 400]]
+        for s in [*s_grid, *node_s]:
+            s = float(s)
+            lam = lambda_phi(fn, s)
+            assert fn.rho(1.0 / lam) <= 1.0 / s, (fn, s, lam)
+            assert abs(_lambda_residual(fn, s, lam)) <= 1e-12, (fn, s, lam)
+    t = np.array([0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0])
+    u = np.array([1.0, 1.9, 1.9, 3.7, 3.7, 3.7, 6.1, 7.5])
+    ramps = NFunction.from_density(t, u).complement()
+    assert np.sum(np.diff(ramps.t_nodes) <= 4e-16 * ramps.t_nodes[1:]) == 3
+    for tau in ramps.t_nodes:
+        s = 1.0 / float(ramps.rho(tau))
+        while 1.0 / s < ramps.rho(tau):
+            s = math.nextafter(s, 0.0)
+        lam = lambda_phi(ramps, s)
+        assert ramps.rho(1.0 / lam) <= 1.0 / s, (tau, s, lam)
+        if abs(_lambda_residual(ramps, s, lam)) > 1e-12:
+            closer = math.nextafter(lam, 0.0)
+            assert ramps.rho(1.0 / closer) > 1.0 / s, (tau, s, lam)
 
 
 def test_lambda_monotone_and_vanishing():

@@ -148,12 +148,21 @@ class PairMetrics:
         rf = np.sqrt(self.f)
         rg = np.sqrt(self.g)
         h = 2.0 * np.pi / self.f.shape[-1]
+        # the products go in place, into the difference and then the
+        # defect; each rounds as in (rf - rg)^2, rf (rg - rf) defect and
+        # f defect with fresh arrays
         with np.errstate(over="ignore"):
-            t1 = np.sum((rf - rg) ** 2, axis=-1) * h
+            d = rf - rg
+            d *= d
+            t1 = np.sum(d, axis=-1) * h
+            np.subtract(rg, rf, out=d)
+            d *= rf
+            d *= defect
             # the factor 2 comes last, which is exact: 2 f would overflow
             # for f near the float maximum before a zero defect multiplies it
-            t2 = 2.0 * (np.sum(rf * (rg - rf) * defect, axis=-1) * h)
-            t3 = 2.0 * (np.sum(self.f * defect, axis=-1) * h)
+            t2 = 2.0 * (np.sum(d, axis=-1) * h)
+            defect *= self.f
+            t3 = 2.0 * (np.sum(defect, axis=-1) * h)
         return IdentityTerms(t1, t2, t3)
 
     @cached_property
@@ -298,11 +307,13 @@ def _lemma_l1(psi: np.ndarray) -> list[BoundReport]:
 class Check(NamedTuple):
     """A check's inputs, f g (read as a PairMetrics) or psi (read as a
     (B, n) block), the option ("p" or "phi") its formula takes after the
-    record, and the formula, which gives one BoundReport per row."""
+    record, the formula, which gives one BoundReport per row, and whether
+    the formula reads the complement of its phi."""
 
     inputs: tuple[str, ...]
     option: str | None
     formula: Callable[..., list[BoundReport]]
+    complement: bool = False
 
     def record(self, *grids: GridFunction):
         """The one-row record of explicit inputs."""
@@ -314,7 +325,7 @@ class Check(NamedTuple):
 CHECKS = {
     "thm2": Check(("f", "g"), None, _theorem_2),
     "cor-p": Check(("f", "g"), "p", _corollary_p),
-    "main": Check(("f", "g"), "phi", _theorem_main),
+    "main": Check(("f", "g"), "phi", _theorem_main, complement=True),
     "identity": Check(("f", "g"), None, _identity),
     "lemma-orl": Check(("psi",), "phi", _lemma_orl),
     "lemma-l1": Check(("psi",), None, _lemma_l1),

@@ -317,7 +317,7 @@ def _lp_norms(v: np.ndarray, p) -> np.ndarray:
     h = 2.0 * np.pi / a.shape[-1]
     rows = a.reshape(-1, a.shape[-1])
     with np.errstate(over="ignore"):
-        totals = (rows ** p).sum(axis=-1) * h
+        totals = (rows if p == 1.0 else rows ** p).sum(axis=-1) * h
     out = np.empty(len(rows))
     for j, total in enumerate(totals.tolist()):
         if 0.0 < total < math.inf:
@@ -400,4 +400,6 @@ def h2_distance(a: SpectralFactor, b: SpectralFactor) -> float:
         K = max(len(pa), len(pb))
         pa, pb = (np.pad(c, (0, K - len(c))) for c in (pa, pb))
     with np.errstate(over="ignore"):
-        return float(np.sqrt(2.0 * np.pi * (np.abs(pa - pb) ** 2).sum()))
+        d = np.abs(pa - pb)
+        d *= d
+        return float(np.sqrt(2.0 * np.pi * d.sum()))

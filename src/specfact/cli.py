@@ -295,7 +295,10 @@ def cmd_bounds(args, opts: dict) -> int:
     check = CHECKS[args.check]
     extra = [opts[check.option]] if check.option else []
     if check.option == "phi":  # parsed once: trials share its complement
-        extra = [NFunction.from_json_dict(json.loads(extra[0]))]
+        phi = NFunction.from_json_dict(json.loads(extra[0]))
+        if check.complement:  # refused, if at all, before any input
+            phi.complement()
+        extra = [phi]
     sweep = args.sweep is not None
     paths = [path for path in (args.f, args.g) if path is not None]
     reads = () if sweep else check.inputs

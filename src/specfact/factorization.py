@@ -95,7 +95,7 @@ def _positive_log(v: np.ndarray, floor: float | None,
             raise ParameterError(
                 f"floor must be positive and finite, got {floor}")
         v = np.maximum(v, floor, out=out)
-    if (v <= 0.0).any():
+    if np.fmin.reduce(v, axis=None) <= 0.0:  # fmin passes over nan
         rows = v.reshape(-1, v.shape[-1])
         row = rows[np.argmax(np.any(rows <= 0.0, axis=-1))]
         j = int(np.argmin(row))
@@ -124,31 +124,47 @@ def factorize_boundary(f: GridFunction,
     # complex exp, which numpy runs as a scalar loop.  |tan| <= 1.6e16 on
     # doubles, so t^2 stays finite.
     # The conjugate takes its 1/4 in the spectrum, which scales every float
-    # exactly.  F.imag holds the scratch (t^2 is formed twice) and log f is
-    # freed first: two n-sized arrays live, not three, fault fewer pages
+    # exactly.  The arithmetic runs on contiguous arrays, one pass per
+    # value: t and the two halves of F's 2n floats, w = t^2 (then 1 - t^2)
+    # and r = 1 + t^2 (then sqrt(f) / (1 + t^2), then the real part).  So
+    # t and F are the only n-sized arrays besides the sqrt(f) temporary:
+    # an array per intermediate left more heap in use after a 2^18
+    # factorization (CHANGES.md).  The real part goes to F's even floats
+    # by a forward copy: value k moves from float n + k to float 2k, never
+    # past what is still to be read.  Then the doubling writes the
+    # imaginary part 2 t r to the odd floats
     t = _conjugate(_positive_log(f.values, floor), multiplier=-0.25j)
     np.tan(t, out=t)
     F = np.empty(n, dtype=np.complex128)
+    halves = F.view(np.float64)
+    w, r = halves[:n], halves[n:]
+    np.multiply(t, t, out=w)
+    np.add(w, 1.0, out=r)
+    np.subtract(1.0, w, out=w)
     if floor is None:
-        np.sqrt(f.values, out=F.real)
+        np.divide(np.sqrt(f.values), r, out=r)
     else:
-        np.sqrt(np.maximum(f.values, floor, out=F.real), out=F.real)
-    np.multiply(t, t, out=F.imag)
-    F.imag += 1.0
-    np.divide(F.real, F.imag, out=F.real)
-    np.multiply(t, t, out=F.imag)
-    np.subtract(1.0, F.imag, out=F.imag)
-    t *= F.real
-    F.real *= F.imag
+        q = np.maximum(f.values, floor)
+        np.divide(np.sqrt(q, out=q), r, out=r)
+        del q
+    t *= r
+    r *= w
+    F.real = r
     np.add(t, t, out=F.imag)
     np.fft.fft(F, out=F)
     # F is n times the coefficients; n is a power of two, so dividing the
     # kept half is exact, and the energy ratio below is scale-free.  The
-    # division comes before the sign flip: the other order gives 0.0 where
-    # an exactly zero coefficient has -0.0 in this one.  The flip
-    # multiplies by 1 + 0j and -1 + 0j, as a sign vector would: the
-    # even entries' product turns some zeros' -0.0 into 0.0
-    coeffs = F[: n // 2] / n
+    # division is numpy's complex one by n + 0j, (x + y 0, y - x 0) / n,
+    # taken as the product with 1 - 0j, which gives its signed zeros, and
+    # a float product by the exact 1/n: the same bits, subnormals and
+    # zeros included, in under half the time.  It comes before the sign
+    # flip: the other order gives 0.0 where an exactly zero coefficient
+    # has -0.0 in this one.  The flip multiplies by 1 + 0j and -1 + 0j, as
+    # a sign vector would: the even entries' product turns some zeros'
+    # -0.0 into 0.0
+    coeffs = F[: n // 2] * complex(1.0, -0.0)
+    scaled = coeffs.view(np.float64)
+    scaled *= 1.0 / n
     coeffs[::2] *= 1.0
     coeffs[1::2] *= -1.0
     # |F| is scaled by a power of two before squaring, which is exact and

@@ -34,6 +34,7 @@ from specfact import (
     random_phase,
 )
 from specfact.bounds import _one_minus_cos, _sweep_blocks
+from specfact.circle_fn import _conjugate
 
 
 def test_identity_zero_for_equal_inputs(rng):
@@ -41,6 +42,32 @@ def test_identity_zero_for_equal_inputs(rng):
     terms = h2_identity_terms(f, f)
     assert terms.t1 == 0.0 and terms.t2 == 0.0 and terms.t3 == 0.0
     assert h2_squared_direct(f, f) == 0.0
+
+
+def test_identity_terms_match_the_fresh_array_formula_bit_for_bit(rng):
+    """PairMetrics.terms forms its products in place: T1, T2 and T3 are
+    the floats of the expression with a fresh array per operation, on
+    random (B, n) blocks, on pairs scaled to 1e-300 and 1e300, and where
+    the sums overflow to inf."""
+    blocks = []
+    for scale in (1.0, 1e-300, 1e300):
+        f, g = (np.array([scale * random_density(rng, n=1024).values
+                          for _ in range(3)]) for _ in range(2))
+        blocks.append((f, g))
+    blocks.append((np.full((1, 8), 1e308), np.full((1, 8), 1e307)))
+    for f, g in blocks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_ratio = np.log(f) - np.log(g)
+            defect = _one_minus_cos(
+                _conjugate(log_ratio, multiplier=-0.25j))
+            rf, rg = np.sqrt(f), np.sqrt(g)
+            h = 2.0 * np.pi / f.shape[-1]
+            want = (np.sum((rf - rg) ** 2, axis=-1) * h,
+                    2.0 * (np.sum(rf * (rg - rf) * defect, axis=-1) * h),
+                    2.0 * (np.sum(f * defect, axis=-1) * h))
+        terms = PairMetrics(f, g).terms
+        for got, expect in zip((terms.t1, terms.t2, terms.t3), want):
+            assert got.tobytes() == expect.tobytes()
 
 
 def test_identity_scaling_closed_form(rng):

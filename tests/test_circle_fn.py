@@ -21,7 +21,7 @@ from specfact import (
     harmonic_conjugate,
     lp_norm,
 )
-from specfact.circle_fn import _JSON_CHUNK
+from specfact.circle_fn import _JSON_CHUNK, _lp_norms
 
 
 def test_grid_theta_layout():
@@ -113,6 +113,20 @@ def test_integral_oracles():
     # L2 of cos: sqrt(pi)
     assert lp_norm(GridFunction.from_callable(np.cos, n), 2) == pytest.approx(
         math.sqrt(math.pi), rel=1e-12)
+
+
+def test_lp_norms_of_p_1_match_the_power_formula_bit_for_bit(rng):
+    """p = 1 skips the power: every row's norm is the float that
+    (|v| ** 1.0).sum() * h gives, on random (B, n) blocks, on values near
+    1e-300 and 1e300, and for a single row."""
+    for scale in (1.0, 1e-300, 1e300):
+        for shape in ((8,), (1, 64), (4, 4096), (3, 1024)):
+            v = scale * rng.normal(size=shape)
+            h = 2.0 * np.pi / shape[-1]
+            want = (np.abs(v) ** 1.0).sum(axis=-1) * h
+            got = _lp_norms(v, 1)
+            assert got.shape == want.shape
+            assert got.tobytes() == np.asarray(want).tobytes(), (scale, shape)
 
 
 def test_lp_norm_validation():
@@ -323,6 +337,33 @@ def test_h2_distance_oracle():
     expect = math.sqrt(2 * np.pi * (0.25 + 0.0625))
     assert h2_distance(a, b) == pytest.approx(expect, rel=1e-12)
     assert h2_distance(a, a) == 0.0
+
+
+def test_h2_distance_matches_the_one_pass_formula_bit_for_bit(rng):
+    """h2_distance squares |a - b| in place: the same float as
+    sqrt(2 pi sum |a - b|^2) with fresh arrays, also for series of
+    different lengths and with coefficients near 1e-300 and 1e300."""
+    for scale in (1.0, 1e-300, 1e150):
+        for ka, kb in ((1, 1), (7, 7), (2048, 2048), (5, 300), (300, 5)):
+            pa, pb = (scale * (rng.normal(size=k) + 1j * rng.normal(size=k))
+                      for k in (ka, kb))
+            a, b = SpectralFactor(pa), SpectralFactor(pb)
+            K = max(ka, kb)
+            pa, pb = (np.pad(c, (0, K - len(c))) for c in (pa, pb))
+            want = float(np.sqrt(2.0 * np.pi * (np.abs(pa - pb) ** 2).sum()))
+            assert h2_distance(a, b).hex() == want.hex(), (scale, ka, kb)
+
+
+def test_h2_distance_beyond_the_double_range_is_inf_without_warning():
+    """The documented contract: a distance beyond the double range is inf,
+    with no overflow warning, also where a - b itself overflows."""
+    a = SpectralFactor(np.array([1e308, 0.0]))
+    b = SpectralFactor(np.array([-1e308, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert h2_distance(a, b) == math.inf
+        big = SpectralFactor(np.full(4, 1e200))
+        assert h2_distance(big, SpectralFactor([0.0])) == math.inf
 
 
 def test_json_roundtrips(rng):

@@ -359,6 +359,23 @@ def test_bounds_huge_power_q_names_both_exponents(capsys):
     assert code == 0
 
 
+def test_bounds_unusable_complement_refused_before_any_draw(capsys,
+                                                            monkeypatch):
+    """main builds the complement of its phi before the sweep draws: with
+    the draw stubbed to raise, q = 1e17 still exits 2 with the complement
+    refusal."""
+    def no_draw(*args):
+        raise RuntimeError("a sweep block was drawn")
+
+    monkeypatch.setattr("specfact.cli._sweep_blocks", no_draw)
+    phi = json.dumps({"kind": "power", "q": 1e17})
+    code, out, err = run(capsys, "bounds", "--check", "main", "--sweep", "1",
+                         "--n", "256", "--phi", phi)
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "has no usable complement" in lines[0], err
+
+
 @pytest.mark.parametrize("method", ["boundary", "herglotz"])
 def test_factorize_refuses_n_for_sample_input(tmp_path, capsys, method):
     samples = tmp_path / "flat.txt"

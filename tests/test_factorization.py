@@ -291,9 +291,9 @@ def test_boundary_keeps_nothing_between_calls():
 
 def test_boundary_transient_memory_is_bounded():
     """One factorize_boundary call peaks at no more than 33 n + 4096
-    traced bytes, at n = 2^14 as at 2^18, with and without the floor: the
-    conjugate's transform, not the boundary values, sets the peak (32.6 n
-    and 32.5 n measured)."""
+    traced bytes, at n = 2^14 as at 2^18, with and without the floor:
+    the tangent array, the boundary values and one more n-sized float
+    array (32.7 n and 32.5 n measured)."""
     for n in (2 ** 14, 2 ** 18):
         f = GridFunction.from_callable(lambda t: np.exp(np.cos(t)), n)
         # numpy's FFT caches for this n are filled first

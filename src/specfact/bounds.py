@@ -17,8 +17,8 @@ term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, NamedTuple
+from functools import cached_property, partial
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,10 @@ __all__ = [
 #: 4 MB to the peak RSS of a 100-trial sweep at n = 4096.
 _SWEEP_BLOCK_BYTES = 1 << 17
 
-#: Relative pass tolerances of the bound checks, identity's on its own.
+#: The allowance of the bound checks, lhs <= rhs (1 + _TOL) + _ATOL, and
+#: identity's relative one, which scales its atol with the pair.
 _TOL = 1e-9
+_ATOL = 1e-12
 _IDENTITY_TOL = 1e-6
 
 
@@ -214,105 +216,82 @@ def _term(scale: float, distance: float) -> float:
     return scale * distance if distance else 0.0
 
 
-def _identity(pm: PairMetrics) -> list[BoundReport]:
+def _identity(pm: PairMetrics):
     """Expansion sum against the directly computed squared H2 distance."""
     terms = pm.terms
-    out = []
     for t1, t2, t3, direct in _rows(terms.t1, terms.t2, terms.t3,
                                     pm.h2_squared):
         total = t1 + t2 + t3
-        gap = abs(total - direct)
-        allow = _IDENTITY_TOL * (1.0 + abs(direct))
-        out.append(bound_report("identity", gap, 0.0, tol=0.0, atol=allow,
-                                details={"t1": t1, "t2": t2, "t3": t3,
-                                         "sum": total, "h2_squared": direct,
-                                         "rel_tol": _IDENTITY_TOL}))
-    return out
+        yield abs(total - direct), 0.0, {
+            "t1": t1, "t2": t2, "t3": t3, "sum": total, "h2_squared": direct,
+            "rel_tol": _IDENTITY_TOL,  # and an allowance scaled to the pair
+            "atol": _IDENTITY_TOL * (1.0 + abs(direct))}
 
 
-def _theorem_2(pm: PairMetrics) -> list[BoundReport]:
+def _theorem_2(pm: PairMetrics):
     """||f+ - g+||^2 <= 2 ||f - g||_1 + 2.5 ||f||_inf ||log f - log g||_1."""
     two_k0 = 2.0 * k0_constant()
-    out = []
     for lhs, l1diff, logdiff, peak in _rows(pm.h2_squared, pm.l1_diff,
                                             pm.log_l1_diff,
                                             pm.f_norm(np.inf)):
-        rhs = 2.0 * l1diff + _term(2.5 * peak, logdiff)
         rhs_sharp = 2.0 * l1diff + _term(two_k0 * peak, logdiff)
-        pass_sharp = _plain(lhs, rhs_sharp, {"tol": _TOL, "atol": 1e-12})
-        out.append(bound_report("thm2", lhs, rhs, tol=_TOL, atol=1e-12,
-                                details={"l1_diff": l1diff,
-                                         "log_l1_diff": logdiff,
-                                         "sup_f": peak, "rhs_sharp": rhs_sharp,
-                                         "pass_sharp": pass_sharp,
-                                         "two_k0": two_k0}))
-    return out
+        yield lhs, 2.0 * l1diff + _term(2.5 * peak, logdiff), {
+            "l1_diff": l1diff, "log_l1_diff": logdiff, "sup_f": peak,
+            "rhs_sharp": rhs_sharp,
+            "pass_sharp": partial(_plain, lhs, rhs_sharp), "two_k0": two_k0}
 
 
-def _corollary_p(pm: PairMetrics, p: float) -> list[BoundReport]:
+def _corollary_p(pm: PairMetrics, p: float):
     """||f+ - g+||^2 <= 2 ||f-g||_1 + C(p) ||f||_p ||log f - log g||_1^(1-1/p)."""
     lhs = pm.h2_squared  # first: a nonpositive density outranks a bad p
     cp = constant_c_p(p)
-    out = []
     for lhs, l1diff, logdiff, norm_p in _rows(lhs, pm.l1_diff,
                                               pm.log_l1_diff, pm.f_norm(p)):
         rhs = 2.0 * l1diff + _term(cp * norm_p, logdiff ** ((p - 1.0) / p))
-        out.append(bound_report("cor-p", lhs, rhs, tol=_TOL, atol=1e-12,
-                                details={"p": p, "C_p": cp, "l1_diff": l1diff,
-                                         "log_l1_diff": logdiff}))
-    return out
+        yield lhs, rhs, {"p": p, "C_p": cp, "l1_diff": l1diff,
+                         "log_l1_diff": logdiff}
 
 
-def _theorem_main(pm: PairMetrics, phi: NFunction) -> list[BoundReport]:
+def _theorem_main(pm: PairMetrics, phi: NFunction):
     """The Orlicz-space master bound, finished row by row."""
-    out = []
     for f, (lhs, l1diff, logdiff) in zip(pm.f, _rows(
             pm.h2_squared, pm.l1_diff, pm.log_l1_diff)):
         norm_f = orlicz_norm(GridFunction(len(f), f), phi.complement())
         s = 0.5 * k0_constant() * logdiff
         lam = lambda_phi(phi, s) if s > 0.0 else 0.0
-        rhs = 2.0 * l1diff + _term(4.0 * norm_f, lam)
-        out.append(bound_report("main", lhs, rhs, tol=_TOL, atol=1e-12,
-                                details={"l1_diff": l1diff,
-                                         "log_l1_diff": logdiff,
-                                         "orlicz_norm_f": norm_f,
-                                         "lambda": lam, "s": s}))
-    return out
+        yield lhs, 2.0 * l1diff + _term(4.0 * norm_f, lam), {
+            "l1_diff": l1diff, "log_l1_diff": logdiff,
+            "orlicz_norm_f": norm_f, "lambda": lam, "s": s}
 
 
-def _lemma_orl(psi: np.ndarray, phi: NFunction) -> list[BoundReport]:
+def _lemma_orl(psi: np.ndarray, phi: NFunction):
     """||1 - cos(psi~)||_(Phi) <= 2 Lambda_Phi(K0 ||psi||_1) per row of psi."""
     defect = _one_minus_cos(_conjugate(psi, multiplier=-0.5j))
-    out = []
     for d, psi_l1 in zip(defect, _lp_norms(psi, 1).tolist()):
-        lhs = luxemburg_norm(GridFunction(len(d), d), phi)
         s = k0_constant() * psi_l1
-        rhs = 2.0 * lambda_phi(phi, s) if s > 0.0 else 0.0
-        out.append(bound_report("lemma-orl", lhs, rhs, tol=_TOL, atol=1e-12,
-                                details={"s": s}))
-    return out
+        yield (luxemburg_norm(GridFunction(len(d), d), phi),
+               2.0 * lambda_phi(phi, s) if s > 0.0 else 0.0, {"s": s})
 
 
-def _lemma_l1(psi: np.ndarray) -> list[BoundReport]:
+def _lemma_l1(psi: np.ndarray):
     """||1 - cos(psi~)||_1 <= 2 K0 ||psi||_1 per row of psi."""
     defect = _one_minus_cos(_conjugate(psi, multiplier=-0.5j))
-    out = []
     for lhs, psi_l1 in _rows(_lp_norms(defect, 1), _lp_norms(psi, 1)):
-        rhs = 2.0 * k0_constant() * psi_l1
-        out.append(bound_report("lemma-l1", lhs, rhs, tol=_TOL, atol=1e-12,
-                                details={"psi_l1": psi_l1}))
-    return out
+        yield lhs, 2.0 * k0_constant() * psi_l1, {"psi_l1": psi_l1}
 
 
 class Check(NamedTuple):
-    """A check's inputs, f g (read as a PairMetrics) or psi (read as a
+    """A check's report name, inputs, f g (read as a PairMetrics) or psi (a
     (B, n) block), the option ("p" or "phi") its formula takes after the
-    record, the formula, which gives one BoundReport per row, and whether
-    the formula reads the complement of its phi."""
+    record, the formula, which yields (lhs, rhs, details) per row, its
+    allowance tol and atol, and whether it reads the complement of phi."""
 
+    name: str
     inputs: tuple[str, ...]
     option: str | None
-    formula: Callable[..., list[BoundReport]]
+    formula: Callable[..., Iterator[tuple[float, float, dict]]]
+    tol: float
+    atol: float
     complement: bool = False
 
     def record(self, *grids: GridFunction):
@@ -320,21 +299,34 @@ class Check(NamedTuple):
         return (pair_metrics(*grids) if len(grids) == 2
                 else grids[0].values[None])
 
+    def reports(self, record, *extra) -> list[BoundReport]:
+        """A BoundReport per row of the formula on record, with the row's
+        own atol if its details hold one; a details value that is a function
+        (thm2's pass_sharp) is called with the allowance."""
+        out = []
+        for lhs, rhs, details in self.formula(record, *extra):
+            allow = {"tol": self.tol, "atol": details.pop("atol", self.atol)}
+            out.append(bound_report(self.name, lhs, rhs, **allow, details={
+                key: value(allow) if callable(value) else value
+                for key, value in details.items()}))
+        return out
+
 
 #: Every check the command line offers, by name.
-CHECKS = {
-    "thm2": Check(("f", "g"), None, _theorem_2),
-    "cor-p": Check(("f", "g"), "p", _corollary_p),
-    "main": Check(("f", "g"), "phi", _theorem_main, complement=True),
-    "identity": Check(("f", "g"), None, _identity),
-    "lemma-orl": Check(("psi",), "phi", _lemma_orl),
-    "lemma-l1": Check(("psi",), None, _lemma_l1),
-}
+CHECKS = {check.name: check for check in (
+    Check("thm2", ("f", "g"), None, _theorem_2, _TOL, _ATOL),
+    Check("cor-p", ("f", "g"), "p", _corollary_p, _TOL, _ATOL),
+    Check("main", ("f", "g"), "phi", _theorem_main, _TOL, _ATOL,
+          complement=True),
+    Check("identity", ("f", "g"), None, _identity, 0.0, _ATOL),  # atol by row
+    Check("lemma-orl", ("psi",), "phi", _lemma_orl, _TOL, _ATOL),
+    Check("lemma-l1", ("psi",), None, _lemma_l1, _TOL, _ATOL),
+)}
 
 
 def check_identity(f: GridFunction, g: GridFunction) -> BoundReport:
     """Expansion sum against the directly computed squared H2 distance."""
-    return _identity(pair_metrics(f, g))[0]
+    return CHECKS["identity"].reports(pair_metrics(f, g))[0]
 
 
 def check_theorem_2(f: GridFunction, g: GridFunction) -> BoundReport:
@@ -343,7 +335,7 @@ def check_theorem_2(f: GridFunction, g: GridFunction) -> BoundReport:
     The headline right side uses the round constant 2.5; the sharper value
     2*K0 is reported alongside and both must hold for the check to pass.
     """
-    return _theorem_2(pair_metrics(f, g))[0]
+    return CHECKS["thm2"].reports(pair_metrics(f, g))[0]
 
 
 def constant_c_p(p: float) -> float:
@@ -364,7 +356,7 @@ def constant_c_inf() -> float:
 def check_corollary_p(f: GridFunction, g: GridFunction,
                       p: float) -> BoundReport:
     """||f+ - g+||^2 <= 2 ||f-g||_1 + C(p) ||f||_p ||log f - log g||_1^(1-1/p)."""
-    return _corollary_p(pair_metrics(f, g), p)[0]
+    return CHECKS["cor-p"].reports(pair_metrics(f, g), p)[0]
 
 
 def check_theorem_main(f: GridFunction, g: GridFunction,
@@ -374,17 +366,17 @@ def check_theorem_main(f: GridFunction, g: GridFunction,
     ||f+ - g+||^2 <= 2 ||f-g||_1 + 4 ||f||_Psi Lambda_Phi((K0/2) ||log f - log g||_1)
     with Psi the complement of Phi and ||.||_Psi the Orlicz (Amemiya) norm.
     """
-    return _theorem_main(pair_metrics(f, g), phi)[0]
+    return CHECKS["main"].reports(pair_metrics(f, g), phi)[0]
 
 
 def check_lemma_orl(psi: GridFunction, phi: NFunction) -> BoundReport:
     """||1 - cos(psi~)||_(Phi) <= 2 Lambda_Phi(K0 ||psi||_1)."""
-    return _lemma_orl(psi.values[None], phi)[0]
+    return CHECKS["lemma-orl"].reports(psi.values[None], phi)[0]
 
 
 def check_lemma_l1(psi: GridFunction) -> BoundReport:
     """||1 - cos(psi~)||_1 <= 2 K0 ||psi||_1."""
-    return _lemma_l1(psi.values[None])[0]
+    return CHECKS["lemma-l1"].reports(psi.values[None])[0]
 
 
 def convergence_demo(f: GridFunction, perturbations) -> list[tuple[float, float, float]]:

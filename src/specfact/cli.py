@@ -320,7 +320,7 @@ def cmd_bounds(args, opts: dict) -> int:
         records = [check.record(*_grids(inputs, opts["n"],
                                         args.n is not None))]
     reports = [rep for record in records
-               for rep in check.formula(record, *extra)]
+               for rep in check.reports(record, *extra)]
     for i, rep in enumerate(reports):
         _emit({"trial": i, **rep.to_json_dict()} if sweep
               else rep.to_json_dict())

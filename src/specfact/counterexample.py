@@ -70,7 +70,6 @@ class CounterexampleFamily:
     bump_center_u: float
     bump_halfwidth_u: float
     log_bump_height: float
-    bump_theta_width: float
     n: int | None = None
 
     @property
@@ -142,8 +141,7 @@ def build_family(n: int | None = None, du: float = 0.1,
         log_height = u_star - math.log(4.0 * math.sinh(du))
     return CounterexampleFamily(
         eps=eps, variant=variant, bump_center_u=u_star,
-        bump_halfwidth_u=du, log_bump_height=log_height,
-        bump_theta_width=width, n=n)
+        bump_halfwidth_u=du, log_bump_height=log_height, n=n)
 
 
 def _pairing_ratio(fam: CounterexampleFamily) -> tuple[float, float]:
@@ -213,11 +211,8 @@ class FamilyMetrics:
     t1: float
     t2: float
     t3: float
-    l1_f: float
-    arc_mass: float
     pairing_ratio: float
     delta_r: float
-    log_l1_f: float | None
     ratio_error: float
 
 
@@ -238,12 +233,10 @@ def family_metrics(fam: CounterexampleFamily) -> FamilyMetrics:
         bump_coeff = 1.0 - eps / 2.0
         floor_density = eps / (4.0 * math.pi)
         arc_mass = 1.0 - eps / 4.0
-        l1_f = 1.0
     else:
         bump_coeff = 1.0
         floor_density = 1.0
         arc_mass = 1.0 + math.pi
-        l1_f = 1.0 + 2.0 * math.pi
 
     ratio, ratio_error = _pairing_ratio(fam)
     bump_defect = bump_coeff * ratio
@@ -257,21 +250,11 @@ def family_metrics(fam: CounterexampleFamily) -> FamilyMetrics:
     m3 = t3 - 4.0 * m1
     m4 = t1 + t2 + t3
 
-    log_l1_f = None
-    if fam.variant == "plus-one":
-        # ||log f||_1 = log(1 + c)/c with c the bump height
-        lc = fam.log_bump_height
-        if lc < 700.0:
-            log_l1_f = math.log1p(math.exp(lc)) * math.exp(-lc)
-        else:
-            log_l1_f = math.exp(math.log(lc) - lc)
-
     return FamilyMetrics(
         variant=fam.variant, eps=eps,
         m1=m1, m2=m2, m3=m3, m4=m4, t1=t1, t2=t2, t3=t3,
-        l1_f=l1_f, arc_mass=arc_mass,
         pairing_ratio=ratio, delta_r=1.0 - ratio / 2.0,
-        log_l1_f=log_l1_f, ratio_error=ratio_error)
+        ratio_error=ratio_error)
 
 
 def verify_theorem_1(n: int, du: float = 0.1,

@@ -77,7 +77,7 @@ INPUTS = {
     "huge_f.txt": lambda: "1e308\n" * 8,
     "huge_g.txt": lambda: "1e307\n" * 8,
     "wrong.json": lambda: '{"n": 8, "values": {"a": 1}}',
-    "strings.json": lambda: '{"values": ["4", "4", "4", "4", "4", "4", "4", "4"]}',
+    "strings.json": lambda: json.dumps({"values": ["4"] * 8}),
 }
 
 
@@ -141,7 +141,8 @@ def manifest() -> list[list[str]]:
         ["bounds", "{in}/flat.txt", "--check", "lemma-l1", "--seed", "1"],
         ["bounds", "--check", "thm2", "--sweep", "1", "--n", "64",
          "--degree", "32"],
-        ["factorize", "{in}/flat.txt", "--method", "herglotz", "--degree", "4"],
+        ["factorize", "{in}/flat.txt", "--method", "herglotz",
+         "--degree", "4"],
         ["factorize", "{in}/missing.txt", "--method", "boundary"],
         ["factorize", "{in}/wrong.json", "--method", "boundary"],
         ["factorize", "{in}/strings.json", "--method", "boundary"],

@@ -792,6 +792,22 @@ def test_bounds_check_choices_come_from_the_table(capsys):
                              "lemma-orl", "lemma-l1")
 
 
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_each_check_prints_its_table_name_and_allowance(capsys, name):
+    """A one-trial sweep prints the report name of its CHECKS key and the
+    table's tol and atol; identity's atol is 1e-6 (1 + h2_squared)."""
+    code, out, _ = run(capsys, "bounds", "--check", name, "--sweep", "1",
+                       "--n", "256")
+    [obj] = out_lines(out)
+    check, details = CHECKS[name], obj["details"]
+    assert code == 0 and obj["name"] == name == check.name
+    atol = (1e-6 * (1.0 + details["h2_squared"]) if name == "identity"
+            else check.atol)
+    assert (details["tol"], details["atol"]) == (check.tol, atol)
+    assert check.tol == (0.0 if name == "identity" else 1e-9)
+    assert check.atol == 1e-12
+
+
 def test_no_command_loads_scipy(tmp_path):
     """The package runs without scipy: with scipy made unimportable,
     importing specfact, all six bounds checks (main and lemma-orl under an

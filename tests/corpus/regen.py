@@ -65,6 +65,9 @@ INPUTS = {
     "zero.txt": lambda: "1 1 1 0 1 1 1 1\n",
     "series.json": lambda: ('{"coeffs": {"0": [1.25, 0], "1": [-0.5, 0], '
                             '"-1": [-0.5, 0]}}'),
+    # 1 + cos t, zero at the sample theta = -pi
+    "cos.json": lambda: ('{"coeffs": {"0": [1, 0], "1": [0.5, 0], '
+                         '"-1": [0.5, 0]}}'),
     "series32.json": _series_32,
     "big.txt": lambda: "1e302\n" * 4096,
     "sine.txt": lambda: "\n".join(
@@ -117,8 +120,10 @@ def manifest() -> list[list[str]]:
         ["factorize", "{in}/big.txt", "--method", "boundary"],
         ["factorize", "{in}/sine.txt", "--method", "boundary"],
         ["factorize", "{in}/zero.txt", "--method", "boundary"],
-        ["factorize", "{in}/zero.txt", "--method", "herglotz",
-         "--floor", "1e-3"],
+        *(["factorize", "{in}/zero.txt", "--method", method, "--floor", "1e-3"]
+          for method in ("boundary", "herglotz")),
+        *(["factorize", "{in}/cos.json", "--method", method, "--floor", "1e-3"]
+          for method in ("boundary", "herglotz")),
         *(["counterexample", "--sweep", "5", "--variant", variant]
           for variant in ("floored", "plus-one")),
         ["counterexample", "--n", str(10 ** 15)],

@@ -117,7 +117,7 @@ class PairMetrics:
     @cached_property
     def log_ratio(self) -> np.ndarray:
         """log f - log g; raises DomainError where f or g is not positive."""
-        return _positive_log(self.f, None) - _positive_log(self.g, None)
+        return _positive_log(self.f) - _positive_log(self.g)
 
     @cached_property
     def l1_diff(self) -> np.ndarray:

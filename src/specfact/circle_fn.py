@@ -80,7 +80,8 @@ def _adopt(v: np.ndarray, dtype) -> np.ndarray:
     v is shared when it is read-only, C-contiguous and of dtype, and the
     array that owns its memory (v, or its base) is read-only too.  Package
     code hands over the arrays it has just made that way, and never sets
-    them writeable again.
+    them writeable again but in one place: factorize's --floor clamps, in
+    place, the samples of the grid it has just made from its input.
     """
     owner = v if v.base is None else v.base
     if (not v.flags.writeable and v.flags.c_contiguous and v.dtype == dtype
@@ -217,9 +218,10 @@ class SpectralFactor:
     origin positive); plain construction does not force this, so imposters
     can be represented and then rejected by the outer check.
 
-    floor_applied records the clamp level when the source density was
-    floored before taking logs; neg_energy records the relative energy the
-    boundary extraction found at negative frequencies.
+    floor_applied records the clamp level when the command line's --floor
+    floored the density before it was factored (no route reads or sets
+    it); neg_energy records the relative energy the boundary extraction
+    found at negative frequencies.
 
     ``coeffs`` is read-only complex128, shared or copied by GridFunction's
     rule: the given array itself when it is read-only, C-contiguous
@@ -296,19 +298,14 @@ class SpectralFactor:
         fh.write(line[gap:])
 
 
-def lp_norm(f: GridFunction, p) -> float:
+def lp_norm(f: GridFunction, p: float) -> float:
     """Grid L^p norm (sum_j |f_j|^p * 2*pi/n)^(1/p); the max for p = inf."""
     return float(_lp_norms(f.values, p))
 
 
-def _lp_norms(v: np.ndarray, p) -> np.ndarray:
+def _lp_norms(v: np.ndarray, p: float) -> np.ndarray:
     """lp_norm of every row of v along the last axis, row for row the same
     floats as lp_norm of that row."""
-    if isinstance(p, str):
-        if p.lower() not in ("inf", "infinity"):
-            raise ParameterError(f"unrecognized exponent {p!r}")
-        p = np.inf
-    p = float(p)
     if not p >= 1.0:
         raise ParameterError(f"exponent must satisfy p >= 1, got {p}")
     a = np.abs(v)

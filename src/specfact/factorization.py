@@ -83,18 +83,17 @@ _BLAS_ONE_THREAD = 1 << 18
 #: coefficient tolerance.
 HERGLOTZ_MAX_DEGREE = 210
 
-def _positive_log(v: np.ndarray, floor: float | None,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """log of real samples, rows along the last axis, after the floor;
-    written to `out` when given.  A sample that is not positive raises
-    DomainError, whose message leaves the remedy, floor=, to the caller."""
+#: factorize_herglotz refuses points beyond this radius, where the
+#: rectangle-rule kernel loses accuracy.
+HERGLOTZ_R_MAX = 0.95
+
+
+def _positive_log(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log of real samples, rows along the last axis, written to `out` when
+    given.  A sample that is not positive raises DomainError, whose message
+    leaves the remedy, such as the command line's --floor, to the caller."""
     if np.iscomplexobj(v):
         raise ParameterError("factorization expects a real density")
-    if floor is not None:
-        if not 0.0 < floor < math.inf:
-            raise ParameterError(
-                f"floor must be positive and finite, got {floor}")
-        v = np.maximum(v, floor, out=out)
     if np.fmin.reduce(v, axis=None) <= 0.0:  # fmin passes over nan
         rows = v.reshape(-1, v.shape[-1])
         row = rows[np.argmax(np.any(rows <= 0.0, axis=-1))]
@@ -106,8 +105,7 @@ def _positive_log(v: np.ndarray, floor: float | None,
     return np.log(v, out=out)
 
 
-def factorize_boundary(f: GridFunction,
-                       floor: float | None = None) -> SpectralFactor:
+def factorize_boundary(f: GridFunction) -> SpectralFactor:
     """Outer factor from boundary values sqrt(f) * exp((i/2) (log f)~).
 
     The one-sided coefficients a_0 .. a_{n/2-1} are extracted by FFT and the
@@ -115,7 +113,7 @@ def factorize_boundary(f: GridFunction,
     and positive.  Energy left at negative frequencies is recorded on the
     result; for smooth positive f it is at roundoff level, and a large value
     flags a density the grid cannot resolve.  A sample that is not
-    positive raises DomainError; floor= clamps the samples first.
+    positive raises DomainError.
     """
     n = f.n
     # the boundary values F = sqrt(f) e^{2iu}, u = (log f)~ / 4, by the
@@ -133,7 +131,7 @@ def factorize_boundary(f: GridFunction,
     # by a forward copy: value k moves from float n + k to float 2k, never
     # past what is still to be read.  Then the doubling writes the
     # imaginary part 2 t r to the odd floats
-    t = _conjugate(_positive_log(f.values, floor), multiplier=-0.25j)
+    t = _conjugate(_positive_log(f.values), multiplier=-0.25j)
     np.tan(t, out=t)
     F = np.empty(n, dtype=np.complex128)
     halves = F.view(np.float64)
@@ -141,12 +139,7 @@ def factorize_boundary(f: GridFunction,
     np.multiply(t, t, out=w)
     np.add(w, 1.0, out=r)
     np.subtract(1.0, w, out=w)
-    if floor is None:
-        np.divide(np.sqrt(f.values), r, out=r)
-    else:
-        q = np.maximum(f.values, floor)
-        np.divide(np.sqrt(q, out=q), r, out=r)
-        del q
+    np.divide(np.sqrt(f.values), r, out=r)
     t *= r
     r *= w
     F.real = r
@@ -181,17 +174,16 @@ def factorize_boundary(f: GridFunction,
     coeffs[0] = abs(a0)
     # handed over read-only, the factor keeps this array without a copy
     coeffs.setflags(write=False)
-    return SpectralFactor(coeffs, floor_applied=floor,
-                          neg_energy=neg / total if total > 0 else 0.0)
+    return SpectralFactor(coeffs, neg_energy=neg / total if total > 0 else 0.0)
 
 
-def factorize_herglotz(f: GridFunction, points, r_max: float = 0.95,
-                       floor: float | None = None):
+def factorize_herglotz(f: GridFunction, points):
     """Outer factor values exp((1/4pi) int (e^{i t}+z)/(e^{i t}-z) log f dt).
 
-    Evaluates at the given interior points; |z| <= r_max is enforced because
-    the rectangle-rule kernel loses accuracy near the boundary.  Returns a
-    complex array shaped like `points` (a scalar input gives a scalar).
+    Evaluates at the given interior points; |z| <= HERGLOTZ_R_MAX is
+    enforced because the rectangle-rule kernel loses accuracy near the
+    boundary.  Returns a complex array shaped like `points` (a scalar
+    input gives a scalar).
     This is the path for arbitrary points; the command line's evenly
     spaced circle goes through _herglotz_circle, which is checked against
     this kernel.
@@ -208,16 +200,16 @@ def factorize_herglotz(f: GridFunction, points, r_max: float = 0.95,
     between the cos and sin sums.  D comes from the differences, which do
     not cancel as |z| nears the circle.  Blocks of bounded size keep memory
     flat in n; no FFT of log f is taken.  A sample that is not positive
-    raises DomainError; floor= clamps the samples first.
+    raises DomainError.
     """
-    logf = _positive_log(f.values, floor)
+    logf = _positive_log(f.values)
     z = np.asarray(points, dtype=np.complex128)
     radius = np.abs(z)
-    if np.any(radius > r_max + 1e-15):
+    if np.any(radius > HERGLOTZ_R_MAX + 1e-15):
         j = int(np.argmax(radius))
         raise ParameterError(
             f"evaluation point {z.flat[j]} has |z| = {radius.flat[j]:.6f} "
-            f"> r_max = {r_max}")
+            f"> r_max = {HERGLOTZ_R_MAX}")
     n = f.n
     theta = grid_theta(n)
     cos, sin = np.cos(theta), np.sin(theta)
@@ -254,8 +246,7 @@ def _herglotz_values(z: np.ndarray, c: float, n: int, re: np.ndarray,
     return np.exp((re + 1j * im) / (2.0 * n) + 0.5 * c * (1.0 + zn) / (1.0 - zn))
 
 
-def _herglotz_circle(f: GridFunction, floor: float | None, m: int,
-                     r: float) -> np.ndarray:
+def _herglotz_circle(f: GridFunction, m: int, r: float) -> np.ndarray:
     """factorize_herglotz at the m points z_p = r e^{2 pi i p / m}, m a
     power of two.
 
@@ -280,7 +271,7 @@ def _herglotz_circle(f: GridFunction, floor: float | None, m: int,
     b = L // m
     u = np.zeros(L)
     on_grid = u[:: L // n]
-    _positive_log(f.values, floor, out=on_grid)
+    _positive_log(f.values, out=on_grid)
     c = float(np.mean(on_grid))
     on_grid -= c
     dev = u.reshape(m, b)
@@ -320,8 +311,7 @@ def _herglotz_circle(f: GridFunction, floor: float | None, m: int,
                             -2.0 * r * s[:, 1])
 
 
-def _herglotz_factor(f: GridFunction, floor: float | None,
-                     degree: int) -> SpectralFactor:
+def _herglotz_factor(f: GridFunction, degree: int) -> SpectralFactor:
     """Taylor coefficients of the Herglotz-route factor.
 
     Samples the factor on the circle |z| = 0.9 and divides the FFT
@@ -334,12 +324,12 @@ def _herglotz_factor(f: GridFunction, floor: float | None,
     m = 512
     while m < 4 * (degree + 1):
         m *= 2
-    vals = _herglotz_circle(f, floor, m, r)
+    vals = _herglotz_circle(f, m, r)
     c = np.fft.fft(vals) / m
     a = c[: degree + 1] / r ** np.arange(degree + 1)
     a = a * np.exp(-1j * np.angle(a[0]))
     a.setflags(write=False)
-    return SpectralFactor(a, floor_applied=floor)
+    return SpectralFactor(a)
 
 
 def _validation_grid(degree: int) -> int:
@@ -467,10 +457,10 @@ def outer_check(factor: SpectralFactor, f: GridFunction) -> BoundReport:
     For the outer factor, log f_plus(0) equals the logarithmic mean
     (1/4pi) int log f dtheta; any inner-factor contamination strictly lowers
     the left side.  Passes iff |lhs - rhs| <= tol (1 + |rhs|), tol = 1e-8.
-    f is floored at factor.floor_applied, as the factor's density was.
+    f is read as given: pass the density the factor was made from.
     """
     tol = 1e-8
-    logf = _positive_log(f.values, factor.floor_applied)
+    logf = _positive_log(f.values)
     rhs = float(np.mean(logf)) / 2.0
     a0 = factor.value_at_zero
     details = {"a0": a0, "log_mean_half": rhs, "tol": tol}

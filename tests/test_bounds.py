@@ -143,7 +143,7 @@ def test_theorem_2_scaling_closed_form(rng):
         assert rep.lhs == pytest.approx(
             (1 - math.sqrt(c)) ** 2 * lp_norm(f, 1), rel=1e-9)
         expect_rhs = 2 * abs(1 - c) * lp_norm(f, 1) + \
-            2.5 * lp_norm(f, "inf") * 2 * math.pi * abs(math.log(c))
+            2.5 * lp_norm(f, np.inf) * 2 * math.pi * abs(math.log(c))
         assert rep.rhs == pytest.approx(expect_rhs, rel=1e-12)
 
 

@@ -109,7 +109,7 @@ def test_integral_oracles():
     f = GridFunction.from_callable(lambda t: 1.25 - np.cos(t), n)
     assert lp_norm(f, 1) == pytest.approx(2.5 * np.pi, abs=1e-12)
     assert lp_norm(one, 1) == pytest.approx(2 * np.pi, abs=1e-12)
-    assert lp_norm(GridFunction.from_callable(np.cos, n), "inf") == 1.0
+    assert lp_norm(GridFunction.from_callable(np.cos, n), np.inf) == 1.0
     # L2 of cos: sqrt(pi)
     assert lp_norm(GridFunction.from_callable(np.cos, n), 2) == pytest.approx(
         math.sqrt(math.pi), rel=1e-12)
@@ -134,7 +134,9 @@ def test_lp_norm_validation():
     with pytest.raises(ParameterError):
         lp_norm(f, 0.5)
     with pytest.raises(ParameterError):
-        lp_norm(f, "sup")
+        lp_norm(f, math.nan)
+    with pytest.raises(TypeError):  # numbers only: np.inf, not "inf"
+        lp_norm(f, "inf")
 
 
 def test_lp_norm_large_exponent_factors_out_the_peak(rng):

@@ -194,6 +194,36 @@ def test_factorize_refuses_a_floor_that_is_not_positive_and_finite(
     assert len(lines) == 1 and "floor must be positive and finite" in lines[0]
 
 
+@pytest.mark.parametrize("method", ["boundary", "herglotz"])
+@pytest.mark.parametrize("source", ["samples", "series"])
+@pytest.mark.parametrize("floor", [0.3, 1e-9])
+def test_floor_only_prepares_the_input(tmp_path, capsys, method, source,
+                                       floor):
+    """factorize X --floor c prints, bit for bit, the line that factorize
+    of the text samples max(x, c) prints, plus the floor key: the routes
+    and the outer check read the clamped density as given.  Both inputs
+    have the minimum 0.25, so 0.3 binds and 1e-9 does not."""
+    n = 256
+    theta = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    if source == "series":
+        path = tmp_path / "series.json"
+        path.write_text('{"coeffs": {"0": [1.25, 0], "1": [-0.5, 0], '
+                        '"-1": [-0.5, 0]}}')
+        x = specfact.fourier_synthesize(
+            specfact.FourierSeries({0: 1.25, 1: -0.5, -1: -0.5}), n).values
+        argv = [str(path), "--n", str(n)]
+    else:
+        x = np.abs(1 + np.exp(1j * theta) / 2) ** 2
+        argv = [_write_samples(tmp_path / "x.txt", x)]
+    clamped = _write_samples(tmp_path / "clamped.txt", np.maximum(x, floor))
+    code, out, err = run(capsys, "factorize", *argv, "--method", method,
+                         "--floor", repr(floor))
+    assert run(capsys, "factorize", clamped, "--method", method) == (
+        code, out.replace(f'"floor": {floor!r}, ', "", 1), err)
+    assert out.startswith(f'{{"floor": {floor!r}, ') and not err
+    assert json.loads(out)["outer"]["pass"] is True
+
+
 def test_factorize_density_near_the_float_maximum(tmp_path, capsys):
     """4096 samples of 1e302: n^2 max f overflows, the energy ratio does
     not, and the run exits 0 with no numpy warning."""

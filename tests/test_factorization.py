@@ -22,8 +22,10 @@ from specfact import (
     outer_check,
     random_density,
 )
+from specfact import factorization
 from specfact.factorization import (
     FR_MAX_DEGREE,
+    HERGLOTZ_R_MAX,
     _angle_clusters,
     _herglotz_circle,
 )
@@ -76,22 +78,20 @@ def test_boundary_modulus_matches_density(rng):
     assert np.max(np.abs(np.abs(boundary) ** 2 - f.values)) < 1e-10
 
 
-def test_boundary_rejects_nonpositive_without_floor():
+def test_routes_reject_a_nonpositive_density():
+    """The routes factor the density as given: a zero sample raises
+    DomainError, and the factor records no floor."""
     vals = np.ones(64)
     vals[10] = 0.0
-    with pytest.raises(DomainError):
-        factorize_boundary(GridFunction(64, vals))
-    fac = factorize_boundary(GridFunction(64, vals), floor=1e-8)
-    assert fac.floor_applied == 1e-8
-
-
-@pytest.mark.parametrize("floor", [math.inf, math.nan, 0.0, -1.0])
-def test_floor_must_be_positive_and_finite(floor):
-    f = GridFunction(8, np.full(8, 4.0))
-    with pytest.raises(ParameterError, match="positive and finite"):
-        factorize_boundary(f, floor=floor)
-    with pytest.raises(ParameterError, match="positive and finite"):
-        factorize_herglotz(f, [0.0], floor=floor)
+    zero = GridFunction(64, vals)
+    with pytest.raises(DomainError, match="sample 10"):
+        factorize_boundary(zero)
+    with pytest.raises(DomainError, match="sample 10"):
+        factorize_herglotz(zero, 0.0)
+    with pytest.raises(DomainError, match="sample 10"):
+        _herglotz_circle(zero, 512, 0.9)
+    vals[10] = 1e-8
+    assert factorize_boundary(GridFunction(64, vals)).floor_applied is None
 
 
 def test_boundary_energy_near_the_float_maximum(recwarn):
@@ -136,11 +136,11 @@ def _boundary_coefficients(F, n):
     return coeffs, neg
 
 
-def _boundary_reference(f, floor=None):
+def _boundary_reference(f):
     """factorize_boundary's formula with fresh arrays for every step: the
     boundary values sqrt(f) e^{2iu}, u = (log f)~ / 4, by the half-angle
     forms in t = tan u.  Returns (coeffs, neg_energy)."""
-    v = f.values if floor is None else np.maximum(f.values, floor)
+    v = f.values
     n = f.n
     R = np.fft.rfft(np.log(v))
     R *= -0.25j
@@ -181,14 +181,16 @@ def _densities(sizes):
 def test_boundary_matches_the_reference_formula_bit_for_bit():
     """The kept buffers, the in-place transforms and the division of the
     kept half only change no bit of the coefficients or of neg_energy,
-    also with the floor clamping about half the samples, and with the
-    sizes alternating so that every call replaces the buffers."""
+    also on a density clamped at its median, flat on half the circle, and
+    with the sizes alternating so that every call replaces the buffers."""
     for f in _densities([8, 4096, 16384, 2 ** 18, 4096, 8]):
-        for floor in (None, float(np.median(f.values))):
-            fac = factorize_boundary(f, floor=floor)
-            coeffs, neg = _boundary_reference(f, floor)
-            assert fac.coeffs.tobytes() == coeffs.tobytes(), (f.n, floor)
-            assert fac.neg_energy.hex() == neg.hex(), (f.n, floor)
+        clamped = GridFunction(f.n, np.maximum(f.values,
+                                               np.median(f.values)))
+        for g in (f, clamped):
+            fac = factorize_boundary(g)
+            coeffs, neg = _boundary_reference(g)
+            assert fac.coeffs.tobytes() == coeffs.tobytes(), f.n
+            assert fac.neg_energy.hex() == neg.hex(), f.n
 
 
 def test_boundary_matches_the_complex_exp_formula():
@@ -291,22 +293,21 @@ def test_boundary_keeps_nothing_between_calls():
 
 def test_boundary_transient_memory_is_bounded():
     """One factorize_boundary call peaks at no more than 33 n + 4096
-    traced bytes, at n = 2^14 as at 2^18, with and without the floor:
-    the tangent array, the boundary values and one more n-sized float
-    array (32.7 n and 32.5 n measured)."""
+    traced bytes, at n = 2^14 as at 2^18: the tangent array, the boundary
+    values and one more n-sized float array (32.7 n and 32.5 n
+    measured)."""
     for n in (2 ** 14, 2 ** 18):
         f = GridFunction.from_callable(lambda t: np.exp(np.cos(t)), n)
         # numpy's FFT caches for this n are filled first
         np.fft.irfft(np.fft.rfft(np.zeros(n)), n)
         np.fft.fft(np.zeros(n, dtype=complex))
-        for floor in (None, 1e-3):
-            tracemalloc.start()
-            try:
-                factorize_boundary(f, floor=floor)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 33 * n + 4096, (n, floor, peak / n)
+        tracemalloc.start()
+        try:
+            factorize_boundary(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 33 * n + 4096, (n, peak / n)
 
 
 def test_herglotz_values_quarter_poly():
@@ -320,9 +321,9 @@ def test_herglotz_values_quarter_poly():
 
 def test_herglotz_radius_guard():
     f = GridFunction(64, np.ones(64))
-    with pytest.raises(ParameterError):
-        factorize_herglotz(f, 0.99)
-    assert factorize_herglotz(f, 0.99, r_max=0.995) == pytest.approx(1.0)
+    with pytest.raises(ParameterError, match=r"\|z\| = 0.960000 > r_max = 0.95"):
+        factorize_herglotz(f, 0.96)
+    assert factorize_herglotz(f, HERGLOTZ_R_MAX) == pytest.approx(1.0)
 
 
 def _dense_herglotz(f, z):
@@ -333,7 +334,9 @@ def _dense_herglotz(f, z):
     return np.exp(kernel @ np.log(f.values) / (2.0 * f.n))
 
 
-def test_herglotz_matches_dense_oracle(rng):
+def test_herglotz_matches_dense_oracle(rng, monkeypatch):
+    # the kernel's accuracy at the rim, beyond the radius it accepts
+    monkeypatch.setattr(factorization, "HERGLOTZ_R_MAX", 0.995)
     n = 4096
     th = grid_theta(n)
     f = GridFunction(n, np.exp(np.cos(th) - 0.4 * np.sin(3 * th)
@@ -341,7 +344,7 @@ def test_herglotz_matches_dense_oracle(rng):
     r = 0.995 * np.sqrt(rng.uniform(0.0, 1.0, 300))
     r[:20] = 0.995  # the rim, where a 1 + |z|^2 - 2 Re(z e^{-it}) form cancels
     z = r * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
-    got = factorize_herglotz(f, z, r_max=0.995)
+    got = factorize_herglotz(f, z)
     want = _dense_herglotz(f, z)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
@@ -382,17 +385,20 @@ def _asymmetric_density(n):
 @pytest.mark.parametrize("m", [512, 1024])
 @pytest.mark.parametrize("n", [8, 256, 512, 4096, 2 ** 16])
 def test_herglotz_circle_matches_direct_kernel(n, m, floor):
-    """The circle kernel's wrapped diagonals are the direct kernel's sums:
-    an off-by-one diagonal or a sign slip in sin psi fails here."""
+    """The circle kernel's wrapped diagonals are the direct kernel's sums,
+    also on the density clamped at a floor: an off-by-one diagonal or a
+    sign slip in sin psi fails here."""
     f = _asymmetric_density(n)
-    got = _herglotz_circle(f, floor, m, 0.9)
-    want = factorize_herglotz(f, _circle(m), floor=floor)
+    if floor is not None:
+        f = GridFunction(n, np.maximum(f.values, floor))
+    got = _herglotz_circle(f, m, 0.9)
+    want = factorize_herglotz(f, _circle(m))
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
 
 def test_herglotz_circle_matches_dense_oracle():
     f = _asymmetric_density(4096)
-    got = _herglotz_circle(f, None, 512, 0.9)
+    got = _herglotz_circle(f, 512, 0.9)
     want = _dense_herglotz(f, _circle(512))
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
@@ -402,7 +408,7 @@ def test_herglotz_circle_matches_dense_oracle():
     pytest.param(2 ** 16, lambda f: factorize_herglotz(f, _circle(512)), 64,
                  id="direct"),
     # an (m x n) kernel at 2^18 samples would take 1 GB
-    pytest.param(2 ** 18, lambda f: _herglotz_circle(f, None, 512, 0.9), 48,
+    pytest.param(2 ** 18, lambda f: _herglotz_circle(f, 512, 0.9), 48,
                  id="circle"),
 ])
 def test_herglotz_memory_is_bounded(n, kernel, limit):
@@ -530,20 +536,25 @@ def test_outer_check_accepts_true_factor_and_rejects_imposters():
     assert not outer_check(reflected, f).passed
 
 
-def test_outer_check_reads_the_factor_floor():
-    """outer_check compares a floored factor against f floored at the same
-    level: a floor above the density's minimum, and a density that is zero
-    on half the circle."""
+def test_outer_check_reads_the_density_as_given():
+    """outer_check reads f as given, as the routes do: a factor of a
+    clamped density passes against that density and not against the
+    unclamped one, whether the clamp binds above the minimum or the
+    density is zero on half the circle."""
     n = 1024
-    for f, floor in (
-            (GridFunction.from_callable(lambda t: 0.2 + np.cos(t) ** 2, n),
-             0.5),
-            (GridFunction.from_callable(
-                lambda t: np.maximum(np.cos(t), 0.0) ** 2, n), 0.1)):
+    positive = GridFunction.from_callable(lambda t: 0.2 + np.cos(t) ** 2, n)
+    half = GridFunction.from_callable(
+        lambda t: np.maximum(np.cos(t), 0.0) ** 2, n)
+    for f, floor in ((positive, 0.5), (half, 0.1)):
         floored = GridFunction(n, np.maximum(f.values, floor))
-        assert outer_check(factorize_boundary(floored), floored).passed
-        rep = outer_check(factorize_boundary(f, floor=floor), f)
+        factor = factorize_boundary(floored)
+        rep = outer_check(factor, floored)
         assert rep.passed, (floor, rep.lhs, rep.rhs)
+    assert not outer_check(factorize_boundary(
+        GridFunction(n, np.maximum(positive.values, 0.5))), positive).passed
+    with pytest.raises(DomainError):
+        outer_check(factorize_boundary(
+            GridFunction(n, np.maximum(half.values, 0.1))), half)
 
 
 def test_three_routes_agree_on_polynomial_density(rng):

@@ -321,7 +321,8 @@ def test_herglotz_values_quarter_poly():
 
 def test_herglotz_radius_guard():
     f = GridFunction(64, np.ones(64))
-    with pytest.raises(ParameterError, match=r"\|z\| = 0.960000 > r_max = 0.95"):
+    with pytest.raises(ParameterError,
+                       match=r"\|z\| = 0.960000 > r_max = 0.95"):
         factorize_herglotz(f, 0.96)
     assert factorize_herglotz(f, HERGLOTZ_R_MAX) == pytest.approx(1.0)
 

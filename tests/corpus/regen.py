@@ -68,6 +68,13 @@ INPUTS = {
     # 1 + cos t, zero at the sample theta = -pi
     "cos.json": lambda: ('{"coeffs": {"0": [1, 0], "1": [0.5, 0], '
                          '"-1": [0.5, 0]}}'),
+    # 2 - 2 cos t and 2 - 2 cos(t - 0.3), each with one boundary zero: at
+    # the sample theta = 0, and between samples
+    "dip.json": lambda: ('{"coeffs": {"0": [2, 0], "1": [-1, 0], '
+                         '"-1": [-1, 0]}}'),
+    "dip03.json": lambda: json.dumps({"coeffs": {
+        "0": [2, 0], "1": [-math.cos(0.3), math.sin(0.3)],
+        "-1": [-math.cos(0.3), -math.sin(0.3)]}}),
     "series32.json": _series_32,
     "big.txt": lambda: "1e302\n" * 4096,
     "sine.txt": lambda: "\n".join(
@@ -124,6 +131,9 @@ def manifest() -> list[list[str]]:
           for method in ("boundary", "herglotz")),
         *(["factorize", "{in}/cos.json", "--method", method, "--floor", "1e-3"]
           for method in ("boundary", "herglotz")),
+        ["factorize", "{in}/dip.json", "--method", "fejer-riesz"],
+        *(["factorize", "{in}/dip03.json", "--method", method]
+          for method in ("fejer-riesz", "boundary", "herglotz")),
         *(["counterexample", "--sweep", "5", "--variant", variant]
           for variant in ("floored", "plus-one")),
         ["counterexample", "--n", str(10 ** 15)],

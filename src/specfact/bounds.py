@@ -230,7 +230,7 @@ def _identity(pm: PairMetrics):
 
 def _theorem_2(pm: PairMetrics):
     """||f+ - g+||^2 <= 2 ||f - g||_1 + 2.5 ||f||_inf ||log f - log g||_1."""
-    two_k0 = 2.0 * k0_constant()
+    two_k0 = constant_c_inf()
     for lhs, l1diff, logdiff, peak in _rows(pm.h2_squared, pm.l1_diff,
                                             pm.log_l1_diff,
                                             pm.f_norm(np.inf)):

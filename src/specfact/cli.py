@@ -51,6 +51,7 @@ from .errors import (
 )
 from .factorization import (
     HERGLOTZ_MAX_DEGREE,
+    HERGLOTZ_RADIUS,
     _fr_coeffs,
     _herglotz_factor,
     factorize_boundary,
@@ -118,7 +119,7 @@ OPTIONS = {
                          ["boundary", "herglotz", "fejer-riesz"], str),
         "n": Option("grid size of series input, refused for sample input",
                     _GRID, default=4096),
-        "floor": Option("clamp level for nonpositive samples",
+        "floor": Option("raise every sample below this level to it",
                         Range(0.0, low_open=True), float,
                         reads=("boundary", "herglotz")),
         "degree": Option("Taylor truncation degree; on n samples at most "
@@ -260,8 +261,8 @@ def _herglotz_degree(degree: int, given: bool, n: int) -> int:
     if given and degree > top:
         raise ParameterError(
             f"--degree {degree} is outside 0 .. {top}: the herglotz method "
-            f"resolves degrees below n / 2 = {n // 2} on {n} samples, and "
-            f"up to {HERGLOTZ_MAX_DEGREE} on its r = 0.9 circle")
+            f"resolves degrees below n / 2 = {n // 2} on {n} samples, and up "
+            f"to {HERGLOTZ_MAX_DEGREE} on its r = {HERGLOTZ_RADIUS} circle")
     return min(degree, top)
 
 

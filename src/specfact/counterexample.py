@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import pair_metrics
-from .circle_fn import CONJUGATE_ARC_SIGN, GridFunction, grid_theta
+from .circle_fn import GridFunction, grid_theta
 from .errors import NumericalConditioningError, ParameterError
 from .report import BoundReport
 
@@ -96,9 +96,6 @@ def build_family(n: int | None = None, du: float = 0.1,
     gives beta * du = du / (4 pi^2 n) <= 1 / (4 pi^2); only an explicit
     eps, as in the grid cross-check, comes near the limit.
     """
-    if CONJUGATE_ARC_SIGN != 1:
-        raise NotImplementedError(
-            "bump placement assumes the arc-(0,pi) conjugate sign +1")
     if (n is None) == (eps is None):
         raise ParameterError("give exactly one of n and eps")
     if n is not None:

@@ -8,11 +8,12 @@ f_plus(0) > 0, with f = |f_plus|^2 on the boundary:
 * factorize_herglotz: exp of the Herglotz integral of log f, evaluated at
   interior points of the disk by a blocked direct rectangle-rule sum in
   bounded memory (no FFT of log f).  The Taylor coefficients of this route
-  are read off m = 512 or 1024 evenly spaced points of |z| = 0.9, where
-  the same sum is a circular correlation: _herglotz_circle takes it as the
-  wrapped diagonals of matrix products, m n multiply-adds in products
-  small enough for one BLAS thread plus O(m^2) diagonal sums, in O(n + m)
-  memory (42 ms at n = 2^18 against 0.47 s for the direct sum, 2-core VM);
+  are read off m = 512 or 1024 evenly spaced points of the circle
+  |z| = HERGLOTZ_RADIUS, where the same sum is a circular correlation:
+  _herglotz_circle takes it as the wrapped diagonals of matrix products,
+  m n multiply-adds in products small enough for one BLAS thread plus
+  O(m^2) diagonal sums, in O(n + m) memory (42 ms at n = 2^18 against
+  0.47 s for the direct sum, 2-core VM);
 * fejer_riesz: root factorization of a nonnegative trigonometric
   polynomial, of degree at most FR_MAX_DEGREE, checked on an FFT grid.
 
@@ -56,12 +57,11 @@ CLUSTER_ANGLE = 1e-3
 FR_MAX_DEGREE = 512
 
 #: The Herglotz route sums over blocks of (points x samples) weights,
-#: _HERGLOTZ_COLS samples wide and _HERGLOTZ_BLOCK_BYTES in size.  Short
+#: _HERGLOTZ_COLS samples wide and at most _HERGLOTZ_BLOCK_BYTES in size,
+#: so its memory stays flat in the number of points and samples.  Short
 #: partial sums stay accurate: one BLAS product over all 2^16 samples left
-#: the Taylor coefficients 20x less accurate.  512 KB blocks measured
-#: fastest on a 2-core VM with 2 MB of L2 per core (256 KB and 1 MB blocks
-#: ran 3-28% slower at n = 4096 .. 2^16).  The circle kernel writes its
-#: matrix products into a superblock of at most _HERGLOTZ_BLOCK_BYTES
+#: the Taylor coefficients 20x less accurate.  The circle kernel writes
+#: its matrix products into a superblock of at most _HERGLOTZ_BLOCK_BYTES
 #: before it takes their wrapped diagonal sums.
 _HERGLOTZ_COLS = 4096
 _HERGLOTZ_BLOCK_BYTES = 1 << 19
@@ -77,11 +77,12 @@ _HERGLOTZ_BLOCK_BYTES = 1 << 19
 #: (16 x 4096) @ (4096 x 3) already is.
 _BLAS_ONE_THREAD = 1 << 18
 
-#: _herglotz_factor reads Taylor coefficients off the circle |z| = 0.9 and
-#: divides coefficient k by 0.9^k, which multiplies its rounding by 0.9^-k.
-#: This is the largest degree d with 2^-52 * 0.9^-d <= 1e-6, the route's
-#: coefficient tolerance.
-HERGLOTZ_MAX_DEGREE = 210
+#: _herglotz_factor reads Taylor coefficients off the circle |z| = r,
+#: r = HERGLOTZ_RADIUS, and divides coefficient k by r^k, which multiplies
+#: its rounding by r^-k.  HERGLOTZ_MAX_DEGREE is the largest degree d with
+#: 2^-52 * r^-d <= 1e-6, the route's coefficient tolerance (210 at r = 0.9).
+HERGLOTZ_RADIUS = 0.9
+HERGLOTZ_MAX_DEGREE = int(math.log(1e-6 * 2.0 ** 52, 1.0 / HERGLOTZ_RADIUS))
 
 #: factorize_herglotz refuses points beyond this radius, where the
 #: rectangle-rule kernel loses accuracy.
@@ -220,18 +221,14 @@ def factorize_herglotz(f: GridFunction, points):
     sums = np.zeros((x.size, 3))
     cols = min(n, _HERGLOTZ_COLS)
     rows = max(1, _HERGLOTZ_BLOCK_BYTES // (8 * cols))
-    buf = np.empty((2, min(rows, x.size), cols))
     for i in range(0, x.size, rows):
         xb, yb = x[i:i + rows, None], y[i:i + rows, None]
-        d, e = buf[:, : len(xb)]
         for j in range(0, n, cols):
-            np.subtract(cos[j:j + cols], xb, out=d)
-            np.subtract(sin[j:j + cols], yb, out=e)
-            d *= d
-            e *= e
-            d += e
-            np.reciprocal(d, out=d)
-            sums[i:i + rows] += d @ weights[j:j + cols]
+            d = (cos[j:j + cols] - xb) ** 2 + (sin[j:j + cols] - yb) ** 2
+            sums[i:i + rows] += (1.0 / d) @ weights[j:j + cols]
+            # freed before the next block is made, so two blocks' arrays
+            # take turns in cache, not three
+            del d
     vals = _herglotz_values(z.ravel(), c, n,
                             (1.0 - (x * x + y * y)) * sums[:, 0],
                             2.0 * (y * sums[:, 1] - x * sums[:, 2]))
@@ -246,9 +243,9 @@ def _herglotz_values(z: np.ndarray, c: float, n: int, re: np.ndarray,
     return np.exp((re + 1j * im) / (2.0 * n) + 0.5 * c * (1.0 + zn) / (1.0 - zn))
 
 
-def _herglotz_circle(f: GridFunction, m: int, r: float) -> np.ndarray:
-    """factorize_herglotz at the m points z_p = r e^{2 pi i p / m}, m a
-    power of two.
+def _herglotz_circle(f: GridFunction, m: int) -> np.ndarray:
+    """factorize_herglotz at the m points z_p = r e^{2 pi i p / m}, with
+    r = HERGLOTZ_RADIUS and m a power of two.
 
     With psi = t - 2 pi p / m, the kernel at z_p is
 
@@ -267,6 +264,7 @@ def _herglotz_circle(f: GridFunction, m: int, r: float) -> np.ndarray:
     O(m^2) diagonal sums, and O(n + m) memory.  No FFT of log f is taken.
     """
     n = f.n
+    r = HERGLOTZ_RADIUS
     L = max(n, m)
     b = L // m
     u = np.zeros(L)
@@ -314,19 +312,17 @@ def _herglotz_circle(f: GridFunction, m: int, r: float) -> np.ndarray:
 def _herglotz_factor(f: GridFunction, degree: int) -> SpectralFactor:
     """Taylor coefficients of the Herglotz-route factor.
 
-    Samples the factor on the circle |z| = 0.9 and divides the FFT
-    coefficients by 0.9^k; the geometric decay of the sampling radius
+    Samples the factor on the circle |z| = r = HERGLOTZ_RADIUS and divides
+    the FFT coefficients by r^k; the geometric decay of the sampling radius
     suppresses coefficients beyond `degree`.  The rectangle rule gives z^k
     the DFT coefficient k mod n of log f, so the command line refuses a
     degree of n/2 or more, and one above HERGLOTZ_MAX_DEGREE.
     """
-    r = 0.9
     m = 512
     while m < 4 * (degree + 1):
         m *= 2
-    vals = _herglotz_circle(f, m, r)
-    c = np.fft.fft(vals) / m
-    a = c[: degree + 1] / r ** np.arange(degree + 1)
+    c = np.fft.fft(_herglotz_circle(f, m)) / m
+    a = c[: degree + 1] / HERGLOTZ_RADIUS ** np.arange(degree + 1)
     a = a * np.exp(-1j * np.angle(a[0]))
     a.setflags(write=False)
     return SpectralFactor(a)

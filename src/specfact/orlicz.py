@@ -19,7 +19,6 @@ roundoff, not just up to interpolation error.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from typing import Callable
@@ -584,7 +583,6 @@ def holder_check(f: GridFunction, g: GridFunction,
 _CATALAN = 0.9159655941772188
 
 
-@functools.cache
 def davis_constant() -> float:
     """K = (1 + 3^-2 + 5^-2 + ...) / (1 - 3^-2 + 5^-2 - ...), about 1.3469.
 
@@ -601,7 +599,6 @@ def davis_constant() -> float:
 _SI_PI = 1.851937051982466
 
 
-@functools.cache
 def k0_constant() -> float:
     """K0 = (K/2) * int_0^pi sin(x)/x dx, about 1.2472 and provably < 1.25."""
     return davis_constant() / 2.0 * _SI_PI

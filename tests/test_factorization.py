@@ -25,7 +25,9 @@ from specfact import (
 from specfact import factorization
 from specfact.factorization import (
     FR_MAX_DEGREE,
+    HERGLOTZ_MAX_DEGREE,
     HERGLOTZ_R_MAX,
+    HERGLOTZ_RADIUS,
     _angle_clusters,
     _herglotz_circle,
 )
@@ -89,7 +91,7 @@ def test_routes_reject_a_nonpositive_density():
     with pytest.raises(DomainError, match="sample 10"):
         factorize_herglotz(zero, 0.0)
     with pytest.raises(DomainError, match="sample 10"):
-        _herglotz_circle(zero, 512, 0.9)
+        _herglotz_circle(zero, 512)
     vals[10] = 1e-8
     assert factorize_boundary(GridFunction(64, vals)).floor_applied is None
 
@@ -368,6 +370,14 @@ def test_herglotz_keeps_the_shape_of_points():
         factorize_herglotz(f, np.array([[0.0, 0.99j]]))
 
 
+def test_herglotz_max_degree_is_derived_from_the_radius():
+    """The cap is the largest d with 2^-52 r^-d <= 1e-6 at the circle
+    radius r: the inequality holds at the cap and fails one above it."""
+    d, r = HERGLOTZ_MAX_DEGREE, HERGLOTZ_RADIUS
+    assert 2.0 ** -52 * r ** -d <= 1e-6 < 2.0 ** -52 * r ** -(d + 1)
+    assert (d, r) == (210, 0.9)
+
+
 def _circle(m, r=0.9):
     return r * np.exp(2j * np.pi * np.arange(m) / m)
 
@@ -392,14 +402,14 @@ def test_herglotz_circle_matches_direct_kernel(n, m, floor):
     f = _asymmetric_density(n)
     if floor is not None:
         f = GridFunction(n, np.maximum(f.values, floor))
-    got = _herglotz_circle(f, m, 0.9)
+    got = _herglotz_circle(f, m)
     want = factorize_herglotz(f, _circle(m))
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
 
 def test_herglotz_circle_matches_dense_oracle():
     f = _asymmetric_density(4096)
-    got = _herglotz_circle(f, 512, 0.9)
+    got = _herglotz_circle(f, 512)
     want = _dense_herglotz(f, _circle(512))
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
@@ -409,7 +419,7 @@ def test_herglotz_circle_matches_dense_oracle():
     pytest.param(2 ** 16, lambda f: factorize_herglotz(f, _circle(512)), 64,
                  id="direct"),
     # an (m x n) kernel at 2^18 samples would take 1 GB
-    pytest.param(2 ** 18, lambda f: _herglotz_circle(f, 512, 0.9), 48,
+    pytest.param(2 ** 18, lambda f: _herglotz_circle(f, 512), 48,
                  id="circle"),
 ])
 def test_herglotz_memory_is_bounded(n, kernel, limit):

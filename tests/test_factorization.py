@@ -378,8 +378,8 @@ def test_herglotz_max_degree_is_derived_from_the_radius():
     assert (d, r) == (210, 0.9)
 
 
-def _circle(m, r=0.9):
-    return r * np.exp(2j * np.pi * np.arange(m) / m)
+def _circle(m):
+    return HERGLOTZ_RADIUS * np.exp(2j * np.pi * np.arange(m) / m)
 
 
 def _asymmetric_density(n):

@@ -166,28 +166,83 @@ def test_factor_json_pairs_are_the_coefficients(rng):
     a = rng.normal(size=4097) + 1j * rng.normal(size=4097)
     a[3] = complex(-0.0, 0.0)
     fac = SpectralFactor(a, floor_applied=0.5, neg_energy=1e-20)
-    want = {"floor": 0.5, "neg_energy": 1e-20,
+    # no decay: every pair is printed as it is, and no tail is zeroed
+    want = {"floor": 0.5, "neg_energy": 1e-20, "tail_l2": 0.0,
             "a": [[c.real, c.imag] for c in fac.coeffs]}
     assert json.dumps(fac.to_json_dict()) == json.dumps(want)
 
 
 
-@pytest.mark.parametrize("pairs", [1, _JSON_CHUNK, _JSON_CHUNK + 1,
-                                   3 * _JSON_CHUNK + 1])
+_J = _JSON_CHUNK
+
+
+@pytest.mark.parametrize("pairs, head", [
+    # no decay: every pair printed as it is
+    (1, 1), (_J, _J), (_J + 1, _J + 1), (3 * _J + 1, 3 * _J + 1),
+    # a zeroed tail from just before, at and just after a chunk join
+    (3 * _J + 1, _J - 1), (3 * _J + 1, _J), (3 * _J + 1, _J + 1),
+    # all zero: nothing above the cut
+    (_J + 1, 0)])
 @pytest.mark.parametrize("floor, neg_energy", [(None, None), (0.5, None),
                                                (None, 1e-20), (0.5, 0.0)])
 @pytest.mark.parametrize("tail", [{}, {"method": "boundary", "outer": {
     "lhs": 1.5, "pass": True, "details": {"a": [1, 2]}}}])
-def test_factor_json_writer_writes_the_dumped_dict(rng, pairs, floor,
+def test_factor_json_writer_writes_the_dumped_dict(rng, pairs, head, floor,
                                                    neg_energy, tail):
     """The streamed line is json.dumps of to_json_dict plus the tail, also
-    with an empty head or tail and across chunk joins."""
+    with an empty head or tail and across chunk joins.  Pairs before the
+    last coefficient above the cut print as they are, a signed zero or
+    subnormal among them too; the pairs after it print as [0.0, 0.0]."""
+    probe = complex(-0.0, 5e-324)
     a = rng.normal(size=pairs) + 1j * rng.normal(size=pairs)
-    a[-1] = complex(-0.0, 5e-324)
+    a[head:] *= 1e-17 if head else 0.0
+    if head >= 3:
+        a[head // 3] = probe
+    if 0 < head < pairs:
+        a[-1] = probe
     fac = SpectralFactor(a, floor_applied=floor, neg_energy=neg_energy)
     fh = io.StringIO()
     fac.write_json(fh, tail)
-    assert fh.getvalue() == json.dumps({**fac.to_json_dict(), **tail}) + "\n"
+    obj = fac.to_json_dict()
+    assert fh.getvalue() == json.dumps({**obj, **tail}) + "\n"
+    kept = fac.coeffs.view(np.float64).reshape(-1, 2)[:head].tolist()
+    assert json.dumps(obj["a"]) == json.dumps(
+        kept + [[0.0, 0.0]] * (pairs - head))
+    assert obj["tail_l2"] == pytest.approx(np.linalg.norm(a[head:]),
+                                           rel=1e-12)
+
+
+def test_factor_json_tail_is_the_rounding_plateau():
+    """exp(2 pi sin theta) = |f_plus|^2 with a_k = (-i pi)^k / k!: the line
+    keeps a_0 ... a_{K-1} bit for bit, K - 1 being the last k with
+    pi^k / k! above the cut relative to the largest |a_k|, and prints the
+    rest of the n/2 pairs as [0.0, 0.0], with their l2 norm as tail_l2."""
+    from specfact import factorize_boundary
+    from specfact.circle_fn import _TAIL_CUT
+    n = 4096
+    f = GridFunction.from_callable(lambda t: np.exp(2 * np.pi * np.sin(t)), n)
+    coeffs = factorize_boundary(f).coeffs
+    # |a_k| = pi^k / k!
+    exact = np.cumprod([1.0] + [math.pi / k for k in range(1, n // 2)])
+    K = 1 + np.flatnonzero(exact > _TAIL_CUT * exact.max())[-1]
+    obj = SpectralFactor(coeffs).to_json_dict()
+    assert len(obj["a"]) == n // 2
+    pairs = coeffs.view(np.float64).reshape(-1, 2)
+    assert json.dumps(obj["a"][:K]) == json.dumps(pairs[:K].tolist())
+    assert all(p == [0.0, 0.0] for p in obj["a"][K:])
+    assert obj["tail_l2"] == pytest.approx(np.linalg.norm(coeffs[K:]),
+                                           rel=1e-12)
+    assert np.abs(coeffs[K:]).max() <= _TAIL_CUT * np.abs(coeffs).max()
+
+
+@pytest.mark.parametrize("peak, rest", [(1e300, 1e284), (1.0, 1e-170)])
+def test_factor_json_tail_l2_is_scale_free(peak, rest):
+    """tail_l2 stays finite and nonzero where the squares of the zeroed
+    coefficients over- or underflow."""
+    fac = SpectralFactor(np.array([peak] + [rest] * 7))
+    obj = fac.to_json_dict()
+    assert obj["a"] == [[peak, 0.0]] + [[0.0, 0.0]] * 7
+    assert obj["tail_l2"] == pytest.approx(rest * math.sqrt(7), rel=1e-14)
 
 
 def test_synthesize_matches_direct_sum(rng):

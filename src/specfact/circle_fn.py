@@ -50,10 +50,10 @@ CONJUGATE_ARC_SIGN = 1
 
 #: coefficient pairs SpectralFactor.write_json formats per write
 _JSON_CHUNK = 4096
-#: a factor's JSON line prints a_k as it is up to the last k with
-#: |a_k| > _TAIL_CUT * max|a|, and [0.0, 0.0] past it.  The boundary
-#: route's rounding plateau reads at most 4 ulps of max|a| on the
-#: benchmark's and the corpus's inputs (the table is in CHANGES.md)
+#: the share of max|a| that the last coefficient a factor's JSON line
+#: prints as it is must exceed (see SpectralFactor).  The boundary route's
+#: rounding plateau reads at most 4 ulps of max|a| on the benchmark's and
+#: the corpus's inputs (the table is in CHANGES.md)
 _TAIL_CUT = 64 * 2.0 ** -52
 #: the smallest grid: grid sizes are powers of two from here up
 _GRID_MIN = 8
@@ -316,8 +316,9 @@ class SpectralFactor:
         with an empty coefficient list before the first write, and the
         coefficients are written into that gap _JSON_CHUNK pairs at a
         time, so neither the whole line nor a nested list of all pairs is
-        ever held.  Only a_0 ... a_{K-1} are formatted; the pairs past them
-        are the one string [0.0, 0.0], repeated.
+        ever held.  Only a_0 ... a_{K-1}, up to the last |a_k| above
+        _TAIL_CUT * max|a|, are formatted; the pairs past them are the one
+        string [0.0, 0.0], repeated.
         """
         head, K = self._json_head()
         line = json.dumps({**head, "a": [], **tail}) + "\n"

@@ -15,13 +15,14 @@ from specfact import (
     GridFunction,
     ParameterError,
     SpectralFactor,
+    factorize_boundary,
     fourier_synthesize,
     grid_theta,
     h2_distance,
     harmonic_conjugate,
     lp_norm,
 )
-from specfact.circle_fn import _JSON_CHUNK, _lp_norms
+from specfact.circle_fn import _JSON_CHUNK, _TAIL_CUT, _lp_norms
 
 
 def test_grid_theta_layout():
@@ -196,7 +197,7 @@ def test_factor_json_writer_writes_the_dumped_dict(rng, pairs, head, floor,
     probe = complex(-0.0, 5e-324)
     a = rng.normal(size=pairs) + 1j * rng.normal(size=pairs)
     a[head:] *= 1e-17 if head else 0.0
-    if head >= 3:
+    if head:
         a[head // 3] = probe
     if 0 < head < pairs:
         a[-1] = probe
@@ -217,15 +218,14 @@ def test_factor_json_tail_is_the_rounding_plateau():
     keeps a_0 ... a_{K-1} bit for bit, K - 1 being the last k with
     pi^k / k! above the cut relative to the largest |a_k|, and prints the
     rest of the n/2 pairs as [0.0, 0.0], with their l2 norm as tail_l2."""
-    from specfact import factorize_boundary
-    from specfact.circle_fn import _TAIL_CUT
     n = 4096
     f = GridFunction.from_callable(lambda t: np.exp(2 * np.pi * np.sin(t)), n)
-    coeffs = factorize_boundary(f).coeffs
+    fac = factorize_boundary(f)
+    coeffs = fac.coeffs
     # |a_k| = pi^k / k!
     exact = np.cumprod([1.0] + [math.pi / k for k in range(1, n // 2)])
     K = 1 + np.flatnonzero(exact > _TAIL_CUT * exact.max())[-1]
-    obj = SpectralFactor(coeffs).to_json_dict()
+    obj = fac.to_json_dict()
     assert len(obj["a"]) == n // 2
     pairs = coeffs.view(np.float64).reshape(-1, 2)
     assert json.dumps(obj["a"][:K]) == json.dumps(pairs[:K].tolist())

@@ -88,6 +88,27 @@ INPUTS = {
     "huge_g.txt": lambda: "1e307\n" * 8,
     "wrong.json": lambda: '{"n": 8, "values": {"a": 1}}',
     "strings.json": lambda: json.dumps({"values": ["4"] * 8}),
+    "flat16.txt": lambda: "4 " * 16 + "\n",
+    "nan.txt": lambda: "4 4 4 nan 4 4 4 4\n",
+    "empty.txt": lambda: "",
+    "n7.json": lambda: json.dumps({"n": 7, "values": [4] * 7}),
+    "n16.json": lambda: json.dumps({"n": 16, "values": [4] * 8}),
+    "skew.json": lambda: ('{"coeffs": {"0": [1, 0], "1": [0.5, 0], '
+                          '"-1": [0.25, 0]}}'),
+    "inf.json": lambda: '{"coeffs": {"0": [1e999, 0]}}',
+    "coeffs3.json": lambda: '{"coeffs": 3}',
+    "key.json": lambda: '{"coeffs": {"0.5": [1, 0]}}',
+    "deg513.json": lambda: ('{"coeffs": {"0": [1, 0], "513": [0.25, 0], '
+                            '"-513": [0.25, 0]}}'),
+    "deg8.json": lambda: ('{"coeffs": {"0": [1, 0], "8": [0.25, 0], '
+                          '"-8": [0.25, 0]}}'),
+    "zeropoly.json": lambda: '{"coeffs": {"0": [0, 0]}}',
+    # 0.5 + cos t, negative on |t| > 2 pi / 3
+    "halfcos.json": lambda: ('{"coeffs": {"0": [0.5, 0], "1": [0.5, 0], '
+                             '"-1": [0.5, 0]}}'),
+    # 1 + 2e-310 cos 2t: a subnormal top coefficient
+    "subnormal.json": lambda: ('{"coeffs": {"0": [1, 0], "2": [1e-310, 0], '
+                               '"-2": [1e-310, 0]}}'),
 }
 
 
@@ -163,6 +184,24 @@ def manifest() -> list[list[str]]:
         ["factorize", "{in}/strings.json", "--method", "boundary"],
         ["bounds", "--check", "main", "--sweep", "1",
          "--phi", '{"kind": "power", "q": 1e17}'],
+        # every other refusal the command line reaches: grids that differ,
+        # samples and JSON the parsers refuse, a series that is not
+        # real-valued or that the route or the grid cannot take, options
+        # the run does not read, and what a route finds no factor of
+        ["bounds", "{in}/flat.txt", "{in}/flat16.txt", "--check", "thm2"],
+        *(["factorize", f"{{in}}/{name}", "--method", "boundary"]
+          for name in ("nan.txt", "empty.txt", "n7.json", "n16.json",
+                       "skew.json", "inf.json", "coeffs3.json", "key.json")),
+        ["factorize", "{in}/deg513.json", "--method", "fejer-riesz"],
+        ["factorize", "{in}/flat.txt", "--method", "fejer-riesz"],
+        ["factorize", "{in}/flat.txt", "--method", "boundary", "--n", "8"],
+        ["factorize", "{in}/deg8.json", "--method", "boundary", "--n", "16"],
+        ["factorize", "{in}/flat.txt", "--method", "boundary",
+         "--degree", "3"],
+        ["counterexample", "--n", "3", "--sweep", "3"],
+        *(["factorize", f"{{in}}/{name}", "--method", "fejer-riesz"]
+          for name in ("zeropoly.json", "halfcos.json", "subnormal.json")),
+        ["counterexample", "--n", str(10 ** 307)],
     ]
     return lines
 

@@ -387,7 +387,15 @@ def fejer_riesz(series) -> np.ndarray:
     q = np.zeros(2 * N + 1, dtype=np.complex128)
     for k, c in coeffs.items():
         q[k + N] = c
-    roots = np.roots(q[::-1])
+    # a top coefficient far below the others (a subnormal one) overflows
+    # the companion matrix, which then has no eigenvalues to take
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            roots = np.roots(q[::-1])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalConditioningError(
+                f"the {2 * N} roots of z^N f(z) are not resolved: {exc}"
+            ) from exc
 
     mod = np.abs(roots)
     outside = roots[mod > 1.0 + TOL_CIRCLE]

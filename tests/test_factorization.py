@@ -12,6 +12,7 @@ from specfact import (
     DomainError,
     FourierSeries,
     GridFunction,
+    NumericalConditioningError,
     ParameterError,
     SpectralFactor,
     factorize_boundary,
@@ -502,6 +503,13 @@ def test_fejer_riesz_validation():
         fejer_riesz(FourierSeries({-1: 0.5, 0: 0.25, 1: 0.5}))  # dips negative
     with pytest.raises(DomainError):
         fejer_riesz(FourierSeries({0: 0.0}))
+
+
+def test_fejer_riesz_subnormal_top_coefficient():
+    """A subnormal c_N overflows the companion matrix: refused as
+    numerically unresolved, with no RuntimeWarning (an error here)."""
+    with pytest.raises(NumericalConditioningError, match="not resolved"):
+        fejer_riesz(FourierSeries({0: 1.0, 2: 1e-310, -2: 1e-310}))
 
 
 def test_fejer_riesz_degree_cap(monkeypatch):

@@ -3,16 +3,11 @@
 from .bounds import (
     IdentityTerms,
     PairMetrics,
-    check_corollary_p,
     check_identity,
-    check_lemma_l1,
-    check_lemma_orl,
     check_theorem_2,
     check_theorem_main,
     constant_c_inf,
     constant_c_p,
-    convergence_demo,
-    dip_schedule,
     h2_identity_terms,
     h2_squared_direct,
     pair_metrics,
@@ -56,13 +51,11 @@ from .factorization import (
 from .orlicz import (
     NFunction,
     davis_constant,
-    holder_check,
     k0_constant,
     lambda_phi,
     lemma_G_report,
     luxemburg_norm,
     orlicz_norm,
-    weak11_ratio,
 )
 from .report import BoundReport, bound_report
 

@@ -49,16 +49,11 @@ __all__ = [
     "h2_squared_direct",
     "check_identity",
     "check_theorem_2",
-    "check_corollary_p",
     "check_theorem_main",
-    "check_lemma_orl",
-    "check_lemma_l1",
     "Check",
     "CHECKS",
     "constant_c_p",
     "constant_c_inf",
-    "convergence_demo",
-    "dip_schedule",
     "random_phase",
     "random_density",
 ]
@@ -353,12 +348,6 @@ def constant_c_inf() -> float:
     return 2.0 * k0_constant()
 
 
-def check_corollary_p(f: GridFunction, g: GridFunction,
-                      p: float) -> BoundReport:
-    """||f+ - g+||^2 <= 2 ||f-g||_1 + C(p) ||f||_p ||log f - log g||_1^(1-1/p)."""
-    return CHECKS["cor-p"].reports(pair_metrics(f, g), p)[0]
-
-
 def check_theorem_main(f: GridFunction, g: GridFunction,
                        phi: NFunction) -> BoundReport:
     """The Orlicz-space master bound.
@@ -367,45 +356,6 @@ def check_theorem_main(f: GridFunction, g: GridFunction,
     with Psi the complement of Phi and ||.||_Psi the Orlicz (Amemiya) norm.
     """
     return CHECKS["main"].reports(pair_metrics(f, g), phi)[0]
-
-
-def check_lemma_orl(psi: GridFunction, phi: NFunction) -> BoundReport:
-    """||1 - cos(psi~)||_(Phi) <= 2 Lambda_Phi(K0 ||psi||_1)."""
-    return CHECKS["lemma-orl"].reports(psi.values[None], phi)[0]
-
-
-def check_lemma_l1(psi: GridFunction) -> BoundReport:
-    """||1 - cos(psi~)||_1 <= 2 K0 ||psi||_1."""
-    return CHECKS["lemma-l1"].reports(psi.values[None])[0]
-
-
-def convergence_demo(f: GridFunction, perturbations) -> list[tuple[float, float, float]]:
-    """Rows (||f - f_k||_1, ||log f - log f_k||_1, ||f+ - f_k+||_H2).
-
-    The perturbations are grid functions converging to f in the first two
-    metrics; the third column then tends to zero as well, which is the
-    positive counterpart of the divergence family.
-    """
-    pairs = [pair_metrics(f, fk) for fk in perturbations]
-    return [(float(pm.l1_diff[0]), float(pm.log_l1_diff[0]),
-             float(np.sqrt(pm.h2_squared[0]))) for pm in pairs]
-
-
-def dip_schedule(f: GridFunction, ks) -> list[GridFunction]:
-    """Standard demo schedule f_k = f * (1 - (0.999/k) * B), B a smooth bump.
-
-    B = ((1 + cos theta)/2)^32 has values in [0, 1], so f_1 dips to
-    0.001 * f at the bump peak.  The first two metrics decay like 1/k
-    while the H2 column starts in the strongly nonlinear near-zero regime,
-    which is what makes the demo's decay visible.
-    """
-    bump = ((1.0 + np.cos(f.theta)) / 2.0) ** 32
-    out = []
-    for k in ks:
-        if not k >= 1:
-            raise ParameterError("schedule indices must be >= 1")
-        out.append(GridFunction(f.n, f.values * (1.0 - (0.999 / k) * bump)))
-    return out
 
 
 def _phase_samples(rng: np.random.Generator, n: int,

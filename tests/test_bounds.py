@@ -12,16 +12,11 @@ from specfact import (
     NFunction,
     PairMetrics,
     ParameterError,
-    check_corollary_p,
     check_identity,
-    check_lemma_l1,
-    check_lemma_orl,
     check_theorem_2,
     check_theorem_main,
     constant_c_inf,
     constant_c_p,
-    convergence_demo,
-    dip_schedule,
     factorize_boundary,
     grid_theta,
     h2_distance,
@@ -35,6 +30,8 @@ from specfact import (
 )
 from specfact.bounds import _one_minus_cos, _sweep_blocks
 from specfact.circle_fn import _conjugate
+
+from oracles import convergence_rows, report
 
 
 def test_identity_zero_for_equal_inputs(rng):
@@ -176,7 +173,7 @@ def test_corollary_p_sweep(rng):
         for _ in range(5):
             f = random_density(rng, n=1024, degree=8)
             g = random_density(rng, n=1024, degree=8)
-            rep = check_corollary_p(f, g, p)
+            rep = report("cor-p", (f, g), p)
             assert rep.passed, rep
 
 
@@ -187,7 +184,7 @@ def test_main_reduces_to_corollary_for_powers(rng):
     for q in (1.5, 2.0, 3.0):
         p = q / (q - 1.0)
         rep_main = check_theorem_main(f, g, NFunction.power(q))
-        rep_cor = check_corollary_p(f, g, p)
+        rep_cor = report("cor-p", (f, g), p)
         assert rep_main.rhs == pytest.approx(rep_cor.rhs, rel=1e-6)
 
 
@@ -210,13 +207,13 @@ def test_lemma_l1_and_orl(rng):
     phi = NFunction.power(2.0)
     for _ in range(20):
         psi = random_phase(rng, n=1024, degree=12)
-        rep1 = check_lemma_l1(psi)
+        rep1 = report("lemma-l1", (psi,))
         assert rep1.passed, rep1
-        rep2 = check_lemma_orl(psi, phi)
+        rep2 = report("lemma-orl", (psi,), phi)
         assert rep2.passed, rep2
     zero = GridFunction(256, np.zeros(256))
-    assert check_lemma_l1(zero).passed
-    rep = check_lemma_orl(zero, phi)
+    assert report("lemma-l1", (zero,)).passed
+    rep = report("lemma-orl", (zero,), phi)
     assert rep.passed and rep.rhs == 0.0
 
 
@@ -224,7 +221,7 @@ def test_lemma_l1_known_value():
     """psi = cos: lhs = integral of 1 - cos(sin t), rhs = 8 K0."""
     n = 4096
     psi = GridFunction.from_callable(np.cos, n)
-    rep = check_lemma_l1(psi)
+    rep = report("lemma-l1", (psi,))
     # 2*pi*(1 - J_0(1)) with J_0(1) = 0.7651976865579666
     expect = 2 * math.pi * (1 - 0.7651976865579666)
     assert rep.lhs == pytest.approx(expect, rel=1e-10)
@@ -250,8 +247,8 @@ def test_lemma_l1_small_phase_against_mpmath(k):
     1e-14 relative at c = 10^-k; the rectangle rule is exact to rounding
     for this entire periodic integrand on 256 points."""
     c = 10.0 ** -k
-    rep = check_lemma_l1(GridFunction.from_callable(lambda t: c * np.cos(t),
-                                                    256))
+    psi = GridFunction.from_callable(lambda t: c * np.cos(t), 256)
+    rep = report("lemma-l1", (psi,))
     with mpmath.workdps(50):
         want = float(2 * mpmath.pi * (1 - mpmath.besselj(0, c)))
     assert rep.lhs == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -262,7 +259,7 @@ def test_convergence_demo_scaling_schedule(rng):
     f = random_density(rng, n=1024, degree=6)
     ks = [1, 2, 4, 8, 16]
     schedule = [GridFunction(f.n, (1.0 + 1.0 / k) * f.values) for k in ks]
-    rows = convergence_demo(f, schedule)
+    rows = convergence_rows(f, schedule)
     for (l1, log_l1, h2), k in zip(rows, ks):
         assert l1 == pytest.approx(lp_norm(f, 1) / k, rel=1e-12)
         assert log_l1 == pytest.approx(2 * math.pi * math.log(1 + 1 / k), rel=1e-12)
@@ -270,19 +267,6 @@ def test_convergence_demo_scaling_schedule(rng):
             (math.sqrt(1 + 1 / k) - 1) * math.sqrt(lp_norm(f, 1)), rel=1e-9)
     h2s = [r[2] for r in rows]
     assert all(a > b for a, b in zip(h2s, h2s[1:]))
-
-
-def test_convergence_demo_dip_schedule(rng):
-    f = random_density(rng, n=2048, degree=8)
-    ks = list(range(1, 65))
-    rows = convergence_demo(f, dip_schedule(f, ks))
-    h2s = [r[2] for r in rows]
-    l1s = [r[0] for r in rows]
-    assert all(a > b for a, b in zip(h2s, h2s[1:]))
-    assert all(a > b for a, b in zip(l1s, l1s[1:]))
-    assert h2s[-1] < 1e-2 * h2s[0]
-    with pytest.raises(ParameterError):
-        dip_schedule(f, [0])
 
 
 def _loop_phase(rng, n, degree):

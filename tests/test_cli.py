@@ -22,15 +22,8 @@ from specfact import (
     GridFunction,
     NFunction,
     SpectralFactor,
-    check_corollary_p,
-    check_identity,
-    check_lemma_l1,
-    check_lemma_orl,
-    check_theorem_2,
-    check_theorem_main,
     cross_validate_pipeline,
     factorize_boundary,
-    holder_check,
     lemma_G_report,
     outer_check,
     random_density,
@@ -43,6 +36,8 @@ from specfact.cli import _build_parser, _parse_samples, main
 from specfact.factorization import FR_MAX_DEGREE, HERGLOTZ_MAX_DEGREE
 from specfact.orlicz import GAUGES
 from specfact.report import RULES, _plain, bound_report
+
+from oracles import report
 
 
 def run(capsys, *argv):
@@ -316,7 +311,6 @@ def test_every_report_reaudits_from_its_own_json(capsys):
     psi = random_phase(rng, n=1024, degree=12)
     dens = GridFunction.from_callable(lambda t: 1.25 - np.cos(t), 512)
     reports = [
-        holder_check(f, g, NFunction.power(3.0)),
         *(lemma_G_report(gauge, psi) for gauge in GAUGES),
         # the factor, an imposter with a0 = 0 and one with a0 > 0
         *(outer_check(factor, dens) for factor in (
@@ -332,7 +326,7 @@ def test_every_report_reaudits_from_its_own_json(capsys):
         assert rule(obj["lhs"], obj["rhs"], obj["details"]) == obj["pass"], obj
         assert obj["slack"] == obj["rhs"] - obj["lhs"], obj
     assert {obj["name"] for obj in objs} == {
-        *CHECKS, "holder", "lemma-g", "outer-check", "thm1",
+        *CHECKS, "lemma-g", "outer-check", "thm1",
         "cross-validation"}
     assert not all(obj["pass"] for obj in objs)
 
@@ -1216,28 +1210,21 @@ _BENCH_LLOGL_PHI = {"kind": "density",
                     "u_grid": [[float(t), float(np.log1p(t))]
                                for t in np.geomspace(1e-6, 1e6, 49)]}
 
-#: (check, --phi or None, single-pair check on (f, g) or (psi,) and phi)
-_SWEEP_CASES = [
-    ("thm2", None, lambda grids, phi: check_theorem_2(*grids)),
-    ("cor-p", None, lambda grids, phi: check_corollary_p(*grids, 2.0)),
-    ("identity", None, lambda grids, phi: check_identity(*grids)),
-    ("lemma-l1", None, lambda grids, phi: check_lemma_l1(*grids)),
-] + [
-    (check, phi, single)
-    for phi in (_POWER_PHI, _BENCH_LLOGL_PHI)
-    for check, single in (
-        ("main", lambda grids, phi: check_theorem_main(*grids, phi)),
-        ("lemma-orl", lambda grids, phi: check_lemma_orl(*grids, phi)))
-]
+#: (check, --phi or None) of each sweep compared with the one-row reports
+_SWEEP_CASES = [(check, None) for check in ("thm2", "cor-p", "identity",
+                                             "lemma-l1")] + [
+    (check, phi) for phi in (_POWER_PHI, _BENCH_LLOGL_PHI)
+    for check in ("main", "lemma-orl")]
 
 
-@pytest.mark.parametrize("check, phi, single", _SWEEP_CASES)
-def test_sweep_blocks_match_single_pair_checks(capsys, check, phi, single):
-    """A sweep, drawn and checked in blocks, prints what the single-pair
-    API gives trial by trial: 1, 7 and 9 trials leave ragged last blocks
-    at n = 4096, run one trial per block at n = 16384, and fit one block at
-    n = 256."""
-    nf = NFunction.from_json_dict(phi) if phi else None
+@pytest.mark.parametrize("check, phi", _SWEEP_CASES)
+def test_sweep_blocks_match_single_pair_checks(capsys, check, phi):
+    """A sweep, drawn and checked in blocks, prints what the check gives on
+    one-row records trial by trial (cor-p at its default p = 2): 1, 7 and
+    9 trials leave ragged last blocks at n = 4096, run one trial per block
+    at n = 16384, and fit one block at n = 256."""
+    extra = ([NFunction.from_json_dict(phi)] if phi
+             else [2.0] if check == "cor-p" else [])
     for n in (256, 4096, 16384):
         for trials in (1, 7, 9):
             argv = ["bounds", "--check", check, "--sweep", str(trials),
@@ -1251,21 +1238,12 @@ def test_sweep_blocks_match_single_pair_checks(capsys, check, phi, single):
                 grids = ((random_phase(rng, n=n),) if check.startswith("lemma")
                          else (random_density(rng, n=n),
                                random_density(rng, n=n)))
-                rep = single(grids, nf)
+                rep = report(check, grids, *extra)
                 all_pass = all_pass and rep.passed
                 want.append(json.dumps({"trial": i, **rep.to_json_dict()}))
             assert out.splitlines() == want, (check, n, trials)
             assert code == (0 if all_pass else 1)
 
-
-_SINGLE_CHECKS = {
-    "thm2": check_theorem_2,
-    "cor-p": check_corollary_p,
-    "main": check_theorem_main,
-    "identity": check_identity,
-    "lemma-orl": check_lemma_orl,
-    "lemma-l1": check_lemma_l1,
-}
 
 #: (check, option argv, the option's value) for every entry of CHECKS
 _EXPLICIT_CASES = [
@@ -1285,8 +1263,8 @@ _EXPLICIT_CASES = [
 @pytest.mark.parametrize("name, argv, value", _EXPLICIT_CASES)
 def test_explicit_inputs_run_each_table_entry(tmp_path, capsys, name, argv,
                                               value):
-    """Each check on JSON input files prints exactly the report of its
-    single-input API function and exits with its verdict."""
+    """Each check on JSON input files prints exactly its report on the
+    one-row record of the inputs and exits with its verdict."""
     rng = np.random.default_rng(5)
     inputs = CHECKS[name].inputs
     draw = random_phase if inputs == ("psi",) else random_density
@@ -1298,7 +1276,7 @@ def test_explicit_inputs_run_each_table_entry(tmp_path, capsys, name, argv,
                                     "values": grid.values.tolist()}))
         paths.append(str(path))
     code, out, err = run(capsys, "bounds", *paths, "--check", name, *argv)
-    rep = _SINGLE_CHECKS[name](*grids, *([] if value is None else [value]))
+    rep = report(name, grids, *([] if value is None else [value]))
     assert out == json.dumps(rep.to_json_dict()) + "\n"
     assert code == (0 if rep.passed else 1) and not err
 

@@ -1,14 +1,23 @@
-"""The verdict corpus (tests/corpus) rerun against its record."""
+"""The verdict corpus (tests/corpus) rerun against its record, README's
+Python block, and the statements of src/ that the two reach."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 _DIR = Path(__file__).parent / "corpus"
-_SPEC = importlib.util.spec_from_file_location("corpus_regen",
-                                               _DIR / "regen.py")
-regen = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(regen)
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"corpus_{name}",
+                                                  _DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+regen = _load("regen")
+reach = _load("reach")
 
 
 def test_corpus_matches_its_record():
@@ -24,3 +33,22 @@ def test_corpus_stays_small():
     size = sum(path.stat().st_size for path in _DIR.iterdir()
                if path.is_file())
     assert size <= 300 * 1024, size
+
+
+def test_readme_python_block_runs():
+    """README's "Python API in one minute" block runs as printed, and every
+    verdict it prints passes."""
+    lines = reach.run_readme_block().splitlines()
+    assert len(lines) == 6, lines
+    assert lines[:3] == ["True"] * 3, lines
+    assert lines[3].endswith(" True"), lines
+    assert "'pass': True" in lines[5], lines
+
+
+def test_no_function_loses_reach():
+    """No src/ function has more statements that neither the corpus nor
+    README's block reaches than unreached.json records; after a change
+    that reaches more, rerun reach.py to lower the record."""
+    counts, _ = reach.unreached()
+    problems = reach.grown(json.loads(reach.RECORD.read_text()), counts)
+    assert not problems, "\n".join(problems)

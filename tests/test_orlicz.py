@@ -13,7 +13,6 @@ from specfact import (
     ParameterError,
     davis_constant,
     grid_theta,
-    holder_check,
     k0_constant,
     lambda_phi,
     lemma_G_report,
@@ -21,10 +20,11 @@ from specfact import (
     luxemburg_norm,
     orlicz_norm,
     random_density,
-    weak11_ratio,
 )
 from specfact import orlicz
 from specfact.orlicz import _BIG, _CATALAN, _SI_PI, GAUGES, _root_step
+
+from oracles import holder_holds, phi_inv, weak11_ratio
 
 CATALAN = 0.915965594177219
 
@@ -42,7 +42,6 @@ def test_power_phi_values():
     assert phi.phi(0.0) == 0.0
     assert phi.density(2.0) == pytest.approx(4.0, rel=1e-14)
     assert phi.rho(2.0) == pytest.approx(8.0, rel=1e-14)
-    assert phi.phi_inv(9.0) == pytest.approx(3.0, rel=1e-12)
     with pytest.raises(ParameterError):
         NFunction.power(1.0)
     with pytest.raises(ParameterError):
@@ -69,13 +68,6 @@ def test_density_kind_matches_power():
     comp = dens.complement()
     for x in (1e-3, 0.7, 11.0):
         assert comp.phi(x) == pytest.approx(phi2.phi(x), rel=1e-8)
-
-
-def test_density_inversion_involution():
-    _, dens = _sample_density_functions()
-    for y in (1e-5, 0.02, 1.0, 300.0):
-        x = dens.phi_inv(y)
-        assert dens.phi(x) == pytest.approx(y, rel=1e-9)
 
 
 def test_young_inequality_and_equality(rng):
@@ -660,7 +652,8 @@ def test_lambda_upper_bound():
     _, dens = _sample_density_functions()
     for phi in (NFunction.power(1.5), NFunction.power(3.0), dens):
         for s in (1e-4, 0.3, 2.0, 100.0):
-            assert lambda_phi(phi, s) <= 2.0 / phi.phi_inv(1.0 / s) * (1 + 1e-9)
+            bound = 2.0 / phi_inv(phi, 1.0 / s)
+            assert lambda_phi(phi, s) <= bound * (1 + 1e-9)
 
 
 def test_nfunction_json_roundtrip():
@@ -836,8 +829,6 @@ def test_weak11_ratio(rng):
             w += rng.uniform(-1, 1) * np.cos(j * th)
             w += rng.uniform(-1, 1) * np.sin(j * th)
         assert weak11_ratio(GridFunction(n, w)) <= k * 1.05
-    with pytest.raises(ParameterError):
-        weak11_ratio(GridFunction(n, np.zeros(n)))
 
 
 def test_holder_pairing(rng):
@@ -848,5 +839,4 @@ def test_holder_pairing(rng):
         for _ in range(5):
             f = GridFunction(n, np.exp(rng.uniform(-1, 1) * np.cos(th)))
             g = GridFunction(n, np.exp(rng.uniform(-1, 1) * np.sin(2 * th)))
-            rep = holder_check(f, g, phi)
-            assert rep.passed, rep
+            assert holder_holds(f, g, phi), q

@@ -37,18 +37,14 @@ README = ROOT / "README.md"
 RECORD = HERE / "unreached.json"
 
 
-def readme_block() -> str:
-    """The first ```python fence of README.md."""
+def run_readme_block() -> str:
+    """Run the first ```python block of README.md; what it prints."""
     text = README.read_text()
     start = text.index("```python\n") + len("```python\n")
-    return text[start:text.index("```", start)]
-
-
-def run_readme_block() -> str:
-    """Run README's Python block; what it prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(compile(readme_block(), str(README), "exec"), {})
+        exec(compile(text[start:text.index("```", start)], str(README),
+                     "exec"), {})
     return out.getvalue()
 
 
@@ -56,10 +52,8 @@ def _lines(stmt: ast.stmt) -> range:
     """The lines whose running reaches stmt: all of a simple statement,
     the header of a compound one."""
     body = getattr(stmt, "body", None)
-    if isinstance(body, list) and body:
-        first = min([stmt.lineno]
-                    + [d.lineno for d in getattr(stmt, "decorator_list", [])])
-        return range(first, max(stmt.lineno, body[0].lineno - 1) + 1)
+    if isinstance(body, list):
+        return range(stmt.lineno, max(stmt.lineno, body[0].lineno - 1) + 1)
     return range(stmt.lineno, stmt.end_lineno + 1)
 
 

@@ -109,6 +109,18 @@ INPUTS = {
     # 1 + 2e-310 cos 2t: a subnormal top coefficient
     "subnormal.json": lambda: ('{"coeffs": {"0": [1, 0], "2": [1e-310, 0], '
                                '"-2": [1e-310, 0]}}'),
+    "const.json": lambda: '{"coeffs": {"0": [4, 0]}}',
+    # JSON that names one thing twice: k = 0 as "0" and "-0", k = 1 as "1"
+    # and "+1" (equal values) or "01" (another value), a repeated key
+    "dup0.json": lambda: '{"coeffs": {"0": [2, 0], "-0": [7, 0]}}',
+    "dupplus.json": lambda: ('{"coeffs": {"0": [2, 0], "1": [-0.5, 0], '
+                             '"+1": [-0.5, 0], "-1": [-0.5, 0]}}'),
+    "dup01.json": lambda: ('{"coeffs": {"0": [2, 0], "1": [-0.5, 0], '
+                           '"01": [-0.25, 0], "-1": [-0.5, 0]}}'),
+    "dupkey.json": lambda: ('{"coeffs": {"0": [2, 0], "1": [-0.5, 0], '
+                            '"1": [-0.25, 0], "-1": [-0.5, 0]}}'),
+    "dupvalues.json": lambda: ('{"n": 8, "values": [1, 1, 1, 1, 1, 1, 1, 1], '
+                               '"values": [4, 4, 4, 4, 4, 4, 4, 4]}'),
 }
 
 
@@ -202,6 +214,24 @@ def manifest() -> list[list[str]]:
         *(["factorize", f"{{in}}/{name}", "--method", "fejer-riesz"]
           for name in ("zeropoly.json", "halfcos.json", "subnormal.json")),
         ["counterexample", "--n", str(10 ** 307)],
+        # a constant series; each refusal of a density N-function: too few
+        # samples, a sample that is not finite, abscissae that are not
+        # distinct, a decreasing u, a flat end segment, an end exponent out
+        # of range
+        ["factorize", "{in}/const.json", "--method", "fejer-riesz"],
+        *(["bounds", "--check", "lemma-orl", "--sweep", "1", "--n", "64",
+           "--phi", '{"kind": "density", "u_grid": ' + grid + "}"]
+          for grid in ("[[1, 1]]", "[[1, 1], [2, 1e999]]", "[[1, 1], [1, 2]]",
+                       "[[1, 2], [2, 1]]", "[[1, 1], [2, 1]]",
+                       "[[1, 5e-324], [2, 1e300]]")),
+        # JSON that names one thing twice
+        *(["factorize", "{in}/dup0.json", "--method", method]
+          for method in ("fejer-riesz", "boundary")),
+        *(["factorize", f"{{in}}/{name}", "--method", "fejer-riesz"]
+          for name in ("dupplus.json", "dup01.json", "dupkey.json")),
+        ["factorize", "{in}/dupvalues.json", "--method", "boundary"],
+        ["bounds", "--check", "lemma-orl", "--sweep", "1", "--n", "64",
+         "--phi", '{"kind": "power", "q": 3, "q": 2}'],
     ]
     return lines
 

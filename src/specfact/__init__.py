@@ -15,7 +15,6 @@ from .bounds import (
     random_phase,
 )
 from .circle_fn import (
-    CONJUGATE_ARC_SIGN,
     FourierSeries,
     GridFunction,
     SpectralFactor,

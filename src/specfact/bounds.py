@@ -41,24 +41,6 @@ from .orlicz import (
 )
 from .report import BoundReport, _plain, bound_report
 
-__all__ = [
-    "IdentityTerms",
-    "PairMetrics",
-    "pair_metrics",
-    "h2_identity_terms",
-    "h2_squared_direct",
-    "check_identity",
-    "check_theorem_2",
-    "check_theorem_main",
-    "Check",
-    "CHECKS",
-    "constant_c_p",
-    "constant_c_inf",
-    "random_phase",
-    "random_density",
-]
-
-
 #: Sweeps stack their trials in blocks whose (trials x n) densities take at
 #: most this many bytes per side (at least one trial per block), so each
 #: check formula runs once per block.  Every density is still factored on

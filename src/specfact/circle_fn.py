@@ -29,25 +29,6 @@ import numpy as np
 
 from .errors import AliasingError, ParameterError
 
-__all__ = [
-    "CONJUGATE_ARC_SIGN",
-    "GridFunction",
-    "FourierSeries",
-    "SpectralFactor",
-    "grid_theta",
-    "lp_norm",
-    "fourier_synthesize",
-    "harmonic_conjugate",
-    "h2_distance",
-]
-
-#: Sign convention of the -i*sgn(k) conjugate, stated as a checkable fact:
-#: the conjugate of the indicator of the arc (0, pi) equals
-#: CONJUGATE_ARC_SIGN * (1/pi) * log|tan(theta/2)| away from the endpoints.
-#: Pinned empirically by the test suite; downstream formulas import it
-#: rather than hard-coding the sign.
-CONJUGATE_ARC_SIGN = 1
-
 #: coefficient pairs SpectralFactor.write_json formats per write
 _JSON_CHUNK = 4096
 #: the share of max|a| that the last coefficient a factor's JSON line

@@ -4,7 +4,7 @@ The construction lives in the transformed coordinate u = log|tan(theta/2)|,
 where the angular measure becomes dtheta = du / cosh(u) and the conjugate of
 the two-valued step log h = -eps * 1_{(0,pi)} is the linear function
 
-    psi = (eps / 2pi) * u        (sign fixed by CONJUGATE_ARC_SIGN).
+    psi = (eps / 2pi) * u        (the sign convention of circle_fn).
 
 A unit-mass box bump placed at u* = 2 pi^2 / eps sits exactly where psi = pi,
 so the cosine defect 1 - cos(psi) is at its maximum 2 on the bump.  Shrinking
@@ -34,17 +34,6 @@ from .bounds import pair_metrics
 from .circle_fn import GridFunction, grid_theta
 from .errors import NumericalConditioningError, ParameterError
 from .report import BoundReport
-
-__all__ = [
-    "CounterexampleFamily",
-    "FamilyMetrics",
-    "build_family",
-    "family_metrics",
-    "verify_theorem_1",
-    "grid_realization",
-    "cross_validate_pipeline",
-    "family_row",
-]
 
 #: most terms of the pairing-ratio series; u* - du >= 0.2 needs fewer than
 #: 85, the grid cross-check at most 15 and every index n one

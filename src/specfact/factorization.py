@@ -38,13 +38,6 @@ from .circle_fn import (
 from .errors import DomainError, NumericalConditioningError, ParameterError
 from .report import BoundReport
 
-__all__ = [
-    "factorize_boundary",
-    "factorize_herglotz",
-    "fejer_riesz",
-    "outer_check",
-]
-
 #: Roots within this distance of |r| = 1 are treated as boundary zeros.
 TOL_CIRCLE = 1e-7
 
@@ -379,11 +372,8 @@ def fejer_riesz(series) -> np.ndarray:
             f"polynomial is not nonnegative on the circle "
             f"(min = {fvals.min():.3e}, max = {peak:.3e})")
 
-    if N == 0:
-        c0 = coeffs[0].real
-        return np.array([np.sqrt(c0)], dtype=np.complex128)
-
-    # q(t) = t^N f(t) has the 2N factorization roots; q(0) = c_{-N} != 0.
+    # q(t) = t^N f(t) has the 2N factorization roots (a constant has
+    # none, and its factor is sqrt(c_0)); q(0) = c_{-N} != 0.
     q = np.zeros(2 * N + 1, dtype=np.complex128)
     for k, c in coeffs.items():
         q[k + N] = c

@@ -35,16 +35,6 @@ from .circle_fn import (
 from .errors import DomainError, NumericalConditioningError, ParameterError
 from .report import BoundReport, bound_report
 
-__all__ = [
-    "NFunction",
-    "GAUGES",
-    "luxemburg_norm",
-    "orlicz_norm",
-    "lambda_phi",
-    "davis_constant",
-    "k0_constant",
-    "lemma_G_report",
-]
 
 class NFunction:
     """Convex N-function with an explicit nondecreasing density.
@@ -243,11 +233,6 @@ class NFunction:
                 raise ParameterError("u_grid must be [[t, u], ...]")
             return cls.from_density(grid[:, 0], grid[:, 1])
         raise ParameterError(f"unknown N-function kind {kind!r}")
-
-    def __repr__(self):
-        if self.kind == "power":
-            return f"NFunction.power({self.q})"
-        return f"NFunction.density(<{len(self.t_nodes)} nodes>)"
 
 
 def _end_exponents(t: np.ndarray, u: np.ndarray) -> tuple[float, float]:

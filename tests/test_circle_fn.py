@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from specfact import (
-    CONJUGATE_ARC_SIGN,
     AliasingError,
     FourierSeries,
     GridFunction,
@@ -339,14 +338,12 @@ def test_conjugate_indicator_sign_convention():
     (1/pi) log|tan(tau/2)| exactly.  Away from the jumps the FFT conjugate
     must match it, with the documented error decay in n.
     """
-    assert CONJUGATE_ARC_SIGN == 1
-
     def worst_error(n, cut=0.1):
         th = grid_theta(n)
         ind = GridFunction(n, ((th > 0) & (th < np.pi)).astype(float))
         conj = harmonic_conjugate(ind).values
         with np.errstate(divide="ignore"):
-            expect = CONJUGATE_ARC_SIGN / np.pi * np.log(np.abs(np.tan(th / 2)))
+            expect = 1.0 / np.pi * np.log(np.abs(np.tan(th / 2)))
         dist = np.minimum(np.abs(th), np.pi - np.abs(th))
         mask = dist > cut
         return float(np.max(np.abs(conj[mask] - expect[mask])))

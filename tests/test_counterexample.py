@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from specfact import (
-    CONJUGATE_ARC_SIGN,
     NumericalConditioningError,
     ParameterError,
     build_family,
@@ -74,8 +73,8 @@ def test_phase_hits_pi_at_bump_center():
     fam = build_family(eps=2.0 * math.pi, variant="plus-one")
     lo, hi = fam.bump_theta_support
     mid = 0.5 * (lo + hi)
-    # the conjugate phase (eps/2pi) log|tan(theta/2)| of the step
-    psi = (CONJUGATE_ARC_SIGN * fam.eps / (2.0 * math.pi)
+    # the conjugate phase +(eps/2pi) log|tan(theta/2)| of the step
+    psi = (fam.eps / (2.0 * math.pi)
            * math.log(abs(math.tan(mid / 2.0))))
     assert psi == pytest.approx(math.pi, abs=5e-3)
 

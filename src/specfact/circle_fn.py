@@ -142,7 +142,11 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class FourierSeries:
-    """Finite series sum_k c_k e^{i k theta} stored as {k: c_k}."""
+    """Finite series sum_k c_k e^{i k theta} stored as {k: c_k}.
+
+    Keys are read by int(); two keys that name one k (1 and "1", "0" and
+    "-0") raise ParameterError.
+    """
 
     coeffs: Mapping[int, complex]
 
@@ -150,6 +154,9 @@ class FourierSeries:
         clean: dict[int, complex] = {}
         for k, c in dict(self.coeffs).items():
             kk = int(k)
+            if kk in clean:
+                raise ParameterError(
+                    f"frequency k = {kk} is given twice (key {k!r})")
             cc = complex(c)
             if not (math.isfinite(cc.real) and math.isfinite(cc.imag)):
                 raise ParameterError(f"coefficient at k = {kk} is not finite")
@@ -191,7 +198,8 @@ class FourierSeries:
                 pair = np.empty(0)
             if pair.shape != (2,):
                 raise ParameterError(f"coefficient at k = {kk} must be [re, im]")
-            coeffs[kk] = complex(pair[0], pair[1])
+            # keyed as given: cls refuses two keys that name one k
+            coeffs[k] = complex(pair[0], pair[1])
         return cls(coeffs)
 
 

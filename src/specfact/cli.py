@@ -228,12 +228,28 @@ def _parse_samples(text: str) -> np.ndarray:
     return vals
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is refused, where
+    json.loads would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParameterError(f"JSON key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
+def _loads(text: str):
+    """JSON text from the command line or an input file."""
+    return json.loads(text, object_pairs_hook=_json_object)
+
+
 def _load_any(path: str):
     """Parse a path into a GridFunction or FourierSeries."""
     text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(text)
+        obj = _loads(text)
         if "coeffs" in obj:
             return FourierSeries.from_json_dict(obj)
         return GridFunction.from_json_dict(obj)
@@ -308,7 +324,7 @@ def cmd_bounds(args, opts: dict) -> int:
     check = CHECKS[args.check]
     extra = [opts[check.option]] if check.option else []
     if check.option == "phi":  # parsed once: trials share its complement
-        phi = NFunction.from_json_dict(json.loads(extra[0]))
+        phi = NFunction.from_json_dict(_loads(extra[0]))
         if check.complement:  # refused, if at all, before any input
             phi.complement()
         extra = [phi]

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -267,6 +268,17 @@ def test_synthesize_matches_direct_sum(rng):
         fourier_synthesize(FourierSeries(skewed), n)
     with pytest.raises(ParameterError, match="not real-valued"):
         fourier_synthesize(FourierSeries({0: 1j}), n)
+
+
+@pytest.mark.parametrize("coeffs, named", [
+    ({1: 0.5, "1": 0.25, 0: 2.0, -1: 0.5}, "k = 1 is given twice (key '1')"),
+    ({0: 2.0, "-0": 7.0}, "k = 0 is given twice (key '-0')"),
+])
+def test_series_keys_that_name_one_frequency_are_refused(coeffs, named):
+    """int() reads 1 and "1" (or "0" and "-0") as one k: the series refuses
+    them rather than keep one of the two values."""
+    with pytest.raises(ParameterError, match=re.escape(named)):
+        FourierSeries(coeffs)
 
 
 def test_synthesize_known_coefficients():

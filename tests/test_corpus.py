@@ -39,10 +39,11 @@ def test_readme_python_block_runs():
     """README's "Python API in one minute" block runs as printed, and every
     verdict it prints passes."""
     lines = reach.run_readme_block().splitlines()
-    assert len(lines) == 6, lines
+    assert len(lines) == 8, lines
     assert lines[:3] == ["True"] * 3, lines
     assert lines[3].endswith(" True"), lines
     assert "'pass': True" in lines[5], lines
+    assert lines[6:] == ["True", "[True, True]"], lines
 
 
 def test_no_function_loses_reach():

@@ -17,7 +17,8 @@ Inputs are file paths ("-" for standard input) holding either a grid
 function as JSON {"n": ..., "values": [...]}, a Fourier series as JSON
 {"coeffs": {"k": [re, im], ...}}, or plain text samples separated by
 whitespace or commas, each a token float() reads.  Samples are real and
-finite and a series real-valued (c_{-k} = conj(c_k)), or exit 2.
+finite and a series real-valued (c_{-k} = conj(c_k)), or exit 2, as does
+JSON that gives a key twice or two series keys that name one k.
 Results are JSON on standard output; diagnostics go to standard error.
 """
 
@@ -239,17 +240,12 @@ def _json_object(pairs: list) -> dict:
     return obj
 
 
-def _loads(text: str):
-    """JSON text from the command line or an input file."""
-    return json.loads(text, object_pairs_hook=_json_object)
-
-
 def _load_any(path: str):
     """Parse a path into a GridFunction or FourierSeries."""
     text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = _loads(text)
+        obj = json.loads(text, object_pairs_hook=_json_object)
         if "coeffs" in obj:
             return FourierSeries.from_json_dict(obj)
         return GridFunction.from_json_dict(obj)
@@ -324,7 +320,8 @@ def cmd_bounds(args, opts: dict) -> int:
     check = CHECKS[args.check]
     extra = [opts[check.option]] if check.option else []
     if check.option == "phi":  # parsed once: trials share its complement
-        phi = NFunction.from_json_dict(_loads(extra[0]))
+        phi = NFunction.from_json_dict(
+            json.loads(extra[0], object_pairs_hook=_json_object))
         if check.complement:  # refused, if at all, before any input
             phi.complement()
         extra = [phi]

@@ -611,39 +611,6 @@ def test_json_strings_are_not_numbers(tmp_path, capsys, json_input, named):
     assert len(lines) == 1 and named in lines[0], err
 
 
-@pytest.mark.parametrize("json_input, method, named", [
-    ('{"coeffs": {"0": [2, 0], "-0": [7, 0]}}', "fejer-riesz", "key '-0'"),
-    ('{"coeffs": {"0": [2, 0], "-0": [7, 0]}}', "boundary", "key '-0'"),
-    ('{"coeffs": {"0": [2, 0], "1": [-0.5, 0], "+1": [-0.5, 0], '
-     '"-1": [-0.5, 0]}}', "fejer-riesz", "key '+1'"),
-    ('{"coeffs": {"0": [2, 0], "1": [-0.5, 0], "01": [-0.25, 0], '
-     '"-1": [-0.5, 0]}}', "fejer-riesz", "key '01'"),
-    ('{"coeffs": {"0": [2, 0], "1": [-0.5, 0], "1": [-0.25, 0], '
-     '"-1": [-0.5, 0]}}', "fejer-riesz", "key '1'"),
-    ('{"n": 8, "values": [1, 1, 1, 1, 1, 1, 1, 1], '
-     '"values": [4, 4, 4, 4, 4, 4, 4, 4]}', "boundary", "key 'values'"),
-    ('{"kind": "power", "q": 3, "q": 2}', None, "key 'q'"),
-])
-def test_json_that_names_one_thing_twice_is_refused(tmp_path, capsys,
-                                                    json_input, method, named):
-    """A JSON key given twice, or two keys that name one frequency, would
-    keep one of the two values silently: an input file and --phi refuse
-    it with exit 2, nothing on stdout and one stderr line that names the
-    key."""
-    if method is None:
-        argv = ["bounds", "--check", "lemma-orl", "--sweep", "1", "--n",
-                "64", "--phi", json_input]
-    else:
-        path = tmp_path / "twice.json"
-        path.write_text(json_input)
-        argv = ["factorize", str(path), "--method", method]
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and not out
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and "given twice" in lines[0], err
-    assert named in lines[0], err
-
-
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"),
                     reason="the platform has no SIGPIPE")
 def test_closed_stdout_ends_the_command_silently():

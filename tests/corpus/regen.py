@@ -121,6 +121,13 @@ INPUTS = {
                             '"1": [-0.25, 0], "-1": [-0.5, 0]}}'),
     "dupvalues.json": lambda: ('{"n": 8, "values": [1, 1, 1, 1, 1, 1, 1, 1], '
                                '"values": [4, 4, 4, 4, 4, 4, 4, 4]}'),
+    # JSON with a key that no reader reads: a series that also gives
+    # samples, a grid that also gives a floor, a series that gives its n
+    "coeffsvalues.json": lambda: ('{"coeffs": {"0": [4, 0]}, '
+                                  '"values": [1, 1, 1, 1, 1, 1, 1, 1]}'),
+    "valuesfloor.json": lambda: ('{"values": [4, 4, 4, 4, 4, 4, 4, 4], '
+                                 '"floor": 0.001}'),
+    "coeffsn.json": lambda: '{"coeffs": {"0": [4, 0]}, "n": 8}',
 }
 
 
@@ -232,6 +239,16 @@ def manifest() -> list[list[str]]:
         ["factorize", "{in}/dupvalues.json", "--method", "boundary"],
         ["bounds", "--check", "lemma-orl", "--sweep", "1", "--n", "64",
          "--phi", '{"kind": "power", "q": 3, "q": 2}'],
+        # JSON with a key that no reader reads
+        ["factorize", "{in}/coeffsvalues.json", "--method", "boundary",
+         "--n", "8"],
+        ["factorize", "{in}/valuesfloor.json", "--method", "boundary"],
+        ["factorize", "{in}/coeffsn.json", "--method", "fejer-riesz"],
+        *(["bounds", "--check", "lemma-orl", "--sweep", "1", "--n", "64",
+           "--phi", phi]
+          for phi in ('{"kind": "power", "q": 3, "u_grid": [[1, 1]]}',
+                      '{"kind": "density", "u_grid": [[1, 1], [2, 2], '
+                      '[4, 4]], "q": 3}')),
     ]
     return lines
 

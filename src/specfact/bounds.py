@@ -43,11 +43,14 @@ from .report import BoundReport, _plain, bound_report
 
 #: Sweeps stack their trials in blocks whose (trials x n) densities take at
 #: most this many bytes per side (at least one trial per block), so each
-#: check formula runs once per block.  Every density is still factored on
-#: its own, which leaves the time per trial level in the block size at
-#: n = 4096 (8 KB to 8 MB within 5% on a 2-core VM); at n = 256, 128 KB
-#: (64 trials) ran 8% faster than 8 KB.  512 KB ran no faster and added
-#: 4 MB to the peak RSS of a 100-trial sweep at n = 4096.
+#: check formula, and the logs and conjugate FFTs of the block's densities,
+#: run once per block; only the rest of each factorization is per density.
+#: CPU time per thm2 trial with that batching (least of 15 runs, 2-core
+#: VM): at n = 4096, 635 us at 128 KB (4 trials), 731 us at 8 KB and 621 us
+#: at 512 KB; at n = 256, 186 us at 128 KB (64 trials), 212 us at 8 KB and
+#: 179 us at 512 KB.  The sweep's scratch holds 4 (trials) (n + 1) floats,
+#: four times this size, so 512 KB would add about 3 MB to the peak RSS of
+#: a 100-trial sweep at n = 4096 for a 2 to 4% gain.
 _SWEEP_BLOCK_BYTES = 1 << 17
 
 #: The allowance of the bound checks, lhs <= rhs (1 + _TOL) + _ATOL, and
@@ -86,10 +89,15 @@ class PairMetrics:
     conjugate FFT that Theorem 2, Corollary p and the master bound skip.
     The logs are lazy too; kept alive across the two boundary factorizations
     they made cross_validate_pipeline page-fault measurably more.
+
+    A sweep's records share scratch, a float array of at least
+    4 B (n + 1) values, for h2_squared's temporaries; it holds nothing
+    between accesses, so the records may be read in any order.
     """
 
     f: np.ndarray
     g: np.ndarray
+    scratch: np.ndarray | None = None
 
     @cached_property
     def log_ratio(self) -> np.ndarray:
@@ -111,11 +119,33 @@ class PairMetrics:
         """||f+ - g+||^2 from factorize_boundary of each density.
 
         Each row goes in as a GridFunction, checked again but shared, not
-        copied, when the block is read-only (as a sweep's blocks are)."""
-        n = self.f.shape[-1]
-        return np.array([h2_distance(factorize_boundary(GridFunction(n, f)),
-                                     factorize_boundary(GridFunction(n, g)))
-                         ** 2 for f, g in zip(self.f, self.g)])
+        copied, when the block is read-only (as a sweep's blocks are).
+        Without scratch each call takes its density's log and conjugate
+        itself.  With it, the block's logs go to the scratch, one
+        _positive_log per side, log_ratio is their difference, and one
+        batched FFT pair turns them into the conjugates -(log .)~ / 4 in
+        place; each call gets its row of those and the rest of the scratch
+        for its boundary values.  Every float is the same either way."""
+        b, n = self.f.shape
+        if self.scratch is None:
+            return np.array([
+                h2_distance(factorize_boundary(GridFunction(n, f)),
+                            factorize_boundary(GridFunction(n, g))) ** 2
+                for f, g in zip(self.f, self.g)])
+        logs = self.scratch[: 2 * b * n].reshape(2 * b, n)
+        spectrum = self.scratch[2 * b * n: 4 * b * (n + 1)]
+        _positive_log(self.f, out=logs[:b])
+        _positive_log(self.g, out=logs[b:])
+        if "log_ratio" not in self.__dict__:  # where cached_property keeps it
+            self.__dict__["log_ratio"] = logs[:b] - logs[b:]
+        _conjugate(logs, multiplier=-0.25j, out=logs,
+                   spectrum=spectrum.view(np.complex128).reshape(2 * b, -1))
+        return np.array([
+            h2_distance(factorize_boundary(GridFunction(n, f), conjugate=u,
+                                           scratch=spectrum),
+                        factorize_boundary(GridFunction(n, g), conjugate=v,
+                                           scratch=spectrum)) ** 2
+            for f, g, u, v in zip(self.f, self.g, logs[:b], logs[b:])])
 
     @cached_property
     def terms(self) -> IdentityTerms:
@@ -400,6 +430,8 @@ def _sweep_blocks(seed: int, trials: int, n: int, degree: int, pairs: bool):
     """
     n = _check_grid_size(n)
     size = max(1, _SWEEP_BLOCK_BYTES // (8 * n))
+    # the records' shared scratch (see PairMetrics), made once per sweep
+    scratch = np.empty(4 * min(size, trials) * (n + 1)) if pairs else None
     for start in range(0, trials, size):
         rngs = [np.random.default_rng([seed, i])
                 for i in range(start, min(trials, start + size))]
@@ -410,4 +442,5 @@ def _sweep_blocks(seed: int, trials: int, n: int, degree: int, pairs: bool):
         draws = [(random_density(rng, n=n, degree=degree),
                   random_density(rng, n=n, degree=degree)) for rng in rngs]
         yield PairMetrics(_handed_over(np.array([f.values for f, _ in draws])),
-                          _handed_over(np.array([g.values for _, g in draws])))
+                          _handed_over(np.array([g.values for _, g in draws])),
+                          scratch)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, TextIO
 
@@ -48,6 +49,14 @@ def _check_grid_size(n) -> int:
         raise ParameterError(
             f"grid size must be a power of two >= {_GRID_MIN}, got {n}")
     return n
+
+
+def _json_keys(obj: Mapping, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a key of obj outside keys: no reader reads it, and an input
+    should not say what the command then ignores."""
+    for key in obj:
+        if key not in keys:
+            raise ParameterError(f"{what} does not read the key {key!r}")
 
 
 def _json_numbers(x) -> bool:
@@ -133,6 +142,7 @@ class GridFunction:
         except (KeyError, TypeError, ValueError):
             raise ParameterError("grid function JSON needs a values key "
                                  "of real samples") from None
+        _json_keys(obj, ("n", "values"), "grid function JSON")
         n = _check_grid_size(obj.get("n", v.size))
         if n != v.size:
             raise ParameterError(
@@ -140,12 +150,21 @@ class GridFunction:
         return cls(n, v)
 
 
+def _frequency(k) -> int:
+    """A series key as its frequency: an integer, or a string int() reads."""
+    try:
+        return int(k) if isinstance(k, str) else operator.index(k)
+    except (TypeError, ValueError):
+        raise ParameterError(f"non-integer frequency key {k!r}") from None
+
+
 @dataclass(frozen=True)
 class FourierSeries:
     """Finite series sum_k c_k e^{i k theta} stored as {k: c_k}.
 
-    Keys are read by int(); two keys that name one k (1 and "1", "0" and
-    "-0") raise ParameterError.
+    Keys are integers or strings that int() reads; any other key (such as
+    1.5, which int() would truncate) and two keys that name one k (1 and
+    "1", "0" and "-0") raise ParameterError.
     """
 
     coeffs: Mapping[int, complex]
@@ -153,7 +172,7 @@ class FourierSeries:
     def __post_init__(self):
         clean: dict[int, complex] = {}
         for k, c in dict(self.coeffs).items():
-            kk = int(k)
+            kk = _frequency(k)
             if kk in clean:
                 raise ParameterError(
                     f"frequency k = {kk} is given twice (key {k!r})")
@@ -184,12 +203,10 @@ class FourierSeries:
         raw = obj.get("coeffs")
         if not isinstance(raw, Mapping):
             raise ParameterError("series JSON needs a coeffs mapping")
+        _json_keys(obj, ("coeffs",), "series JSON")
         coeffs = {}
         for k, pair in raw.items():
-            try:
-                kk = int(k)
-            except (TypeError, ValueError):
-                raise ParameterError(f"non-integer frequency key {k!r}") from None
+            kk = _frequency(k)
             try:
                 if not _json_numbers(pair):
                     raise TypeError("coefficients are numbers")
@@ -390,16 +407,19 @@ def harmonic_conjugate(f: GridFunction) -> GridFunction:
     return GridFunction(f.n, _conjugate(f.values))
 
 
-def _conjugate(v: np.ndarray, multiplier: complex = -1j) -> np.ndarray:
+def _conjugate(v: np.ndarray, multiplier: complex = -1j,
+               out: np.ndarray | None = None,
+               spectrum: np.ndarray | None = None) -> np.ndarray:
     """harmonic_conjugate of every row of a real array along the last axis;
     batched FFTs give each row the same floats as a 1-d call.  A multiplier
     of -1j times a power of two, such as -0.5j, scales the result by that
-    power exactly."""
-    R = np.fft.rfft(v)
+    power exactly.  The rows' spectra go to `spectrum` (complex, n/2 + 1
+    per row) and the result to `out` (which may be v) when given."""
+    R = np.fft.rfft(v, out=spectrum)
     R *= multiplier
     R[..., 0] = 0.0
     R[..., -1] = 0.0
-    return np.fft.irfft(R, v.shape[-1])
+    return np.fft.irfft(R, v.shape[-1], out=out)
 
 
 def _one_minus_cos(half: np.ndarray) -> np.ndarray:

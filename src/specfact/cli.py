@@ -18,7 +18,7 @@ function as JSON {"n": ..., "values": [...]}, a Fourier series as JSON
 {"coeffs": {"k": [re, im], ...}}, or plain text samples separated by
 whitespace or commas, each a token float() reads.  Samples are real and
 finite and a series real-valued (c_{-k} = conj(c_k)), or exit 2, as does
-JSON that gives a key twice or two series keys that name one k.
+JSON with a key twice or unread, or two series keys that name one k.
 Results are JSON on standard output; diagnostics go to standard error.
 """
 

@@ -99,7 +99,8 @@ def _positive_log(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.log(v, out=out)
 
 
-def factorize_boundary(f: GridFunction) -> SpectralFactor:
+def factorize_boundary(f: GridFunction, *, conjugate: np.ndarray | None = None,
+                       scratch: np.ndarray | None = None) -> SpectralFactor:
     """Outer factor from boundary values sqrt(f) * exp((i/2) (log f)~).
 
     The one-sided coefficients a_0 .. a_{n/2-1} are extracted by FFT and the
@@ -108,6 +109,14 @@ def factorize_boundary(f: GridFunction) -> SpectralFactor:
     result; for smooth positive f it is at roundoff level, and a large value
     flags a density the grid cannot resolve.  A sample that is not
     positive raises DomainError.
+
+    Called with f alone, this is the reference path: it takes log f and
+    its conjugate itself.  A caller that has them already, as a sweep's
+    pair record has for a whole block, passes conjugate, the n floats of
+    -(log f)~ / 4 (that is _conjugate(log f, multiplier=-0.25j), for
+    which f was checked positive), and scratch, at least 2n floats for the
+    boundary values.  The call overwrites both and keeps neither; the
+    factor has the same bits as the reference path's.
     """
     n = f.n
     # the boundary values F = sqrt(f) e^{2iu}, u = (log f)~ / 4, by the
@@ -125,9 +134,11 @@ def factorize_boundary(f: GridFunction) -> SpectralFactor:
     # by a forward copy: value k moves from float n + k to float 2k, never
     # past what is still to be read.  Then the doubling writes the
     # imaginary part 2 t r to the odd floats
-    t = _conjugate(_positive_log(f.values), multiplier=-0.25j)
+    t = (_conjugate(_positive_log(f.values), multiplier=-0.25j)
+         if conjugate is None else conjugate)
     np.tan(t, out=t)
-    F = np.empty(n, dtype=np.complex128)
+    F = (np.empty(n, dtype=np.complex128) if scratch is None
+         else scratch[: 2 * n].view(np.complex128))
     halves = F.view(np.float64)
     w, r = halves[:n], halves[n:]
     np.multiply(t, t, out=w)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .circle_fn import (
     GridFunction,
+    _json_keys,
     _json_numbers,
     _one_minus_cos,
     harmonic_conjugate,
@@ -219,20 +220,23 @@ class NFunction:
     def from_json_dict(cls, obj) -> "NFunction":
         """Parse {"kind": "power", "q": q} or {"kind": "density", "u_grid": [[t, u], ...]}.
 
-        A missing or ill-typed key raises ParameterError.
+        A missing or ill-typed key, and a key the kind does not read,
+        raise ParameterError.
         """
         if not isinstance(obj, dict):
             raise ParameterError("N-function must be a JSON object with a 'kind' key")
         kind = obj.get("kind")
+        if kind not in ("power", "density"):
+            raise ParameterError(f"unknown N-function kind {kind!r}")
+        _json_keys(obj, ("kind", "q" if kind == "power" else "u_grid"),
+                   f"{kind} N-function")
         if kind == "power":
             return cls.power(_json_field(obj, "q", "a number", float))
-        if kind == "density":
-            grid = _json_field(obj, "u_grid", "[[t, u], ...]",
-                               lambda x: np.asarray(x, dtype=float))
-            if grid.ndim != 2 or grid.shape[1] != 2:
-                raise ParameterError("u_grid must be [[t, u], ...]")
-            return cls.from_density(grid[:, 0], grid[:, 1])
-        raise ParameterError(f"unknown N-function kind {kind!r}")
+        grid = _json_field(obj, "u_grid", "[[t, u], ...]",
+                           lambda x: np.asarray(x, dtype=float))
+        if grid.ndim != 2 or grid.shape[1] != 2:
+            raise ParameterError("u_grid must be [[t, u], ...]")
+        return cls.from_density(grid[:, 0], grid[:, 1])
 
 
 def _end_exponents(t: np.ndarray, u: np.ndarray) -> tuple[float, float]:

@@ -28,9 +28,14 @@ from specfact import (
     random_density,
     random_phase,
 )
+import specfact.bounds
+import specfact.factorization
 from specfact.bounds import _one_minus_cos, _sweep_blocks
 from specfact.circle_fn import _conjugate
+from specfact.cli import main
+from specfact.factorization import _positive_log
 
+import block_check
 from oracles import convergence_rows, report
 
 
@@ -336,3 +341,29 @@ def test_pair_rows_are_shared_only_from_read_only_blocks():
     assert not np.shares_memory(row.values, block)
     block[1] = 1.0
     assert np.array_equal(row.values, pm.f[1])
+
+
+def test_sweep_block_path_gives_the_reference_bits():
+    """A sweep's records, read out of order through their shared scratch,
+    give the bytes of h2_squared and log_ratio that records without scratch
+    give, at n = 8 ... 16384 with partial last blocks (block_check.py,
+    which the numpy-only install runs too)."""
+    assert not block_check.mismatches()
+
+
+def test_sweep_takes_each_sides_log_once_per_block(monkeypatch, capsys):
+    """bounds --check thm2 --sweep 8 --n 256 is one block of 8 trials: log
+    f and log g are taken once each, over the block, and the factorizations
+    and log_ratio reuse them."""
+    calls = []
+
+    def counted(v, out=None):
+        calls.append(v.shape)
+        return _positive_log(v, out=out)
+
+    for module in (specfact.bounds, specfact.factorization):
+        monkeypatch.setattr(module, "_positive_log", counted)
+    argv = ["bounds", "--check", "thm2", "--sweep", "8", "--n", "256"]
+    assert main(argv) == 0
+    assert calls == [(8, 256), (8, 256)]
+    assert len(capsys.readouterr().out.splitlines()) == 8

@@ -281,6 +281,34 @@ def test_series_keys_that_name_one_frequency_are_refused(coeffs, named):
         FourierSeries(coeffs)
 
 
+@pytest.mark.parametrize("key", [1.5, 2.0, "1.5", "x", None, (1,)])
+def test_series_keys_that_are_not_integers_are_refused(key):
+    """A key is an integer or a string int() reads: int() would truncate
+    1.5 to k = 1, so a float is refused, whole or not."""
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"non-integer frequency key {key!r}")):
+        FourierSeries({key: 1.0, 0: 2.0})
+    assert FourierSeries({np.int64(3): 1.0, "-3": 1.0, 0: 2.0}).coeffs == {
+        3: 1.0, -3: 1.0, 0: 2.0}
+
+
+@pytest.mark.parametrize("parse, obj, key", [
+    (FourierSeries.from_json_dict,
+     {"coeffs": {"0": [4, 0]}, "values": [1.0] * 8}, "values"),
+    (FourierSeries.from_json_dict, {"coeffs": {"0": [4, 0]}, "n": 8}, "n"),
+    (GridFunction.from_json_dict, {"values": [4.0] * 8, "floor": 1e-3},
+     "floor"),
+    (GridFunction.from_json_dict,
+     {"n": 8, "values": [4.0] * 8, "coeffs": {"0": [4, 0]}}, "coeffs"),
+])
+def test_json_keys_that_no_reader_reads_are_refused(parse, obj, key):
+    """An input that also says what its reader ignores is refused, and the
+    refusal names the key."""
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"does not read the key {key!r}")):
+        parse(obj)
+
+
 def test_synthesize_known_coefficients():
     f = fourier_synthesize(FourierSeries({0: 1.25, 1: -0.5, -1: -0.5}), 128)
     assert f.values.dtype == np.float64

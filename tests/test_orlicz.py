@@ -667,6 +667,18 @@ def test_nfunction_json_roundtrip():
     assert back.phi(3.3) == pytest.approx(dens.phi(3.3), rel=1e-12)
 
 
+@pytest.mark.parametrize("obj, key", [
+    ({"kind": "power", "q": 3, "u_grid": [[1, 1]]}, "u_grid"),
+    ({"kind": "density", "u_grid": [[1, 1], [2, 2], [4, 4]], "q": 3}, "q"),
+    ({"kind": "power", "q": 3, "label": "cubic"}, "label"),
+])
+def test_nfunction_json_refuses_keys_its_kind_does_not_read(obj, key):
+    """A power N-function with a u_grid (or a density one with a q) would
+    run as one of the two; it is refused, naming the key."""
+    with pytest.raises(ParameterError, match=f"does not read the key '{key}'"):
+        NFunction.from_json_dict(obj)
+
+
 def test_density_validation():
     with pytest.raises(ParameterError):
         NFunction.from_density([1.0, 2.0], [2.0, 1.0])

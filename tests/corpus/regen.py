@@ -249,8 +249,29 @@ def manifest() -> list[list[str]]:
           for phi in ('{"kind": "power", "q": 3, "u_grid": [[1, 1]]}',
                       '{"kind": "density", "u_grid": [[1, 1], [2, 2], '
                       '[4, 4]], "q": 3}')),
+        # the Orlicz branches the lines above miss: Phi sampled over a
+        # narrow t-range, so that the complement's samples fill both end
+        # pieces and Lambda_Phi solves beyond the end nodes (below them,
+        # then above); 1e300 t^0.2, whose complement's bracket search
+        # reaches z = 700, where its terms overflow; and a complement with
+        # nodes below 1e-154
+        *(["bounds", "--check", "main", "--sweep", "3", "--n", "256",
+           "--phi", phi]
+          for phi in (_narrow_phi(0.5), _narrow_phi(0.05), json.dumps({
+              "kind": "density", "u_grid": [
+                  [float(t), 1e300 * float(t) ** 0.2]
+                  for t in np.geomspace(1e-6, 1e6, 13)]}))),
+        ["bounds", "--check", "main", "--sweep", "2", "--n", "256", "--phi",
+         '{"kind": "density", "u_grid": [[1, 1e-300], [2, 1e-299], '
+         '[3, 1]]}'],
     ]
     return lines
+
+
+def _narrow_phi(t0: float) -> str:
+    """u through (t0, t0 / 2), (1.2 t0, 0.8 t0) and (1.4 t0, 1.2 t0)."""
+    return json.dumps({"kind": "density", "u_grid": [
+        [t0, 0.5 * t0], [1.2 * t0, 0.8 * t0], [1.4 * t0, 1.2 * t0]]})
 
 
 def run(argv: list[str], indir: str) -> dict:

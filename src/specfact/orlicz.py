@@ -57,12 +57,13 @@ class NFunction:
         self.t_nodes = t
         self.u_nodes = u
         self.alpha_lo, self.alpha_hi = _end_exponents(t, u)
+        self._dt, self._du = np.diff(t), np.diff(u)
         # cumulative integral of the piecewise-linear density; the piece
         # below the first node is the exact power-law integral.  It is the
         # one check the constructor makes, for Phi and its complement alike
         with np.errstate(over="ignore"):
             head = u[0] * t[0] / (self.alpha_lo + 1.0)
-            increments = 0.5 * (u[1:] + u[:-1]) * np.diff(t)
+            increments = 0.5 * (u[1:] + u[:-1]) * self._dt
             self._cum = head + np.concatenate([[0.0], np.cumsum(increments)])
         if not math.isfinite(self._cum[-1]):
             j = int(np.argmin(np.isfinite(self._cum)))
@@ -263,10 +264,8 @@ def _json_field(obj: dict, key: str, expected: str, convert):
 # -- norms ---------------------------------------------------------------
 
 
-def _modal_integral(values: np.ndarray, phi: NFunction, h: float) -> float:
-    with np.errstate(over="ignore"):
-        vals = phi.phi(values)
-    vals = np.asarray(vals)
+def _modal_integral(vals: np.ndarray, h: float) -> float:
+    """h times the sum of the N-function values vals; nan is refused."""
     if np.any(np.isnan(vals)):
         raise DomainError("N-function evaluation produced NaN")
     return float(np.sum(vals) * h)
@@ -362,7 +361,8 @@ def luxemburg_norm(f: GridFunction, phi: NFunction) -> float:
         return 0.0
     h = 2.0 * np.pi / f.n
     z = _log_root(
-        lambda z: 1.0 - _modal_integral(v / (peak * math.exp(z)), phi, h),
+        lambda z: 1.0 - _modal_integral(phi.phi(v / (peak * math.exp(z))),
+                                        h),
         0.0, 1e-10, "no finite bracket for the Luxemburg norm")
     return peak * math.exp(z)
 
@@ -378,13 +378,16 @@ def orlicz_norm(f: GridFunction, phi: NFunction) -> float:
 
     whose integrand Phi*(Phi'(k|f|)) is nondecreasing in k.  One bracketed
     root step in log k to 1e-8 (_log_root) locates the minimizer.  Its
-    steps read Y from moments of the sorted samples, built once
-    (_young_integral), in O(nodes) work each; against the sample-by-sample sum they agree to
-    6e-13 relative where both are finite, and are +inf where it is.  The
-    objective at the root is summed sample by sample and returned, an
-    upper bound on the infimum whatever the error of the moments.  Raises
-    NumericalConditioningError when no root lies in the searched range
-    (the infimum is then approached only as k -> 0 or k -> inf).
+    steps read Y from running moments of the sorted samples
+    (_young_integral), in a handful of numpy calls on the node arrays
+    each; against the sample-by-sample sum they agree to 6e-13 relative
+    where both are finite, and are +inf where it is.  The objective at the
+    root is Phi summed sample by sample, in one pass over the sorted
+    samples that gives NFunction.phi's floats (_phi_sorted), and it is
+    returned: an upper bound on the infimum whatever the error of the
+    moments.  Raises NumericalConditioningError when no root lies in the
+    searched range (the infimum is then approached only as k -> 0 or
+    k -> inf).
     """
     if phi.kind == "power":
         q = phi.q
@@ -402,46 +405,90 @@ def orlicz_norm(f: GridFunction, phi: NFunction) -> float:
     # the objective (1 + int Phi(k|f|))/k at k = e^z / peak, in the
     # normalized samples, so an extreme peak cannot push k out of range
     return (peak * math.exp(-z)
-            * (1.0 + _modal_integral(math.exp(z) * w, phi, h)))
+            * (1.0 + _modal_integral(_phi_sorted(phi, math.exp(z) * w), h)))
+
+
+def _phi_sorted(phi: NFunction, x: np.ndarray) -> np.ndarray:
+    """phi.phi(x), float for float, at sorted samples x >= 0 of a
+    density-kind Phi.  One search of the nodes among the samples cuts them
+    into one run per segment, and np.repeat spreads each segment's node
+    values over its run: no search per sample."""
+    t, u, cum = phi.t_nodes, phi.u_nodes, phi._cum
+    # x[:lo] <= t[0] < x[lo:hi] <= t[-1] < x[hi:]
+    lo, hi = x.searchsorted(t[::len(t) - 1], side="right")
+    # segment i's run holds t_i <= x < t_(i+1), and t[-1] in the last one
+    edges = x[lo:hi].searchsorted(t)
+    edges[-1] = hi - lo
+    runs = edges[1:] - edges[:-1]
+    out = np.empty_like(x)
+    # cum_i + 0.5 (x - t_i) (u_i + ux) with ux = u_i + du_i (x - t_i) / dt_i,
+    # in place, each operation on the operands that NFunction.phi rounds
+    ui = np.repeat(u[:-1], runs)
+    d = np.subtract(x[lo:hi], np.repeat(t[:-1], runs), out=out[lo:hi])
+    ux = d / np.repeat(phi._dt, runs)
+    ux *= np.repeat(phi._du, runs)
+    ux += ui
+    ux += ui  # now u_i + ux
+    d *= 0.5
+    d *= ux
+    d += np.repeat(cum[:-1], runs)
+    with np.errstate(over="ignore"):
+        if lo:
+            out[:lo] = (u[0] * t[0] / (phi.alpha_lo + 1.0)
+                        * (x[:lo] / t[0]) ** (phi.alpha_lo + 1.0))
+        if hi < len(x):
+            out[hi:] = cum[-1] + (
+                u[-1] * t[-1] / (phi.alpha_hi + 1.0)
+                * ((x[hi:] / t[-1]) ** (phi.alpha_hi + 1.0) - 1.0))
+    return out
 
 
 def _young_integral(phi: NFunction,
                     w: np.ndarray) -> Callable[[float], float]:
     """z -> sum_j g(e^z w_j) for the sorted samples w <= 1 of a density-kind
-    Phi, with g(x) = x Phi'(x) - Phi(x), from moments of w built once.
+    Phi, with g(x) = x Phi'(x) - Phi(x), from moments of w.
 
-    Between nodes the density is linear, so g(x) = c_i + q_i ((x/t_i)^2 - 1)
-    on [t_i, t_(i+1)), with c_i = t_i u_i - Phi(t_i) and q_i = s_i t_i^2 / 2
-    for the segment slope s_i: an interval needs only its count and sum of
-    w^2.  Below the first node g is a multiple of x^(alpha_lo + 1), above
-    the last one an affine function of x^(alpha_hi + 1), so each end piece
-    needs one power sum S of w; its coefficient C and S enter as
-    ((C S)^(1/p) e^z / t_end)^p, which overflows only where the piece
-    does.  A step is one search of the nodes that bracket the samples
-    among them plus O(nodes) arithmetic.  Where a sample's x Phi'(x) or
-    Phi(x) leaves the double range the sum is +inf, as summing g sample
-    by sample makes it.  The sums of w^2 are exact to rounding while every
-    nonzero sample is above 1e-150 of the peak, so that its square is a
-    normal double.
+    Between nodes the density is linear with slope s_i, so on
+    [t_i, t_(i+1)) g(x) = c_i - q_i + (s_i / 2) x^2, with c_i = t_i u_i -
+    Phi(t_i) and q_i = s_i t_i^2 / 2: an interval needs only its count and
+    its sum of w^2, times e^z twice.  (Written as q_i ((x / t_i)^2 - 1),
+    it is nan once t_i^2 underflows, below 1e-154.)  Below the first node
+    g is a multiple of x^(alpha_lo + 1), above the last one an affine
+    function of x^(alpha_hi + 1), so each end piece needs one power sum S
+    of w; its coefficient C and S enter as ((C S)^(1/p) e^z / t_end)^p,
+    which overflows only where the piece does.  S is summed only when a
+    step puts samples in the piece, sequentially over them as a full
+    cumulative sum would, and kept by its sample count for the later
+    steps of the call.  A step is one search of the nodes among the
+    samples plus a handful of numpy calls on the node arrays, and skips
+    the end pieces while they hold no sample, as near the root they
+    usually do.  Where a sample's x Phi'(x) or Phi(x) leaves the double range
+    the sum is +inf, as summing g sample by sample makes it.  The sums of
+    w^2 are exact to rounding while every nonzero sample is above 1e-150
+    of the peak, so that its square is a normal double; no node is
+    squared, so nodes below 1e-154 keep that exactness.
     """
     t, u, cum = phi.t_nodes, phi.u_nodes, phi._cum
     a_lo, a_hi = phi.alpha_lo + 1.0, phi.alpha_hi + 1.0
-    w = w[np.searchsorted(w, 0.0, side="right"):]  # zeros add nothing
+    w = w[w.searchsorted(0.0, side="right"):]  # zeros add nothing
+    n = len(w)
     with np.errstate(all="ignore"):
         c = t * u - cum
-        q = 0.5 * np.diff(u) * t[:-1] * (t[:-1] / np.diff(t))
+        # per interval: c_i - q_i, and s_i / 2 (t_i^2 can underflow)
+        c_q = c[:-1] - 0.5 * phi._du * t[:-1] * (t[:-1] / phi._dt)
+        half_slope = 0.5 * phi._du / phi._dt
         # the end pieces' coefficients, nodes and exponents
         coef = np.array([u[0] * t[0] * (1.0 - 1.0 / a_lo),
                          u[-1] * t[-1] * (1.0 - 1.0 / a_hi)])
         log_coef = np.log(coef)
         t_ends = np.array([t[0], t[-1]])
         powers = np.array([a_lo, a_hi])
-        zero = np.zeros(1)
-        w2 = np.concatenate([zero, np.cumsum(w * w)])
-        lo = np.concatenate([zero, np.cumsum(w ** a_lo)])
-        hi = np.concatenate([np.cumsum((w ** a_hi)[::-1])[::-1], zero])
         # the top piece's g is affine in x^(alpha_hi + 1): its constant
         c_top = float(c[-1] - coef[1])
+    w2 = np.empty(n + 1)  # running sums of w^2
+    w2[0] = 0.0
+    np.cumsum(w * w, out=w2[1:])
+    lo_sums, hi_sums = {0: 0.0}, {0: 0.0}  # the end pieces' S, by count
     log_t_top = math.log(t[-1])
     log_u_top = math.log(u[-1])
 
@@ -454,24 +501,24 @@ def _young_integral(phi: NFunction,
             with np.errstate(over="ignore", invalid="ignore"):
                 if math.isinf(phi.phi(k)) or math.isinf(k * phi.density(k)):
                     return math.inf
+        ez = math.exp(z)
         with np.errstate(all="ignore"):
-            tau = t * math.exp(-z)
-            # the nodes that bracket the samples: tau[a] <= w[0], tau[b] > 1
-            a, b = np.searchsorted(tau, (w[0], 1.0), side="right")
-            a, b = max(a - 1, 0), min(b, len(t) - 1)
-            # idx[i] counts the samples with e^z w < t_(a+i)
-            idx = np.searchsorted(w, tau[a:b + 1])
-            n_in = idx[1:] - idx[:-1]
-            mid = n_in * c[a:b] + q[a:b] * ((w2[idx[1:]] - w2[idx[:-1]])
-                                            / tau[a:b] ** 2 - n_in)
-            sums = np.array([lo[idx[0]], hi[idx[-1]]])
-            ends = (np.exp((log_coef + np.log(sums)) / powers)
-                    * (math.exp(z) / t_ends)) ** powers
-            # an empty end piece may hold inf * 0
-            total = float(mid.sum() + ends[sums > 0].sum())
-        n_hi = len(w) - int(idx[-1])
-        if n_hi:
-            total += n_hi * c_top
+            # idx[i] counts the samples with e^z w < t_i
+            idx = w.searchsorted(t * math.exp(-z))
+            s2 = w2[idx]
+            total = (float(np.dot(idx[1:] - idx[:-1], c_q))
+                     + float(np.dot(half_slope, s2[1:] - s2[:-1])) * ez * ez)
+            n_lo, n_hi = int(idx[0]), n - int(idx[-1])
+            if n_lo or n_hi:
+                if n_lo not in lo_sums:
+                    lo_sums[n_lo] = np.cumsum(w[:n_lo] ** a_lo)[-1]
+                if n_hi not in hi_sums:  # summed from the top sample down
+                    hi_sums[n_hi] = np.cumsum(w[:-n_hi - 1:-1] ** a_hi)[-1]
+                sums = np.array([lo_sums[n_lo], hi_sums[n_hi]])
+                ends = (np.exp((log_coef + np.log(sums)) / powers)
+                        * (ez / t_ends)) ** powers
+                # an empty end piece may hold inf * 0
+                total += float(ends[sums > 0].sum()) + n_hi * c_top
         return total
 
     return integral

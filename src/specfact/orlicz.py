@@ -133,22 +133,29 @@ class NFunction:
             return out if out.ndim else float(out)
         if np.isnan(ax).any():
             raise ParameterError("Phi is not defined at nan")
-        t, u, cum = self.t_nodes, self.u_nodes, self._cum
+        t = self.t_nodes
         # one search puts each sample on its segment; the power laws below
         # the first node and above the last then overwrite their samples
         x = ax.reshape(-1)
         i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
-        ti, ui = t[i], u[i]
         with np.errstate(over="ignore", invalid="ignore"):
-            ux = ui + (u[i + 1] - ui) * ((x - ti) / (t[i + 1] - ti))
-            out = cum[i] + 0.5 * (x - ti) * (ui + ux)
+            out = _on_segments(x - t[i], self.u_nodes[i], self._du[i],
+                               self._dt[i], self._cum[i])
             lo, hi = x <= t[0], x > t[-1]
-            out[lo] = (u[0] * t[0] / (self.alpha_lo + 1.0)
-                       * (x[lo] / t[0]) ** (self.alpha_lo + 1.0))
-            out[hi] = cum[-1] + (
-                u[-1] * t[-1] / (self.alpha_hi + 1.0)
-                * ((x[hi] / t[-1]) ** (self.alpha_hi + 1.0) - 1.0))
+            out[lo] = self._below(x[lo])
+            out[hi] = self._above(x[hi])
         return out.reshape(ax.shape) if ax.ndim else float(out[0])
+
+    def _below(self, x: np.ndarray) -> np.ndarray:
+        """Phi at 0 <= x <= t[0] of a density: the first power law."""
+        t, u = self.t_nodes[0], self.u_nodes[0]
+        return u * t / (self.alpha_lo + 1.0) * (x / t) ** (self.alpha_lo + 1.0)
+
+    def _above(self, x: np.ndarray) -> np.ndarray:
+        """Phi at x > t[-1] of a density: the last power law."""
+        t, u = self.t_nodes[-1], self.u_nodes[-1]
+        return self._cum[-1] + (u * t / (self.alpha_hi + 1.0)
+                                * ((x / t) ** (self.alpha_hi + 1.0) - 1.0))
 
     def density(self, x):
         """The density u(x) = Phi'(x) for x >= 0, vectorized."""
@@ -238,6 +245,22 @@ class NFunction:
         if grid.ndim != 2 or grid.shape[1] != 2:
             raise ParameterError("u_grid must be [[t, u], ...]")
         return cls.from_density(grid[:, 0], grid[:, 1])
+
+
+def _on_segments(d: np.ndarray, u: np.ndarray, du: np.ndarray,
+                 dt: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Phi on the linear pieces of a density, in place in d = x - t_i:
+    cum_i + 0.5 d (u_i + ux) with ux = u_i + du_i d / dt_i, given each
+    sample's node values t_i, u_i, cum_i and segment differences du_i,
+    dt_i.  Returns d."""
+    ux = d / dt
+    ux *= du
+    ux += u
+    ux += u  # now u_i + ux
+    d *= 0.5
+    d *= ux
+    d += cum
+    return d
 
 
 def _end_exponents(t: np.ndarray, u: np.ndarray) -> tuple[float, float]:
@@ -413,7 +436,7 @@ def _phi_sorted(phi: NFunction, x: np.ndarray) -> np.ndarray:
     density-kind Phi.  One search of the nodes among the samples cuts them
     into one run per segment, and np.repeat spreads each segment's node
     values over its run: no search per sample."""
-    t, u, cum = phi.t_nodes, phi.u_nodes, phi._cum
+    t = phi.t_nodes
     # x[:lo] <= t[0] < x[lo:hi] <= t[-1] < x[hi:]
     lo, hi = x.searchsorted(t[::len(t) - 1], side="right")
     # segment i's run holds t_i <= x < t_(i+1), and t[-1] in the last one
@@ -421,25 +444,15 @@ def _phi_sorted(phi: NFunction, x: np.ndarray) -> np.ndarray:
     edges[-1] = hi - lo
     runs = edges[1:] - edges[:-1]
     out = np.empty_like(x)
-    # cum_i + 0.5 (x - t_i) (u_i + ux) with ux = u_i + du_i (x - t_i) / dt_i,
-    # in place, each operation on the operands that NFunction.phi rounds
-    ui = np.repeat(u[:-1], runs)
-    d = np.subtract(x[lo:hi], np.repeat(t[:-1], runs), out=out[lo:hi])
-    ux = d / np.repeat(phi._dt, runs)
-    ux *= np.repeat(phi._du, runs)
-    ux += ui
-    ux += ui  # now u_i + ux
-    d *= 0.5
-    d *= ux
-    d += np.repeat(cum[:-1], runs)
+    _on_segments(np.subtract(x[lo:hi], np.repeat(t[:-1], runs),
+                             out=out[lo:hi]),
+                 *(np.repeat(a, runs) for a in (
+                     phi.u_nodes[:-1], phi._du, phi._dt, phi._cum[:-1])))
     with np.errstate(over="ignore"):
         if lo:
-            out[:lo] = (u[0] * t[0] / (phi.alpha_lo + 1.0)
-                        * (x[:lo] / t[0]) ** (phi.alpha_lo + 1.0))
+            out[:lo] = phi._below(x[:lo])
         if hi < len(x):
-            out[hi:] = cum[-1] + (
-                u[-1] * t[-1] / (phi.alpha_hi + 1.0)
-                * ((x[hi:] / t[-1]) ** (phi.alpha_hi + 1.0) - 1.0))
+            out[hi:] = phi._above(x[hi:])
     return out
 
 

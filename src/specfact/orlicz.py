@@ -498,9 +498,7 @@ def _young_integral(phi: NFunction,
         powers = np.array([a_lo, a_hi])
         # the top piece's g is affine in x^(alpha_hi + 1): its constant
         c_top = float(c[-1] - coef[1])
-    w2 = np.empty(n + 1)  # running sums of w^2
-    w2[0] = 0.0
-    np.cumsum(w * w, out=w2[1:])
+    w2 = np.concatenate([[0.0], np.cumsum(w * w)])  # running sums of w^2
     lo_sums, hi_sums = {0: 0.0}, {0: 0.0}  # the end pieces' S, by count
     log_t_top = math.log(t[-1])
     log_u_top = math.log(u[-1])

@@ -444,11 +444,11 @@ def _phi_sorted(phi: NFunction, x: np.ndarray) -> np.ndarray:
     edges[-1] = hi - lo
     runs = edges[1:] - edges[:-1]
     out = np.empty_like(x)
-    _on_segments(np.subtract(x[lo:hi], np.repeat(t[:-1], runs),
-                             out=out[lo:hi]),
-                 *(np.repeat(a, runs) for a in (
-                     phi.u_nodes[:-1], phi._du, phi._dt, phi._cum[:-1])))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        _on_segments(np.subtract(x[lo:hi], np.repeat(t[:-1], runs),
+                                 out=out[lo:hi]),
+                     *(np.repeat(a, runs) for a in (
+                         phi.u_nodes[:-1], phi._du, phi._dt, phi._cum[:-1])))
         if lo:
             out[:lo] = phi._below(x[:lo])
         if hi < len(x):
@@ -475,8 +475,10 @@ def _young_integral(phi: NFunction,
     steps of the call.  A step is one search of the nodes among the
     samples plus a handful of numpy calls on the node arrays, and skips
     the end pieces while they hold no sample, as near the root they
-    usually do.  Where a sample's x Phi'(x) or Phi(x) leaves the double range
-    the sum is +inf, as summing g sample by sample makes it.  The sums of
+    usually do.  When a complement's one-ulp ramp makes an interval's
+    coefficients inf, a step reads only the intervals that hold samples.
+    Where a sample's x Phi'(x) or Phi(x) leaves the double range the sum
+    is +inf, as summing g sample by sample makes it.  The sums of
     w^2 are exact to rounding while every nonzero sample is above 1e-150
     of the peak, so that its square is a normal double; no node is
     squared, so nodes below 1e-154 keep that exactness.
@@ -490,6 +492,9 @@ def _young_integral(phi: NFunction,
         # per interval: c_i - q_i, and s_i / 2 (t_i^2 can underflow)
         c_q = c[:-1] - 0.5 * phi._du * t[:-1] * (t[:-1] / phi._dt)
         half_slope = 0.5 * phi._du / phi._dt
+        # a complement's one-ulp ramp can make them inf, and an interval
+        # that holds no sample would add 0 * inf, nan: then mask them
+        ramp = not np.isfinite([c_q, half_slope]).all()
         # the end pieces' coefficients, nodes and exponents
         coef = np.array([u[0] * t[0] * (1.0 - 1.0 / a_lo),
                          u[-1] * t[-1] * (1.0 - 1.0 / a_hi)])
@@ -517,8 +522,13 @@ def _young_integral(phi: NFunction,
             # idx[i] counts the samples with e^z w < t_i
             idx = w.searchsorted(t * math.exp(-z))
             s2 = w2[idx]
-            total = (float(np.dot(idx[1:] - idx[:-1], c_q))
-                     + float(np.dot(half_slope, s2[1:] - s2[:-1])) * ez * ez)
+            n_in = idx[1:] - idx[:-1]
+            c_in, s_in = c_q, half_slope
+            if ramp:
+                c_in, s_in = (np.where(n_in, a, 0.0)
+                              for a in (c_q, half_slope))
+            total = (float(np.dot(n_in, c_in))
+                     + float(np.dot(s_in, s2[1:] - s2[:-1])) * ez * ez)
             n_lo, n_hi = int(idx[0]), n - int(idx[-1])
             if n_lo or n_hi:
                 if n_lo not in lo_sums:
@@ -529,7 +539,8 @@ def _young_integral(phi: NFunction,
                 ends = (np.exp((log_coef + np.log(sums)) / powers)
                         * (ez / t_ends)) ** powers
                 # an empty end piece may hold inf * 0
-                total += float(ends[sums > 0].sum()) + n_hi * c_top
+                total += (float(ends[sums > 0].sum())
+                          + (n_hi * c_top if n_hi else 0.0))
         return total
 
     return integral

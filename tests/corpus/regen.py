@@ -264,6 +264,15 @@ def manifest() -> list[list[str]]:
         ["bounds", "--check", "main", "--sweep", "2", "--n", "256", "--phi",
          '{"kind": "density", "u_grid": [[1, 1e-300], [2, 1e-299], '
          '[3, 1]]}'],
+        # a flat segment of u becomes a complement ramp one ulp wide whose
+        # interval coefficients are inf: at y = 8, inside the root steps'
+        # node range, and at y = 1e6, far above it
+        *(["bounds", "--check", "main", "--sweep", "2", "--n", "256",
+           "--phi", phi]
+          for phi in ('{"kind": "density", "u_grid": [[1, 1], [2, 2], '
+                      '[8, 8], [3e293, 8], [6e293, 9]]}',
+                      '{"kind": "density", "u_grid": [[1, 1], [2, 2], '
+                      '[1e6, 1e6], [3e299, 1e6], [6e299, 2e6]]}')),
     ]
     return lines
 

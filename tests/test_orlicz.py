@@ -411,14 +411,19 @@ def _orlicz_norm_by_samples(f, phi):
 def _young_phis():
     """The L log L Phi, its complement, the density copies of tau^2/2 and
     tau^3/3, L log L scaled by 1e-200 and sampled from t = 1e-100 (its
-    terms overflow only past z = 685, its e^z / t_0 past z = 480), and the
-    complement of u through (1, 1e-300), (2, 1e-299) and (3, 1), whose
-    nodes 1e-300 and 1e-299 have squares below the double range."""
+    terms overflow only past z = 685, its e^z / t_0 past z = 480), the
+    complement of u through (1, 1), (2, 2), (8, 8), (3e293, 8) and
+    (6e293, 9), whose flat segment becomes a ramp one ulp wide with an
+    inf slope, and the complement of u through (1, 1e-300), (2, 1e-299)
+    and (3, 1), whose nodes 1e-300 and 1e-299 have squares below the
+    double range."""
     phi = _llogl_phi()
     t = np.geomspace(1e-100, 1e6, 107)
     return (phi, phi.complement(), _power_density_copy(2.0),
             _power_density_copy(3.0),
             NFunction.from_density(t, 1e-200 * np.log1p(t)),
+            NFunction.from_density([1.0, 2.0, 8.0, 3e293, 6e293],
+                                   [1.0, 2.0, 8.0, 8.0, 9.0]).complement(),
             NFunction.from_density([1.0, 2.0, 3.0],
                                    [1e-300, 1e-299, 1.0]).complement())
 
@@ -500,17 +505,14 @@ def test_sorted_phi_matches_phi_bit_for_bit(rng):
 
 
 def _overflow_z(phi):
-    """The z, to 1e-9, from which e^z Phi'(e^z) or Phi(e^z) is inf; None
-    where both stay finite up to z = 700."""
+    """The z, to 1e-9, from which e^z Phi'(e^z) or Phi(e^z) is inf."""
     def over(z):
         x = math.exp(z)
         with np.errstate(over="ignore", invalid="ignore"):
             return math.isinf(phi.phi(x)) or math.isinf(x * phi.density(x))
 
     lo, hi = -700.0, 700.0
-    assert not over(lo)
-    if not over(hi):
-        return None
+    assert over(hi) and not over(lo)
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if over(mid) else (mid, hi)
@@ -534,10 +536,9 @@ def test_young_moment_sum_matches_sample_sum():
     rng = np.random.default_rng(11)
     for fn in _young_phis()[:-1]:
         z_over = _overflow_z(fn)
-        zs = np.linspace(-700.0, 700.0, 281)
-        if z_over is not None:
-            zs = np.concatenate([zs, z_over + np.array(
-                [-1e-3, 0.0, 1e-6, 1e-3, 0.1, 0.3, 1.0, 2.0])])
+        zs = np.concatenate([np.linspace(-700.0, 700.0, 281),
+                             z_over + np.array([-1e-3, 0.0, 1e-6, 1e-3, 0.1,
+                                                0.3, 1.0, 2.0])])
         for seed in range(2):
             base = random_density(np.random.default_rng([seed, 2]), n=256)
             for scale in (1e-200, 1.0, 1e200):

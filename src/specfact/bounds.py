@@ -31,7 +31,7 @@ from .circle_fn import (
     h2_distance,
 )
 from .errors import AliasingError, ParameterError
-from .factorization import _positive_log, factorize_boundary
+from .factorization import _positive, _positive_log, factorize_boundary
 from .orlicz import (
     NFunction,
     k0_constant,
@@ -43,14 +43,16 @@ from .report import BoundReport, _plain, bound_report
 
 #: Sweeps stack their trials in blocks whose (trials x n) densities take at
 #: most this many bytes per side (at least one trial per block), so each
-#: check formula, and the logs and conjugate FFTs of the block's densities,
+#: check formula, and the conjugate synthesis of the block's densities,
 #: run once per block; only the rest of each factorization is per density.
-#: CPU time per thm2 trial with that batching (least of 15 runs, 2-core
-#: VM): at n = 4096, 635 us at 128 KB (4 trials), 731 us at 8 KB and 621 us
-#: at 512 KB; at n = 256, 186 us at 128 KB (64 trials), 212 us at 8 KB and
-#: 179 us at 512 KB.  The sweep's scratch holds 4 (trials) (n + 1) floats,
-#: four times this size, so 512 KB would add about 3 MB to the peak RSS of
-#: a 100-trial sweep at n = 4096 for a 2 to 4% gain.
+#: CPU time per thm2 trial with the batched logs and conjugate FFTs that
+#: came before the synthesis (least of 15 runs, 2-core VM): at n = 4096,
+#: 635 us at 128 KB (4 trials), 731 us at 8 KB and 621 us at 512 KB; at
+#: n = 256, 186 us at 128 KB (64 trials), 212 us at 8 KB and 179 us at
+#: 512 KB.  The sweep's scratch holds 4 (trials) (n + 1) floats, four
+#: times this size: the block's 2 (trials) conjugates of n floats, then
+#: their 2 (trials) spectra of n/2 + 1 complex bins, whose room each
+#: density's n complex boundary values reuse.
 _SWEEP_BLOCK_BYTES = 1 << 17
 
 #: The allowance of the bound checks, lhs <= rhs (1 + _TOL) + _ATOL, and
@@ -86,17 +88,24 @@ class PairMetrics:
     for any B.
 
     A check pays only for what its formula reads: the identity terms cost a
-    conjugate FFT that Theorem 2, Corollary p and the master bound skip.
-    The logs are lazy too; kept alive across the two boundary factorizations
+    conjugate that Theorem 2, Corollary p and the master bound skip.  The
+    logs are lazy too; kept alive across the two boundary factorizations
     they made cross_validate_pipeline page-fault measurably more.
 
-    A sweep's records share scratch, a float array of at least
-    4 B (n + 1) values, for h2_squared's temporaries; it holds nothing
-    between accesses, so the records may be read in any order.
+    A sweep's record also holds bins, the (2B, degree + 1) complex spectra
+    that random_density wrote for its draws, f's rows then g's: row j of f
+    is exp of the irfft of bins[j] (to rounding).  From them h2_squared and
+    terms synthesize their conjugates without a log or a forward FFT; the
+    floats differ from the logs' conjugates in their last bits.  A record
+    without bins (explicit pairs, the family) takes the logs.  The sweep's
+    records share scratch too, a float array of at least 4 B (n + 1)
+    values, for h2_squared's temporaries; it holds nothing between
+    accesses, so the records may be read in any order.
     """
 
     f: np.ndarray
     g: np.ndarray
+    bins: np.ndarray | None = None
     scratch: np.ndarray | None = None
 
     @cached_property
@@ -120,32 +129,48 @@ class PairMetrics:
 
         Each row goes in as a GridFunction, checked again but shared, not
         copied, when the block is read-only (as a sweep's blocks are).
-        Without scratch each call takes its density's log and conjugate
-        itself.  With it, the block's logs go to the scratch, one
-        _positive_log per side, log_ratio is their difference, and one
-        batched FFT pair turns them into the conjugates -(log .)~ / 4 in
-        place; each call gets its row of those and the rest of the scratch
-        for its boundary values.  Every float is the same either way."""
+        Without bins each call takes its density's log and conjugate
+        itself.  With them, one batched irfft gives every row's conjugate
+        -(log .)~ / 4, in the scratch when there is one, and each call gets
+        its row and the scratch's spectrum part for its boundary values."""
         b, n = self.f.shape
-        if self.scratch is None:
+        if self.bins is None:
             return np.array([
                 h2_distance(factorize_boundary(GridFunction(n, f)),
                             factorize_boundary(GridFunction(n, g))) ** 2
                 for f, g in zip(self.f, self.g)])
-        logs = self.scratch[: 2 * b * n].reshape(2 * b, n)
-        spectrum = self.scratch[2 * b * n: 4 * b * (n + 1)]
-        _positive_log(self.f, out=logs[:b])
-        _positive_log(self.g, out=logs[b:])
-        if "log_ratio" not in self.__dict__:  # where cached_property keeps it
-            self.__dict__["log_ratio"] = logs[:b] - logs[b:]
-        _conjugate(logs, multiplier=-0.25j, out=logs,
-                   spectrum=spectrum.view(np.complex128).reshape(2 * b, -1))
+        conjugates = self._quarter_conjugates(self.bins, self.scratch)
+        spare = None if self.scratch is None else self.scratch[2 * b * n:]
         return np.array([
             h2_distance(factorize_boundary(GridFunction(n, f), conjugate=u,
-                                           scratch=spectrum),
+                                           scratch=spare),
                         factorize_boundary(GridFunction(n, g), conjugate=v,
-                                           scratch=spectrum)) ** 2
-            for f, g, u, v in zip(self.f, self.g, logs[:b], logs[b:])])
+                                           scratch=spare)) ** 2
+            for f, g, u, v in zip(self.f, self.g, conjugates[:b],
+                                  conjugates[b:])])
+
+    def _quarter_conjugates(self, bins: np.ndarray,
+                            scratch: np.ndarray | None = None) -> np.ndarray:
+        """-v~ / 4 of every row v whose bins 0 .. degree are a row of bins,
+        by one batched irfft of the bins times -0.25j, which scales them
+        exactly, with bin 0 zeroed, padded with zeros to n/2 + 1 bins (an
+        irfft of the short rows pads them too, but more slowly).  For R
+        rows, scratch takes the conjugates in its first R n floats and the
+        padded bins in the R (n + 2) after them.  f and g are checked
+        positive first, as their logs would be."""
+        _positive(self.f)
+        _positive(self.g)
+        (rows, width), n = bins.shape, self.f.shape[-1]
+        if scratch is None:
+            out, spectrum = None, np.zeros((rows, n // 2 + 1), np.complex128)
+        else:
+            out = scratch[: rows * n].reshape(rows, n)
+            spectrum = scratch[rows * n: rows * (2 * n + 2)].view(
+                np.complex128).reshape(rows, -1)
+            spectrum[:, width:] = 0.0
+        np.multiply(bins, -0.25j, out=spectrum[:, :width])
+        spectrum[:, 0] = 0.0
+        return np.fft.irfft(spectrum, n, out=out)
 
     @cached_property
     def terms(self) -> IdentityTerms:
@@ -153,7 +178,10 @@ class PairMetrics:
         beyond the double range is inf, with no overflow warning."""
         # psi_hat = (log f - log g)~ / 2, so its half angle is the
         # conjugate at -0.25j, scaled exactly
-        defect = _one_minus_cos(_conjugate(self.log_ratio, multiplier=-0.25j))
+        b = self.f.shape[0]
+        defect = _one_minus_cos(
+            _conjugate(self.log_ratio, multiplier=-0.25j) if self.bins is None
+            else self._quarter_conjugates(self.bins[:b] - self.bins[b:]))
         rf = np.sqrt(self.f)
         rg = np.sqrt(self.g)
         h = 2.0 * np.pi / self.f.shape[-1]
@@ -370,9 +398,10 @@ def check_theorem_main(f: GridFunction, g: GridFunction,
     return CHECKS["main"].reports(pair_metrics(f, g), phi)[0]
 
 
-def _phase_samples(rng: np.random.Generator, n: int,
-                   degree: int) -> np.ndarray:
-    """Samples of one random_phase draw before scaling; degree < n/2."""
+def _phase_samples(rng: np.random.Generator, n: int, degree: int,
+                   spectrum: np.ndarray | None = None) -> np.ndarray:
+    """Samples of one random_phase draw before scaling; degree < n/2.  The
+    bins 0 .. degree that the inverse FFT sums go to spectrum when given."""
     if 2 * degree >= n:
         raise AliasingError(f"degree {degree} is not resolved on {n} samples "
                             f"(need degree < n/2)")
@@ -389,27 +418,41 @@ def _phase_samples(rng: np.random.Generator, n: int,
     np.multiply(b, -0.5 * n, out=z.imag[1:])
     z[1::2] *= -1.0
     z.real[0] = n * a[0]
+    if spectrum is not None:
+        spectrum[...] = spec[: degree + 1]
     return np.fft.irfft(spec, n)
 
 
 def random_phase(rng: np.random.Generator, n: int = 4096,
-                 degree: int = 16) -> GridFunction:
+                 degree: int = 16, *,
+                 spectrum: np.ndarray | None = None) -> GridFunction:
     """Random real trig polynomial, coefficients uniform in [-1, 1].
 
     The degree is drawn uniformly from 1..degree, and degree >= n/2, which
     the grid cannot resolve, raises AliasingError.  This is the documented
     sweep distribution for conjugate phases; its exponential is the density
     distribution.
+
+    spectrum, when given, is a complex array of degree + 1 values that
+    receives the draw's bins 0 .. degree at the scale the inverse real FFT
+    sums them: np.fft.irfft(spectrum, n) gives the samples bit for bit.
+    The samples are the same with it or without it.
     """
     n = _check_grid_size(n)
-    return GridFunction(n, _handed_over(_phase_samples(rng, n, degree)))
+    return GridFunction(n, _handed_over(
+        _phase_samples(rng, n, degree, spectrum)))
 
 
 def random_density(rng: np.random.Generator, n: int = 4096,
-                   degree: int = 16) -> GridFunction:
-    """exp of a random_phase draw: positive, smooth, with integrable log."""
+                   degree: int = 16, *,
+                   spectrum: np.ndarray | None = None) -> GridFunction:
+    """exp of a random_phase draw: positive, smooth, with integrable log.
+
+    spectrum, when given, receives the phase's bins as random_phase
+    writes them, so a harmonic conjugate of log f needs no log and no
+    forward FFT."""
     n = _check_grid_size(n)
-    v = _phase_samples(rng, n, degree)
+    v = _phase_samples(rng, n, degree, spectrum)
     return GridFunction(n, _handed_over(np.exp(v, out=v)))
 
 
@@ -426,7 +469,8 @@ def _sweep_blocks(seed: int, trials: int, n: int, degree: int, pairs: bool):
     Trial i seeds default_rng([seed, i]) and draws f then g with
     random_density (pairs) or psi with random_phase; a block of trials is
     stacked into one record, so each check's formula runs once per block.
-    Yields a PairMetrics per block of pairs, or a (B, n) array of phases.
+    Yields a PairMetrics per block of pairs, with the draws' bins, or a
+    (B, n) array of phases.
     """
     n = _check_grid_size(n)
     size = max(1, _SWEEP_BLOCK_BYTES // (8 * n))
@@ -439,8 +483,11 @@ def _sweep_blocks(seed: int, trials: int, n: int, degree: int, pairs: bool):
             yield _handed_over(np.array([
                 random_phase(rng, n=n, degree=degree).values for rng in rngs]))
             continue
-        draws = [(random_density(rng, n=n, degree=degree),
-                  random_density(rng, n=n, degree=degree)) for rng in rngs]
+        bins = np.empty((2, len(rngs), degree + 1), dtype=np.complex128)
+        draws = [(random_density(rng, n=n, degree=degree, spectrum=bf),
+                  random_density(rng, n=n, degree=degree, spectrum=bg))
+                 for rng, bf, bg in zip(rngs, *bins)]
         yield PairMetrics(_handed_over(np.array([f.values for f, _ in draws])),
                           _handed_over(np.array([g.values for _, g in draws])),
+                          _handed_over(bins.reshape(2 * len(rngs), -1)),
                           scratch)

@@ -407,19 +407,16 @@ def harmonic_conjugate(f: GridFunction) -> GridFunction:
     return GridFunction(f.n, _conjugate(f.values))
 
 
-def _conjugate(v: np.ndarray, multiplier: complex = -1j,
-               out: np.ndarray | None = None,
-               spectrum: np.ndarray | None = None) -> np.ndarray:
+def _conjugate(v: np.ndarray, multiplier: complex = -1j) -> np.ndarray:
     """harmonic_conjugate of every row of a real array along the last axis;
     batched FFTs give each row the same floats as a 1-d call.  A multiplier
     of -1j times a power of two, such as -0.5j, scales the result by that
-    power exactly.  The rows' spectra go to `spectrum` (complex, n/2 + 1
-    per row) and the result to `out` (which may be v) when given."""
-    R = np.fft.rfft(v, out=spectrum)
+    power exactly."""
+    R = np.fft.rfft(v)
     R *= multiplier
     R[..., 0] = 0.0
     R[..., -1] = 0.0
-    return np.fft.irfft(R, v.shape[-1], out=out)
+    return np.fft.irfft(R, v.shape[-1])
 
 
 def _one_minus_cos(half: np.ndarray) -> np.ndarray:

@@ -82,10 +82,10 @@ HERGLOTZ_MAX_DEGREE = int(math.log(1e-6 * 2.0 ** 52, 1.0 / HERGLOTZ_RADIUS))
 HERGLOTZ_R_MAX = 0.95
 
 
-def _positive_log(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """log of real samples, rows along the last axis, written to `out` when
-    given.  A sample that is not positive raises DomainError, whose message
-    leaves the remedy, such as the command line's --floor, to the caller."""
+def _positive(v: np.ndarray) -> np.ndarray:
+    """v, real samples with rows along the last axis, checked positive.  A
+    sample that is not positive raises DomainError, whose message leaves
+    the remedy, such as the command line's --floor, to the caller."""
     if np.iscomplexobj(v):
         raise ParameterError("factorization expects a real density")
     if np.fmin.reduce(v, axis=None) <= 0.0:  # fmin passes over nan
@@ -96,7 +96,13 @@ def _positive_log(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             f"density is not positive: sample {j} "
             f"(theta = {grid_theta(len(row))[j]:.6f}) "
             f"has value {row[j]:.6g}")
-    return np.log(v, out=out)
+    return v
+
+
+def _positive_log(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log of real samples that _positive checks, written to `out` when
+    given."""
+    return np.log(_positive(v), out=out)
 
 
 def factorize_boundary(f: GridFunction, *, conjugate: np.ndarray | None = None,
@@ -111,12 +117,13 @@ def factorize_boundary(f: GridFunction, *, conjugate: np.ndarray | None = None,
     positive raises DomainError.
 
     Called with f alone, this is the reference path: it takes log f and
-    its conjugate itself.  A caller that has them already, as a sweep's
-    pair record has for a whole block, passes conjugate, the n floats of
-    -(log f)~ / 4 (that is _conjugate(log f, multiplier=-0.25j), for
-    which f was checked positive), and scratch, at least 2n floats for the
-    boundary values.  The call overwrites both and keeps neither; the
-    factor has the same bits as the reference path's.
+    its conjugate itself.  A caller that has the conjugate already passes
+    conjugate, the n floats of -(log f)~ / 4 for an f it checked positive,
+    and may pass scratch, at least 2n floats for the boundary values.  The
+    call overwrites both and keeps neither.  A sweep's pair record
+    synthesizes its conjugates from the draws' spectra, which differ from
+    _conjugate(log f, multiplier=-0.25j), the reference path's, in their
+    last bits; given that conjugate, the factor has the reference bits.
     """
     n = f.n
     # the boundary values F = sqrt(f) e^{2iu}, u = (log f)~ / 4, by the

@@ -20,6 +20,41 @@ from specfact import (
 from specfact.bounds import CHECKS
 
 
+#: The printed floats of each pair check that a conjugate feeds.  A sweep
+#: synthesizes its conjugates from the draws' spectra, a one-row record
+#: takes them from logs, so these floats may differ in their last bits.
+CONJUGATE_FIELDS = {
+    "thm2": ("lhs", "slack"),
+    "cor-p": ("lhs", "slack"),
+    "main": ("lhs", "slack"),
+    "identity": ("lhs", "slack", "t1", "t2", "t3", "sum", "h2_squared",
+                 "atol"),
+}
+
+
+def same_report(got: dict, want: dict, rel: float = 1e-14) -> bool:
+    """got and want, two reports' JSON dicts, hold the same keys in the
+    same order and the same values, except CONJUGATE_FIELDS of their check,
+    which lie within rel of want's, relative to the larger of the value's
+    magnitude and the report's scale: |lhs|, or for identity the largest
+    |T_i|, since its lhs and slack are |sum - h2_squared|, a difference of
+    numbers of that size."""
+    def flat(r):
+        return [*((k, v) for k, v in r.items() if k != "details"),
+                *r.get("details", {}).items()]
+
+    a, b = flat(got), flat(want)
+    if [k for k, _ in a] != [k for k, _ in b]:
+        return False
+    d = want["details"]
+    scale = (max(abs(d["t1"]), abs(d["t2"]), abs(d["t3"]))
+             if want["name"] == "identity" else abs(want["lhs"]))
+    loose = CONJUGATE_FIELDS.get(want["name"], ())
+    return all(x == y if k not in loose
+               else abs(x - y) <= rel * max(abs(y), scale)
+               for (k, x), (_, y) in zip(a, b))
+
+
 def report(name: str, grids, *extra):
     """The report of CHECKS[name] on the one-row record of grids, (f, g)
     or (psi,), with the option value the check takes (p or phi)."""

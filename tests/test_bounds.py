@@ -343,12 +343,52 @@ def test_pair_rows_are_shared_only_from_read_only_blocks():
     assert np.array_equal(row.values, pm.f[1])
 
 
-def test_sweep_block_path_gives_the_reference_bits():
+def test_sweep_block_path_matches_the_reference_path():
     """A sweep's records, read out of order through their shared scratch,
-    give the bytes of h2_squared and log_ratio that records without scratch
-    give, at n = 8 ... 16384 with partial last blocks (block_check.py,
-    which the numpy-only install runs too)."""
+    give the bytes of records with the same bins and no scratch, and of
+    records without bins for log_ratio and T1; h2_squared, T2 and T3 lie
+    within 1e-14 of those without bins, at n = 8 ... 16384 with partial
+    last blocks (block_check.py, which the numpy-only install runs too)."""
     assert not block_check.mismatches()
+
+
+@pytest.mark.parametrize("draw", [random_density, random_phase])
+@pytest.mark.parametrize("n, degree", [(8, 3), (256, 16), (4096, 16),
+                                       (64, 31), (4096, 2047)])
+def test_draw_spectrum_synthesizes_the_samples(draw, n, degree):
+    """spectrum= leaves the samples' bytes as they are without it, and the
+    irfft of the bins it receives gives the phase samples bit for bit."""
+    for seed in range(5):
+        bins = np.full(degree + 1, np.nan, dtype=np.complex128)
+        got = draw(np.random.default_rng(seed), n=n, degree=degree,
+                   spectrum=bins).values
+        plain = draw(np.random.default_rng(seed), n=n, degree=degree).values
+        assert got.tobytes() == plain.tobytes()
+        phase = random_phase(np.random.default_rng(seed), n=n, degree=degree)
+        assert np.fft.irfft(bins, n).tobytes() == phase.values.tobytes()
+
+
+@pytest.mark.parametrize("check", ["thm2", "cor-p", "main", "identity"])
+def test_pair_sweeps_take_no_forward_fft(monkeypatch, capsys, check):
+    """A pair sweep synthesizes its conjugates from the draws' bins:
+    bounds --check CHECK --sweep 8 --n 256 calls np.fft.rfft not once."""
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    argv = ["bounds", "--check", check, "--sweep", "8", "--n", "256"]
+    assert main(argv + (["--phi", '{"kind": "power", "q": 3}']
+                        if check == "main" else [])) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8
+    assert calls == []
+    # the counter sees the reference path's forward FFTs
+    pair_metrics(*(random_density(np.random.default_rng(0), n=256)
+                   for _ in range(2))).h2_squared
+    assert len(calls) == 2
 
 
 def test_sweep_takes_each_sides_log_once_per_block(monkeypatch, capsys):

@@ -148,14 +148,13 @@ class NFunction:
 
     def _below(self, x: np.ndarray) -> np.ndarray:
         """Phi at 0 <= x <= t[0] of a density: the first power law."""
-        t, u = self.t_nodes[0], self.u_nodes[0]
-        return u * t / (self.alpha_lo + 1.0) * (x / t) ** (self.alpha_lo + 1.0)
+        t, u, p = self.t_nodes[0], self.u_nodes[0], self.alpha_lo + 1.0
+        return _end_power(u * t / p, x, t, p)
 
     def _above(self, x: np.ndarray) -> np.ndarray:
         """Phi at x > t[-1] of a density: the last power law."""
-        t, u = self.t_nodes[-1], self.u_nodes[-1]
-        return self._cum[-1] + (u * t / (self.alpha_hi + 1.0)
-                                * ((x / t) ** (self.alpha_hi + 1.0) - 1.0))
+        t, u, p = self.t_nodes[-1], self.u_nodes[-1], self.alpha_hi + 1.0
+        return self._cum[-1] + _end_power(u * t / p, x, t, p, minus_one=True)
 
     def density(self, x):
         """The density u(x) = Phi'(x) for x >= 0, vectorized."""
@@ -261,6 +260,47 @@ def _on_segments(d: np.ndarray, u: np.ndarray, du: np.ndarray,
     d *= ux
     d += cum
     return d
+
+
+def _end_power(c: float, x: np.ndarray, t: float, p: float,
+               minus_one: bool = False) -> np.ndarray:
+    """c (x / t)^p, or c ((x / t)^p - 1) with minus_one, at samples x >= 0
+    of an end piece of Phi: within a few ulps of the exact value of these
+    doubles wherever that is a normal double, 0 only below the subnormals
+    and inf only above the largest double (r below 1e-308 is the exception:
+    it is rounded to a subnormal before the power).
+
+    The power is (c a) a with a = r^(p/2), r = x / t rounded, so no factor
+    leaves the double range before the value does, as c r^p does where r^p
+    underflows.  r's rounding, which the power multiplies by p, is undone
+    to first order by its exact relative residual d, from the mantissas of
+    x and t with Dekker's product: x / t = r (1 + d).  Where (x / t)^p <= 2
+    the difference is c expm1(p log1p((x - t) / t)), which, unlike
+    (x / t)^p - 1, does not cancel."""
+    r = x / t
+    mx, mt = np.frexp(x)[0], math.frexp(t)[0]
+    q = mx / mt
+    # mx - q mt exactly: fl(q mt) less its rounding error (Dekker), q and
+    # mt in (1/4, 2] so the halves stay in range
+    qmt = q * mt
+    cq, ct = _SPLIT * q, _SPLIT * mt
+    qh = cq - (cq - q)
+    th = ct - (ct - mt)
+    ql, tl = q - qh, mt - th
+    residual = (mx - qmt) - (((qh * th - qmt) + qh * tl + ql * th) + ql * tl)
+    d = np.divide(residual, qmt, out=np.zeros_like(q),
+                  where=np.isfinite(residual) & (qmt != 0.0))
+    a = r ** (0.5 * p)
+    out = (c * a) * a * (1.0 + p * d)
+    if minus_one:
+        out -= c
+        near = a * a <= 2.0
+        out[near] = c * np.expm1(p * np.log1p((x[near] - t) / t))
+    return out
+
+
+#: Veltkamp's splitter for doubles, 2^27 + 1
+_SPLIT = 134217729.0
 
 
 def _end_exponents(t: np.ndarray, u: np.ndarray) -> tuple[float, float]:

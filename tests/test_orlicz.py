@@ -411,7 +411,8 @@ def _orlicz_norm_by_samples(f, phi):
 def _young_phis():
     """The L log L Phi, its complement, the density copies of tau^2/2 and
     tau^3/3, L log L scaled by 1e-200 and sampled from t = 1e-100 (its
-    terms overflow only past z = 685, its e^z / t_0 past z = 480), the
+    terms are finite on all doubles, its e^z / t_0 overflows past
+    z = 480), the
     complement of u through (1, 1), (2, 2), (8, 8), (3e293, 8) and
     (6e293, 9), whose flat segment becomes a ramp one ulp wide with an
     inf slope, and the complement of u through (1, 1e-300), (2, 1e-299)
@@ -431,16 +432,16 @@ def _young_phis():
 def _phi_by_masks(phi, x):
     """Phi of a density as the mask form computed it: each piece indexed
     by its own mask, the node search on the middle piece alone, and 0.0
-    where no mask holds (nan)."""
+    where no mask holds (nan).  The end pieces take the power laws'
+    evaluator, which test_end_power_laws_match_mpmath checks."""
     ax = np.abs(np.asarray(x, dtype=float))
     t, u, cum = phi.t_nodes, phi.u_nodes, phi._cum
     out = np.zeros_like(ax)
     lo = (ax > 0) & (ax <= t[0])
     mid = (ax > t[0]) & (ax <= t[-1])
     hi = ax > t[-1]
-    with np.errstate(over="ignore"):
-        out[lo] = (u[0] * t[0] / (phi.alpha_lo + 1.0)
-                   * (ax[lo] / t[0]) ** (phi.alpha_lo + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[lo] = phi._below(ax[lo])
         if np.any(mid):
             i = np.searchsorted(t, ax[mid], side="right") - 1
             i = np.clip(i, 0, len(t) - 2)
@@ -448,9 +449,7 @@ def _phi_by_masks(phi, x):
             ux = u[i] + (u[i + 1] - u[i]) * frac
             out[mid] = cum[i] + 0.5 * (ax[mid] - t[i]) * (u[i] + ux)
         if np.any(hi):
-            out[hi] = cum[-1] + (
-                u[-1] * t[-1] / (phi.alpha_hi + 1.0)
-                * ((ax[hi] / t[-1]) ** (phi.alpha_hi + 1.0) - 1.0))
+            out[hi] = phi._above(ax[hi])
     return out
 
 
@@ -504,6 +503,53 @@ def test_sorted_phi_matches_phi_bit_for_bit(rng):
                     == phi.phi(part).tobytes()), phi
 
 
+def _end_piece_exact(phi, x, top):
+    """Phi(x) on an end piece at 50 digits, for the doubles that define
+    it: nodes, cumulative integral and exponent alpha + 1 as phi holds
+    them."""
+    with mpmath.workdps(50):
+        i = -1 if top else 0
+        t, u = mpmath.mpf(phi.t_nodes[i]), mpmath.mpf(phi.u_nodes[i])
+        p = mpmath.mpf((phi.alpha_hi if top else phi.alpha_lo) + 1.0)
+        power = u * t / p * (mpmath.mpf(x) / t) ** p
+        return +(mpmath.mpf(phi._cum[-1]) + power - u * t / p if top
+                 else power)
+
+
+def test_end_power_laws_match_mpmath():
+    """Both end pieces of Phi are within 4 ulps of their exact value where
+    that is a normal double, within one subnormal ulp below that, and inf
+    only above the largest double, for every Phi of _young_phis and for
+    u = 1e290 t on [1e-30, 1e6] and its complement: at 5e-324, the end
+    nodes, their outer neighbours, points spread over each piece up to the
+    ends of the double range and, above the top node, just past it.  The
+    bottom piece of u = 1e290 t read 0 at x = 1e-295 and 1e-300 when it
+    took its power first; it is 5e-301 and 5e-311 there."""
+    tiny, top_double = np.finfo(float).tiny, np.finfo(float).max
+    t = np.geomspace(1e-30, 1e6, 97)
+    scaled = NFunction.from_density(t, 1e290 * t)
+    assert scaled.phi(1e-295) == pytest.approx(5e-301, rel=1e-15)
+    assert scaled.phi(1e-300) == pytest.approx(5e-311, rel=1e-5)
+    for phi in (*_young_phis(), scaled, scaled.complement()):
+        t0, t1 = phi.t_nodes[0], phi.t_nodes[-1]
+        below = np.concatenate([[5e-324, 1e-300, 1e-295, t0,
+                                 np.nextafter(t0, 0.0)],
+                                np.geomspace(5e-324, t0, 200)])
+        above = np.concatenate([[np.nextafter(t1, np.inf)],
+                                t1 * (1.0 + np.geomspace(1e-15, 1.0, 60)),
+                                np.geomspace(t1, 1.7e308, 200)[1:]])
+        for x, top in [(x, False) for x in below[below <= t0]] + [
+                (x, True) for x in above[above > t1]]:
+            got, want = phi.phi(x), _end_piece_exact(phi, x, top)
+            if want > top_double:
+                assert got == math.inf, (phi, x, got, want)
+            elif want >= tiny:
+                assert abs(got - want) <= 4 * 2.0 ** -52 * want, (
+                    phi, x, got, want)
+            else:
+                assert abs(got - want) <= 5e-324, (phi, x, got, want)
+
+
 def _overflow_z(phi):
     """The z, to 1e-9, from which e^z Phi'(e^z) or Phi(e^z) is inf."""
     def over(z):
@@ -535,10 +581,12 @@ def test_young_moment_sum_matches_sample_sum():
     tiny = np.finfo(float).tiny
     rng = np.random.default_rng(11)
     for fn in _young_phis()[:-1]:
-        z_over = _overflow_z(fn)
-        zs = np.concatenate([np.linspace(-700.0, 700.0, 281),
-                             z_over + np.array([-1e-3, 0.0, 1e-6, 1e-3, 0.1,
-                                                0.3, 1.0, 2.0])])
+        zs = np.linspace(-700.0, 700.0, 281)
+        # the scaled L log L Phi is finite on all doubles, 1.4e133 at the
+        # largest: it has no overflow z to probe
+        if math.isinf(fn.phi(math.exp(700.0))):
+            zs = np.concatenate([zs, _overflow_z(fn) + np.array(
+                [-1e-3, 0.0, 1e-6, 1e-3, 0.1, 0.3, 1.0, 2.0])])
         for seed in range(2):
             base = random_density(np.random.default_rng([seed, 2]), n=256)
             for scale in (1e-200, 1.0, 1e200):

@@ -45,11 +45,11 @@ from .report import BoundReport, _plain, bound_report
 #: most this many bytes per side (at least one trial per block), so each
 #: check formula, and the conjugate synthesis of the block's densities,
 #: run once per block; only the rest of each factorization is per density.
-#: CPU time per thm2 trial with the batched logs and conjugate FFTs that
-#: came before the synthesis (least of 15 runs, 2-core VM): at n = 4096,
-#: 635 us at 128 KB (4 trials), 731 us at 8 KB and 621 us at 512 KB; at
-#: n = 256, 186 us at 128 KB (64 trials), 212 us at 8 KB and 179 us at
-#: 512 KB.  The sweep's scratch holds 4 (trials) (n + 1) floats, four
+#: CPU time per thm2 trial, measured when the block took batched logs and
+#: conjugate FFTs (least of 15 runs, 2-core VM): at n = 4096, 635 us at
+#: 128 KB (4 trials), 731 us at 8 KB and 621 us at 512 KB; at n = 256,
+#: 186 us at 128 KB (64 trials), 212 us at 8 KB and 179 us at 512 KB.
+#: The sweep's scratch holds 4 (trials) (n + 1) floats, four
 #: times this size: the block's 2 (trials) conjugates of n floats, then
 #: their 2 (trials) spectra of n/2 + 1 complex bins, whose room each
 #: density's n complex boundary values reuse.
@@ -94,7 +94,7 @@ class PairMetrics:
 
     A sweep's record also holds bins, the (2B, degree + 1) complex spectra
     that random_density wrote for its draws, f's rows then g's: row j of f
-    is exp of the irfft of bins[j] (to rounding).  From them h2_squared and
+    is exp(np.fft.irfft(bins[j], n)).  From them h2_squared and
     terms synthesize their conjugates without a log or a forward FFT; the
     floats differ from the logs' conjugates in their last bits.  A record
     without bins (explicit pairs, the family) takes the logs.  The sweep's

@@ -267,8 +267,8 @@ def _end_power(c: float, x: np.ndarray, t: float, p: float,
     """c (x / t)^p, or c ((x / t)^p - 1) with minus_one, at samples x >= 0
     of an end piece of Phi: within a few ulps of the exact value of these
     doubles wherever that is a normal double, 0 only below the subnormals
-    and inf only above the largest double (r below 1e-308 is the exception:
-    it is rounded to a subnormal before the power).
+    and inf only above the largest double (except where r = x / t is
+    itself below the normal doubles and loses digits before the power).
 
     The power is (c a) a with a = r^(p/2), r = x / t rounded, so no factor
     leaves the double range before the value does, as c r^p does where r^p
@@ -280,8 +280,8 @@ def _end_power(c: float, x: np.ndarray, t: float, p: float,
     r = x / t
     mx, mt = np.frexp(x)[0], math.frexp(t)[0]
     q = mx / mt
-    # mx - q mt exactly: fl(q mt) less its rounding error (Dekker), q and
-    # mt in (1/4, 2] so the halves stay in range
+    # mx - q mt exactly: fl(q mt) less its rounding error (Dekker); q and
+    # mt lie in [1/2, 2), where the split halves cannot leave the range
     qmt = q * mt
     cq, ct = _SPLIT * q, _SPLIT * mt
     qh = cq - (cq - q)

@@ -393,8 +393,8 @@ def test_pair_sweeps_take_no_forward_fft(monkeypatch, capsys, check):
 
 def test_sweep_takes_each_sides_log_once_per_block(monkeypatch, capsys):
     """bounds --check thm2 --sweep 8 --n 256 is one block of 8 trials: log
-    f and log g are taken once each, over the block, and the factorizations
-    and log_ratio reuse them."""
+    f and log g are taken once each, over the block, for log_ratio; the
+    factorizations take their conjugates from the draws' bins."""
     calls = []
 
     def counted(v, out=None):

@@ -133,28 +133,47 @@ class NFunction:
             return out if out.ndim else float(out)
         if np.isnan(ax).any():
             raise ParameterError("Phi is not defined at nan")
-        t = self.t_nodes
-        # one search puts each sample on its segment; the power laws below
-        # the first node and above the last then overwrite their samples
+        # one sort, the sorted pass, and the values back in input order
         x = ax.reshape(-1)
-        i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _on_segments(x - t[i], self.u_nodes[i], self._du[i],
-                               self._dt[i], self._cum[i])
-            lo, hi = x <= t[0], x > t[-1]
-            out[lo] = self._below(x[lo])
-            out[hi] = self._above(x[hi])
+        order = np.argsort(x)
+        out = np.empty_like(x)
+        out[order] = self._sorted_phi(x[order])
         return out.reshape(ax.shape) if ax.ndim else float(out[0])
 
-    def _below(self, x: np.ndarray) -> np.ndarray:
-        """Phi at 0 <= x <= t[0] of a density: the first power law."""
-        t, u, p = self.t_nodes[0], self.u_nodes[0], self.alpha_lo + 1.0
-        return _end_power(u * t / p, x, t, p)
-
-    def _above(self, x: np.ndarray) -> np.ndarray:
-        """Phi at x > t[-1] of a density: the last power law."""
-        t, u, p = self.t_nodes[-1], self.u_nodes[-1], self.alpha_hi + 1.0
-        return self._cum[-1] + _end_power(u * t / p, x, t, p, minus_one=True)
+    def _sorted_phi(self, x: np.ndarray) -> np.ndarray:
+        """Phi at sorted samples x >= 0 of a density.  One search of the
+        nodes among the samples cuts them into one run per segment, and
+        np.repeat spreads each segment's node values over its run: no
+        search per sample.  On segment i, Phi = cum_i + 0.5 d (u_i + ux)
+        with d = x - t_i and ux = u_i + du_i d / dt_i; the end pieces are
+        the power laws through the first and the last segment."""
+        t, u = self.t_nodes, self.u_nodes
+        # x[:lo] <= t[0] < x[lo:hi] <= t[-1] < x[hi:]
+        lo, hi = x.searchsorted(t[::len(t) - 1], side="right")
+        # segment i's run holds t_i <= x < t_(i+1), and t[-1] in the last one
+        edges = x[lo:hi].searchsorted(t)
+        edges[-1] = hi - lo
+        runs = edges[1:] - edges[:-1]
+        ui, du, dt, cum = (np.repeat(a, runs) for a in (
+            u[:-1], self._du, self._dt, self._cum[:-1]))
+        out = np.empty_like(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.subtract(x[lo:hi], np.repeat(t[:-1], runs), out=out[lo:hi])
+            ux = d / dt
+            ux *= du
+            ux += ui
+            ux += ui  # now u_i + ux
+            d *= 0.5
+            d *= ux
+            d += cum
+            if lo:
+                p = self.alpha_lo + 1.0
+                out[:lo] = _end_power(u[0] * t[0] / p, x[:lo], t[0], p)
+            if hi < len(x):
+                p = self.alpha_hi + 1.0
+                out[hi:] = self._cum[-1] + _end_power(
+                    u[-1] * t[-1] / p, x[hi:], t[-1], p, minus_one=True)
+        return out
 
     def density(self, x):
         """The density u(x) = Phi'(x) for x >= 0, vectorized."""
@@ -244,22 +263,6 @@ class NFunction:
         if grid.ndim != 2 or grid.shape[1] != 2:
             raise ParameterError("u_grid must be [[t, u], ...]")
         return cls.from_density(grid[:, 0], grid[:, 1])
-
-
-def _on_segments(d: np.ndarray, u: np.ndarray, du: np.ndarray,
-                 dt: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Phi on the linear pieces of a density, in place in d = x - t_i:
-    cum_i + 0.5 d (u_i + ux) with ux = u_i + du_i d / dt_i, given each
-    sample's node values t_i, u_i, cum_i and segment differences du_i,
-    dt_i.  Returns d."""
-    ux = d / dt
-    ux *= du
-    ux += u
-    ux += u  # now u_i + ux
-    d *= 0.5
-    d *= ux
-    d += cum
-    return d
 
 
 def _end_power(c: float, x: np.ndarray, t: float, p: float,
@@ -445,8 +448,8 @@ def orlicz_norm(f: GridFunction, phi: NFunction) -> float:
     (_young_integral), in a handful of numpy calls on the node arrays
     each; against the sample-by-sample sum they agree to 6e-13 relative
     where both are finite, and are +inf where it is.  The objective at the
-    root is Phi summed sample by sample, in one pass over the sorted
-    samples that gives NFunction.phi's floats (_phi_sorted), and it is
+    root is Phi summed sample by sample, by NFunction.phi's sorted pass
+    (NFunction._sorted_phi) on the already sorted samples, and it is
     returned: an upper bound on the infimum whatever the error of the
     moments.  Raises NumericalConditioningError when no root lies in the
     searched range (the infimum is then approached only as k -> 0 or
@@ -468,32 +471,7 @@ def orlicz_norm(f: GridFunction, phi: NFunction) -> float:
     # the objective (1 + int Phi(k|f|))/k at k = e^z / peak, in the
     # normalized samples, so an extreme peak cannot push k out of range
     return (peak * math.exp(-z)
-            * (1.0 + _modal_integral(_phi_sorted(phi, math.exp(z) * w), h)))
-
-
-def _phi_sorted(phi: NFunction, x: np.ndarray) -> np.ndarray:
-    """phi.phi(x), float for float, at sorted samples x >= 0 of a
-    density-kind Phi.  One search of the nodes among the samples cuts them
-    into one run per segment, and np.repeat spreads each segment's node
-    values over its run: no search per sample."""
-    t = phi.t_nodes
-    # x[:lo] <= t[0] < x[lo:hi] <= t[-1] < x[hi:]
-    lo, hi = x.searchsorted(t[::len(t) - 1], side="right")
-    # segment i's run holds t_i <= x < t_(i+1), and t[-1] in the last one
-    edges = x[lo:hi].searchsorted(t)
-    edges[-1] = hi - lo
-    runs = edges[1:] - edges[:-1]
-    out = np.empty_like(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _on_segments(np.subtract(x[lo:hi], np.repeat(t[:-1], runs),
-                                 out=out[lo:hi]),
-                     *(np.repeat(a, runs) for a in (
-                         phi.u_nodes[:-1], phi._du, phi._dt, phi._cum[:-1])))
-        if lo:
-            out[:lo] = phi._below(x[:lo])
-        if hi < len(x):
-            out[hi:] = phi._above(x[hi:])
-    return out
+            * (1.0 + _modal_integral(phi._sorted_phi(math.exp(z) * w), h)))
 
 
 def _young_integral(phi: NFunction,

@@ -183,14 +183,11 @@ class NFunction:
                 out = ax ** (self.q - 1.0)
             return out if out.ndim else float(out)
         t, u = self.t_nodes, self.u_nodes
-        with np.errstate(over="ignore"):
-            out = np.interp(ax, t, u)
-            lo = (ax > 0) & (ax < t[0])
-            hi = ax > t[-1]
-            out = np.asarray(out)
-            out[lo] = u[0] * (ax[lo] / t[0]) ** self.alpha_lo
-            out[hi] = u[-1] * (ax[hi] / t[-1]) ** self.alpha_hi
-            out[ax == 0] = 0.0
+        out = np.asarray(np.interp(ax, t, u))
+        lo, hi = ax < t[0], ax > t[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[lo] = _end_power(u[0], ax[lo], t[0], self.alpha_lo)
+            out[hi] = _end_power(u[-1], ax[hi], t[-1], self.alpha_hi)
         return out if out.ndim else float(out)
 
     def rho(self, tau):
@@ -268,10 +265,11 @@ class NFunction:
 def _end_power(c: float, x: np.ndarray, t: float, p: float,
                minus_one: bool = False) -> np.ndarray:
     """c (x / t)^p, or c ((x / t)^p - 1) with minus_one, at samples x >= 0
-    of an end piece of Phi: within a few ulps of the exact value of these
-    doubles wherever that is a normal double, 0 only below the subnormals
-    and inf only above the largest double (except where r = x / t is
-    itself below the normal doubles and loses digits before the power).
+    of an end piece of Phi or of its density: within a few ulps of the
+    exact value of these doubles wherever that is a normal double, 0 only
+    below the subnormals and inf only above the largest double (except
+    where r = x / t is itself below the normal doubles and loses digits
+    before the power).
 
     The power is (c a) a with a = r^(p/2), r = x / t rounded, so no factor
     leaves the double range before the value does, as c r^p does where r^p

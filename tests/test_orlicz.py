@@ -528,7 +528,6 @@ def test_end_power_laws_match_mpmath():
     ends of the double range and, above the top node, just past it.  The
     bottom piece of u = 1e290 t read 0 at x = 1e-295 and 1e-300 when it
     took its power first; it is 5e-301 and 5e-311 there."""
-    tiny, top_double = np.finfo(float).tiny, np.finfo(float).max
     t = np.geomspace(1e-30, 1e6, 97)
     scaled = NFunction.from_density(t, 1e290 * t)
     assert scaled.phi(1e-295) == pytest.approx(5e-301, rel=1e-15)
@@ -544,13 +543,87 @@ def test_end_power_laws_match_mpmath():
         for x, top in [(x, False) for x in below[below <= t0]] + [
                 (x, True) for x in above[above > t1]]:
             got, want = phi.phi(x), _end_piece_exact(phi, x, top)
-            if want > top_double:
-                assert got == math.inf, (phi, x, got, want)
-            elif want >= tiny:
-                assert abs(got - want) <= 4 * 2.0 ** -52 * want, (
-                    phi, x, got, want)
-            else:
-                assert abs(got - want) <= 5e-324, (phi, x, got, want)
+            assert _near_exact(got, want), (phi, x, got, want)
+
+
+def _near_exact(got, want):
+    """Whether the double got is within 4 ulps of the exact value want
+    where that is a normal double, within one subnormal ulp below that,
+    and inf only above the largest double."""
+    if want > np.finfo(float).max:
+        return got == math.inf
+    if want >= np.finfo(float).tiny:
+        return abs(got - want) <= 4 * 2.0 ** -52 * want
+    return abs(got - want) <= 5e-324
+
+
+def _density_end_phis():
+    """_young_phis, u = 1e290 t^2 and u = 1e-200 t^3 on 67 nodes over
+    [1e-30, 1e3]: the density's end pieces of the last two leave the
+    double range early when they take the power first."""
+    t = np.geomspace(1e-30, 1e3, 67)
+    return (*_young_phis(), NFunction.from_density(t, 1e290 * t * t),
+            NFunction.from_density(t, 1e-200 * t ** 3))
+
+
+@pytest.mark.parametrize("which", range(9))
+def test_density_end_power_laws_match_mpmath(which):
+    """Both end pieces of the density u = Phi' are within 4 ulps of their
+    exact value u_end (x / t_end)^alpha for the doubles Phi holds where
+    that is a normal double, within one subnormal ulp below that, and inf
+    only above the largest double, for every Phi of _density_end_phis: at
+    0, 5e-324, the end nodes' outer neighbours and points spread over each
+    piece up to the ends of the double range.  Taking the power first, u
+    of 1e290 t^2 read 0 at 1e-200 (against 1e-110) and u of 1e-200 t^3 read
+    inf at 1e120 (against 1e160)."""
+    phi = _density_end_phis()[which]
+    if which == 7:
+        assert phi.density(1e-200) == pytest.approx(1e-110, rel=1e-14)
+    if which == 8:
+        assert phi.density(1e120) == pytest.approx(1e160, rel=1e-14)
+    t0, t1 = phi.t_nodes[0], phi.t_nodes[-1]
+    below = np.concatenate([[0.0, 5e-324, 1e-300, 1e-200,
+                             np.nextafter(t0, 0.0)],
+                            np.geomspace(5e-324, t0, 300)])
+    above = np.concatenate([[np.nextafter(t1, np.inf), 1e120],
+                            t1 * (1.0 + np.geomspace(1e-15, 1.0, 60)),
+                            np.geomspace(t1, 1.7e308, 300)[1:]])
+    for x, i in [(x, 0) for x in below[below < t0]] + [
+            (x, -1) for x in above[above > t1]]:
+        with mpmath.workdps(50):
+            alpha = mpmath.mpf(phi.alpha_hi if i else phi.alpha_lo)
+            want = +(mpmath.mpf(phi.u_nodes[i])
+                     * (mpmath.mpf(x) / mpmath.mpf(phi.t_nodes[i])) ** alpha)
+        got = phi.density(x)
+        assert _near_exact(got, want), (phi, x, got, want)
+
+
+@pytest.mark.parametrize("which", range(7))
+def test_segments_match_mpmath(which):
+    """Between the nodes, Phi and its density u are within 4 ulps of their
+    exact value for the doubles Phi holds (a segment's end nodes and cum_i,
+    Phi at its left node) where that is a normal double, and within one
+    subnormal ulp below that, for each Phi of _young_phis: at the nodes,
+    their neighbours and 400 log-spaced points."""
+    phi = _young_phis()[which]
+    t, u, cum = phi.t_nodes, phi.u_nodes, phi._cum
+    x = np.concatenate([t, np.nextafter(t, 0.0), np.nextafter(t, np.inf),
+                        np.geomspace(t[0], t[-1], 400)])
+    x = x[(x >= t[0]) & (x <= t[-1])]
+    # the segment t_i <= x < t_(i+1) of each sample, t[-1] in the last one
+    seg = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+    for xj, i, got_phi, got_u in zip(x.tolist(), seg.tolist(),
+                                     phi.phi(x).tolist(),
+                                     phi.density(x).tolist()):
+        with mpmath.workdps(50):
+            ti, ui = mpmath.mpf(t[i]), mpmath.mpf(u[i])
+            d = mpmath.mpf(xj) - ti
+            ux = ui + (mpmath.mpf(u[i + 1]) - ui) * d / (mpmath.mpf(t[i + 1])
+                                                          - ti)
+            want_phi = +(mpmath.mpf(cum[i]) + d * (ui + ux) / 2)
+            want_u = +ux
+        assert _near_exact(got_phi, want_phi), (phi, xj, got_phi, want_phi)
+        assert _near_exact(got_u, want_u), (phi, xj, got_u, want_u)
 
 
 def _overflow_z(phi):

@@ -267,10 +267,6 @@ class SpectralFactor:
     def value_at_zero(self) -> complex:
         return complex(self.coeffs[0])
 
-    def __call__(self, z) -> np.ndarray:
-        """Evaluate the series at points of the closed unit disk."""
-        return np.polynomial.polynomial.polyval(np.asarray(z), self.coeffs)
-
     def boundary_values(self, n: int) -> np.ndarray:
         """Complex values at e^{i theta_j}, n points (needs n > bandwidth)."""
         n = _check_grid_size(n)

@@ -3,8 +3,8 @@
 A check's report on explicit inputs comes from `bounds.CHECKS`, the path
 the command line takes.  The rest are small computations over public
 functions: the criterion-8 dip schedule and its convergence rows, the
-Orlicz Hoelder pairing, the weak-(1,1) ratio of the conjugate, and an
-inverse of Phi by bisection.
+Orlicz Hoelder pairing, the weak-(1,1) ratio of the conjugate, an
+inverse of Phi by bisection, and a factor's series inside the disk.
 """
 
 import numpy as np
@@ -107,3 +107,9 @@ def phi_inv(phi, y: float) -> float:
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (mid, hi) if phi.phi(mid) < y else (lo, mid)
     return hi
+
+
+def series_at(factor, z) -> np.ndarray:
+    """A SpectralFactor's series sum_k a_k z^k at points z of the closed
+    unit disk."""
+    return np.polynomial.polynomial.polyval(np.asarray(z), factor.coeffs)

@@ -41,6 +41,7 @@ from oracles import (
     holder_holds,
     phi_inv,
     report,
+    series_at,
     weak11_ratio,
 )
 
@@ -114,7 +115,7 @@ def test_criterion_3_route_agreement():
         f = random_density(rng, n=2048, degree=12)
         z = (0.9 * np.sqrt(rng.uniform(0.0, 1.0, 20))
              * np.exp(1j * rng.uniform(-np.pi, np.pi, 20)))
-        via_boundary = factorize_boundary(f)(z)
+        via_boundary = series_at(factorize_boundary(f), z)
         via_herglotz = factorize_herglotz(f, z)
         err = float(np.max(np.abs(via_boundary - via_herglotz))
                     / np.max(np.abs(via_herglotz)))

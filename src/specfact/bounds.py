@@ -424,23 +424,16 @@ def _phase_samples(rng: np.random.Generator, n: int, degree: int,
 
 
 def random_phase(rng: np.random.Generator, n: int = 4096,
-                 degree: int = 16, *,
-                 spectrum: np.ndarray | None = None) -> GridFunction:
+                 degree: int = 16) -> GridFunction:
     """Random real trig polynomial, coefficients uniform in [-1, 1].
 
     The degree is drawn uniformly from 1..degree, and degree >= n/2, which
     the grid cannot resolve, raises AliasingError.  This is the documented
     sweep distribution for conjugate phases; its exponential is the density
     distribution.
-
-    spectrum, when given, is a complex array of degree + 1 values that
-    receives the draw's bins 0 .. degree at the scale the inverse real FFT
-    sums them: np.fft.irfft(spectrum, n) gives the samples bit for bit.
-    The samples are the same with it or without it.
     """
     n = _check_grid_size(n)
-    return GridFunction(n, _handed_over(
-        _phase_samples(rng, n, degree, spectrum)))
+    return GridFunction(n, _handed_over(_phase_samples(rng, n, degree)))
 
 
 def random_density(rng: np.random.Generator, n: int = 4096,
@@ -448,9 +441,12 @@ def random_density(rng: np.random.Generator, n: int = 4096,
                    spectrum: np.ndarray | None = None) -> GridFunction:
     """exp of a random_phase draw: positive, smooth, with integrable log.
 
-    spectrum, when given, receives the phase's bins as random_phase
-    writes them, so a harmonic conjugate of log f needs no log and no
-    forward FFT."""
+    spectrum, when given, is a complex array of degree + 1 values that
+    receives the phase's bins 0 .. degree at the scale the inverse real
+    FFT sums them: np.fft.irfft(spectrum, n) gives log f's samples, the
+    random_phase draw, bit for bit, so a harmonic conjugate of log f needs
+    no log and no forward FFT.  The samples are the same with it or
+    without it."""
     n = _check_grid_size(n)
     v = _phase_samples(rng, n, degree, spectrum)
     return GridFunction(n, _handed_over(np.exp(v, out=v)))

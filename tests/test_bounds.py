@@ -352,17 +352,18 @@ def test_sweep_block_path_matches_the_reference_path():
     assert not block_check.mismatches()
 
 
-@pytest.mark.parametrize("draw", [random_density, random_phase])
 @pytest.mark.parametrize("n, degree", [(8, 3), (256, 16), (4096, 16),
                                        (64, 31), (4096, 2047)])
-def test_draw_spectrum_synthesizes_the_samples(draw, n, degree):
-    """spectrum= leaves the samples' bytes as they are without it, and the
-    irfft of the bins it receives gives the phase samples bit for bit."""
+def test_draw_spectrum_synthesizes_the_samples(n, degree):
+    """random_density's spectrum= leaves the samples' bytes as they are
+    without it, and the irfft of the bins it receives gives random_phase's
+    samples of the same seed bit for bit."""
     for seed in range(5):
         bins = np.full(degree + 1, np.nan, dtype=np.complex128)
-        got = draw(np.random.default_rng(seed), n=n, degree=degree,
-                   spectrum=bins).values
-        plain = draw(np.random.default_rng(seed), n=n, degree=degree).values
+        got = random_density(np.random.default_rng(seed), n=n, degree=degree,
+                             spectrum=bins).values
+        plain = random_density(np.random.default_rng(seed), n=n,
+                               degree=degree).values
         assert got.tobytes() == plain.tobytes()
         phase = random_phase(np.random.default_rng(seed), n=n, degree=degree)
         assert np.fft.irfft(bins, n).tobytes() == phase.values.tobytes()

@@ -186,8 +186,11 @@ class NFunction:
         out = np.asarray(np.interp(ax, t, u))
         lo, hi = ax < t[0], ax > t[-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            out[lo] = _end_power(u[0], ax[lo], t[0], self.alpha_lo)
-            out[hi] = _end_power(u[-1], ax[hi], t[-1], self.alpha_hi)
+            # an empty piece skips _end_power's two dozen numpy calls
+            if lo.any():
+                out[lo] = _end_power(u[0], ax[lo], t[0], self.alpha_lo)
+            if hi.any():
+                out[hi] = _end_power(u[-1], ax[hi], t[-1], self.alpha_hi)
         return out if out.ndim else float(out)
 
     def rho(self, tau):

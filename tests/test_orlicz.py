@@ -577,10 +577,6 @@ def test_density_end_power_laws_match_mpmath(which):
     of 1e290 t^2 read 0 at 1e-200 (against 1e-110) and u of 1e-200 t^3 read
     inf at 1e120 (against 1e160)."""
     phi = _density_end_phis()[which]
-    if which == 7:
-        assert phi.density(1e-200) == pytest.approx(1e-110, rel=1e-14)
-    if which == 8:
-        assert phi.density(1e120) == pytest.approx(1e160, rel=1e-14)
     t0, t1 = phi.t_nodes[0], phi.t_nodes[-1]
     below = np.concatenate([[0.0, 5e-324, 1e-300, 1e-200,
                              np.nextafter(t0, 0.0)],

@@ -566,7 +566,7 @@ def _density_end_phis():
             NFunction.from_density(t, 1e-200 * t ** 3))
 
 
-@pytest.mark.parametrize("which", range(9))
+@pytest.mark.parametrize("which", range(len(_density_end_phis())))
 def test_density_end_power_laws_match_mpmath(which):
     """Both end pieces of the density u = Phi' are within 4 ulps of their
     exact value u_end (x / t_end)^alpha for the doubles Phi holds where
@@ -594,7 +594,7 @@ def test_density_end_power_laws_match_mpmath(which):
         assert _near_exact(got, want), (phi, x, got, want)
 
 
-@pytest.mark.parametrize("which", range(7))
+@pytest.mark.parametrize("which", range(len(_young_phis())))
 def test_segments_match_mpmath(which):
     """Between the nodes, Phi and its density u are within 4 ulps of their
     exact value for the doubles Phi holds (a segment's end nodes and cum_i,

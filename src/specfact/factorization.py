@@ -16,6 +16,10 @@ f_plus(0) > 0, with f = |f_plus|^2 on the boundary:
   0.47 s for the direct sum, 2-core VM);
 * fejer_riesz: root factorization of a nonnegative trigonometric
   polynomial, of degree at most FR_MAX_DEGREE, checked on an FFT grid.
+  The roots of z^N f(z) come in pairs r, 1 / conj r; paired
+  Ehrlich-Aberth sweeps find N of them in O(N^2) numpy work per sweep,
+  with no eigenproblem and no BLAS product, and one Newton step summed
+  in np.clongdouble polishes each.
 
 The routes share no code beyond the grid conventions, which is what makes
 their agreement a meaningful check.
@@ -44,10 +48,16 @@ TOL_CIRCLE = 1e-7
 #: Angular separation below which boundary roots are fused into one cluster.
 CLUSTER_ANGLE = 1e-3
 
-#: Largest polynomial degree fejer_riesz accepts.  np.roots solves a complex
-#: 2N x 2N eigenproblem: 1.2 s at N = 256, 4.2 s at N = 512 and 15.5 s at
-#: N = 1024 on a 2-core VM.
+#: Largest polynomial degree fejer_riesz accepts.  Each sweep of its root
+#: step costs O(N^2) time and memory: with every root moving, 15 ms at
+#: N = 512 and 61 ms at N = 1024 on a 2-core VM, so that _FR_SWEEPS sweeps,
+#: the most it takes before it refuses, stay near 1 s up to this degree.
 FR_MAX_DEGREE = 512
+
+#: Ehrlich-Aberth sweeps _fr_roots takes before it refuses the roots that
+#: have not converged; perfbench's series draws of degree 128 take 25 in
+#: the median and 44 at most.
+_FR_SWEEPS = 100
 
 #: The Herglotz route sums over blocks of (points x samples) weights,
 #: _HERGLOTZ_COLS samples wide and at most _HERGLOTZ_BLOCK_BYTES in size,
@@ -357,8 +367,8 @@ def _fr_coeffs(series) -> tuple[dict[int, complex], int]:
     N = max(abs(k) for k in coeffs)
     if N > FR_MAX_DEGREE:
         raise ParameterError(
-            f"fejer-riesz degree {N} exceeds the cap {FR_MAX_DEGREE}: the "
-            f"root step is an O(N^3) eigenproblem of size 2N")
+            f"fejer-riesz degree {N} exceeds the cap {FR_MAX_DEGREE}: each "
+            f"sweep of the root step costs O(N^2) time and memory")
     return coeffs, N
 
 
@@ -369,11 +379,12 @@ def fejer_riesz(series) -> np.ndarray:
     Output: ascending array a_0 .. a_N with a_0 real positive and no roots
     of sum a_k z^k inside the open unit disk.
 
-    Boundary zeros must have even multiplicity; the root clusters that
-    represent them are split evenly between the factor and its reflection.
-    An odd cluster, or an off-circle root with no inverse partner, means the
-    input was not a nonnegative polynomial to working precision and raises
-    NumericalConditioningError.
+    The root step (_fr_roots) finds the roots of z^N f(z) in pairs r and
+    1 / conj r, so boundary zeros come with even multiplicity: each root
+    on the circle stands for a double zero, and each cluster of them
+    gives the factor its mean direction once per member.  A root that
+    does not converge, a value that is not finite, and a factor that does
+    not reproduce the polynomial to 1e-6 raise NumericalConditioningError.
 
     Degrees above FR_MAX_DEGREE, and coefficients that are not Hermitian by
     FourierSeries.is_real_valued (which fourier_synthesize refuses), raise
@@ -395,47 +406,21 @@ def fejer_riesz(series) -> np.ndarray:
     q = np.zeros(2 * N + 1, dtype=np.complex128)
     for k, c in coeffs.items():
         q[k + N] = c
-    # a top coefficient far below the others (a subnormal one) overflows
-    # the companion matrix, which then has no eigenvalues to take
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            roots = np.roots(q[::-1])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalConditioningError(
-                f"the {2 * N} roots of z^N f(z) are not resolved: {exc}"
-            ) from exc
+    z = _fr_roots(q)
 
-    mod = np.abs(roots)
-    outside = roots[mod > 1.0 + TOL_CIRCLE]
-    inside = roots[mod < 1.0 - TOL_CIRCLE]
-    on_circle = roots[(mod >= 1.0 - TOL_CIRCLE) & (mod <= 1.0 + TOL_CIRCLE)]
-
-    if len(outside) != len(inside):
-        raise NumericalConditioningError(
-            f"unpaired off-circle roots: {len(outside)} outside vs "
-            f"{len(inside)} inside the disk")
-
-    factor_roots = list(outside)
-    if len(on_circle) > 0:
-        for cluster in _angle_clusters(on_circle):
-            if len(cluster) % 2 != 0:
-                raise NumericalConditioningError(
-                    f"boundary zero cluster of odd size {len(cluster)} near "
-                    f"angle {np.angle(cluster[0]):.6f}; a nonnegative "
-                    f"polynomial has even boundary multiplicities")
+    on_circle = np.abs(z) >= 1.0 - TOL_CIRCLE
+    factor_roots = list(1.0 / np.conj(z[~on_circle]))
+    if on_circle.any():
+        for cluster in _angle_clusters(z[on_circle]):
             rep = np.mean(cluster)
             rep = rep / abs(rep)
-            factor_roots.extend([rep] * (len(cluster) // 2))
+            factor_roots.extend([rep] * len(cluster))
 
-    if len(factor_roots) != N:
-        raise NumericalConditioningError(
-            f"root selection produced degree {len(factor_roots)}, expected {N}")
-
-    monic = np.polynomial.polynomial.polyfromroots(factor_roots)
+    monic = _poly_from_roots(np.asarray(factor_roots, dtype=np.clongdouble))
     prod = monic[0]  # equals prod(-r_i); |prod| >= 1 since no roots inside
     lead = coeffs[N]
     gamma = np.sqrt(abs(lead) / abs(prod)) * np.exp(-1j * np.angle(prod))
-    a = gamma * monic
+    a = (gamma * monic).astype(np.complex128)
 
     factor = SpectralFactor(a)
     check = np.abs(factor.boundary_values(m)) ** 2
@@ -444,6 +429,164 @@ def fejer_riesz(series) -> np.ndarray:
         raise NumericalConditioningError(
             f"factor reproduces the polynomial only to {err:.2e} relative")
     return a
+
+
+def _poly_from_roots(roots: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of prod_i (z - r_i), multiplied in the dtype
+    of roots by polyfromroots' halving tree over the roots in order of
+    angle, so that each partial product's roots spread round the circle.
+
+    polyfromroots sorts them by real part, where a real polynomial's
+    conjugate pairs tie; the two halves it multiplies last are then the
+    roots above and below the axis, whose large coefficients cancel:
+    1.9e109 off on 1 + 0.6 cos 512t, where this order is off by 3e-14.
+    And the product's rounding, more than the roots', limits the factor:
+    in double it puts 4e-12 on series32's coefficients, whose roots are
+    right to 1e-16, so it is taken in np.clongdouble.
+    """
+    p = [np.array([-r, 1.0], dtype=roots.dtype)
+         for r in roots[np.argsort(np.angle(roots))]]
+    if not p:
+        return np.ones(1, dtype=roots.dtype)
+    while len(p) > 1:
+        m, odd = divmod(len(p), 2)
+        half = [np.convolve(p[i], p[i + m]) for i in range(m)]
+        if odd:
+            half[0] = np.convolve(half[0], p[-1])
+        p = half
+    return p[0]
+
+
+def _fr_start(q: np.ndarray) -> np.ndarray:
+    """Bini's starting points for the N roots of q in the closed disk.
+
+    The upper convex hull of (k, log|q_k|) splits 0 .. 2N into segments;
+    the one from k = a to k = b puts b - a roots near the circle of radius
+    (|q_a| / |q_b|)^(1 / (b - a)), spread evenly and turned by
+    2 pi a / N + 0.7.  q is self-inversive, so the segments left of k = N
+    hold the N roots of modulus at most 1, and these turns take segments
+    of one root each, as the Fejer kernel's hull has them, round the whole
+    circle: Bini's turn of 2 pi a / 2N leaves them in half the plane,
+    where the degree-128 kernel's roots take 150 sweeps instead of 30.
+    """
+    n2 = len(q) - 1
+    N = n2 // 2
+    k = np.flatnonzero(q)
+    y = np.log(np.abs(q[k]))
+    hull = [0]
+    for j in range(1, len(k)):
+        while len(hull) > 1:
+            i0, i1 = hull[-2], hull[-1]
+            if ((k[i1] - k[i0]) * (y[j] - y[i0])
+                    < (y[i1] - y[i0]) * (k[j] - k[i0])):
+                break
+            hull.pop()
+        hull.append(j)
+    z = [np.zeros(0, dtype=np.complex128)]
+    for i0, i1 in zip(hull[:-1], hull[1:]):
+        a, b = k[i0], k[i1]
+        m = min(b, N) - a
+        if m <= 0:
+            break
+        # a radius of 1 would put a start on its own partner
+        r = min(np.exp((y[i0] - y[i1]) / (b - a)), 1.0 - 2.0 ** -26)
+        z.append(r * np.exp(1j * (2.0 * np.pi * (np.arange(m) / m + a / N)
+                                  + 0.7)))
+    return np.concatenate(z)
+
+
+def _q_values(q: np.ndarray, z: np.ndarray, derivs: int) -> list[np.ndarray]:
+    """q(z), q'(z) and q''(z) / 2, the first derivs + 1 of them, summed by
+    einsum (no BLAS) over the powers z^0 .. z^2N in the precision of z.
+    For |z| <= 1 no power overflows.  The powers m .. 2m - 1 are the
+    powers 0 .. m - 1 times z^m, so they take log2(2N) array products."""
+    n = len(q)
+    powers = np.empty((len(z), n), dtype=z.dtype)
+    powers[:, 0] = 1.0
+    m = 1
+    while m < n:
+        width = min(m, n - m)
+        np.multiply(powers[:, :width], (powers[:, m - 1] * z)[:, None],
+                    out=powers[:, m:m + width])
+        m += width
+    k = np.arange(n).astype(z.real.dtype)
+    c = q.astype(z.dtype)
+    out = []
+    for j in range(derivs + 1):
+        out.append(np.einsum("ij,j->i", powers[:, :n - j], c[j:]))
+        c = c * k / (j + 1)
+        k = k - 1
+    return out
+
+
+def _fr_roots(q: np.ndarray) -> np.ndarray:
+    """The N roots in the closed unit disk of the self-inversive q of
+    degree 2N: q(z) = z^2N conj(q(1 / conj z)), so 1 / conj z_i are the
+    other N.  Roots within TOL_CIRCLE of the circle are double zeros of q
+    and are returned on it.
+
+    Ehrlich-Aberth sweeps (Bini, Numer. Algorithms 13, 1996) correct each
+    z_i against the 2N - 1 other roots z_j and 1 / conj z_j; a z_i that
+    leaves the disk is replaced by its partner, so q and q' are evaluated
+    only for |z| <= 1.  A root stops when its correction is below rounding,
+    or when the correction stops shrinking while q(z_i) is within twice
+    the rounding bound eps sum |q_k| |z_i|^k.  Then one Newton step on q,
+    summed in np.clongdouble (a 64-bit mantissa on x86-64), polishes each
+    root off the circle, and one Newton step on q', of which it is a
+    simple zero, each root on it.  Raises NumericalConditioningError when
+    a root has not converged in _FR_SWEEPS sweeps or a value is not finite.
+    """
+    n2 = len(q) - 1
+    eps = np.finfo(np.float64).eps
+    z = _fr_start(q)
+    active = np.arange(len(z))
+    last = np.full(len(z), np.inf)
+    with np.errstate(all="ignore"):
+        for _ in range(_FR_SWEEPS):
+            if not len(active):
+                break
+            zi = z[active]
+            p, dp = _q_values(q, zi, 1)
+            # sum_j 1 / (z_i - o_j) over the other approximations o_j, in
+            # real arithmetic, which numpy runs 3x faster than complex
+            others = np.concatenate([z, 1.0 / np.conj(z)])
+            dr = zi.real[:, None] - others.real
+            di = zi.imag[:, None] - others.imag
+            den = dr * dr + di * di
+            den[np.arange(len(active)), active] = np.inf
+            pull = (dr / den).sum(axis=1) - 1j * (di / den).sum(axis=1)
+            w = 1.0 / (dp / p - pull)
+            w[p == 0] = 0.0
+            size = np.abs(w)
+            az = np.abs(zi)
+            stop = size <= eps * az
+            stalled = ~stop & (size >= last[active])
+            if stalled.any():
+                bound = _q_values(np.abs(q), az[stalled], 0)[0]
+                stop[stalled] = np.abs(p[stalled]) <= 2.0 * eps * bound
+            last[active] = size
+            zn = zi[~stop] - w[~stop]
+            out = np.abs(zn) > 1.0
+            zn[out] = 1.0 / np.conj(zn[out])
+            z[active[~stop]] = zn
+            active = active[~stop]
+            if not np.isfinite(z).all():
+                raise NumericalConditioningError(
+                    f"the {n2} roots of z^N f(z) are not resolved: a value "
+                    f"is not finite")
+        if len(active):
+            raise NumericalConditioningError(
+                f"the {n2} roots of z^N f(z) are not resolved: "
+                f"{len(active)} did not converge in {_FR_SWEEPS} sweeps")
+        p, dp, h = _q_values(q, z.astype(np.clongdouble), 2)
+        on = np.abs(z) >= 1.0 - TOL_CIRCLE
+        step = np.where(on, dp / (2.0 * h), p / dp)
+        step[~np.isfinite(step) | (p == 0)] = 0.0
+        z = (z - step).astype(np.complex128)
+    z[on] /= np.abs(z[on])
+    out = np.abs(z) > 1.0
+    z[out] = 1.0 / np.conj(z[out])
+    return z
 
 
 def _angle_clusters(roots: np.ndarray) -> list[np.ndarray]:

@@ -59,6 +59,16 @@ def _series_32() -> str:
         for s in ((1,) if k == 0 else (1, -1))}})
 
 
+def _dip2() -> str:
+    """|P|^2 for P(z) = (z - e^{0.3i}) (z - e^{1.3i})."""
+    a = np.polynomial.polynomial.polyfromroots(np.exp([0.3j, 1.3j]))
+    c = [float(np.sum(np.abs(a) ** 2))] + [
+        complex(np.sum(a[k:] * np.conj(a[:3 - k]))) for k in (1, 2)]
+    return json.dumps({"coeffs": {
+        str(s * k): [v.real, s * v.imag] for k, v in enumerate(c)
+        for s in ((1,) if k == 0 else (1, -1))}})
+
+
 #: every input file, by name, and its text
 INPUTS = {
     "flat.txt": lambda: "4 4 4 4 4 4 4 4\n",
@@ -75,6 +85,9 @@ INPUTS = {
     "dip03.json": lambda: json.dumps({"coeffs": {
         "0": [2, 0], "1": [-math.cos(0.3), math.sin(0.3)],
         "-1": [-math.cos(0.3), -math.sin(0.3)]}}),
+    # |1 - e^{-0.3i} z|^2 |1 - e^{-1.3i} z|^2: two boundary zeros, both
+    # between samples
+    "dip2.json": _dip2,
     "series32.json": _series_32,
     "big.txt": lambda: "1e302\n" * 4096,
     "sine.txt": lambda: "\n".join(
@@ -102,6 +115,9 @@ INPUTS = {
                             '"-513": [0.25, 0]}}'),
     "deg8.json": lambda: ('{"coeffs": {"0": [1, 0], "8": [0.25, 0], '
                           '"-8": [0.25, 0]}}'),
+    # 1 + 0.6 cos 512t: the largest degree fejer-riesz accepts
+    "cos512.json": lambda: ('{"coeffs": {"0": [1, 0], "512": [0.3, 0], '
+                            '"-512": [0.3, 0]}}'),
     "zeropoly.json": lambda: '{"coeffs": {"0": [0, 0]}}',
     # 0.5 + cos t, negative on |t| > 2 pi / 3
     "halfcos.json": lambda: ('{"coeffs": {"0": [0.5, 0], "1": [0.5, 0], '
@@ -174,6 +190,9 @@ def manifest() -> list[list[str]]:
         ["factorize", "{in}/dip.json", "--method", "fejer-riesz"],
         *(["factorize", "{in}/dip03.json", "--method", method]
           for method in ("fejer-riesz", "boundary", "herglotz")),
+        ["factorize", "{in}/dip2.json", "--method", "fejer-riesz"],
+        ["factorize", "{in}/cos512.json", "--method", "fejer-riesz", "--n",
+         "16384"],
         *(["counterexample", "--sweep", "5", "--variant", variant]
           for variant in ("floored", "plus-one")),
         ["counterexample", "--n", str(10 ** 15)],

@@ -30,6 +30,7 @@ from specfact import (
     random_phase,
     verify_theorem_1,
 )
+from specfact import factorization
 from specfact.bounds import CHECKS
 from specfact.circle_fn import _JSON_CHUNK
 from specfact.cli import _build_parser, _parse_samples, main
@@ -444,9 +445,9 @@ def test_bounds_refuses_n_without_series_or_sweep(tmp_path, capsys):
 def test_factorize_fejer_riesz_refuses_non_hermitian_before_roots(
         tmp_path, capsys, monkeypatch):
     def roots(_):
-        pytest.fail("np.roots ran on a series that is not Hermitian")
+        pytest.fail("the root step ran on a series that is not Hermitian")
 
-    monkeypatch.setattr(np, "roots", roots)
+    monkeypatch.setattr(factorization, "_fr_roots", roots)
     path = tmp_path / "skewed.json"
     path.write_text('{"coeffs": {"0": [1.25, 0], "1": [-0.5, 1e-10], '
                     '"-1": [-0.5, 0]}}')
@@ -1039,9 +1040,9 @@ def test_bounds_cor_p_huge_exponent_is_finite(capsys):
 
 def test_factorize_fejer_riesz_degree_cap(tmp_path, capsys, monkeypatch):
     def roots(_):
-        pytest.fail("np.roots ran on a degree above the cap")
+        pytest.fail("the root step ran on a degree above the cap")
 
-    monkeypatch.setattr(np, "roots", roots)
+    monkeypatch.setattr(factorization, "_fr_roots", roots)
     path = tmp_path / "tiny.json"
     path.write_text('{"coeffs":{"0":[1,0],"5000":[0.1,0],"-5000":[0.1,0]}}')
     code, out, err = run(capsys, "factorize", str(path),
@@ -1053,11 +1054,11 @@ def test_factorize_fejer_riesz_degree_cap(tmp_path, capsys, monkeypatch):
 def test_factorize_fejer_riesz_refuses_a_small_grid_before_roots(
         tmp_path, capsys, monkeypatch):
     """The outer check's --n grid is synthesized before the root step, so
-    a grid that cannot hold the series costs no np.roots work."""
+    a grid that cannot hold the series costs no root-step work."""
     def roots(_):
-        pytest.fail("np.roots ran on a series --n cannot hold")
+        pytest.fail("the root step ran on a series --n cannot hold")
 
-    monkeypatch.setattr(np, "roots", roots)
+    monkeypatch.setattr(factorization, "_fr_roots", roots)
     path = tmp_path / "wide.json"
     path.write_text('{"coeffs": {"0": [3, 0], "300": [0.5, 0], '
                     '"-300": [0.5, 0]}}')

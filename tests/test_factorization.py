@@ -521,7 +521,7 @@ def test_fejer_riesz_degree_cap(monkeypatch):
     def roots(_):
         raise Reached
 
-    monkeypatch.setattr(np, "roots", roots)
+    monkeypatch.setattr(factorization, "_fr_roots", roots)
     tiny = FourierSeries({-5000: 0.1, 0: 1.0, 5000: 0.1})
     with pytest.raises(ParameterError, match=r"degree 5000 .*cap 512"):
         fejer_riesz(tiny)
@@ -529,6 +529,21 @@ def test_fejer_riesz_degree_cap(monkeypatch):
                        (FR_MAX_DEGREE, Reached)):
         with pytest.raises(outcome):
             fejer_riesz(FourierSeries({-d: 0.1, 0: 1.0, d: 0.1}))
+
+
+def test_fejer_riesz_takes_no_eigenproblem(monkeypatch, rng):
+    """The root step at degree 128 runs with np.roots and
+    np.linalg.eigvals patched to fail: it solves no eigenproblem."""
+    def refuse(*_):
+        pytest.fail("fejer_riesz solved an eigenproblem")
+
+    a_true = _random_outer_factor(rng, 128)
+    series = _series_from_factor(a_true)
+    monkeypatch.setattr(np, "roots", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    a = fejer_riesz(series)
+    assert len(a) == 129
+    assert np.max(np.abs(a - a_true)) / np.max(np.abs(a_true)) < 1e-8
 
 
 def test_angle_clusters_grouping():

@@ -427,10 +427,22 @@ def luxemburg_norm(f: GridFunction, phi: NFunction) -> float:
     if peak == 0.0:
         return 0.0
     h = 2.0 * np.pi / f.n
-    z = _log_root(
-        lambda z: 1.0 - _modal_integral(phi.phi(v / (peak * math.exp(z))),
-                                        h),
-        0.0, 1e-10, "no finite bracket for the Luxemburg norm")
+    # one sort per solve: dividing by peak e^z > 0 keeps the samples'
+    # order, and their Phi values go back to input order before the sum,
+    # so each step gives NFunction.phi's bits
+    order = np.argsort(v)
+    w = v[order]
+    vals = np.empty_like(v)
+
+    def excess(z: float) -> float:
+        x = w / (peak * math.exp(z))
+        if np.isnan(x[0]):  # 0 / 0 where peak e^z underflows
+            raise ParameterError("Phi is not defined at nan")
+        vals[order] = phi._sorted_phi(x)
+        return 1.0 - _modal_integral(vals, h)
+
+    z = _log_root(excess, 0.0, 1e-10,
+                  "no finite bracket for the Luxemburg norm")
     return peak * math.exp(z)
 
 

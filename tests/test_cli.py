@@ -1424,9 +1424,7 @@ _UNIT = st.floats(-1.0, 1.0)
 
 @settings(max_examples=60, deadline=None)
 @given(method=st.sampled_from(["fejer-riesz", "boundary", "herglotz"]),
-       # np.roots costs seconds from degree ~200 up, so the band between
-       # 64 and the cap is covered by the cap tests, not drawn here
-       degree=st.one_of(st.integers(0, 64),
+       degree=st.one_of(st.integers(0, FR_MAX_DEGREE),
                         st.integers(FR_MAX_DEGREE + 1, 10 ** 6)),
        c0=st.one_of(st.floats(-2.0, 8.0), st.just(0.0)),
        extra=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=4),
